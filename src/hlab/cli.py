@@ -26,57 +26,33 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from .hgroup import Convention, GroupDim, unit_ball_volume
-from .integrate import SeededStream, rejection_volume_estimate
-from .operators import OperatorKind, OperatorSpec
+from .integrate import EstimationError, QuadratureError, SeededStream, rejection_volume_estimate
+from .operators import OPERATORS, OperatorKind, OperatorSpec
 from .specfun import AlphaProfile, DivergentConstantError
 from .verify import (
+    VerificationReport,
     discrepancy_report,
     mc_convergence,
+    oracle_record,
+    spec_record,
     upper_bound_search,
     verify_constant,
     verify_extremal,
 )
 
-__all__ = ["Format", "RunConfig", "main", "run"]
+__all__ = ["Format", "main", "run"]
 
-_CONVENTIONS = {"geometric": Convention.GEOMETRIC, "paper": Convention.PAPER_FORMULA}
-_OPERATORS = {
-    "hardy": OperatorKind.HARDY,
-    "hlp": OperatorKind.HLP,
-    "hilbert": OperatorKind.HILBERT,
-}
+# the operator kinds that have a closed form to compute and verify
+_OPERATORS = sorted(kind.value for kind, op in OPERATORS.items() if op.closed_form is not None)
 
 
 class Format(enum.Enum):
     JSON = "json"
     CSV = "csv"
     TEXT = "text"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int = 1
-    m: int = 1
-    alphas: tuple[float, ...] = ()
-    operator: str = "hardy"
-    convention: Convention = Convention.GEOMETRIC
-    samples: int = 1_000_000
-    seed: int = 0
-    tol: float | None = None
-    format: Format = Format.TEXT
-    output_path: str | None = None
-    workers: int = 1
-    trials: int = 100
-    gauges: tuple[float, ...] = (0.5, 1.0, 2.0, 10.0)
-    directions: int = 5
-    n_values: tuple[int, ...] = (1, 2)
-    convergence_path: str | None = None
-    details: dict = field(default_factory=dict)
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -96,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, spec_args: bool = True) -> None:
         if spec_args:
-            p.add_argument("--operator", choices=sorted(_OPERATORS), default="hardy")
+            p.add_argument("--operator", choices=_OPERATORS, default="hardy")
             p.add_argument("--n", type=int, default=1, help="group index n (Q = 2n + 2)")
             p.add_argument("--m", type=int, default=1, help="operator arity")
             p.add_argument(
@@ -105,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="comma-separated exponents alpha_1..alpha_m",
             )
-        p.add_argument("--convention", choices=sorted(_CONVENTIONS), default="geometric")
+        p.add_argument("--convention", choices=[c.value for c in Convention], default="geometric")
         p.add_argument("--seed", type=int, default=None, help="default from HLAB_SEED, else 0")
         p.add_argument("--samples", type=int, default=1_000_000)
         p.add_argument("--tol", type=float, default=None)
@@ -158,84 +134,77 @@ def _resolve_seed(seed: int | None) -> int:
     try:
         return int(env) if env else 0
     except ValueError:
-        return 0
+        raise ValueError(f"HLAB_SEED must be an integer, got {env!r}") from None
 
 
-def _make_spec(cfg: RunConfig) -> OperatorSpec:
-    if len(cfg.alphas) != cfg.m:
+def _make_spec(args: argparse.Namespace) -> OperatorSpec:
+    if len(args.alphas) != args.m:
         raise DivergentConstantError(
-            f"--alphas must list exactly m={cfg.m} exponents, got {len(cfg.alphas)}"
+            f"--alphas must list exactly m={args.m} exponents, got {len(args.alphas)}"
         )
     return OperatorSpec(
-        _OPERATORS[cfg.operator],
-        GroupDim(cfg.n),
-        AlphaProfile(cfg.alphas),
-        cfg.convention,
+        OperatorKind(args.operator),
+        GroupDim(args.n),
+        AlphaProfile(args.alphas),
+        args.convention,
     )
 
 
-def _base_report(cfg: RunConfig, spec_rec: dict) -> dict:
+def _base_report(args: argparse.Namespace, spec_rec: dict) -> dict:
     return {
-        "command": cfg.command,
+        "command": args.command,
         "spec": spec_rec,
-        "convention": cfg.convention.value,
+        "convention": args.convention.value,
         "closed_form": None,
         "oracles": [],
         "pass": None,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "findings": [],
     }
 
 
-def _dispatch(cfg: RunConfig) -> dict:
-    if cfg.command == "constants":
-        spec = _make_spec(cfg)
+def _verification_report(args: argparse.Namespace, vr: VerificationReport, finding: str) -> dict:
+    rec = vr.to_record()
+    details = rec.pop("details")
+    return {"command": args.command, **rec, "findings": [{"id": finding, **details}]}
+
+
+def _dispatch(args: argparse.Namespace) -> dict:
+    if args.command == "constants":
+        spec = _make_spec(args)
         result = spec.constant()
-        report = _base_report(cfg, _rec_spec(spec))
+        report = _base_report(args, spec_record(spec))
         report["closed_form"] = result.value
         report["pass"] = True
         return report
 
-    if cfg.command == "verify":
-        spec = _make_spec(cfg)
+    if args.command == "verify":
+        spec = _make_spec(args)
         vr = verify_constant(
-            spec, n_samples=cfg.samples, seed=cfg.seed, tol=cfg.tol, workers=cfg.workers
+            spec, n_samples=args.samples, seed=args.seed, tol=args.tol, workers=args.workers
         )
-        report = _base_report(cfg, _rec_spec(spec))
-        rec = vr.to_record()
-        report["convention"] = rec["convention"]
-        report["closed_form"] = rec["closed_form"]
-        report["oracles"] = rec["oracles"]
-        report["pass"] = rec["pass"]
-        report["findings"] = [{"id": "tolerances", **rec["details"]}]
-        if cfg.convergence_path:
-            _write_convergence(cfg, spec)
-        return report
+        if args.convergence_path:
+            _write_convergence(args, spec)
+        return _verification_report(args, vr, "tolerances")
 
-    if cfg.command == "extremal":
-        spec = _make_spec(cfg)
+    if args.command == "extremal":
+        spec = _make_spec(args)
         vr = verify_extremal(
             spec,
-            gauges=cfg.gauges,
-            directions=cfg.directions,
-            seed=cfg.seed,
-            tol=cfg.tol if cfg.tol is not None else 1e-6,
+            gauges=args.gauges,
+            directions=args.directions,
+            seed=args.seed,
+            tol=args.tol if args.tol is not None else 1e-6,
         )
-        rec = vr.to_record()
-        report = _base_report(cfg, _rec_spec(spec))
-        report["closed_form"] = rec["closed_form"]
-        report["oracles"] = rec["oracles"]
-        report["pass"] = rec["pass"]
-        report["findings"] = [{"id": "attainment", **rec["details"]}]
-        return report
+        return _verification_report(args, vr, "attainment")
 
-    if cfg.command == "search":
-        spec = _make_spec(cfg)
+    if args.command == "search":
+        spec = _make_spec(args)
         sr = upper_bound_search(
-            spec, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol if cfg.tol is not None else 1e-3
+            spec, trials=args.trials, seed=args.seed, tol=args.tol if args.tol is not None else 1e-3
         )
         rec = sr.to_record()
-        report = _base_report(cfg, _rec_spec(spec))
+        report = _base_report(args, spec_record(spec))
         report["closed_form"] = rec["bound"]
         report["pass"] = rec["pass"]
         report["findings"] = [
@@ -249,25 +218,17 @@ def _dispatch(cfg: RunConfig) -> dict:
         ]
         return report
 
-    if cfg.command == "geometry":
-        dim = GroupDim(cfg.n)
-        est = rejection_volume_estimate(dim, cfg.samples, SeededStream(cfg.seed), cfg.workers)
+    if args.command == "geometry":
+        dim = GroupDim(args.n)
+        est = rejection_volume_estimate(dim, args.samples, SeededStream(args.seed), args.workers)
         geom = unit_ball_volume(dim, Convention.GEOMETRIC)
         tab = unit_ball_volume(dim, Convention.PAPER_FORMULA)
         sigma = (est.value - geom) / est.std_error if est.std_error else 0.0
         report = _base_report(
-            cfg, {"operator": "geometry", "n": cfg.n, "m": 0, "alphas": []}
+            args, {"operator": "geometry", "n": args.n, "m": 0, "alphas": []}
         )
-        report["closed_form"] = geom if cfg.convention is Convention.GEOMETRIC else tab
-        report["oracles"] = [
-            {
-                "method": "mc",
-                "value": est.value,
-                "std_error": est.std_error,
-                "n_samples": est.n_samples,
-                "sigma_distance": sigma,
-            }
-        ]
+        report["closed_form"] = geom if args.convention is Convention.GEOMETRIC else tab
+        report["oracles"] = [oracle_record(est, sigma_distance=sigma)]
         report["pass"] = abs(sigma) <= 3.0
         report["findings"] = [
             {
@@ -281,31 +242,22 @@ def _dispatch(cfg: RunConfig) -> dict:
         ]
         return report
 
-    if cfg.command == "discrepancies":
-        rep = discrepancy_report(cfg.n_values, n_samples=cfg.samples, seed=cfg.seed)
+    if args.command == "discrepancies":
+        rep = discrepancy_report(args.n_values, n_samples=args.samples, seed=args.seed)
         report = _base_report(
-            cfg, {"operator": "discrepancies", "n": cfg.n_values[0], "m": 0, "alphas": []}
+            args, {"operator": "discrepancies", "n": args.n_values[0], "m": 0, "alphas": []}
         )
         report["pass"] = all(f.get("pass", True) for f in rep.findings)
         report["findings"] = rep.findings
         report["details_text"] = rep.text
         return report
 
-    raise ValueError(f"unknown command {cfg.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
-def _rec_spec(spec: OperatorSpec) -> dict:
-    return {
-        "operator": spec.kind.value,
-        "n": spec.dim.n,
-        "m": spec.m,
-        "alphas": list(spec.profile.alphas),
-    }
-
-
-def _write_convergence(cfg: RunConfig, spec: OperatorSpec) -> None:
-    rows = mc_convergence(spec, cfg.samples, cfg.seed)
-    with open(cfg.convergence_path, "w", newline="") as fh:
+def _write_convergence(args: argparse.Namespace, spec: OperatorSpec) -> None:
+    rows = mc_convergence(spec, args.samples, args.seed)
+    with open(args.convergence_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n_samples", "estimate", "std_error", "closed_form"])
         for n, est, se, closed in rows:
@@ -360,48 +312,33 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            parser.error(f"--workers must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    ns = vars(args)
-    seed = _resolve_seed(ns.get("seed"))
-    alphas = ns.get("alphas")
-    if alphas is None and "m" in ns and ns.get("command") not in ("geometry", "discrepancies"):
-        alphas = tuple([1.0] * ns.get("m", 1))
-    cfg = RunConfig(
-        command=ns["command"],
-        n=ns.get("n", 1),
-        m=ns.get("m", 1),
-        alphas=tuple(alphas) if alphas is not None else (),
-        operator=ns.get("operator", "hardy"),
-        convention=_CONVENTIONS[ns.get("convention", "geometric")],
-        samples=ns.get("samples", 1_000_000),
-        seed=seed,
-        tol=ns.get("tol"),
-        format=Format(ns.get("format", "text")),
-        output_path=ns.get("output_path"),
-        workers=ns.get("workers", 1),
-        trials=ns.get("trials", 100),
-        gauges=tuple(ns.get("gauges", (0.5, 1.0, 2.0, 10.0))),
-        directions=ns.get("directions", 5),
-        n_values=tuple(ns.get("n_values", (1, 2))),
-        convergence_path=ns.get("convergence_path"),
-    )
-
     start = time.perf_counter()
     try:
-        report = _dispatch(cfg)
+        args.seed = _resolve_seed(args.seed)
+        if getattr(args, "alphas", ()) is None:
+            args.alphas = (1.0,) * args.m
+        args.convention = Convention(args.convention)
+        args.format = Format(args.format)
+        report = _dispatch(args)
     except DivergentConstantError as exc:
-        print(f"hlab {cfg.command}: --alphas: {exc}", file=sys.stderr)
+        print(f"hlab {args.command}: --alphas: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
-        print(f"hlab {cfg.command}: {exc}", file=sys.stderr)
+        print(f"hlab {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except (QuadratureError, EstimationError) as exc:
+        print(f"hlab {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2
     runtime_ms = int((time.perf_counter() - start) * 1000)
 
-    text = _render(report, cfg.format, runtime_ms)
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
+    text = _render(report, args.format, runtime_ms)
+    if args.output_path:
+        with open(args.output_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

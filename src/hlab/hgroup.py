@@ -20,6 +20,7 @@ __all__ = [
     "GroupDim",
     "GroupGeometry",
     "HPoint",
+    "as_dim",
     "ball_volume",
     "dilate",
     "dilation_jacobian",
@@ -71,7 +72,8 @@ class GroupDim:
         return 2 * self.n + 1
 
 
-def _as_dim(dim: GroupDim | int) -> GroupDim:
+def as_dim(dim: GroupDim | int) -> GroupDim:
+    """``dim`` itself, or the group ``GroupDim(dim)`` for an integer index."""
     return dim if isinstance(dim, GroupDim) else GroupDim(dim)
 
 
@@ -93,14 +95,14 @@ class HPoint:
 
     @staticmethod
     def of(n: int | GroupDim, coords: Iterable[float]) -> "HPoint":
-        return HPoint(_as_dim(n), tuple(float(c) for c in coords))
+        return HPoint(as_dim(n), tuple(float(c) for c in coords))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=float)
 
 
 def origin(dim: GroupDim | int) -> HPoint:
-    dim = _as_dim(dim)
+    dim = as_dim(dim)
     return HPoint(dim, (0.0,) * dim.ambient)
 
 
@@ -161,7 +163,7 @@ def unit_ball_volume(dim: GroupDim | int, convention: Convention = Convention.GE
     The geometric value is ``pi^{n+1/2} Gamma(n/2) / ((n+1) Gamma(n)
     Gamma((n+1)/2))``; PAPER_FORMULA doubles it.
     """
-    n = _as_dim(dim).n
+    n = as_dim(dim).n
     log_v = (
         (n + 0.5) * math.log(math.pi)
         + math.lgamma(n / 2.0)
@@ -179,13 +181,13 @@ def ball_volume(
     """Volume of the ball of radius r: unit volume times r^Q."""
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"ball radius must be positive and finite, got {r!r}")
-    dim = _as_dim(dim)
+    dim = as_dim(dim)
     return unit_ball_volume(dim, convention) * r**dim.Q
 
 
 def sphere_measure(dim: GroupDim | int, convention: Convention = Convention.GEOMETRIC) -> float:
     """Surface constant omega_Q = Q * |B(0,1)| under the chosen convention."""
-    dim = _as_dim(dim)
+    dim = as_dim(dim)
     return dim.Q * unit_ball_volume(dim, convention)
 
 
@@ -193,7 +195,7 @@ def dilation_jacobian(dim: GroupDim | int, r: float) -> float:
     """Determinant of the linear map delta_r, i.e. r^{2n} * r^2 = r^Q."""
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"dilation factor must be positive and finite, got {r!r}")
-    return float(r) ** _as_dim(dim).Q
+    return float(r) ** as_dim(dim).Q
 
 
 @dataclass(frozen=True)

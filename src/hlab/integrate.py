@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hgroup import GroupDim, HPoint, gauge_array, sphere_measure
+from .hgroup import GroupDim, HPoint, gauge_array, sphere_measure, unit_ball_volume
 
 __all__ = [
     "Domain",
@@ -37,9 +37,11 @@ __all__ = [
     "QuadratureError",
     "SeededStream",
     "TupleBall",
+    "mc_chunk_partials",
     "mc_integrate",
     "quad_1d",
     "quad_tensor",
+    "reduce_partials",
     "rejection_volume_estimate",
     "sample_radius",
     "sample_sphere_direction",
@@ -226,7 +228,8 @@ def quad_1d(
     while total_err + frozen_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
         if not heap:
             raise QuadratureError(
-                "all panels are at floating-point resolution without convergence",
+                "all panels are at floating-point resolution without convergence "
+                f"(error {total_err + frozen_err:.3e})",
                 Estimate(total_val, 0.0, n_evals, Method.QUAD),
             )
         if splits >= spec.max_subdivisions:
@@ -366,7 +369,7 @@ def sample_radius(
 def _ball_batch(gen: np.random.Generator, dim: GroupDim, size: int) -> np.ndarray:
     """Uniform Lebesgue samples of the unit gauge ball via box rejection."""
     ambient = dim.ambient
-    accept_rate = _geom_ball_volume(dim) / 2.0**ambient
+    accept_rate = unit_ball_volume(dim) / 2.0**ambient
     out = np.empty((size, ambient))
     have = 0
     while have < size:
@@ -378,12 +381,6 @@ def _ball_batch(gen: np.random.Generator, dim: GroupDim, size: int) -> np.ndarra
         out[have : have + take] = hits[:take]
         have += take
     return out
-
-
-def _geom_ball_volume(dim: GroupDim) -> float:
-    from .hgroup import Convention, unit_ball_volume
-
-    return unit_ball_volume(dim, Convention.GEOMETRIC)
 
 
 def sample_unit_ball(
@@ -451,46 +448,51 @@ class FullSpaceHeavyTail:
 Sampler = TupleBall | FullSpaceHeavyTail
 
 
-def _chunk_sizes(n_samples: int, chunk: int) -> list[int]:
-    full, rem = divmod(n_samples, chunk)
-    return [chunk] * full + ([rem] if rem else [])
+ChunkPartial = tuple[int, float, float, int]
 
 
-def _chunked_mc(
+def mc_chunk_partials(
     values_fn: Callable[[np.random.Generator, int], np.ndarray],
     n_samples: int,
     stream: SeededStream,
     workers: int = 1,
-    chunk: int = _CHUNK,
-) -> tuple[Estimate, int]:
-    """Chunked mean estimator; returns (estimate, nonzero evaluation count)."""
+) -> list[ChunkPartial]:
+    """Evaluate ``values_fn`` chunk by chunk; chunk ``k`` draws from substream
+    block ``k + 1``.
+
+    Returns ``(size, sum, sum of squares, nonzero count)`` per chunk in chunk
+    order, identical for any worker count.
+    """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    sizes = _chunk_sizes(n_samples, chunk)
+    full, rem = divmod(n_samples, _CHUNK)
+    sizes = [_CHUNK] * full + ([rem] if rem else [])
 
-    def one(block: int) -> tuple[float, float, int]:
-        gen = stream.generator(block=block + 1)
-        v = values_fn(gen, sizes[block])
-        return float(v.sum()), float(np.square(v).sum()), int(np.count_nonzero(v))
+    def one(block: int) -> ChunkPartial:
+        v = values_fn(stream.generator(block=block + 1), sizes[block])
+        return sizes[block], float(v.sum()), float(np.square(v).sum()), int(np.count_nonzero(v))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one, range(len(sizes))))
-    else:
-        partials = [one(i) for i in range(len(sizes))]
+            return list(pool.map(one, range(len(sizes))))
+    return [one(i) for i in range(len(sizes))]
 
+
+def reduce_partials(partials: Sequence[ChunkPartial]) -> tuple[Estimate, int]:
+    """Sample mean and standard error of the chunks, summed in chunk order,
+    with the count of nonzero values."""
+    n = 0
     s1 = 0.0
     s2 = 0.0
     nonzero = 0
-    for p1, p2, pn in partials:
+    for size, p1, p2, pn in partials:
+        n += size
         s1 += p1
         s2 += p2
         nonzero += pn
-    n = n_samples
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0) * n / (n - 1)
-    std_error = math.sqrt(var / n)
-    return Estimate(mean, std_error, n, Method.MC), nonzero
+    return Estimate(mean, math.sqrt(var / n), n, Method.MC), nonzero
 
 
 def _check_finite(values: np.ndarray, coords: list[np.ndarray]) -> None:
@@ -558,7 +560,7 @@ def mc_integrate(
             out[mask] = vals
         return out
 
-    estimate, nonzero = _chunked_mc(values_fn, n_samples, stream, workers)
+    estimate, nonzero = reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))
     if nonzero == 0:
         raise EstimationError("zero accepted samples; cannot form an estimate")
     return estimate
@@ -577,5 +579,4 @@ def rejection_volume_estimate(
         g = gauge_array(props, dim.n)
         return np.where(g < 1.0, box, 0.0)
 
-    estimate, _ = _chunked_mc(values_fn, n_samples, stream, workers)
-    return estimate
+    return reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))[0]

@@ -5,11 +5,13 @@ nonnegative homogeneous-kernel operator, the averaging (Hardy-type)
 operator over the tuple ball, the max-kernel (Hardy-Littlewood-Polya type)
 operator, and the sum-kernel (Hilbert-type) operator.
 
-Every evaluator reduces to the dilation identity: the value at ``x`` is an
-integral over tuples at base gauge 1 against ``f_i(delta_{|x|_h} .)``.  The
-quadrature engine performs the polar radial reduction (one radial variable
-per factor); the Monte Carlo engine samples tuples directly with importance
-tilts taken from the operator's exponent profile.
+Each kind has one record in ``OPERATORS``: its kernel profile, its closed
+form and its quadrature fast path.  One evaluator serves them all through
+the dilation identity: the value at ``x`` is an integral over tuples at base
+gauge 1 against ``f_i(delta_{|x|_h} .)``.  The quadrature engine performs the
+polar radial reduction (one radial variable per factor); the Monte Carlo
+engine samples tuples directly with importance tilts taken from the
+operator's exponent profile and weights them by the kernel.
 
 Convention handling: the volume convention applies jointly to the
 normalizing ball volume and to every polar surface constant, so the
@@ -20,7 +22,7 @@ values scale by 2^m between conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -53,6 +55,8 @@ __all__ = [
     "KernelHomogeneityError",
     "KernelSpec",
     "McEngine",
+    "OPERATORS",
+    "Operator",
     "OperatorKind",
     "OperatorSpec",
     "QuadEngine",
@@ -206,13 +210,10 @@ class OperatorSpec:
 
     def constant(self) -> ConstantResult:
         """Closed-form sharp constant for the named operator kinds."""
-        if self.kind is OperatorKind.HARDY:
-            return hardy_constant(self.dim, self.profile, self.convention)
-        if self.kind is OperatorKind.HLP:
-            return hlp_constant(self.dim, self.profile, self.convention)
-        if self.kind is OperatorKind.HILBERT:
-            return hilbert_constant(self.dim, self.profile, self.convention)
-        raise ValueError("general kernels have no closed form; use kernel_constant")
+        closed_form = OPERATORS[self.kind].closed_form
+        if closed_form is None:
+            raise ValueError("general kernels have no closed form; use kernel_constant")
+        return closed_form(self)
 
 
 @dataclass(frozen=True)
@@ -253,17 +254,10 @@ def weighted_norm(f: TestFunction, alpha: float, dim: GroupDim) -> float:
     return float(vals.max())
 
 
-def _require(spec: OperatorSpec, kind: OperatorKind, fs: Sequence[TestFunction], x: HPoint) -> float:
+def _of_kind(spec: OperatorSpec, kind: OperatorKind) -> OperatorSpec:
     if spec.kind is not kind:
         raise ValueError(f"spec is for {spec.kind.value!r}, evaluator is {kind.value!r}")
-    if len(fs) != spec.m:
-        raise ValueError(f"need {spec.m} test functions, got {len(fs)}")
-    if x.dim != spec.dim:
-        raise ValueError("evaluation point lives on a different group")
-    c = gauge(x)
-    if c == 0.0:
-        raise ValueError("operators are defined away from the origin; got x = 0")
-    return c
+    return spec
 
 
 def _conv_factor(spec: OperatorSpec) -> float:
@@ -286,18 +280,6 @@ def _scalar_map(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarr
     return wrapped
 
 
-def _product_integrand(fs: Sequence[TestFunction], c: float, n: int):
-    """f(y_1)...f(y_m) evaluated at dilated tuples, for the MC engine."""
-
-    def f(coords: list[np.ndarray]) -> np.ndarray:
-        out = np.full(coords[0].shape[0], 1.0)
-        for tf, coord in zip(fs, coords):
-            out = out * tf.radial(c * gauge_array(coord, n))
-        return out
-
-    return f
-
-
 def eval_hardy(
     fs: Sequence[TestFunction], x: HPoint, spec: OperatorSpec, engine: Engine = QuadEngine()
 ) -> Estimate:
@@ -307,163 +289,214 @@ def eval_hardy(
     Convention-independent because the normalizer and the polar constant
     shift together.
     """
-    c = _require(spec, OperatorKind.HARDY, fs, x)
-    Q, m, n = spec.dim.Q, spec.m, spec.dim.n
-    if isinstance(engine, QuadEngine):
-        if m > 3:
-            raise ValueError("quadrature engine supports m <= 3; use the MC engine")
-
-        def integrand(*rs: np.ndarray) -> np.ndarray:
-            out = 1.0
-            for tf, r in zip(fs, rs):
-                out = out * tf.power_weighted(c, r, Q - 1)
-            return out
-
-        pts = [_radial_breaks(tf, c, 0.0, 1.0) for tf in fs]
-        est = quad_tensor(integrand, m, Domain.SIMPLEX_BALL, engine.quad, points=pts)
-        return est.scaled(float(Q) ** m)
-    raw = mc_integrate(
-        _product_integrand(fs, c, n),
-        spec.dim,
-        m,
-        TupleBall(tuple(spec.profile.alphas)),
-        engine.n_samples,
-        engine.stream,
-        engine.workers,
-    )
-    return raw.scaled(unit_ball_volume(spec.dim) ** -m)
+    return _evaluate(_of_kind(spec, OperatorKind.HARDY), fs, x, engine)
 
 
 def eval_hlp(
     fs: Sequence[TestFunction], x: HPoint, spec: OperatorSpec, engine: Engine = QuadEngine()
 ) -> Estimate:
-    """Max-kernel operator ``int prod f_i(y_i) / max(|x|^Q, |y_i|^Q...)^m``.
-
-    The quadrature engine splits the radial orthant into the m + 1 cells
-    induced by which argument realizes the max; each cell collapses to an
-    outer 1-D integral times inner 1-D factors.
-    """
-    c = _require(spec, OperatorKind.HLP, fs, x)
-    Q, m, n = spec.dim.Q, spec.m, spec.dim.n
-    factor = _conv_factor(spec)
-    omega = sphere_measure(spec.dim)
-    if isinstance(engine, QuadEngine):
-        if m > 3:
-            raise ValueError("quadrature engine supports m <= 3; use the MC engine")
-        # relative-error-driven inner integrals: their values are re-weighted
-        # by the outer tail, so an absolute cutoff would truncate it
-        inner_spec = QuadSpec(
-            engine.quad.rel_tol * 0.1, 1e-290, engine.quad.max_subdivisions
-        )
-        n_evals = 0
-
-        def unit_factor(tf: TestFunction, scale: float) -> Estimate:
-            # int_0^1 g(scale * v) v^{Q-1} dv
-            return quad_1d(
-                lambda v: tf.power_weighted(scale, v, Q - 1),
-                0.0,
-                1.0,
-                inner_spec,
-                points=_radial_breaks(tf, scale, 0.0, 1.0),
-            )
-
-        total = 0.0
-        cell0 = 1.0
-        for tf in fs:
-            est = unit_factor(tf, c)
-            cell0 *= est.value
-            n_evals += est.n_samples
-        total += cell0
-        for j, tfj in enumerate(fs):
-            others = [tf for i, tf in enumerate(fs) if i != j]
-
-            def outer_scalar(r: float) -> float:
-                nonlocal n_evals
-                val = float(tfj.power_weighted(c, np.asarray(r), -1.0))
-                for tf in others:
-                    est = unit_factor(tf, c * r)
-                    val *= est.value
-                    n_evals += est.n_samples
-                return val
-
-            est_j = quad_1d(
-                _scalar_map(outer_scalar),
-                1.0,
-                math.inf,
-                engine.quad,
-                points=_radial_breaks(tfj, c, 1.0, math.inf),
-            )
-            total += est_j.value
-            n_evals += est_j.n_samples
-        return Estimate(factor * omega**m * total, 0.0, n_evals, Method.QUAD)
-
-    prod = _product_integrand(fs, c, n)
-
-    def f(coords: list[np.ndarray]) -> np.ndarray:
-        gmax = np.full(coords[0].shape[0], 1.0)
-        for coord in coords:
-            gmax = np.maximum(gmax, gauge_array(coord, n))
-        return prod(coords) * gmax ** (-Q * m)
-
-    raw = mc_integrate(
-        f,
-        spec.dim,
-        m,
-        FullSpaceHeavyTail(tuple(spec.profile.alphas)),
-        engine.n_samples,
-        engine.stream,
-        engine.workers,
-    )
-    return raw.scaled(factor)
+    """Max-kernel operator ``int prod f_i(y_i) / max(|x|^Q, |y_i|^Q...)^m``."""
+    return _evaluate(_of_kind(spec, OperatorKind.HLP), fs, x, engine)
 
 
 def eval_hilbert(
     fs: Sequence[TestFunction], x: HPoint, spec: OperatorSpec, engine: Engine = QuadEngine()
 ) -> Estimate:
-    """Sum-kernel operator ``int prod f_i(y_i) / (|x|^Q + sum |y_i|^Q)^m``.
+    """Sum-kernel operator ``int prod f_i(y_i) / (|x|^Q + sum |y_i|^Q)^m``."""
+    return _evaluate(_of_kind(spec, OperatorKind.HILBERT), fs, x, engine)
 
-    The quadrature engine substitutes ``t_i = r_i^Q`` and then
-    ``t_i = v_i^{1/(1 - beta_i)}`` with ``beta_i = alpha_i / Q``, which
-    removes the power-law endpoint singularity exactly.
+
+def eval_kernel_op(
+    kernel: KernelSpec,
+    fs: Sequence[TestFunction],
+    x: HPoint,
+    spec: OperatorSpec,
+    engine: Engine = QuadEngine(),
+) -> Estimate:
+    """General-kernel operator via the dilation identity.
+
+    ``T(x) = int K(e_1, y_1..y_m) prod f_i(delta_{|x|_h} y_i) dy``; the kernel
+    is probed for homogeneity -mQ before any evaluation.
     """
-    c = _require(spec, OperatorKind.HILBERT, fs, x)
-    Q, m, n = spec.dim.Q, spec.m, spec.dim.n
-    factor = _conv_factor(spec)
-    omega = sphere_measure(spec.dim)
-    if isinstance(engine, QuadEngine):
-        if m > 3:
-            raise ValueError("quadrature engine supports m <= 3; use the MC engine")
-        value, n_evals = _hilbert_quad(fs, c, Q, spec.profile.alphas, engine.quad)
-        return Estimate(factor * (omega / Q) ** m * value, 0.0, n_evals, Method.QUAD)
+    return _evaluate(replace(spec, kind=OperatorKind.KERNEL, kernel=kernel), fs, x, engine)
 
-    prod = _product_integrand(fs, c, n)
+
+def kernel_constant(
+    kernel: KernelSpec,
+    dim: GroupDim,
+    profile: AlphaProfile,
+    engine: Engine = QuadEngine(),
+    convention: Convention = Convention.GEOMETRIC,
+) -> Estimate:
+    """Numeric sharp constant ``H_m = int K(e_1, y) prod |y_i|^{-alpha_i} dy``.
+
+    Exponents outside (0, Q) make the integral diverge and are rejected up
+    front, naming every offending index.
+    """
+    spec = OperatorSpec(OperatorKind.KERNEL, dim, profile, convention, kernel)
+    fs = [TestFunction.extremal(a) for a in profile.alphas]
+    e1 = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
+    return eval_kernel_op(kernel, fs, e1, spec, engine)
+
+
+def _evaluate(
+    spec: OperatorSpec, fs: Sequence[TestFunction], x: HPoint, engine: Engine
+) -> Estimate:
+    """Every operator kind through the dilation identity: the value at ``x``
+    integrates the kernel at base gauge 1 against ``f_i(delta_{|x|_h} .)``.
+
+    Quadrature runs the kind's radial fast path.  Monte Carlo samples tuples
+    with tilts from the exponent profile, inside the tuple ball when the
+    kernel's support lies there and over all of H^{nm} otherwise, and weights
+    each tuple by the kernel at its gauges.
+    """
+    if len(fs) != spec.m:
+        raise ValueError(f"need {spec.m} test functions, got {len(fs)}")
+    if x.dim != spec.dim:
+        raise ValueError("evaluation point lives on a different group")
+    c = gauge(x)
+    if c == 0.0:
+        raise ValueError("operators are defined away from the origin; got x = 0")
+    op = OPERATORS[spec.kind]
+    if spec.kind is OperatorKind.KERNEL:
+        _probe_homogeneity(spec.kernel, spec.dim, spec.m)
+    if isinstance(engine, QuadEngine):
+        if spec.m > 3:
+            raise ValueError("quadrature engine supports m <= 3; use the MC engine")
+        return op.quad(spec, fs, c, engine.quad)
+
+    kernel = op.kernel(spec)
+    n, base = spec.dim.n, kernel.base_gauge
 
     def f(coords: list[np.ndarray]) -> np.ndarray:
-        denom = np.full(coords[0].shape[0], 1.0)
-        for coord in coords:
-            denom = denom + gauge_array(coord, n) ** Q
-        return prod(coords) * denom ** (-float(m))
+        gauges = [gauge_array(coord, n) for coord in coords]
+        out = np.full(coords[0].shape[0], 1.0)
+        for tf, g in zip(fs, gauges):
+            out = out * tf.radial(c * g)
+        return out * kernel.radial_profile(base, *gauges)
 
-    raw = mc_integrate(
-        f,
-        spec.dim,
-        m,
-        FullSpaceHeavyTail(tuple(spec.profile.alphas)),
-        engine.n_samples,
-        engine.stream,
-        engine.workers,
-    )
-    return raw.scaled(factor)
+    tilts = tuple(spec.profile.alphas)
+    sampler: TupleBall | FullSpaceHeavyTail
+    if kernel.simplex_support is not None and kernel.simplex_support * base <= 1.0:
+        sampler = TupleBall(tilts)
+    else:
+        sampler = FullSpaceHeavyTail(tilts)
+    raw = mc_integrate(f, spec.dim, spec.m, sampler, engine.n_samples, engine.stream, engine.workers)
+    return raw.scaled(_conv_factor(spec))
+
+
+_PROBE_SEED = 0x9E3779B97F4A7C15
+
+
+def _probe_homogeneity(kernel: KernelSpec, dim: GroupDim, m: int) -> None:
+    """Check degree -mQ on 10 random probes; report the worst ratio."""
+    expected = -float(m * dim.Q)
+    if kernel.homogeneity_degree != expected:
+        raise KernelHomogeneityError(
+            f"kernel declares degree {kernel.homogeneity_degree}, "
+            f"but -mQ = {expected} is required"
+        )
+    gen = np.random.Generator(np.random.Philox(key=[_PROBE_SEED, 0]))
+    worst = 0.0
+    for _ in range(10):
+        r0 = float(gen.uniform(0.5, 2.0))
+        rs = gen.uniform(0.5, 2.0, m)
+        t = float(gen.uniform(0.5, 2.0))
+        base = float(np.asarray(kernel.radial_profile(r0, *rs)))
+        scaled = float(np.asarray(kernel.radial_profile(t * r0, *(t * rs))))
+        if base == 0.0 and scaled == 0.0:
+            continue
+        if base == 0.0 or scaled == 0.0:
+            raise KernelHomogeneityError(
+                "kernel support is not dilation-invariant "
+                f"(probe r0={r0}, rs={rs.tolist()}, t={t})"
+            )
+        worst = max(worst, abs(scaled / (t**expected * base) - 1.0))
+    if worst > 1e-10:
+        raise KernelHomogeneityError(
+            f"kernel is not homogeneous of degree {expected}: worst probe ratio "
+            f"deviates by {worst:.3e}"
+        )
+
+
+def _hardy_quad(
+    spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
+) -> Estimate:
+    """Averaging quadrature over the simplex ball ``sum r_i^2 < 1``; the
+    normalizer and the polar constants cancel to ``Q^m``."""
+    Q, m = spec.dim.Q, spec.m
+
+    def integrand(*rs: np.ndarray) -> np.ndarray:
+        out = 1.0
+        for tf, r in zip(fs, rs):
+            out = out * tf.power_weighted(c, r, Q - 1)
+        return out
+
+    pts = [_radial_breaks(tf, c, 0.0, 1.0) for tf in fs]
+    est = quad_tensor(integrand, m, Domain.SIMPLEX_BALL, qspec, points=pts)
+    return est.scaled(float(Q) ** m)
+
+
+def _hlp_quad(
+    spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
+) -> Estimate:
+    """Max-kernel quadrature: the radial orthant splits into the m + 1 cells
+    induced by which argument realizes the max; each cell collapses to an
+    outer 1-D integral times inner 1-D factors."""
+    Q, m = spec.dim.Q, spec.m
+    factor = _conv_factor(spec)
+    omega = sphere_measure(spec.dim)
+    # relative-error-driven inner integrals: their values are re-weighted
+    # by the outer tail, so an absolute cutoff would truncate it
+    inner_spec = QuadSpec(qspec.rel_tol * 0.1, 1e-290, qspec.max_subdivisions)
+    n_evals = 0
+
+    def unit_factor(tf: TestFunction, scale: float) -> Estimate:
+        # int_0^1 g(scale * v) v^{Q-1} dv
+        return quad_1d(
+            lambda v: tf.power_weighted(scale, v, Q - 1),
+            0.0,
+            1.0,
+            inner_spec,
+            points=_radial_breaks(tf, scale, 0.0, 1.0),
+        )
+
+    total = 0.0
+    cell0 = 1.0
+    for tf in fs:
+        est = unit_factor(tf, c)
+        cell0 *= est.value
+        n_evals += est.n_samples
+    total += cell0
+    for j, tfj in enumerate(fs):
+        others = [tf for i, tf in enumerate(fs) if i != j]
+
+        def outer_scalar(r: float) -> float:
+            nonlocal n_evals
+            val = float(tfj.power_weighted(c, np.asarray(r), -1.0))
+            for tf in others:
+                est = unit_factor(tf, c * r)
+                val *= est.value
+                n_evals += est.n_samples
+            return val
+
+        est_j = quad_1d(
+            _scalar_map(outer_scalar),
+            1.0,
+            math.inf,
+            qspec,
+            points=_radial_breaks(tfj, c, 1.0, math.inf),
+        )
+        total += est_j.value
+        n_evals += est_j.n_samples
+    return Estimate(factor * omega**m * total, 0.0, n_evals, Method.QUAD)
 
 
 def _hilbert_quad(
-    fs: Sequence[TestFunction],
-    c: float,
-    Q: int,
-    alphas: Sequence[float],
-    qspec: QuadSpec,
-) -> tuple[float, int]:
-    """Radial sum-kernel integral ``int prod g_i(c t_i^{1/Q}) (1 + sum t)^{-m} dt``.
+    spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
+) -> Estimate:
+    """Sum-kernel quadrature of the radial integral
+    ``int prod g_i(c t_i^{1/Q}) (1 + sum t)^{-m} dt`` (``t_i = r_i^Q``).
 
     Two exact substitutions: the orthant is mapped to the open simplex via
     ``t_i = s_i / (1 - sum s)``, then ``s_i = w_i^{1/(1 - beta_i)}`` with
@@ -472,7 +505,7 @@ def _hilbert_quad(
     nested limits ``w_k < (1 - S_{k-1})^{1 - beta_k}``.  Only the hypotenuse
     singularity remains for the adaptive rule.
     """
-    m = len(fs)
+    Q, m, alphas = spec.dim.Q, spec.m, spec.profile.alphas
     betas = [a / Q for a in alphas]
     ps = [1.0 / (1.0 - b) for b in betas]
     sum_beta = math.fsum(betas)
@@ -558,127 +591,41 @@ def _hilbert_quad(
         n_evals[0] += est.n_samples
         return est.value
 
-    return prefactor * level(0, 1.0, []), n_evals[0]
-
-
-_PROBE_SEED = 0x9E3779B97F4A7C15
-
-
-def _probe_homogeneity(kernel: KernelSpec, dim: GroupDim, m: int) -> None:
-    """Check degree -mQ on 10 random probes; report the worst ratio."""
-    expected = -float(m * dim.Q)
-    if kernel.homogeneity_degree != expected:
-        raise KernelHomogeneityError(
-            f"kernel declares degree {kernel.homogeneity_degree}, "
-            f"but -mQ = {expected} is required"
-        )
-    gen = np.random.Generator(np.random.Philox(key=[_PROBE_SEED, 0]))
-    worst = 0.0
-    for _ in range(10):
-        r0 = float(gen.uniform(0.5, 2.0))
-        rs = gen.uniform(0.5, 2.0, m)
-        t = float(gen.uniform(0.5, 2.0))
-        base = float(np.asarray(kernel.radial_profile(r0, *rs)))
-        scaled = float(np.asarray(kernel.radial_profile(t * r0, *(t * rs))))
-        if base == 0.0 and scaled == 0.0:
-            continue
-        if base == 0.0 or scaled == 0.0:
-            raise KernelHomogeneityError(
-                "kernel support is not dilation-invariant "
-                f"(probe r0={r0}, rs={rs.tolist()}, t={t})"
-            )
-        worst = max(worst, abs(scaled / (t**expected * base) - 1.0))
-    if worst > 1e-10:
-        raise KernelHomogeneityError(
-            f"kernel is not homogeneous of degree {expected}: worst probe ratio "
-            f"deviates by {worst:.3e}"
-        )
-
-
-def eval_kernel_op(
-    kernel: KernelSpec,
-    fs: Sequence[TestFunction],
-    x: HPoint,
-    spec: OperatorSpec,
-    engine: Engine = QuadEngine(),
-) -> Estimate:
-    """General-kernel operator via the dilation identity.
-
-    ``T(x) = int K(e_1, y_1..y_m) prod f_i(delta_{|x|_h} y_i) dy``; the kernel
-    is probed for homogeneity -mQ before any evaluation.
-    """
-    if len(fs) != spec.m:
-        raise ValueError(f"need {spec.m} test functions, got {len(fs)}")
-    if x.dim != spec.dim:
-        raise ValueError("evaluation point lives on a different group")
-    c = gauge(x)
-    if c == 0.0:
-        raise ValueError("operators are defined away from the origin; got x = 0")
-    Q, m, n = spec.dim.Q, spec.m, spec.dim.n
-    _probe_homogeneity(kernel, spec.dim, m)
-    factor = _conv_factor(spec)
+    value = prefactor * level(0, 1.0, [])
     omega = sphere_measure(spec.dim)
-    base = kernel.base_gauge
-
-    if isinstance(engine, QuadEngine):
-        if m > 3:
-            raise ValueError("quadrature engine supports m <= 3; use the MC engine")
-        if kernel.simplex_support is not None:
-            s = kernel.simplex_support * base
-
-            def integrand(*us: np.ndarray) -> np.ndarray:
-                rs = [s * np.asarray(u) for u in us]
-                out = kernel.radial_profile(base, *rs)
-                for tf, r in zip(fs, rs):
-                    out = out * tf.power_weighted(c, r, Q - 1)
-                return out * s**m
-
-            pts = [[b / (c * s) for b in tf.breakpoints if 0.0 < b / (c * s) < 1.0] for tf in fs]
-            est = quad_tensor(integrand, m, Domain.SIMPLEX_BALL, engine.quad, points=pts)
-        else:
-
-            def integrand(*rs: np.ndarray) -> np.ndarray:
-                out = kernel.radial_profile(base, *rs)
-                for tf, r in zip(fs, rs):
-                    out = out * tf.power_weighted(c, np.asarray(r), Q - 1)
-                return out
-
-            pts = [[base] + _radial_breaks(tf, c, 0.0, math.inf) for tf in fs]
-            est = quad_tensor(integrand, m, Domain.POSITIVE_ORTHANT, engine.quad, points=pts)
-        return est.scaled(factor * omega**m)
-
-    prod = _product_integrand(fs, c, n)
-
-    def f(coords: list[np.ndarray]) -> np.ndarray:
-        gauges = [gauge_array(coord, n) for coord in coords]
-        return prod(coords) * kernel.radial_profile(base, *gauges)
-
-    sampler: TupleBall | FullSpaceHeavyTail
-    if kernel.simplex_support is not None and kernel.simplex_support * base <= 1.0:
-        sampler = TupleBall(tuple(spec.profile.alphas))
-    else:
-        sampler = FullSpaceHeavyTail(tuple(spec.profile.alphas))
-    raw = mc_integrate(f, spec.dim, m, sampler, engine.n_samples, engine.stream, engine.workers)
-    return raw.scaled(factor)
+    return Estimate(_conv_factor(spec) * (omega / Q) ** m * value, 0.0, n_evals[0], Method.QUAD)
 
 
-def kernel_constant(
-    kernel: KernelSpec,
-    dim: GroupDim,
-    profile: AlphaProfile,
-    engine: Engine = QuadEngine(),
-    convention: Convention = Convention.GEOMETRIC,
+def _kernel_quad(
+    spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
 ) -> Estimate:
-    """Numeric sharp constant ``H_m = int K(e_1, y) prod |y_i|^{-alpha_i} dy``.
+    """General-kernel quadrature over the scaled simplex ball when the kernel
+    has simplex support, else over the positive orthant."""
+    kernel, Q, m = spec.kernel, spec.dim.Q, spec.m
+    base = kernel.base_gauge
+    if kernel.simplex_support is not None:
+        s = kernel.simplex_support * base
 
-    Exponents outside (0, Q) make the integral diverge and are rejected up
-    front, naming every offending index.
-    """
-    profile.validate_for(dim)
-    spec = OperatorSpec(OperatorKind.KERNEL, dim, profile, convention, kernel)
-    fs = [TestFunction.extremal(a) for a in profile.alphas]
-    e1 = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
-    return eval_kernel_op(kernel, fs, e1, spec, engine)
+        def integrand(*us: np.ndarray) -> np.ndarray:
+            rs = [s * np.asarray(u) for u in us]
+            out = kernel.radial_profile(base, *rs)
+            for tf, r in zip(fs, rs):
+                out = out * tf.power_weighted(c, r, Q - 1)
+            return out * s**m
+
+        pts = [_radial_breaks(tf, c * s, 0.0, 1.0) for tf in fs]
+        est = quad_tensor(integrand, m, Domain.SIMPLEX_BALL, qspec, points=pts)
+    else:
+
+        def integrand(*rs: np.ndarray) -> np.ndarray:
+            out = kernel.radial_profile(base, *rs)
+            for tf, r in zip(fs, rs):
+                out = out * tf.power_weighted(c, np.asarray(r), Q - 1)
+            return out
+
+        pts = [[base] + _radial_breaks(tf, c, 0.0, math.inf) for tf in fs]
+        est = quad_tensor(integrand, m, Domain.POSITIVE_ORTHANT, qspec, points=pts)
+    return est.scaled(_conv_factor(spec) * sphere_measure(spec.dim) ** m)
 
 
 def hardy_kernel(
@@ -721,3 +668,42 @@ def hilbert_kernel(dim: GroupDim, m: int) -> KernelSpec:
         return denom ** (-float(m))
 
     return KernelSpec(profile, -float(m * Q))
+
+
+@dataclass(frozen=True)
+class Operator:
+    """Everything that is particular to one operator kind.
+
+    ``kernel(spec)`` gives its kernel profile and ``quad(spec, fs, c, qspec)``
+    its quadrature fast path at an evaluation point of gauge ``c``.  The
+    named kinds also carry ``closed_form(spec)``, their sharp constant, and
+    ``evaluator``, their public ``eval_*`` function.
+    """
+
+    kernel: Callable[[OperatorSpec], KernelSpec]
+    quad: Callable[[OperatorSpec, Sequence[TestFunction], float, QuadSpec], Estimate]
+    closed_form: Callable[[OperatorSpec], ConstantResult] | None = None
+    evaluator: Callable[..., Estimate] | None = None
+
+
+OPERATORS: dict[OperatorKind, Operator] = {
+    OperatorKind.KERNEL: Operator(lambda spec: spec.kernel, _kernel_quad),
+    OperatorKind.HARDY: Operator(
+        lambda spec: hardy_kernel(spec.dim, spec.m, spec.convention),
+        _hardy_quad,
+        lambda spec: hardy_constant(spec.dim, spec.profile, spec.convention),
+        eval_hardy,
+    ),
+    OperatorKind.HLP: Operator(
+        lambda spec: hlp_kernel(spec.dim, spec.m),
+        _hlp_quad,
+        lambda spec: hlp_constant(spec.dim, spec.profile, spec.convention),
+        eval_hlp,
+    ),
+    OperatorKind.HILBERT: Operator(
+        lambda spec: hilbert_kernel(spec.dim, spec.m),
+        _hilbert_quad,
+        lambda spec: hilbert_constant(spec.dim, spec.profile, spec.convention),
+        eval_hilbert,
+    ),
+}

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .hgroup import Convention, GroupDim, sphere_measure, unit_ball_volume
+from .hgroup import Convention, GroupDim, as_dim, sphere_measure, unit_ball_volume
 
 __all__ = [
     "AlphaProfile",
@@ -126,10 +126,6 @@ class ConstantResult:
             raise ValueError(f"constant must be finite and positive, got {self.value!r}")
 
 
-def _as_dim(dim: GroupDim | int) -> GroupDim:
-    return dim if isinstance(dim, GroupDim) else GroupDim(dim)
-
-
 def hardy_constant(
     dim: GroupDim | int,
     profile: AlphaProfile,
@@ -141,7 +137,7 @@ def hardy_constant(
     Gamma((mQ - alpha)/2)``.  Depends only on Q, hence identical under both
     volume conventions.
     """
-    dim = _as_dim(dim)
+    dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
     log_ratio = math.fsum(log_gamma((Q - a) / 2.0) for a in profile.alphas)
@@ -157,7 +153,7 @@ def hlp_constant(
 ) -> ConstantResult:
     """Sharp constant ``m Q omega_Q^m / (alpha prod_j (Q - alpha_j))`` of the
     max-kernel (Hardy-Littlewood-Polya type) operator."""
-    dim = _as_dim(dim)
+    dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
     omega = sphere_measure(dim, convention)
@@ -177,7 +173,7 @@ def hlp_region_values(
     ``K_0 = omega^m / prod (Q - alpha_j)`` and, for j >= 1,
     ``K_j = omega^m / (alpha prod_{i != j} (Q - alpha_i))``.
     """
-    dim = _as_dim(dim)
+    dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
     omega_m = sphere_measure(dim, convention) ** m
@@ -196,7 +192,7 @@ def hilbert_constant(
 ) -> ConstantResult:
     """Sharp constant ``Omega_Q^m prod_i Gamma(1 - alpha_i/Q) Gamma(alpha/Q)
     / Gamma(m)`` of the sum-kernel (Hilbert-type) operator."""
-    dim = _as_dim(dim)
+    dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
     if alpha >= m * Q:

@@ -33,19 +33,17 @@ from .integrate import (
     Method,
     QuadSpec,
     SeededStream,
-    _chunked_mc,
+    mc_chunk_partials,
+    reduce_partials,
     rejection_volume_estimate,
     sample_sphere_direction,
 )
 from .operators import (
+    OPERATORS,
     Engine,
-    OperatorKind,
     OperatorSpec,
     QuadEngine,
     TestFunction,
-    eval_hardy,
-    eval_hilbert,
-    eval_hlp,
     hardy_kernel,
     weighted_norm,
 )
@@ -57,16 +55,14 @@ __all__ = [
     "VerificationReport",
     "discrepancy_report",
     "mc_convergence",
+    "oracle_record",
+    "spec_record",
     "upper_bound_search",
     "verify_constant",
     "verify_extremal",
 ]
 
-_EVALUATORS = {
-    OperatorKind.HARDY: eval_hardy,
-    OperatorKind.HLP: eval_hlp,
-    OperatorKind.HILBERT: eval_hilbert,
-}
+_EVALUATORS = {kind: op.evaluator for kind, op in OPERATORS.items() if op.evaluator is not None}
 
 
 @dataclass(frozen=True)
@@ -87,27 +83,11 @@ class VerificationReport:
     def to_record(self) -> dict:
         oracles = []
         if self.oracle_quad is not None:
-            oracles.append(
-                {
-                    "method": "quad",
-                    "value": self.oracle_quad.value,
-                    "std_error": self.oracle_quad.std_error,
-                    "n_samples": self.oracle_quad.n_samples,
-                    "rel_err": self.rel_err_quad,
-                }
-            )
+            oracles.append(oracle_record(self.oracle_quad, rel_err=self.rel_err_quad))
         if self.oracle_mc is not None:
-            oracles.append(
-                {
-                    "method": "mc",
-                    "value": self.oracle_mc.value,
-                    "std_error": self.oracle_mc.std_error,
-                    "n_samples": self.oracle_mc.n_samples,
-                    "sigma_distance": self.sigma_distance_mc,
-                }
-            )
+            oracles.append(oracle_record(self.oracle_mc, sigma_distance=self.sigma_distance_mc))
         return {
-            "spec": _spec_record(self.spec),
+            "spec": spec_record(self.spec),
             "convention": self.spec.convention.value,
             "closed_form": self.closed_form,
             "oracles": oracles,
@@ -132,7 +112,7 @@ class SearchReport:
 
     def to_record(self) -> dict:
         return {
-            "spec": _spec_record(self.spec),
+            "spec": spec_record(self.spec),
             "convention": self.spec.convention.value,
             "bound": self.bound,
             "trials": self.trials,
@@ -151,7 +131,18 @@ class DiscrepancyReport:
     findings: list[dict]
 
 
-def _spec_record(spec: OperatorSpec) -> dict:
+def oracle_record(est: Estimate, **extra: float | None) -> dict:
+    """Report record of one oracle estimate, with its comparison figures."""
+    return {
+        "method": est.method.value,
+        "value": est.value,
+        "std_error": est.std_error,
+        "n_samples": est.n_samples,
+        **extra,
+    }
+
+
+def spec_record(spec: OperatorSpec) -> dict:
     return {
         "operator": spec.kind.value,
         "n": spec.dim.n,
@@ -205,69 +196,24 @@ class _PowerLawProposal:
         return c * np.where(az <= 1.0, az**-self.gamma, az**-self.tail)
 
 
-def _constant_integrand(spec: OperatorSpec) -> Callable[[list[np.ndarray]], np.ndarray]:
-    """Integrand of the constant-defining integral as a function of the m
-    gauge arrays, normalized so the expectation is the GEOMETRIC-convention
-    constant."""
-    Q, m = spec.dim.Q, spec.m
-    alphas = spec.profile.alphas
-
-    def power_part(gauges: list[np.ndarray]) -> np.ndarray:
-        out = np.full(gauges[0].shape, 1.0)
-        for a, g in zip(alphas, gauges):
-            out = out * g**-a
-        return out
-
-    if spec.kind is OperatorKind.HARDY:
-        norm = unit_ball_volume(spec.dim) ** m
-
-        def f(gauges: list[np.ndarray]) -> np.ndarray:
-            ss = np.zeros(gauges[0].shape)
-            for g in gauges:
-                ss = ss + g * g
-            inside = ss < 1.0
-            out = np.zeros(gauges[0].shape)
-            if inside.any():
-                out[inside] = power_part([g[inside] for g in gauges]) / norm
-            return out
-
-        return f
-    if spec.kind is OperatorKind.HLP:
-
-        def f(gauges: list[np.ndarray]) -> np.ndarray:
-            gmax = np.full(gauges[0].shape, 1.0)
-            for g in gauges:
-                gmax = np.maximum(gmax, g)
-            return power_part(gauges) * gmax ** (-Q * m)
-
-        return f
-    if spec.kind is OperatorKind.HILBERT:
-
-        def f(gauges: list[np.ndarray]) -> np.ndarray:
-            denom = np.full(gauges[0].shape, 1.0)
-            for g in gauges:
-                denom = denom + g**Q
-            return power_part(gauges) * denom ** (-float(m))
-
-        return f
-    raise ValueError(f"no Cartesian oracle for operator kind {spec.kind!r}")
-
-
 def _cartesian_values_fn(
     spec: OperatorSpec,
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Weighted samples of the constant-defining integral
+    ``int K(e_1, y) prod |y_i|^{-alpha_i} dy`` with the kernel taken under
+    ``spec``'s convention; the oracle's callers pass the GEOMETRIC one."""
     dim = spec.dim
     Q, m, n = dim.Q, spec.m, dim.n
     ambient = dim.ambient
-    integrand = _constant_integrand(spec)
+    alphas = spec.profile.alphas
+    kernel = OPERATORS[spec.kind].kernel(spec)
     # gamma = alpha/Q covers the gauge singularity at the origin; the tail
     # exponent keeps the per-point decay alpha_i + Qm square-integrable.
     # Tuple-ball integrands vanish outside the per-point unit box, so the
     # tail branch is dropped there.
-    compact = spec.kind is OperatorKind.HARDY
+    compact = kernel.simplex_support is not None
     proposals = [
-        _PowerLawProposal(gamma=a / Q, tail=None if compact else m + a / Q)
-        for a in spec.profile.alphas
+        _PowerLawProposal(gamma=a / Q, tail=None if compact else m + a / Q) for a in alphas
     ]
 
     def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
@@ -277,7 +223,10 @@ def _cartesian_values_fn(
             coords = prop.sample(gen, (size, ambient))
             inv_density = inv_density / prop.density(coords).prod(axis=1)
             gauges.append(gauge_array(coords, n))
-        return integrand(gauges) * inv_density
+        power_part = np.full(size, 1.0)
+        for a, g in zip(alphas, gauges):
+            power_part = power_part * g**-a
+        return power_part * kernel.radial_profile(1.0, *gauges) * inv_density
 
     return values_fn
 
@@ -285,8 +234,8 @@ def _cartesian_values_fn(
 def _cartesian_mc(
     spec: OperatorSpec, n_samples: int, stream: SeededStream, workers: int = 1
 ) -> Estimate:
-    estimate, _ = _chunked_mc(_cartesian_values_fn(spec), n_samples, stream, workers)
-    return estimate
+    partials = mc_chunk_partials(_cartesian_values_fn(spec), n_samples, stream, workers)
+    return reduce_partials(partials)[0]
 
 
 # ----------------------------------------------------------------------------
@@ -393,7 +342,9 @@ def verify_extremal(
         passed = spread <= tol and rel_err <= tol
         report_rel = rel_err
     else:
-        pooled = float(np.sqrt(np.mean(np.square(errors)) / len(errors)))
+        # every evaluation draws the same engine stream, so their errors are
+        # fully correlated: averaging them does not shrink the error
+        pooled = float(np.mean(errors))
         oracle = Estimate(mean, pooled, n_total, Method.MC)
         sigma = (mean - closed) / pooled if pooled > 0 else 0.0
         passed = spread <= tol and abs(sigma) <= 3.0
@@ -642,42 +593,18 @@ def _i2_quadrature(alpha_exp: float, betas: Sequence[float]) -> float:
 def mc_convergence(
     spec: OperatorSpec, n_samples: int, seed: int = 0
 ) -> list[tuple[int, float, float, float]]:
-    """Rows ``(n_samples, estimate, std_error, closed_form)``, one per
-    doubling of the sample count up to the configured maximum.
+    """Rows ``(n_samples, estimate, std_error, closed_form)`` of the Cartesian
+    oracle reduced over its first 1, 2, 4, ... chunks and over all of them.
 
-    Prefix sums of a single chunked stream, so the whole table is bit-stable
-    given the seed.
+    The chunks are the ones ``verify_constant`` reduces, so the last row is
+    its Monte Carlo oracle for the same seed and sample count, bit for bit.
     """
     spec = replace(spec, convention=Convention.GEOMETRIC)
     closed = spec.constant().value
-    values_fn = _cartesian_values_fn(spec)
-    stream = SeededStream(seed)
-    chunk = 1 << 14
-    sizes = [chunk] * (n_samples // chunk)
-    if n_samples % chunk:
-        sizes.append(n_samples % chunk)
-    if len(sizes) < 2:
-        sizes = [n_samples // 2, n_samples - n_samples // 2]
-    marks = []
-    k = 1
-    while k < len(sizes):
-        marks.append(k)
-        k *= 2
-    marks.append(len(sizes))
-
+    partials = mc_chunk_partials(_cartesian_values_fn(spec), n_samples, SeededStream(seed))
+    counts = [1 << k for k in range((len(partials) - 1).bit_length())] + [len(partials)]
     rows = []
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    next_mark = 0
-    for block, size in enumerate(sizes):
-        v = values_fn(stream.generator(block=block + 1), size)
-        s1 += float(v.sum())
-        s2 += float(np.square(v).sum())
-        done += size
-        if block + 1 == marks[next_mark]:
-            mean = s1 / done
-            var = max(s2 / done - mean * mean, 0.0) * done / max(done - 1, 1)
-            rows.append((done, mean, math.sqrt(var / done), closed))
-            next_mark += 1
+    for k in counts:
+        est = reduce_partials(partials[:k])[0]
+        rows.append((est.n_samples, est.value, est.std_error, closed))
     return rows

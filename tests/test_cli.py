@@ -5,7 +5,9 @@ from importlib import resources
 
 import jsonschema
 
+import hlab.cli
 from hlab.cli import run
+from hlab.integrate import Estimate, Method, QuadratureError
 
 
 def run_capture(argv, capsys):
@@ -212,6 +214,57 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(out)["seed"] == 77
+
+    def test_convergence_last_row_is_the_report(self, tmp_path, capsys):
+        path = tmp_path / "conv.csv"
+        code, out, _ = run_capture(
+            [
+                "verify",
+                "--samples",
+                "200000",
+                "--seed",
+                "0",
+                "--convergence",
+                str(path),
+                "--format",
+                "json",
+            ],
+            capsys,
+        )
+        assert code == 0
+        mc = next(o for o in json.loads(out)["oracles"] if o["method"] == "mc")
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        assert [int(r["n_samples"]) for r in rows] == [65536, 131072, 200000]
+        assert float(rows[-1]["estimate"]) == mc["value"]
+        assert float(rows[-1]["std_error"]) == mc["std_error"]
+
+
+class TestInputErrors:
+    def test_malformed_seed_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("HLAB_SEED", "abc")
+        code, _, err = run_capture(["verify", "--samples", "1000", "--format", "json"], capsys)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "HLAB_SEED" in err and "'abc'" in err
+
+    def test_workers_below_one(self, capsys):
+        code, _, err = run_capture(["verify", "--samples", "1000", "--workers", "0"], capsys)
+        assert code == 2
+        assert "--workers" in err
+
+    def test_numerical_failure_exits_2(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError(
+                "max_subdivisions=4096 exhausted (error 1.714e-08)",
+                Estimate(0.25, 0.0, 15, Method.QUAD),
+            )
+
+        monkeypatch.setattr(hlab.cli, "upper_bound_search", fail)
+        code, out, err = run_capture(["search", "--operator", "hilbert", "--trials", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("hlab search:") and "1.714e-08" in err
 
 
 class TestOtherCommands:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 
-from hlab.hgroup import Convention, GroupDim
+from hlab.hgroup import Convention, GroupDim, HPoint
+from hlab.integrate import SeededStream
 from hlab.operators import (
+    McEngine,
     OperatorKind,
     OperatorSpec,
     QuadEngine,
@@ -99,6 +101,17 @@ class TestVerifyExtremal:
         vr = verify_extremal(spec_of(OperatorKind.HLP, 1.0, 1.0), seed=6, tol=1e-6)
         assert vr.passed
         assert vr.rel_err_quad <= 1e-6
+
+    def test_mc_error_is_one_evaluation_error(self):
+        # all evaluations draw the same engine stream, so pooling must not
+        # shrink the error below that of a single evaluation
+        spec = spec_of(OperatorKind.HARDY, 1.0, 1.0)
+        engine = McEngine(10**5, SeededStream(0))
+        vr = verify_extremal(spec, seed=0, engine=engine)
+        fs = [TestFunction.extremal(1.0)] * 2
+        one = eval_hardy(fs, HPoint.of(1, (1.0, 0.0, 0.0)), spec, engine)
+        assert math.isclose(vr.oracle_mc.std_error, one.std_error, rel_tol=1e-12)
+        assert vr.sigma_distance_mc == (vr.oracle_mc.value - vr.closed_form) / vr.oracle_mc.std_error
 
 
 class TestUpperBoundSearch:
