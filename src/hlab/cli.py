@@ -35,7 +35,6 @@ from .specfun import AlphaProfile, DivergentConstantError
 from .verify import (
     VerificationReport,
     discrepancy_report,
-    mc_convergence,
     oracle_record,
     spec_record,
     upper_bound_search,
@@ -184,7 +183,10 @@ def _dispatch(args: argparse.Namespace) -> dict:
             spec, n_samples=args.samples, seed=args.seed, tol=args.tol, workers=args.workers
         )
         if args.convergence_path:
-            _write_convergence(args, spec)
+            with open(args.convergence_path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["n_samples", "estimate", "std_error", "closed_form"])
+                writer.writerows([n, *map(repr, rest)] for n, *rest in vr.convergence)
         return _verification_report(args, vr, "tolerances")
 
     if args.command == "extremal":
@@ -253,15 +255,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return report
 
     raise ValueError(f"unknown command {args.command!r}")
-
-
-def _write_convergence(args: argparse.Namespace, spec: OperatorSpec) -> None:
-    rows = mc_convergence(spec, args.samples, args.seed)
-    with open(args.convergence_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_samples", "estimate", "std_error", "closed_form"])
-        for n, est, se, closed in rows:
-            writer.writerow([n, repr(est), repr(se), repr(closed)])
 
 
 def _render(report: dict, fmt: Format, runtime_ms: int) -> str:

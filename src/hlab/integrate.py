@@ -4,7 +4,9 @@ Three layers:
 
 * adaptive 1-D quadrature (15-point Gauss-Kronrod panels with bisection
   refinement, infinite upper limits mapped through ``t -> t/(1-t)``),
-* nested tensor quadrature for up to three variables,
+* one nested-quadrature driver (``quad_nested``) behind the tensor
+  quadrature for up to three variables and the Dirichlet-type integral
+  ``quad_dirichlet``,
 * seeded Monte Carlo samplers adapted to the Koranyi geometry, with
   importance tilts that neutralize power-law singularities.
 
@@ -21,6 +23,7 @@ import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 from .hgroup import GroupDim, HPoint, gauge_array, sphere_measure, unit_ball_volume
 
 __all__ = [
+    "Axis",
     "Domain",
     "Estimate",
     "EstimationError",
@@ -40,6 +44,8 @@ __all__ = [
     "mc_chunk_partials",
     "mc_integrate",
     "quad_1d",
+    "quad_dirichlet",
+    "quad_nested",
     "quad_tensor",
     "reduce_partials",
     "rejection_volume_estimate",
@@ -97,8 +103,16 @@ class QuadSpec:
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
-    def tighter(self, factor: float = 0.1) -> "QuadSpec":
-        return QuadSpec(self.rel_tol * factor, self.abs_tol * factor, self.max_subdivisions)
+    def at_depth(self, depth: int) -> "QuadSpec":
+        """Error control of nesting level ``depth`` (0 = outermost).
+
+        Inner levels are driven by relative error with a vanishing absolute
+        floor: inner values of any magnitude get re-weighted by the outer
+        variable transforms, so an absolute cutoff would silently truncate
+        tails.
+        """
+        floor = self.abs_tol if depth == 0 else 1e-290
+        return QuadSpec(self.rel_tol * 0.1**depth, floor, self.max_subdivisions)
 
 
 class QuadratureError(RuntimeError):
@@ -265,6 +279,51 @@ class Domain(enum.Enum):
     SIMPLEX_BALL = "simplex_ball"
 
 
+# One 1-D integral of a nesting level: (integrand, lower, upper, breakpoints).
+Axis = tuple[Callable[[np.ndarray], object], float, float, Sequence[float]]
+
+
+def quad_nested(
+    level: Callable[[int, tuple], Sequence[Axis] | None],
+    m: int,
+    spec: QuadSpec | None = None,
+) -> Estimate:
+    """Nested adaptive quadrature over ``m`` levels of 1-D integrals.
+
+    ``level(depth, prefix)`` describes the integral at ``depth`` (0 is the
+    outermost) given ``prefix``, the nodes the levels above it stand at
+    (``()`` at depth 0).  It returns ``None`` when the level's range is empty
+    (its value is 0), else the axes ``(integrand, lo, hi, points)`` whose
+    integrals multiply.  At the innermost depth ``integrand(x)`` returns its
+    values at ``x``; above it, it returns ``(weights, nodes)`` and its value
+    at ``x[k]`` is ``weights[k]`` times the next level at
+    ``prefix + (nodes[k],)``.  Level ``d`` runs under ``spec.at_depth(d)``
+    and ``n_samples`` counts the integrand evaluations of every level.
+    """
+    spec = spec or QuadSpec()
+    specs = [spec.at_depth(d) for d in range(m)]
+    n_evals = 0
+
+    def integrate(depth: int, prefix: tuple, value: float) -> float:
+        nonlocal n_evals
+        axes = level(depth, prefix)
+        if axes is None:
+            return 0.0
+        for f, lo, hi, points in axes:
+            if depth < m - 1:
+                f = partial(outer, f, depth, prefix)
+            est = quad_1d(f, lo, hi, specs[depth], points=points)
+            n_evals += est.n_samples
+            value *= est.value
+        return value
+
+    def outer(f: Callable, depth: int, prefix: tuple, x: np.ndarray) -> np.ndarray:
+        weights, nodes = f(x)
+        return np.array([integrate(depth + 1, prefix + (k,), w) for w, k in zip(weights, nodes)])
+
+    return Estimate(integrate(0, (), 1.0), 0.0, n_evals, Method.QUAD)
+
+
 def quad_tensor(
     f: Callable[..., np.ndarray],
     m: int,
@@ -280,50 +339,106 @@ def quad_tensor(
     axis through ``t/(1-t)``.  ``points`` optionally lists per-axis
     breakpoints in the native axis variable.
     """
-    spec = spec or QuadSpec()
     if not 1 <= m <= 3:
         raise ValueError(f"tensor quadrature supports 1 <= m <= 3, got m={m}")
-    axis_points = [tuple(points[k]) if points is not None else () for k in range(m)]
-    # Inner levels are driven by relative error with a vanishing absolute
-    # floor: inner values of any magnitude get re-weighted by the outer
-    # variable transforms, so an absolute cutoff would silently truncate
-    # tails.
-    level_specs = [
-        QuadSpec(
-            rel_tol=spec.rel_tol * 0.1**d,
-            abs_tol=spec.abs_tol if d == 0 else 1e-290,
-            max_subdivisions=spec.max_subdivisions,
-        )
-        for d in range(m)
-    ]
-    n_evals = [0]
 
-    def axis_limits(depth: int, prefix: tuple[float, ...]) -> tuple[float, float]:
+    def level(depth: int, prefix: tuple) -> list[Axis] | None:
         if domain is Domain.UNIT_CUBE:
-            return 0.0, 1.0
-        if domain is Domain.POSITIVE_ORTHANT:
-            return 0.0, math.inf
-        remaining = 1.0 - sum(r * r for r in prefix)
-        return 0.0, math.sqrt(max(remaining, 0.0))
-
-    def integrate_axis(depth: int, prefix: tuple[float, ...]) -> float:
-        lo, hi = axis_limits(depth, prefix)
-        if hi <= lo or (math.isfinite(hi) and hi - lo < 1e-15):
-            return 0.0
-        if depth == m - 1:
-            integrand = lambda arr: f(*prefix, arr)  # noqa: E731
+            hi = 1.0
+        elif domain is Domain.POSITIVE_ORTHANT:
+            hi = math.inf
         else:
+            hi = math.sqrt(max(1.0 - sum(r * r for r in prefix), 0.0))
+        if hi < 1e-15:
+            return None
+        if depth == m - 1:
+            integrand = lambda x: f(*prefix, x)  # noqa: E731
+        else:
+            integrand = lambda x: (np.ones_like(x), x)  # noqa: E731
+        return [(integrand, 0.0, hi, points[depth] if points is not None else ())]
 
-            def integrand(arr: np.ndarray) -> np.ndarray:
-                arr = np.atleast_1d(np.asarray(arr, dtype=float))
-                return np.array([integrate_axis(depth + 1, prefix + (x,)) for x in arr])
+    return quad_nested(level, m, spec)
 
-        est = quad_1d(integrand, lo, hi, level_specs[depth], points=axis_points[depth])
-        n_evals[0] += est.n_samples
-        return est.value
 
-    value = integrate_axis(0, ())
-    return Estimate(value, 0.0, n_evals[0], Method.QUAD)
+def quad_dirichlet(
+    alpha: float,
+    betas: Sequence[float],
+    spec: QuadSpec | None = None,
+    *,
+    modulations: Sequence[Callable[[np.ndarray], np.ndarray] | None] | None = None,
+    points: Sequence[Sequence[float]] | None = None,
+) -> Estimate:
+    """``int_{(0,inf)^m} prod t_i^{-beta_i} mod_i(t_i) (1 + sum t)^{-alpha} dt``.
+
+    Two exact substitutions: the orthant is mapped to the open simplex via
+    ``t_i = s_i / (1 - sum s)``, then ``s_i = w_i^{p_i}`` with
+    ``p_i = 1/(1 - beta_i)`` cancels every power singularity analytically,
+    leaving ``prod p_i * prod mod_i * (1 - S)^{alpha + sum beta - m - 1}`` over
+    nested limits ``w_k < (1 - S_{k-1})^{1 - beta_k}``.  Only the hypotenuse
+    singularity remains for the adaptive rule.  ``modulations[i]`` is a
+    bounded function of ``t_i`` (``None`` means 1) and ``points[i]`` lists
+    its positive breakpoints.
+    """
+    m = len(betas)
+    mods = modulations or [None] * m
+    break_ts = points or [()] * m
+    if m < 1 or not all(b < 1.0 for b in betas) or not len(mods) == len(break_ts) == m:
+        raise ValueError(f"need betas < 1, each with a modulation and points; got {list(betas)}")
+    # alpha + sum beta - m, exact when alpha = m
+    lead = math.fsum([alpha, -m, *betas])
+    if not lead > 0.0:
+        raise ValueError(f"integral diverges: alpha + sum beta - m = {lead} <= 0")
+    ps = [1.0 / (1.0 - b) for b in betas]
+    # endpoint exponent of the level-d integrand near its upper limit;
+    # the xi-substitution below flattens it exactly for pure powers
+    taus = [lead + math.fsum(1.0 - b for b in betas[d + 1 :]) for d in range(m)]
+
+    def level(depth: int, prefix: tuple) -> list[Axis] | None:
+        # prefix holds (s_k, 1 - s_1 - ... - s_k) of the outer levels
+        rest0 = prefix[-1][1] if prefix else 1.0
+        if rest0 <= 0.0:
+            return None
+        p = ps[depth]
+        ub = rest0 ** (1.0 - betas[depth])
+        tau = taus[depth]
+
+        # w = ub (1 - eta), eta = xi^{1/tau}: flattens the (rest)^{tau - 1}
+        # endpoint decay.  Since ub^p == rest0 exactly, the remainder
+        # rest0 - w^p equals -rest0 expm1(p log1p(-eta)), which avoids the
+        # cancellation that otherwise drowns the leaf in rounding noise.
+        def split(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            log_shrink = p * np.log1p(-(xi ** (1.0 / tau)))
+            s_d, rest = rest0 * np.exp(log_shrink), rest0 * -np.expm1(log_shrink)
+            jac = (ub / tau) * xi ** (1.0 / tau - 1.0)
+            return s_d, rest, jac
+
+        if depth < m - 1:
+
+            def inner(xi: np.ndarray) -> tuple[np.ndarray, list]:
+                s_d, rest, jac = split(xi)
+                return jac, list(zip(s_d.tolist(), rest.tolist()))
+
+            return [(inner, 0.0, 1.0, ())]
+
+        s_prefix = [s for s, _ in prefix]
+
+        def leaf(xi: np.ndarray) -> np.ndarray:
+            s_last, rest, jac = split(xi)
+            ok = rest > 0.0
+            safe_rest = np.where(ok, rest, 1.0)
+            out = safe_rest ** (lead - 1.0) * ok
+            for s_i, mod in zip(s_prefix + [s_last], mods):
+                if mod is not None:
+                    out = out * np.where(ok, mod(s_i / safe_rest), 1.0)
+            return out * jac
+
+        # the modulations' breakpoints as values of the last s, then of xi
+        s_pts = [bt * rest0 / (1.0 + bt) for bt in break_ts[-1]]
+        s_pts += [rest0 - s_i / bt for s_i, bts in zip(s_prefix, break_ts) for bt in bts]
+        w_pts = [s_m ** (1.0 / p) for s_m in s_pts if s_m > 0.0]
+        return [(leaf, 0.0, 1.0, [(1.0 - w / ub) ** tau for w in w_pts if w < ub])]
+
+    return quad_nested(level, m, spec).scaled(math.prod(ps))
 
 
 @dataclass(frozen=True)

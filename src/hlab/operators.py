@@ -38,6 +38,7 @@ from .hgroup import (
     unit_ball_volume,
 )
 from .integrate import (
+    Axis,
     Domain,
     Estimate,
     FullSpaceHeavyTail,
@@ -46,7 +47,8 @@ from .integrate import (
     SeededStream,
     TupleBall,
     mc_integrate,
-    quad_1d,
+    quad_dirichlet,
+    quad_nested,
     quad_tensor,
 )
 from .specfun import AlphaProfile, ConstantResult, hardy_constant, hilbert_constant, hlp_constant
@@ -272,14 +274,6 @@ def _radial_breaks(f: TestFunction, c: float, lo: float, hi: float) -> list[floa
     return [b / c for b in f.breakpoints if lo < b / c < hi]
 
 
-def _scalar_map(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    def wrapped(arr: np.ndarray) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(arr, dtype=float))
-        return np.array([fn(float(x)) for x in arr])
-
-    return wrapped
-
-
 def eval_hardy(
     fs: Sequence[TestFunction], x: HPoint, spec: OperatorSpec, engine: Engine = QuadEngine()
 ) -> Estimate:
@@ -444,187 +438,68 @@ def _hlp_quad(
     induced by which argument realizes the max; each cell collapses to an
     outer 1-D integral times inner 1-D factors."""
     Q, m = spec.dim.Q, spec.m
-    factor = _conv_factor(spec)
-    omega = sphere_measure(spec.dim)
-    # relative-error-driven inner integrals: their values are re-weighted
-    # by the outer tail, so an absolute cutoff would truncate it
-    inner_spec = QuadSpec(qspec.rel_tol * 0.1, 1e-290, qspec.max_subdivisions)
-    n_evals = 0
 
-    def unit_factor(tf: TestFunction, scale: float) -> Estimate:
+    def unit_factor(tf: TestFunction, scale: float) -> Axis:
         # int_0^1 g(scale * v) v^{Q-1} dv
-        return quad_1d(
-            lambda v: tf.power_weighted(scale, v, Q - 1),
-            0.0,
-            1.0,
-            inner_spec,
-            points=_radial_breaks(tf, scale, 0.0, 1.0),
+        pts = _radial_breaks(tf, scale, 0.0, 1.0)
+        return (lambda v: tf.power_weighted(scale, v, Q - 1), 0.0, 1.0, pts)
+
+    def cell(tfj: TestFunction, others: list[TestFunction]) -> Callable[[int, tuple], list[Axis]]:
+        outer = lambda r: (tfj.power_weighted(c, r, -1.0), r.tolist())  # noqa: E731
+        axis = (outer, 1.0, math.inf, _radial_breaks(tfj, c, 1.0, math.inf))
+        return lambda depth, prefix: (
+            [axis] if depth == 0 else [unit_factor(tf, c * prefix[0]) for tf in others]
         )
 
-    total = 0.0
-    cell0 = 1.0
-    for tf in fs:
-        est = unit_factor(tf, c)
-        cell0 *= est.value
-        n_evals += est.n_samples
-    total += cell0
+    # the cell where |x| realizes the max is the inner factors at r = 1
+    at_x = lambda depth, prefix: [unit_factor(tf, c) for tf in fs]  # noqa: E731
+    ests = [quad_nested(at_x, 1, qspec.at_depth(1))]
     for j, tfj in enumerate(fs):
-        others = [tf for i, tf in enumerate(fs) if i != j]
-
-        def outer_scalar(r: float) -> float:
-            nonlocal n_evals
-            val = float(tfj.power_weighted(c, np.asarray(r), -1.0))
-            for tf in others:
-                est = unit_factor(tf, c * r)
-                val *= est.value
-                n_evals += est.n_samples
-            return val
-
-        est_j = quad_1d(
-            _scalar_map(outer_scalar),
-            1.0,
-            math.inf,
-            qspec,
-            points=_radial_breaks(tfj, c, 1.0, math.inf),
-        )
-        total += est_j.value
-        n_evals += est_j.n_samples
-    return Estimate(factor * omega**m * total, 0.0, n_evals, Method.QUAD)
+        ests.append(quad_nested(cell(tfj, [tf for i, tf in enumerate(fs) if i != j]), 2, qspec))
+    value = _conv_factor(spec) * sphere_measure(spec.dim) ** m * sum(e.value for e in ests)
+    return Estimate(value, 0.0, sum(e.n_samples for e in ests), Method.QUAD)
 
 
 def _hilbert_quad(
     spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
 ) -> Estimate:
     """Sum-kernel quadrature of the radial integral
-    ``int prod g_i(c t_i^{1/Q}) (1 + sum t)^{-m} dt`` (``t_i = r_i^Q``).
-
-    Two exact substitutions: the orthant is mapped to the open simplex via
-    ``t_i = s_i / (1 - sum s)``, then ``s_i = w_i^{1/(1 - beta_i)}`` with
-    ``beta_i = alpha_i / Q`` cancels every power singularity analytically,
-    leaving ``c^-alpha prod p_i * prod mod_i * (1 - S)^{sum beta - 1}`` over
-    nested limits ``w_k < (1 - S_{k-1})^{1 - beta_k}``.  Only the hypotenuse
-    singularity remains for the adaptive rule.
-    """
+    ``int prod g_i(c t_i^{1/Q}) (1 + sum t)^{-m} dt`` (``t_i = r_i^Q``), the
+    Dirichlet-type integral with ``beta_i = alpha_i / Q`` and the
+    modulations read at gauge ``c t_i^{1/Q}``."""
     Q, m, alphas = spec.dim.Q, spec.m, spec.profile.alphas
-    betas = [a / Q for a in alphas]
-    ps = [1.0 / (1.0 - b) for b in betas]
-    sum_beta = math.fsum(betas)
-    prefactor = c ** -math.fsum(alphas) * math.prod(ps)
-    any_mod = any(tf.modulation is not None for tf in fs)
-    break_ts = [sorted((b / c) ** Q for b in tf.breakpoints if b > 0.0) for tf in fs]
-    # endpoint exponent of the level-d integrand near its upper limit;
-    # the xi-substitution below flattens it exactly for pure powers
-    taus = [sum_beta + math.fsum(1.0 - b for b in betas[d + 1 :]) for d in range(m)]
-    level_specs = [
-        QuadSpec(qspec.rel_tol * 0.1**d, qspec.abs_tol if d == 0 else 1e-290, qspec.max_subdivisions)
-        for d in range(m)
+    mods = [
+        None if tf.modulation is None else (lambda t, mod=tf.modulation: mod(c * t ** (1.0 / Q)))
+        for tf in fs
     ]
-    n_evals = [0]
-
-    def leaf_w_points(prefix_sum: float, s_prefix: list[float], ub: float) -> list[float]:
-        pts: list[float] = []
-        rest = 1.0 - prefix_sum
-        for bt in break_ts[m - 1]:
-            s_m = bt * rest / (1.0 + bt)
-            pts.append(s_m ** (1.0 / ps[m - 1]))
-        for i, s_i in enumerate(s_prefix):
-            for bt in break_ts[i]:
-                s_m = rest - s_i / bt
-                if s_m > 0.0:
-                    pts.append(s_m ** (1.0 / ps[m - 1]))
-        return [p for p in pts if 0.0 < p < ub]
-
-    def level(depth: int, rest0: float, s_prefix: list[float]) -> float:
-        if rest0 <= 0.0:
-            return 0.0
-        p = ps[depth]
-        ub = rest0 ** (1.0 - betas[depth])
-        tau = taus[depth]
-
-        # w = ub (1 - eta), eta = xi^{1/tau}: flattens the (rest)^{tau - 1}
-        # endpoint decay.  Since ub^p == rest0 exactly, the remainder
-        # rest0 - w^p equals -rest0 expm1(p log1p(-eta)), which avoids the
-        # cancellation that otherwise drowns the leaf in rounding noise.
-        def split(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            eta = xi ** (1.0 / tau)
-            shrink = np.exp(p * np.log1p(-eta))
-            s_d = rest0 * shrink
-            rest = rest0 * -np.expm1(p * np.log1p(-eta))
-            jac = (ub / tau) * xi ** (1.0 / tau - 1.0)
-            return s_d, rest, jac
-
-        if depth == m - 1:
-
-            def integrand(xi: np.ndarray) -> np.ndarray:
-                xi = np.asarray(xi, dtype=float)
-                s_last, rest, jac = split(xi)
-                out = np.zeros_like(xi)
-                ok = rest > 0.0
-                out[ok] = rest[ok] ** (sum_beta - 1.0)
-                if any_mod:
-                    ss = s_prefix + [s_last]
-                    for i, tf in enumerate(fs):
-                        if tf.modulation is None:
-                            continue
-                        t_i = np.asarray(ss[i]) / np.where(ok, rest, 1.0)
-                        out = out * np.where(ok, tf.modulation(c * t_i ** (1.0 / Q)), 1.0)
-                return out * jac
-
-            w_points = leaf_w_points(1.0 - rest0, s_prefix, ub)
-        else:
-
-            def integrand(xi: np.ndarray) -> np.ndarray:
-                xi = np.atleast_1d(np.asarray(xi, dtype=float))
-                s_d, rest, jac = split(xi)
-                vals = np.array(
-                    [
-                        level(depth + 1, float(r), s_prefix + [float(s)])
-                        for s, r in zip(s_d, rest)
-                    ]
-                )
-                return vals * jac
-
-            w_points = []
-
-        xi_points = [(1.0 - p_w / ub) ** tau for p_w in w_points if 0.0 < p_w < ub]
-        est = quad_1d(integrand, 0.0, 1.0, level_specs[depth], points=xi_points)
-        n_evals[0] += est.n_samples
-        return est.value
-
-    value = prefactor * level(0, 1.0, [])
+    break_ts = [[(b / c) ** Q for b in tf.breakpoints if b > 0.0] for tf in fs]
+    est = quad_dirichlet(m, [a / Q for a in alphas], qspec, modulations=mods, points=break_ts)
     omega = sphere_measure(spec.dim)
-    return Estimate(_conv_factor(spec) * (omega / Q) ** m * value, 0.0, n_evals[0], Method.QUAD)
+    return est.scaled(_conv_factor(spec) * (omega / Q) ** m * c ** -math.fsum(alphas))
 
 
 def _kernel_quad(
     spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
 ) -> Estimate:
-    """General-kernel quadrature over the scaled simplex ball when the kernel
-    has simplex support, else over the positive orthant."""
+    """General-kernel quadrature over the simplex ball scaled to the kernel's
+    support when it has one, else over the positive orthant."""
     kernel, Q, m = spec.kernel, spec.dim.Q, spec.m
     base = kernel.base_gauge
-    if kernel.simplex_support is not None:
-        s = kernel.simplex_support * base
+    s = 1.0 if kernel.simplex_support is None else kernel.simplex_support * base
 
-        def integrand(*us: np.ndarray) -> np.ndarray:
-            rs = [s * np.asarray(u) for u in us]
-            out = kernel.radial_profile(base, *rs)
-            for tf, r in zip(fs, rs):
-                out = out * tf.power_weighted(c, r, Q - 1)
-            return out * s**m
+    def integrand(*us: np.ndarray) -> np.ndarray:
+        rs = [s * np.asarray(u) for u in us]
+        out = kernel.radial_profile(base, *rs)
+        for tf, r in zip(fs, rs):
+            out = out * tf.power_weighted(c, r, Q - 1)
+        return out * s**m
 
-        pts = [_radial_breaks(tf, c * s, 0.0, 1.0) for tf in fs]
-        est = quad_tensor(integrand, m, Domain.SIMPLEX_BALL, qspec, points=pts)
-    else:
-
-        def integrand(*rs: np.ndarray) -> np.ndarray:
-            out = kernel.radial_profile(base, *rs)
-            for tf, r in zip(fs, rs):
-                out = out * tf.power_weighted(c, np.asarray(r), Q - 1)
-            return out
-
+    if kernel.simplex_support is None:
         pts = [[base] + _radial_breaks(tf, c, 0.0, math.inf) for tf in fs]
         est = quad_tensor(integrand, m, Domain.POSITIVE_ORTHANT, qspec, points=pts)
+    else:
+        pts = [_radial_breaks(tf, c * s, 0.0, 1.0) for tf in fs]
+        est = quad_tensor(integrand, m, Domain.SIMPLEX_BALL, qspec, points=pts)
     return est.scaled(_conv_factor(spec) * sphere_measure(spec.dim) ** m)
 
 

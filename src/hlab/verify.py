@@ -29,11 +29,13 @@ from .hgroup import (
     unit_ball_volume,
 )
 from .integrate import (
+    ChunkPartial,
     Estimate,
     Method,
     QuadSpec,
     SeededStream,
     mc_chunk_partials,
+    quad_dirichlet,
     reduce_partials,
     rejection_volume_estimate,
     sample_sphere_direction,
@@ -79,6 +81,8 @@ class VerificationReport:
     seed: int
     wall_time_s: float
     details: dict = field(default_factory=dict)
+    # verify_constant's Monte Carlo oracle reduced over its first 1, 2, 4, ... chunks
+    convergence: list[tuple[int, float, float, float]] = field(default_factory=list, repr=False)
 
     def to_record(self) -> dict:
         oracles = []
@@ -233,9 +237,23 @@ def _cartesian_values_fn(
 
 def _cartesian_mc(
     spec: OperatorSpec, n_samples: int, stream: SeededStream, workers: int = 1
-) -> Estimate:
-    partials = mc_chunk_partials(_cartesian_values_fn(spec), n_samples, stream, workers)
-    return reduce_partials(partials)[0]
+) -> list[ChunkPartial]:
+    """The oracle's chunk partials; ``reduce_partials`` turns them into its
+    estimate."""
+    return mc_chunk_partials(_cartesian_values_fn(spec), n_samples, stream, workers)
+
+
+def _prefix_rows(
+    chunks: Sequence[ChunkPartial], closed: float
+) -> list[tuple[int, float, float, float]]:
+    """Rows ``(n_samples, estimate, std_error, closed_form)`` of the oracle
+    reduced over its first 1, 2, 4, ... chunks and over all of them."""
+    counts = [1 << k for k in range((len(chunks) - 1).bit_length())] + [len(chunks)]
+    rows = []
+    for k in counts:
+        est = reduce_partials(chunks[:k])[0]
+        rows.append((est.n_samples, est.value, est.std_error, closed))
+    return rows
 
 
 # ----------------------------------------------------------------------------
@@ -276,7 +294,8 @@ def verify_constant(
         oracle_quad = _EVALUATORS[spec.kind](fs, e1, spec, QuadEngine(quad_spec))
         rel_err = abs(oracle_quad.value - closed) / abs(closed)
 
-    oracle_mc = _cartesian_mc(spec, n_samples, SeededStream(seed), workers)
+    mc_chunks = _cartesian_mc(spec, n_samples, SeededStream(seed), workers)
+    oracle_mc = reduce_partials(mc_chunks)[0]
     if oracle_mc.std_error > 0.0:
         sigma = (oracle_mc.value - closed) / oracle_mc.std_error
     else:
@@ -294,6 +313,7 @@ def verify_constant(
         seed=seed,
         wall_time_s=time.perf_counter() - start,
         details={"tol": tol, "mc_sampler": "cartesian-power-law"},
+        convergence=_prefix_rows(mc_chunks, closed),
     )
 
 
@@ -494,7 +514,8 @@ def discrepancy_report(
     probe_alpha, probe_betas = 2.0, (0.5, 0.5)
     closed = i_m_closed(probe_alpha, probe_betas)
     recur = i_m_recursive(probe_alpha, probe_betas)
-    quad_value = _i2_quadrature(probe_alpha, probe_betas)
+    quad_spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
+    quad_value = quad_dirichlet(probe_alpha, probe_betas, quad_spec).value
     agree = abs(closed - recur) <= 1e-12 * abs(closed) and abs(
         closed - quad_value
     ) <= 1e-6 * abs(closed)
@@ -553,38 +574,6 @@ def discrepancy_report(
     return DiscrepancyReport(text="\n".join(lines), findings=findings)
 
 
-def _i2_quadrature(alpha_exp: float, betas: Sequence[float]) -> float:
-    """Independent 2-D quadrature of the product integral used as the probe.
-
-    Maps the orthant onto the simplex through ``t_i = s_i / (1 - sum s)`` and
-    removes the power singularities with ``s_i = w_i^{1/(1-beta_i)}``.
-    """
-    from .integrate import quad_1d
-
-    p = [1.0 / (1.0 - b) for b in betas]
-    expo = alpha_exp + math.fsum(betas) - len(betas) - 1.0
-    spec_outer = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
-    spec_inner = QuadSpec(rel_tol=1e-10, abs_tol=1e-290)
-
-    def inner(s1: float) -> float:
-        ub = (1.0 - s1) ** (1.0 - betas[1])
-
-        def integrand(w2: np.ndarray) -> np.ndarray:
-            rest = 1.0 - s1 - np.asarray(w2) ** p[1]
-            out = np.zeros_like(np.asarray(w2, dtype=float))
-            ok = rest > 0.0
-            out[ok] = rest[ok] ** expo
-            return out
-
-        return quad_1d(integrand, 0.0, ub, spec_inner).value
-
-    def outer(w1: np.ndarray) -> np.ndarray:
-        w1 = np.atleast_1d(np.asarray(w1, dtype=float))
-        return np.array([inner(float(w) ** p[0]) for w in w1])
-
-    return p[0] * p[1] * quad_1d(outer, 0.0, 1.0, spec_outer).value
-
-
 # ----------------------------------------------------------------------------
 # Convergence curves
 # ----------------------------------------------------------------------------
@@ -593,18 +582,7 @@ def _i2_quadrature(alpha_exp: float, betas: Sequence[float]) -> float:
 def mc_convergence(
     spec: OperatorSpec, n_samples: int, seed: int = 0
 ) -> list[tuple[int, float, float, float]]:
-    """Rows ``(n_samples, estimate, std_error, closed_form)`` of the Cartesian
-    oracle reduced over its first 1, 2, 4, ... chunks and over all of them.
-
-    The chunks are the ones ``verify_constant`` reduces, so the last row is
-    its Monte Carlo oracle for the same seed and sample count, bit for bit.
-    """
+    """The ``convergence`` rows of ``verify_constant`` for the same seed and
+    sample count, without the rest of the verification."""
     spec = replace(spec, convention=Convention.GEOMETRIC)
-    closed = spec.constant().value
-    partials = mc_chunk_partials(_cartesian_values_fn(spec), n_samples, SeededStream(seed))
-    counts = [1 << k for k in range((len(partials) - 1).bit_length())] + [len(partials)]
-    rows = []
-    for k in counts:
-        est = reduce_partials(partials[:k])[0]
-        rows.append((est.n_samples, est.value, est.std_error, closed))
-    return rows
+    return _prefix_rows(_cartesian_mc(spec, n_samples, SeededStream(seed)), spec.constant().value)

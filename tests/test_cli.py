@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 
 import hlab.cli
+import hlab.verify
 from hlab.cli import run
 from hlab.integrate import Estimate, Method, QuadratureError
 
@@ -237,6 +238,20 @@ class TestVerifyCommand:
         assert [int(r["n_samples"]) for r in rows] == [65536, 131072, 200000]
         assert float(rows[-1]["estimate"]) == mc["value"]
         assert float(rows[-1]["std_error"]) == mc["std_error"]
+
+    def test_convergence_runs_the_oracle_once(self, tmp_path, capsys, monkeypatch):
+        passes = []
+        partials = hlab.verify.mc_chunk_partials
+
+        def counted(*args, **kwargs):
+            passes.append(args[1])
+            return partials(*args, **kwargs)
+
+        monkeypatch.setattr(hlab.verify, "mc_chunk_partials", counted)
+        argv = ["verify", "--samples", "100000", "--seed", "3", "--format", "json"]
+        code, _, _ = run_capture(argv + ["--convergence", str(tmp_path / "conv.csv")], capsys)
+        assert code == 0
+        assert passes == [100000]
 
 
 class TestInputErrors:

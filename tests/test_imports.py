@@ -1,4 +1,5 @@
-"""Modules of hlab use each other only through public names."""
+"""Modules of hlab use each other only through public names, and each
+shared rule lives in one module."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,13 @@ def test_no_private_names_across_modules():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in private_imports(path)] == []
+
+
+def test_inner_level_floor_lives_in_integrate():
+    # the per-level tolerance rule of nested quadrature is QuadSpec.at_depth
+    hits = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "integrate.py" and "1e-290" in path.read_text()
+    ]
+    assert hits == []

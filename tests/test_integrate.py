@@ -16,12 +16,14 @@ from hlab.integrate import (
     TupleBall,
     mc_integrate,
     quad_1d,
+    quad_dirichlet,
     quad_tensor,
     rejection_volume_estimate,
     sample_radius,
     sample_sphere_direction,
     sample_unit_ball,
 )
+from hlab.specfun import i_m_closed
 
 DIM1 = GroupDim(1)
 
@@ -100,6 +102,36 @@ class TestQuadTensor:
     def test_rejects_large_m(self):
         with pytest.raises(ValueError):
             quad_tensor(lambda *a: 1.0, 4, Domain.UNIT_CUBE)
+
+
+class TestQuadDirichlet:
+    @pytest.mark.parametrize(
+        "alpha,betas",
+        [(3.0, (0.5, 0.5)), (2.5, (0.3, 0.6)), (2.0, (0.5,))],
+    )
+    def test_general_exponent_matches_closed_form(self, alpha, betas):
+        est = quad_dirichlet(alpha, betas, QuadSpec(rel_tol=1e-8, abs_tol=1e-14))
+        assert math.isclose(est.value, i_m_closed(alpha, betas), rel_tol=1e-8)
+        assert est.method is Method.QUAD and est.n_samples > 0
+
+    def test_modulation_with_breakpoint(self):
+        # mod = 1/2 on t > 1: int_0^inf t^-1/2 (1+t)^-2 mod dt = 1/4 + 3 pi/8
+        est = quad_dirichlet(
+            2.0,
+            (0.5,),
+            QuadSpec(rel_tol=1e-10, abs_tol=1e-14),
+            modulations=[lambda t: np.where(t > 1.0, 0.5, 1.0)],
+            points=[[1.0]],
+        )
+        assert math.isclose(est.value, 0.25 + 3 * math.pi / 8, rel_tol=1e-9)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            quad_dirichlet(1.0, (0.5, 0.5))
+        with pytest.raises(ValueError):
+            quad_dirichlet(3.0, (1.0,))
+        with pytest.raises(ValueError):
+            quad_dirichlet(3.0, (0.5, 0.5), points=[[1.0]])
 
 
 class TestStreams:

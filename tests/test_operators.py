@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hlab.hgroup import Convention, GroupDim, HPoint, dilate, origin
+from hlab.hgroup import Convention, GroupDim, HPoint, dilate, gauge, origin
 from hlab.integrate import QuadSpec, SeededStream
 from hlab.operators import (
     KernelHomogeneityError,
@@ -246,6 +246,26 @@ class TestDilationCovariance:
             vals.append(g**1.0 * est.value)
         spread = (max(vals) - min(vals)) / abs(np.mean(vals))
         assert spread <= 1e-6
+
+
+class TestQuadratureBeyondH1:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("alphas", [(1.5,), (2.0, 1.5)])
+    @pytest.mark.parametrize(
+        "kind,evaluator",
+        [
+            (OperatorKind.HARDY, eval_hardy),
+            (OperatorKind.HLP, eval_hlp),
+            (OperatorKind.HILBERT, eval_hilbert),
+        ],
+    )
+    def test_extremal_value_is_closed_form(self, kind, evaluator, alphas, n):
+        dim = GroupDim(n)
+        spec = OperatorSpec(kind, dim, AlphaProfile(alphas))
+        x = HPoint.of(dim, [0.6, -0.3] + [0.2] * (dim.ambient - 3) + [0.5])
+        g = gauge(x)
+        est = evaluator(extremals(*alphas), x, spec, QuadEngine(QuadSpec(1e-9, 1e-14)))
+        assert math.isclose(g ** sum(alphas) * est.value, spec.constant().value, rel_tol=1e-8)
 
 
 class TestKernelOperator:
