@@ -25,6 +25,7 @@ from .integrate import (
     SeededStream,
     TupleBall,
     mc_integrate,
+    mc_integrate_radial,
     quad_1d,
     quad_tensor,
     sample_radius,

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hgroup import GroupDim, HPoint, gauge_array, sphere_measure, unit_ball_volume
+from .hgroup import GroupDim, HPoint, gauge_array, sphere_measure
 
 __all__ = [
     "Axis",
@@ -43,6 +43,7 @@ __all__ = [
     "TupleBall",
     "mc_chunk_partials",
     "mc_integrate",
+    "mc_integrate_radial",
     "quad_1d",
     "quad_dirichlet",
     "quad_nested",
@@ -482,30 +483,27 @@ def sample_radius(
 
 
 def _ball_batch(gen: np.random.Generator, dim: GroupDim, size: int) -> np.ndarray:
-    """Uniform Lebesgue samples of the unit gauge ball via box rejection."""
-    ambient = dim.ambient
-    accept_rate = unit_ball_volume(dim) / 2.0**ambient
-    out = np.empty((size, ambient))
-    have = 0
-    while have < size:
-        k = int((size - have) / accept_rate) + 16
-        props = gen.uniform(-1.0, 1.0, (k, ambient))
-        g = gauge_array(props, dim.n)
-        hits = props[g < 1.0]
-        take = min(size - have, hits.shape[0])
-        out[have : have + take] = hits[:take]
-        have += take
-    return out
+    """Uniform Lebesgue samples of the unit gauge ball, drawn exactly.
+
+    The radial marginal of ``|z|`` is proportional to
+    ``rho^{2n-1} sqrt(1 - rho^4)``, so ``s = |z|^4 ~ Beta(n/2, 3/2)``; given
+    ``s``, ``z/|z|`` is uniform on ``S^{2n-1}`` and ``t`` is uniform on
+    ``(-sqrt(1 - s), sqrt(1 - s))``.  Every draw is a fixed multiple of
+    ``size``, whatever ``n``.
+    """
+    n = dim.n
+    s = gen.beta(n / 2.0, 1.5, size)
+    z = gen.standard_normal((size, 2 * n))
+    t = np.sqrt(1.0 - s) * gen.uniform(-1.0, 1.0, size)
+    z *= (s**0.25 / np.sqrt(np.einsum("ij,ij->i", z, z)))[:, None]
+    return np.column_stack((z, t))
 
 
 def sample_unit_ball(
     dim: GroupDim, stream: StreamLike, size: int | None = None
 ) -> HPoint | np.ndarray:
-    """Uniform point(s) of the unit gauge ball (Lebesgue measure).
-
-    Rejection from the exact bounding box ``[-1, 1]^{2n} x [-1, 1]``; the
-    acceptance rate is ``|B(0,1)| / 2^{2n+1}``.
-    """
+    """Uniform point(s) of the unit gauge ball (Lebesgue measure), drawn
+    without rejection."""
     gen = _gen_of(stream)
     batch = _ball_batch(gen, dim, 1 if size is None else size)
     if size is None:
@@ -610,29 +608,27 @@ def reduce_partials(partials: Sequence[ChunkPartial]) -> tuple[Estimate, int]:
     return Estimate(mean, math.sqrt(var / n), n, Method.MC), nonzero
 
 
-def _check_finite(values: np.ndarray, coords: list[np.ndarray]) -> None:
+def _check_finite(values: np.ndarray, points: list[np.ndarray]) -> None:
     bad = ~np.isfinite(values)
     if bad.any():
         idx = int(np.argmax(bad))
-        where = [c[idx].tolist() for c in coords]
+        where = [p[idx].tolist() for p in points]
         raise EstimationError(f"non-finite integrand value at point(s) {where}")
 
 
-def mc_integrate(
+def _mc_tuples(
     f: Callable[[list[np.ndarray]], np.ndarray],
+    lift: Callable[..., list[np.ndarray]],
     dim: GroupDim,
     m: int,
     sampler: Sampler,
     n_samples: int,
     stream: SeededStream,
-    workers: int = 1,
+    workers: int,
 ) -> Estimate:
-    """Importance-sampled Lebesgue integral of ``f`` over m-tuples of points.
-
-    ``f`` receives a list of m coordinate arrays of shape (N, 2n + 1) and
-    must return N values.  Tilts equal to the integrand's power-law exponents
-    make the weighted evaluations bounded.
-    """
+    """The tuple sampler: tilted radii, their weights and the tuple-ball mask
+    per chunk, then ``f`` at ``lift(gen, size, mask, gauges)``, the points of
+    the accepted tuples given each factor's gauges there."""
     if len(sampler.tilts) != m:
         raise ValueError(f"sampler carries {len(sampler.tilts)} tilts for m={m}")
     Q = dim.Q
@@ -657,7 +653,6 @@ def mc_integrate(
             else:
                 weights *= omega * r**tilt / (Q - tilt)
                 radii.append(r)
-        dirs = [_ball_batch(gen, dim, size) for _ in range(m)]
         out = np.zeros(size)
         if heavy:
             mask = np.full(size, True)
@@ -665,13 +660,9 @@ def mc_integrate(
             rr = np.stack(radii)
             mask = np.einsum("ij,ij->j", rr, rr) < 1.0
         if mask.any():
-            coords = []
-            for r, d in zip(radii, dirs):
-                g = gauge_array(d[mask], dim.n)
-                coords.append(_scale_coords(d[mask], r[mask] / g, dim.n))
-            fv = np.asarray(f(coords), dtype=float)
-            vals = fv * weights[mask]
-            _check_finite(vals, coords)
+            points = lift(gen, size, mask, [r[mask] for r in radii])
+            vals = np.asarray(f(points), dtype=float) * weights[mask]
+            _check_finite(vals, points)
             out[mask] = vals
         return out
 
@@ -679,6 +670,54 @@ def mc_integrate(
     if nonzero == 0:
         raise EstimationError("zero accepted samples; cannot form an estimate")
     return estimate
+
+
+def mc_integrate_radial(
+    f: Callable[[list[np.ndarray]], np.ndarray],
+    dim: GroupDim,
+    m: int,
+    sampler: Sampler,
+    n_samples: int,
+    stream: SeededStream,
+    workers: int = 1,
+) -> Estimate:
+    """Importance-sampled Lebesgue integral of a gauge-radial ``f`` over
+    m-tuples of points.
+
+    ``f`` receives a list of m arrays holding the gauges of the factors of N
+    accepted tuples and must return N values.  No direction is drawn: the
+    integral of a radial function over each factor is its polar integral.
+    Tilts equal to the integrand's power-law exponents make the weighted
+    evaluations bounded.
+    """
+    return _mc_tuples(
+        f, lambda gen, size, mask, gauges: gauges, dim, m, sampler, n_samples, stream, workers
+    )
+
+
+def mc_integrate(
+    f: Callable[[list[np.ndarray]], np.ndarray],
+    dim: GroupDim,
+    m: int,
+    sampler: Sampler,
+    n_samples: int,
+    stream: SeededStream,
+    workers: int = 1,
+) -> Estimate:
+    """Importance-sampled Lebesgue integral of ``f`` over m-tuples of points.
+
+    ``f`` receives a list of m coordinate arrays of shape (N, 2n + 1) and
+    must return N values.  The sampler is that of ``mc_integrate_radial``;
+    each factor is lifted to a point of its gauge along a gauge-sphere
+    direction under the cone measure, drawn from the chunk's generator
+    after the radii.
+    """
+
+    def lift(gen: np.random.Generator, size: int, mask: np.ndarray, gauges: list[np.ndarray]):
+        dirs = [_ball_batch(gen, dim, size)[mask] for _ in range(m)]
+        return [_scale_coords(d, g / gauge_array(d, dim.n), dim.n) for d, g in zip(dirs, gauges)]
+
+    return _mc_tuples(f, lift, dim, m, sampler, n_samples, stream, workers)
 
 
 def rejection_volume_estimate(

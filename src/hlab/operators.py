@@ -10,8 +10,9 @@ form and its quadrature fast path.  One evaluator serves them all through
 the dilation identity: the value at ``x`` is an integral over tuples at base
 gauge 1 against ``f_i(delta_{|x|_h} .)``.  The quadrature engine performs the
 polar radial reduction (one radial variable per factor); the Monte Carlo
-engine samples tuples directly with importance tilts taken from the
-operator's exponent profile and weights them by the kernel.
+engine samples the gauges of tuples (``mc_integrate_radial``, which draws no
+directions) with importance tilts taken from the operator's exponent profile
+and weights them by the kernel.
 
 Convention handling: the volume convention applies jointly to the
 normalizing ball volume and to every polar surface constant, so the
@@ -46,7 +47,7 @@ from .integrate import (
     QuadSpec,
     SeededStream,
     TupleBall,
-    mc_integrate,
+    mc_integrate_radial,
     quad_dirichlet,
     quad_nested,
     quad_tensor,
@@ -360,11 +361,10 @@ def _evaluate(
         return op.quad(spec, fs, c, engine.quad)
 
     kernel = op.kernel(spec)
-    n, base = spec.dim.n, kernel.base_gauge
+    base = kernel.base_gauge
 
-    def f(coords: list[np.ndarray]) -> np.ndarray:
-        gauges = [gauge_array(coord, n) for coord in coords]
-        out = np.full(coords[0].shape[0], 1.0)
+    def f(gauges: list[np.ndarray]) -> np.ndarray:
+        out = np.full(gauges[0].shape[0], 1.0)
         for tf, g in zip(fs, gauges):
             out = out * tf.radial(c * g)
         return out * kernel.radial_profile(base, *gauges)
@@ -375,7 +375,9 @@ def _evaluate(
         sampler = TupleBall(tilts)
     else:
         sampler = FullSpaceHeavyTail(tilts)
-    raw = mc_integrate(f, spec.dim, spec.m, sampler, engine.n_samples, engine.stream, engine.workers)
+    raw = mc_integrate_radial(
+        f, spec.dim, spec.m, sampler, engine.n_samples, engine.stream, engine.workers
+    )
     return raw.scaled(_conv_factor(spec))
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hlab import integrate
 from hlab.hgroup import GroupDim, gauge, gauge_array, unit_ball_volume
 from hlab.integrate import (
     Domain,
@@ -15,6 +16,7 @@ from hlab.integrate import (
     SeededStream,
     TupleBall,
     mc_integrate,
+    mc_integrate_radial,
     quad_1d,
     quad_dirichlet,
     quad_tensor,
@@ -215,6 +217,80 @@ class TestSamplers:
         assert abs(mean) <= 3 * se
 
 
+
+def box_rejection(gen, dim, size):
+    """Uniform ball samples by rejection from [-1, 1]^{2n+1}; n <= 3 only."""
+    batches, have = [], 0
+    while have < size:
+        props = gen.uniform(-1.0, 1.0, (200_000, dim.ambient))
+        hits = props[gauge_array(props, dim.n) < 1.0]
+        batches.append(hits)
+        have += hits.shape[0]
+    return np.concatenate(batches)[:size]
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic."""
+    grid = np.concatenate((a, b))
+    cdf_a = np.searchsorted(np.sort(a), grid, side="right") / a.size
+    cdf_b = np.searchsorted(np.sort(b), grid, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+class BoundedDraws:
+    """A generator that refuses any single draw of more than ``limit`` values."""
+
+    def __init__(self, gen, limit):
+        self.gen, self.limit = gen, limit
+
+    def __getattr__(self, name):
+        method = getattr(self.gen, name)
+
+        def draw(*args, **kwargs):
+            size = kwargs.get("size", args[-1] if args else None)
+            count = math.prod(size) if isinstance(size, tuple) else size
+            if isinstance(count, (int, np.integer)) and count > self.limit:
+                raise MemoryError(f"{name} asked for {count} values at once")
+            return method(*args, **kwargs)
+
+        return draw
+
+
+class TestExactBallSampler:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_box_rejection(self, n):
+        dim = GroupDim(n)
+        size = 100_000
+        exact = sample_unit_ball(dim, SeededStream(40 + n), size=size)
+        box = box_rejection(SeededStream(50 + n).generator(), dim, size)
+        # the 0.1% critical value of the two-sample KS statistic
+        critical = 1.95 * math.sqrt(2.0 / size)
+        for law in (
+            lambda p: gauge_array(p, n),
+            lambda p: np.linalg.norm(p[:, : 2 * n], axis=1),
+            lambda p: np.abs(p[:, 2 * n]),
+        ):
+            assert ks_distance(law(exact), law(box)) <= critical
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_gauge_power_q_is_uniform(self, n):
+        # |B(0, r)| = r^Q |B(0, 1)|, so gauge^Q of a uniform ball point is U(0, 1)
+        dim = GroupDim(n)
+        size = 100_000
+        u = np.sort(gauge_array(sample_unit_ball(dim, SeededStream(60), size=size), n) ** dim.Q)
+        ranks = np.arange(1, size + 1) / size
+        assert u.max() < 1.0
+        assert float(np.abs(u - ranks).max()) <= 1.95 / math.sqrt(size)
+
+    def test_draws_are_bounded_at_n8(self):
+        dim = GroupDim(8)
+        size = 1_000
+        gen = BoundedDraws(SeededStream(61).generator(), 64 * size * dim.ambient)
+        pts = integrate._ball_batch(gen, dim, size)
+        assert pts.shape == (size, dim.ambient)
+        assert gauge_array(pts, 8).max() < 1.0
+
+
 def ones(coords):
     return np.ones(coords[0].shape[0])
 
@@ -296,6 +372,31 @@ class TestMcIntegrate:
             mc_integrate(ones, DIM1, 1, TupleBall((4.0,)), 100, SeededStream(0))
         with pytest.raises(ValueError):
             mc_integrate(ones, DIM1, 2, TupleBall((0.0,)), 100, SeededStream(0))
+
+
+    def test_lift_matches_radial_core(self):
+        n = 2
+
+        def f(gauges):
+            g1, g2 = gauges
+            return (g1 * g2) ** -1.0 * np.maximum(1.0, np.maximum(g1, g2)) ** -12.0
+
+        for sampler in (TupleBall((1.0, 1.0)), FullSpaceHeavyTail((1.0, 1.0))):
+            args = (GroupDim(n), 2, sampler, 200_000, SeededStream(31))
+            lifted = mc_integrate(lambda c: f([gauge_array(ci, n) for ci in c]), *args)
+            radial = mc_integrate_radial(f, *args)
+            assert lifted.n_samples == radial.n_samples
+            assert math.isclose(lifted.value, radial.value, rel_tol=1e-13)
+            assert math.isclose(lifted.std_error, radial.std_error, rel_tol=1e-13)
+
+    def test_radial_worker_count_does_not_change_bits(self):
+        def f(gauges):
+            return 1.0 / (1.0 + gauges[0] ** 4 + gauges[1] ** 2)
+
+        kwargs = dict(dim=GroupDim(3), m=2, sampler=FullSpaceHeavyTail((0.5, 1.0)), n_samples=300_000)
+        a = mc_integrate_radial(f, stream=SeededStream(32), workers=1, **kwargs)
+        b = mc_integrate_radial(f, stream=SeededStream(32), workers=8, **kwargs)
+        assert a == b
 
 
 class TestEstimateInvariants:

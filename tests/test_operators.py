@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hlab import integrate, operators
 from hlab.hgroup import Convention, GroupDim, HPoint, dilate, gauge, origin
 from hlab.integrate import QuadSpec, SeededStream
 from hlab.operators import (
@@ -266,6 +267,44 @@ class TestQuadratureBeyondH1:
         g = gauge(x)
         est = evaluator(extremals(*alphas), x, spec, QuadEngine(QuadSpec(1e-9, 1e-14)))
         assert math.isclose(g ** sum(alphas) * est.value, spec.constant().value, rel_tol=1e-8)
+
+
+class TestMonteCarloBeyondH1:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("alphas", [(1.5,), (2.0, 1.5)])
+    @pytest.mark.parametrize(
+        "kind,evaluator",
+        [
+            (OperatorKind.HARDY, eval_hardy),
+            (OperatorKind.HLP, eval_hlp),
+            (OperatorKind.HILBERT, eval_hilbert),
+        ],
+    )
+    def test_extremal_value_is_closed_form(self, kind, evaluator, alphas, n):
+        dim = GroupDim(n)
+        spec = OperatorSpec(kind, dim, AlphaProfile(alphas))
+        x = HPoint.of(dim, [0.6, -0.3] + [0.2] * (dim.ambient - 3) + [0.5])
+        scale = gauge(x) ** sum(alphas)
+        ests = [
+            evaluator(extremals(*alphas), x, spec, McEngine(1 << 18, SeededStream(n), workers))
+            for workers in (1, 2)
+        ]
+        assert ests[0] == ests[1]
+        closed = spec.constant().value
+        # hardy m = 1 weights every sample equally, so its error is rounding
+        assert abs(scale * ests[0].value - closed) <= 4 * scale * ests[0].std_error + 1e-12 * closed
+
+    def test_mc_draws_no_directions(self, monkeypatch):
+        def no_directions(*args, **kwargs):
+            raise AssertionError("the operators' Monte Carlo drew a direction")
+
+        monkeypatch.setattr(integrate, "_ball_batch", no_directions)
+        monkeypatch.setattr(operators, "gauge_array", no_directions)
+        dim = GroupDim(3)
+        spec = OperatorSpec(OperatorKind.HLP, dim, AlphaProfile((1.0, 1.0)))
+        x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
+        est = eval_hlp(extremals(1.0, 1.0), x, spec, McEngine(1 << 17, SeededStream(3)))
+        assert abs(est.value - spec.constant().value) <= 4 * est.std_error
 
 
 class TestKernelOperator:
