@@ -44,6 +44,10 @@ from .verify import (
 
 __all__ = ["Format", "main", "run"]
 
+# the largest --samples: 10^9 samples already keep the Cartesian oracle busy
+# for minutes, and a mistyped count should fail at once, not after hours
+_MAX_SAMPLES = 10**9
+
 # the operator kinds that have a closed form to compute and verify
 _OPERATORS = sorted(kind.value for kind, op in OPERATORS.items() if op.closed_form is not None)
 
@@ -82,7 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--convention", choices=[c.value for c in Convention], default="geometric")
         p.add_argument("--seed", type=int, default=None, help="default from HLAB_SEED, else 0")
-        p.add_argument("--samples", type=int, default=1_000_000)
+        p.add_argument(
+            "--samples",
+            type=int,
+            default=1_000_000,
+            help=f"Monte Carlo samples, from 2 to {_MAX_SAMPLES:,} (default %(default)s)",
+        )
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--format", choices=[f.value for f in Format], default="text")
@@ -307,6 +316,8 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.workers < 1:
             parser.error(f"--workers must be at least 1, got {args.workers}")
+        if not 2 <= args.samples <= _MAX_SAMPLES:
+            parser.error(f"--samples must be between 2 and {_MAX_SAMPLES:,}, got {args.samples}")
     except SystemExit as exc:
         return int(exc.code or 0)
 

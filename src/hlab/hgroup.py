@@ -140,16 +140,43 @@ def gauge(p: HPoint) -> float:
     n = p.dim.n
     s = sum(c * c for c in p.coords[: 2 * n])
     t = p.coords[2 * n]
-    return (s * s + t * t) ** 0.25
+    g = (s * s + t * t) ** 0.25
+    if math.isinf(g):
+        return float(_scaled_gauge(np.asarray(p.coords[: 2 * n]), np.asarray(t)))
+    return g
 
 
 def gauge_array(coords: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized gauge for an array of shape (..., 2n + 1)."""
+    """Vectorized gauge for an array of shape (..., 2n + 1).
+
+    Rows whose plain form overflows (``|z|`` above about 1e77 or ``|t|``
+    above about 1e154) are recomputed in the scaled form of
+    ``_scaled_gauge``; every other row keeps the plain form's bits.
+    """
     c = np.asarray(coords, dtype=float)
     horiz = c[..., : 2 * n]
     vert = c[..., 2 * n]
     s = np.einsum("...i,...i->...", horiz, horiz)
-    return (s * s + vert * vert) ** 0.25
+    with np.errstate(over="ignore"):
+        g = (s * s + vert * vert) ** 0.25
+    big = np.isinf(g)
+    if big.any():
+        g = np.asarray(g)
+        g[big] = _scaled_gauge(horiz[big], vert[big])
+        return g[()]
+    return g
+
+
+def _scaled_gauge(horiz: np.ndarray, vert: np.ndarray) -> np.ndarray:
+    """The gauge as ``M ((sum (z_i/M)^2)^2 + (t/M/M)^2)^{1/4}`` with
+    ``M = max(max_i |z_i|, sqrt|t|)``, which squares nothing above 1, so it
+    is finite for every finite row.  Rows holding an infinity give inf."""
+    scale = np.maximum(np.abs(horiz).max(axis=-1), np.sqrt(np.abs(vert)))
+    with np.errstate(invalid="ignore"):
+        z = horiz / scale[..., None]
+        t = vert / scale / scale
+        g = scale * (np.einsum("...i,...i->...", z, z) ** 2 + t * t) ** 0.25
+    return np.where(np.isinf(scale), np.inf, g)
 
 
 def distance(p: HPoint, q: HPoint) -> float:

@@ -9,6 +9,15 @@ Oracle independence: the Monte Carlo oracle samples raw Cartesian
 coordinates from per-coordinate power-law proposals whose normalization is
 elementary, so it shares no ball-volume or surface constant with the closed
 forms it checks.  That is what arbitrates the volume-convention question.
+
+The proposal is folded: one uniform per coordinate gives its magnitude
+``|y_j|`` by inversion, and no sign is drawn.  Every integrand the oracle
+sees depends on a coordinate only through its square (the gauge), so with a
+symmetric proposal the sign is independent of the sample's value; weighting
+the magnitude by the symmetric density still gives the integral over all of
+R^{2n+1}.  The weight is formed in log space -- ``log|y_j|`` and
+``log(1/q_j)`` are both multiples of the one ``log v`` the inversion takes --
+and exponentiated once per sample, kernel and power part included.
 """
 
 from __future__ import annotations
@@ -56,7 +65,6 @@ __all__ = [
     "SearchReport",
     "VerificationReport",
     "discrepancy_report",
-    "mc_convergence",
     "oracle_record",
     "spec_record",
     "upper_bound_search",
@@ -160,44 +168,50 @@ def spec_record(spec: OperatorSpec) -> dict:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PowerLawProposal:
-    """Symmetric per-coordinate density ~ |z|^-gamma inside |z| <= 1 and
-    |z|^-tail outside, with elementary normalization.
+# the floor of v, so that an exact zero uniform still gives a finite log
+_TINY = 2.0**-53
 
-    ``tail=None`` drops the outer branch entirely (support [-1, 1]), which
-    suits integrands supported in the unit ball.
+
+@dataclass(frozen=True)
+class _PowerLaw:
+    """Symmetric per-coordinate density ``c |y|^-gamma`` on ``|y| <= 1`` and
+    ``c |y|^-tail`` outside, with elementary normalization
+    ``c = 1 / (2 (a + b))``, ``a = 1/(1 - gamma)``, ``b = 1/(tail - 1)``.
+
+    ``tail=None`` drops the outer branch entirely (support [-1, 1], b = 0),
+    which suits integrands supported in the unit ball.  A magnitude is drawn
+    by inverting one uniform ``u``: ``v = u/p`` on the inner piece (mass
+    ``p = a/(a + b)``), ``v = (1 - u)/(1 - p)`` on the outer one, and
+    ``|y| = v^e`` with the piece's exponent ``e`` (``a`` inside, ``-b``
+    outside).
     """
 
     gamma: float
     tail: float | None
 
-    @property
-    def _parts(self) -> tuple[float, float, float]:
+    def log_magnitudes(self, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Overwrite the uniforms ``u`` with ``log|y|`` and return each row's
+        ``sum_j log(1/q(y_j))``, ``q`` the symmetric density.
+
+        Since ``|y|^{1-gamma} = v`` inside and ``|y|^{1-tail} = v`` outside,
+        ``log(1/q_j) = (e - 1) log v - log c``: one ``log`` per coordinate
+        and no power.  ``scratch`` is a buffer of ``u``'s shape.
+        """
         a = 1.0 / (1.0 - self.gamma)
         b = 0.0 if self.tail is None else 1.0 / (self.tail - 1.0)
-        return a, b, 1.0 / (2.0 * (a + b))
-
-    def sample(self, gen: np.random.Generator, size: tuple[int, ...]) -> np.ndarray:
-        a, b, _ = self._parts
-        p_inner = a / (a + b)
-        u = gen.random(size)
-        signs = np.where(gen.random(size) < 0.5, -1.0, 1.0)
-        tiny = 2.0**-53
-        inner = np.clip(u / p_inner, tiny, 1.0) ** (1.0 / (1.0 - self.gamma))
-        if self.tail is None:
-            return signs * inner
-        outer = np.clip((1.0 - u) / (1.0 - p_inner), tiny, 1.0) ** (
-            -1.0 / (self.tail - 1.0)
-        )
-        return signs * np.where(u < p_inner, inner, outer)
-
-    def density(self, z: np.ndarray) -> np.ndarray:
-        _, _, c = self._parts
-        az = np.abs(z)
-        if self.tail is None:
-            return c * az**-self.gamma
-        return c * np.where(az <= 1.0, az**-self.gamma, az**-self.tail)
+        p = a / (a + b)
+        np.greater_equal(u, p, out=scratch)  # d: 0 on the inner piece, 1 on the outer
+        u -= scratch
+        np.subtract(p, scratch, out=scratch)
+        u /= scratch  # v = (u - d) / (p - d)
+        np.maximum(u, _TINY, out=u)
+        np.log(u, out=u)
+        scratch *= a + b  # e = (a + b)(p - d)
+        scratch -= 1.0
+        scratch *= u
+        row = scratch @ np.ones(u.shape[1]) + u.shape[1] * math.log(2.0 * (a + b))
+        u += scratch  # e log v = log|y|
+        return row
 
 
 def _cartesian_values_fn(
@@ -205,7 +219,18 @@ def _cartesian_values_fn(
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Weighted samples of the constant-defining integral
     ``int K(e_1, y) prod |y_i|^{-alpha_i} dy`` with the kernel taken under
-    ``spec``'s convention; the oracle's callers pass the GEOMETRIC one."""
+    ``spec``'s convention; the oracle's callers pass the GEOMETRIC one.
+
+    Each factor makes one draw, ``gen.random((size, ambient))``, in factor
+    order: one uniform per coordinate, turned into ``|y_j|`` by inverting the
+    folded power law (``_PowerLaw``).  No sign is drawn.  Every integrand
+    here depends on a coordinate only through its square (``gauge_array``),
+    so the sign is independent of the value, and weighting ``|y_j|`` by the
+    symmetric density ``c |y_j|^-gamma`` (half the folded one) still gives
+    the integral over the whole line.  The weight
+    ``prod_i g_i^{-alpha_i} K / prod_j q(y_j)`` is formed in log space and
+    exponentiated once per sample.
+    """
     dim = spec.dim
     Q, m, n = dim.Q, spec.m, dim.n
     ambient = dim.ambient
@@ -216,21 +241,25 @@ def _cartesian_values_fn(
     # Tuple-ball integrands vanish outside the per-point unit box, so the
     # tail branch is dropped there.
     compact = kernel.simplex_support is not None
-    proposals = [
-        _PowerLawProposal(gamma=a / Q, tail=None if compact else m + a / Q) for a in alphas
-    ]
+    laws = [_PowerLaw(gamma=a / Q, tail=None if compact else m + a / Q) for a in alphas]
 
     def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
+        u = np.empty((size, ambient))
+        scratch = np.empty_like(u)
+        log_w = np.zeros(size)
         gauges = []
-        inv_density = np.full(size, 1.0)
-        for prop in proposals:
-            coords = prop.sample(gen, (size, ambient))
-            inv_density = inv_density / prop.density(coords).prod(axis=1)
-            gauges.append(gauge_array(coords, n))
-        power_part = np.full(size, 1.0)
-        for a, g in zip(alphas, gauges):
-            power_part = power_part * g**-a
-        return power_part * kernel.radial_profile(1.0, *gauges) * inv_density
+        for law, a in zip(laws, alphas):
+            gen.random(out=u)
+            log_w += law.log_magnitudes(u, scratch)
+            g = gauge_array(np.exp(u, out=u), n)
+            log_w -= a * np.log(g)
+            gauges.append(g)
+        # the kernel folded into the one exponential: a weight that overflows
+        # where the kernel underflows to 0 then gives 0, not inf * 0; far in
+        # the tail the kernel's own powers overflow on the way to that 0
+        with np.errstate(divide="ignore", over="ignore"):
+            log_w += np.log(kernel.radial_profile(1.0, *gauges))
+        return np.exp(log_w, out=log_w)
 
     return values_fn
 
@@ -572,17 +601,3 @@ def discrepancy_report(
     )
 
     return DiscrepancyReport(text="\n".join(lines), findings=findings)
-
-
-# ----------------------------------------------------------------------------
-# Convergence curves
-# ----------------------------------------------------------------------------
-
-
-def mc_convergence(
-    spec: OperatorSpec, n_samples: int, seed: int = 0
-) -> list[tuple[int, float, float, float]]:
-    """The ``convergence`` rows of ``verify_constant`` for the same seed and
-    sample count, without the rest of the verification."""
-    spec = replace(spec, convention=Convention.GEOMETRIC)
-    return _prefix_rows(_cartesian_mc(spec, n_samples, SeededStream(seed)), spec.constant().value)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 from importlib import resources
 
 import jsonschema
@@ -266,6 +267,19 @@ class TestInputErrors:
         code, _, err = run_capture(["verify", "--samples", "1000", "--workers", "0"], capsys)
         assert code == 2
         assert "--workers" in err
+
+    def test_samples_out_of_range(self, capsys):
+        for samples in ("1", "1000000000000"):
+            start = time.perf_counter()
+            code, _, err = run_capture(["verify", "--samples", samples], capsys)
+            assert code == 2
+            assert time.perf_counter() - start < 1.0
+            assert "--samples" in err and "1,000,000,000" in err
+
+    def test_samples_bound_in_help(self, capsys):
+        code, out, _ = run_capture(["verify", "--help"], capsys)
+        assert code == 0
+        assert "1,000,000,000" in " ".join(out.split())
 
     def test_numerical_failure_exits_2(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

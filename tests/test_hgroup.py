@@ -148,6 +148,20 @@ class TestGauge:
         for row, v in zip(batch, vals):
             assert math.isclose(v, gauge(HPoint.of(2, row)), rel_tol=1e-14)
 
+    def test_gauge_does_not_overflow(self):
+        # |z|^4 and t^2 overflow here, the gauge itself does not
+        for coords, expected in (([1e160, 0.0, 0.0], 1e160), ([0.0, 0.0, 1e300], 1e150)):
+            assert math.isclose(gauge_array([coords], 1)[0], expected, rel_tol=1e-15)
+            assert math.isclose(gauge(pt(1, *coords)), expected, rel_tol=1e-15)
+        assert gauge_array([[np.inf, 0.0, 0.0]], 1)[0] == np.inf
+
+    def test_gauge_array_keeps_plain_form_bits(self):
+        rng = np.random.default_rng(4)
+        batch = rng.standard_normal((1000, 7)) * np.exp(rng.uniform(-30, 30, (1000, 7)))
+        horiz, vert = batch[:, :6], batch[:, 6]
+        s = np.einsum("...i,...i->...", horiz, horiz)
+        assert np.array_equal(gauge_array(batch, 3), (s * s + vert * vert) ** 0.25)
+
 
 class TestDistance:
     def test_zero_on_diagonal(self):

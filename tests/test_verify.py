@@ -1,10 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 
-from hlab.hgroup import Convention, GroupDim, HPoint
+from hlab import verify
+from hlab.hgroup import Convention, GroupDim, HPoint, gauge_array
 from hlab.integrate import SeededStream
 from hlab.operators import (
+    OPERATORS,
     McEngine,
     OperatorKind,
     OperatorSpec,
@@ -16,7 +19,6 @@ from hlab.operators import (
 from hlab.specfun import AlphaProfile
 from hlab.verify import (
     discrepancy_report,
-    mc_convergence,
     upper_bound_search,
     verify_constant,
     verify_extremal,
@@ -171,7 +173,9 @@ class TestDiscrepancyReport:
 
 class TestConvergence:
     def test_rows(self):
-        rows = mc_convergence(spec_of(OperatorKind.HARDY, 1.0), 140_000, seed=15)
+        rows = verify_constant(
+            spec_of(OperatorKind.HARDY, 1.0), n_samples=140_000, seed=15
+        ).convergence
         assert rows[-1][0] == 140_000
         counts = [r[0] for r in rows]
         assert counts == sorted(counts)
@@ -185,6 +189,102 @@ class TestConvergence:
         assert abs(rows[-1][1] - closed) <= 3 * rows[-1][2]
 
     def test_bit_stable(self):
-        a = mc_convergence(spec_of(OperatorKind.HARDY, 1.0), 100_000, seed=16)
-        b = mc_convergence(spec_of(OperatorKind.HARDY, 1.0), 100_000, seed=16)
+        spec = spec_of(OperatorKind.HARDY, 1.0)
+        a = verify_constant(spec, n_samples=100_000, seed=16).convergence
+        b = verify_constant(spec, n_samples=100_000, seed=16).convergence
         assert a == b
+
+
+# exponents in proportion to Q, so that the tuple ball of hardy at n = 3,
+# m = 2 still receives tens of the 4096 samples
+ORACLE_SPECS = [
+    OperatorSpec(kind, GroupDim(n), AlphaProfile(tuple(f * (2 * n + 2) for f in fractions)))
+    for kind in (OperatorKind.HARDY, OperatorKind.HLP, OperatorKind.HILBERT)
+    for n in (1, 2, 3)
+    for fractions in ((0.375,), (0.5, 0.375))
+]
+
+
+def direct_oracle_values(spec, uniforms):
+    """The Cartesian oracle's weights by the direct formulas: each |y_j| as
+    a power of its piece's uniform, 1 / prod c |y_j|^{-gamma or -tail},
+    gauge_array, the power part and the kernel profile."""
+    dim, m = spec.dim, spec.m
+    kernel = OPERATORS[spec.kind].kernel(spec)
+    compact = kernel.simplex_support is not None
+    tiny = 2.0**-53
+    inv_density = 1.0
+    power = 1.0
+    gauges = []
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        for a, u in zip(spec.profile.alphas, uniforms):
+            gamma = a / dim.Q
+            tail = m + gamma
+            inner_exp = 1.0 / (1.0 - gamma)
+            outer_exp = 0.0 if compact else 1.0 / (tail - 1.0)
+            p = inner_exp / (inner_exp + outer_exp)
+            c = 1.0 / (2.0 * (inner_exp + outer_exp))
+            y = np.clip(u / p, tiny, 1.0) ** inner_exp
+            if not compact:
+                outer = np.clip((1.0 - u) / (1.0 - p), tiny, 1.0) ** -outer_exp
+                y = np.where(u < p, y, outer)
+            density = c * np.where(y <= 1.0, y**-gamma, y**-tail)
+            inv_density = inv_density / density.prod(axis=1)
+            g = gauge_array(y, dim.n)
+            power = power * g**-a
+            gauges.append(g)
+        return power * kernel.radial_profile(1.0, *gauges) * inv_density
+
+
+class TestCartesianOracle:
+    @pytest.mark.parametrize(
+        "spec", ORACLE_SPECS, ids=lambda s: f"{s.kind.value}-n{s.dim.n}-m{s.m}"
+    )
+    def test_weights_match_direct_formulas(self, spec):
+        size = 4096
+        seed = 10 * spec.dim.n + spec.m
+        values = verify._cartesian_values_fn(spec)(SeededStream(seed).generator(block=1), size)
+        gen = SeededStream(seed).generator(block=1)
+        uniforms = [gen.random((size, spec.dim.ambient)) for _ in range(spec.m)]
+        expected = direct_oracle_values(spec, uniforms)
+        assert np.isfinite(values).all() and np.isfinite(expected).all()
+        assert np.count_nonzero(values) >= 20
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_uniform_draw_per_coordinate(self, m):
+        spec = OperatorSpec(OperatorKind.HILBERT, GroupDim(2), AlphaProfile((1.0,) * m))
+        stream = RecordingStream(SeededStream(5))
+        verify._cartesian_mc(spec, 2 * 65536 + 100, stream)
+        ambient = spec.dim.ambient
+        assert stream.calls == {
+            1: [(65536, ambient)] * m,
+            2: [(65536, ambient)] * m,
+            3: [(100, ambient)] * m,
+        }
+
+
+class RecordingGenerator:
+    """A generator that records the shape of each ``random`` call and
+    refuses every other draw."""
+
+    def __init__(self, gen, calls):
+        self._gen = gen
+        self._calls = calls
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        self._calls.append(tuple(np.shape(out)) if out is not None else tuple(np.atleast_1d(size)))
+        return self._gen.random(size=size, dtype=dtype, out=out)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the oracle drew with {name!r}")
+
+
+class RecordingStream:
+    def __init__(self, stream):
+        self._stream = stream
+        self.calls = {}
+
+    def generator(self, block=0):
+        calls = self.calls.setdefault(block, [])
+        return RecordingGenerator(self._stream.generator(block=block), calls)
