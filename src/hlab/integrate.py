@@ -13,7 +13,9 @@ Three layers:
 Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
 ``k`` draws from the counter-based substream ``(seed, stream_id, block=k)``,
 and partial sums are reduced in chunk-index order.  Results are therefore
-bit-identical for any worker count.
+bit-identical for any worker count.  Inside a chunk, the arithmetic after
+the draws runs in row blocks (``row_blocks``) sized for the cache; since
+every value depends only on its own row, the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -50,13 +52,19 @@ __all__ = [
     "quad_tensor",
     "reduce_partials",
     "rejection_volume_estimate",
+    "row_blocks",
     "sample_radius",
     "sample_sphere_direction",
     "sample_unit_ball",
 ]
 
 _MASK64 = (1 << 64) - 1
+# the unit of randomness: chunk k draws from substream block k + 1, so
+# changing the chunk size changes every Monte Carlo number
 _CHUNK = 1 << 16
+# the unit of a chunk's arithmetic after its draws, sized so that each
+# block's temporaries stay in a core's L2 cache; it changes no bit
+_ROW_BLOCK = 1 << 13
 
 
 class Method(enum.Enum):
@@ -573,6 +581,9 @@ def mc_chunk_partials(
     """Evaluate ``values_fn`` chunk by chunk; chunk ``k`` draws from substream
     block ``k + 1``.
 
+    ``values_fn(gen, size)`` returns the chunk's ``size`` values, each of
+    which must depend only on its own row (its own draws), so that the chunk
+    may be evaluated in row blocks (``row_blocks``) without moving a bit.
     Returns ``(size, sum, sum of squares, nonzero count)`` per chunk in chunk
     order, identical for any worker count.
     """
@@ -589,6 +600,22 @@ def mc_chunk_partials(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, range(len(sizes))))
     return [one(i) for i in range(len(sizes))]
+
+
+def row_blocks(size: int, block_values: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """The ``size`` values of a chunk, computed block by block.
+
+    ``block_values(rows)`` returns the values of the rows in the slice
+    ``rows`` (``rows.stop - rows.start`` of them), computed from data drawn
+    for the whole chunk beforehand.  Blocks keep the arithmetic's
+    temporaries in cache; a value that depends only on its own row comes out
+    the same for any block size.
+    """
+    out = np.empty(size)
+    for lo in range(0, size, _ROW_BLOCK):
+        rows = slice(lo, min(lo + _ROW_BLOCK, size))
+        out[rows] = block_values(rows)
+    return out
 
 
 def reduce_partials(partials: Sequence[ChunkPartial]) -> tuple[Estimate, int]:
@@ -616,9 +643,15 @@ def _check_finite(values: np.ndarray, points: list[np.ndarray]) -> None:
         raise EstimationError(f"non-finite integrand value at point(s) {where}")
 
 
+# the points of a chunk's accepted tuples: ``lift(gen, size)`` makes the
+# chunk's draws after the radii and returns ``at(rows, mask, gauges)``, the
+# points of the accepted rows of a row block given their factors' gauges
+Lift = Callable[[np.random.Generator, int], Callable[..., list[np.ndarray]]]
+
+
 def _mc_tuples(
     f: Callable[[list[np.ndarray]], np.ndarray],
-    lift: Callable[..., list[np.ndarray]],
+    lift: Lift,
     dim: GroupDim,
     m: int,
     sampler: Sampler,
@@ -626,9 +659,10 @@ def _mc_tuples(
     stream: SeededStream,
     workers: int,
 ) -> Estimate:
-    """The tuple sampler: tilted radii, their weights and the tuple-ball mask
-    per chunk, then ``f`` at ``lift(gen, size, mask, gauges)``, the points of
-    the accepted tuples given each factor's gauges there."""
+    """The tuple sampler: per chunk, one uniform per factor and tuple, drawn
+    in factor order, then the lift's draws; then, row block by row block,
+    tilted radii, their weights and the tuple-ball mask, and ``f`` at the
+    lifted points of the accepted tuples."""
     if len(sampler.tilts) != m:
         raise ValueError(f"sampler carries {len(sampler.tilts)} tilts for m={m}")
     Q = dim.Q
@@ -640,36 +674,49 @@ def _mc_tuples(
     tiny = 2.0**-53
 
     def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
-        radii = []
-        weights = np.full(size, 1.0)
-        for tilt in sampler.tilts:
-            u = np.clip(gen.random(size), tiny, 1.0 - tiny)
-            r = u ** (1.0 / (Q - tilt))
+        uniforms = [gen.random(size) for _ in sampler.tilts]
+        at = lift(gen, size)
+
+        def block(rows: slice) -> np.ndarray:
+            count = rows.stop - rows.start
+            radii = []
+            weights = np.full(count, 1.0)
+            for tilt, u in zip(sampler.tilts, uniforms):
+                u = np.clip(u[rows], tiny, 1.0 - tiny)
+                r = u ** (1.0 / (Q - tilt))
+                if heavy:
+                    s = r / (1.0 - r)
+                    # density of s: (Q - tilt) r^{Q-tilt-1} (1-r)^2
+                    weights *= (
+                        omega * s ** (Q - 1) / ((Q - tilt) * r ** (Q - tilt - 1) * (1.0 - r) ** 2)
+                    )
+                    radii.append(s)
+                else:
+                    weights *= omega * r**tilt / (Q - tilt)
+                    radii.append(r)
+            out = np.zeros(count)
             if heavy:
-                s = r / (1.0 - r)
-                # density of s: (Q - tilt) r^{Q-tilt-1} (1-r)^2
-                weights *= omega * s ** (Q - 1) / ((Q - tilt) * r ** (Q - tilt - 1) * (1.0 - r) ** 2)
-                radii.append(s)
+                mask = np.full(count, True)
             else:
-                weights *= omega * r**tilt / (Q - tilt)
-                radii.append(r)
-        out = np.zeros(size)
-        if heavy:
-            mask = np.full(size, True)
-        else:
-            rr = np.stack(radii)
-            mask = np.einsum("ij,ij->j", rr, rr) < 1.0
-        if mask.any():
-            points = lift(gen, size, mask, [r[mask] for r in radii])
-            vals = np.asarray(f(points), dtype=float) * weights[mask]
-            _check_finite(vals, points)
-            out[mask] = vals
-        return out
+                rr = np.stack(radii)
+                mask = np.einsum("ij,ij->j", rr, rr) < 1.0
+            if mask.any():
+                points = at(rows, mask, [r[mask] for r in radii])
+                vals = np.asarray(f(points), dtype=float) * weights[mask]
+                _check_finite(vals, points)
+                out[mask] = vals
+            return out
+
+        return row_blocks(size, block)
 
     estimate, nonzero = reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))
     if nonzero == 0:
         raise EstimationError("zero accepted samples; cannot form an estimate")
     return estimate
+
+
+def _gauges_only(gen: np.random.Generator, size: int) -> Callable[..., list[np.ndarray]]:
+    return lambda rows, mask, gauges: gauges
 
 
 def mc_integrate_radial(
@@ -685,14 +732,13 @@ def mc_integrate_radial(
     m-tuples of points.
 
     ``f`` receives a list of m arrays holding the gauges of the factors of N
-    accepted tuples and must return N values.  No direction is drawn: the
-    integral of a radial function over each factor is its polar integral.
-    Tilts equal to the integrand's power-law exponents make the weighted
-    evaluations bounded.
+    accepted tuples and must return N values, each depending only on its
+    own tuple: ``f`` sees one row block of a chunk at a time.  No direction
+    is drawn: the integral of a radial function over each factor is its
+    polar integral.  Tilts equal to the integrand's power-law exponents make
+    the weighted evaluations bounded.
     """
-    return _mc_tuples(
-        f, lambda gen, size, mask, gauges: gauges, dim, m, sampler, n_samples, stream, workers
-    )
+    return _mc_tuples(f, _gauges_only, dim, m, sampler, n_samples, stream, workers)
 
 
 def mc_integrate(
@@ -707,15 +753,23 @@ def mc_integrate(
     """Importance-sampled Lebesgue integral of ``f`` over m-tuples of points.
 
     ``f`` receives a list of m coordinate arrays of shape (N, 2n + 1) and
-    must return N values.  The sampler is that of ``mc_integrate_radial``;
-    each factor is lifted to a point of its gauge along a gauge-sphere
-    direction under the cone measure, drawn from the chunk's generator
-    after the radii.
+    must return N values, each depending only on its own tuple: ``f`` sees
+    one row block of a chunk at a time.  The sampler is that of
+    ``mc_integrate_radial``; each factor is lifted to a point of its gauge
+    along a gauge-sphere direction under the cone measure, drawn from the
+    chunk's generator after the radii, in factor order.
     """
 
-    def lift(gen: np.random.Generator, size: int, mask: np.ndarray, gauges: list[np.ndarray]):
-        dirs = [_ball_batch(gen, dim, size)[mask] for _ in range(m)]
-        return [_scale_coords(d, g / gauge_array(d, dim.n), dim.n) for d, g in zip(dirs, gauges)]
+    def lift(gen: np.random.Generator, size: int) -> Callable[..., list[np.ndarray]]:
+        dirs = [_ball_batch(gen, dim, size) for _ in range(m)]
+
+        def at(rows: slice, mask: np.ndarray, gauges: list[np.ndarray]) -> list[np.ndarray]:
+            accepted = [d[rows][mask] for d in dirs]
+            return [
+                _scale_coords(d, g / gauge_array(d, dim.n), dim.n) for d, g in zip(accepted, gauges)
+            ]
+
+        return at
 
     return _mc_tuples(f, lift, dim, m, sampler, n_samples, stream, workers)
 
@@ -730,7 +784,10 @@ def rejection_volume_estimate(
 
     def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
         props = gen.uniform(-1.0, 1.0, (size, dim.ambient))
-        g = gauge_array(props, dim.n)
-        return np.where(g < 1.0, box, 0.0)
+
+        def block(rows: slice) -> np.ndarray:
+            return np.where(gauge_array(props[rows], dim.n) < 1.0, box, 0.0)
+
+        return row_blocks(size, block)
 
     return reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))[0]

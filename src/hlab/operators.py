@@ -438,8 +438,14 @@ def _hlp_quad(
 ) -> Estimate:
     """Max-kernel quadrature: the radial orthant splits into the m + 1 cells
     induced by which argument realizes the max; each cell collapses to an
-    outer 1-D integral times inner 1-D factors."""
-    Q, m = spec.dim.Q, spec.m
+    outer 1-D integral times inner 1-D factors.
+
+    A cell's outer integrand over ``r in (1, inf)`` decays as ``r^{-1-a}``
+    with ``a = sum alpha``, which the ``t/(1-t)`` map of an infinite range
+    turns into an endpoint power no rule resolves when ``a < 1``.  So the
+    outer variable is ``u = r^{-a}`` on (0, 1), which makes the extremal
+    integrand constant."""
+    Q, m, a = spec.dim.Q, spec.m, spec.profile.total
 
     def unit_factor(tf: TestFunction, scale: float) -> Axis:
         # int_0^1 g(scale * v) v^{Q-1} dv
@@ -447,8 +453,13 @@ def _hlp_quad(
         return (lambda v: tf.power_weighted(scale, v, Q - 1), 0.0, 1.0, pts)
 
     def cell(tfj: TestFunction, others: list[TestFunction]) -> Callable[[int, tuple], list[Axis]]:
-        outer = lambda r: (tfj.power_weighted(c, r, -1.0), r.tolist())  # noqa: E731
-        axis = (outer, 1.0, math.inf, _radial_breaks(tfj, c, 1.0, math.inf))
+        def outer(u: np.ndarray) -> tuple[np.ndarray, list]:
+            # r = u^{-1/a}, dr = r du / (a u)
+            r = u ** (-1.0 / a)
+            return tfj.power_weighted(c, r, 0.0) / (a * u), r.tolist()
+
+        pts = [r ** -a for r in _radial_breaks(tfj, c, 1.0, math.inf)]
+        axis = (outer, 0.0, 1.0, pts)
         return lambda depth, prefix: (
             [axis] if depth == 0 else [unit_factor(tf, c * prefix[0]) for tf in others]
         )

@@ -47,6 +47,7 @@ from .integrate import (
     quad_dirichlet,
     reduce_partials,
     rejection_volume_estimate,
+    row_blocks,
     sample_sphere_direction,
 )
 from .operators import (
@@ -223,13 +224,14 @@ def _cartesian_values_fn(
 
     Each factor makes one draw, ``gen.random((size, ambient))``, in factor
     order: one uniform per coordinate, turned into ``|y_j|`` by inverting the
-    folded power law (``_PowerLaw``).  No sign is drawn.  Every integrand
-    here depends on a coordinate only through its square (``gauge_array``),
-    so the sign is independent of the value, and weighting ``|y_j|`` by the
-    symmetric density ``c |y_j|^-gamma`` (half the folded one) still gives
-    the integral over the whole line.  The weight
-    ``prod_i g_i^{-alpha_i} K / prod_j q(y_j)`` is formed in log space and
-    exponentiated once per sample.
+    folded power law (``_PowerLaw``).  The chunk's draws all come first; the
+    arithmetic then runs in row blocks (``row_blocks``).  No sign is drawn.
+    Every integrand here depends on a coordinate only through its square
+    (``gauge_array``), so the sign is independent of the value, and
+    weighting ``|y_j|`` by the symmetric density ``c |y_j|^-gamma`` (half
+    the folded one) still gives the integral over the whole line.  The
+    weight ``prod_i g_i^{-alpha_i} K / prod_j q(y_j)`` is formed in log
+    space and exponentiated once per sample.
     """
     dim = spec.dim
     Q, m, n = dim.Q, spec.m, dim.n
@@ -244,22 +246,27 @@ def _cartesian_values_fn(
     laws = [_PowerLaw(gamma=a / Q, tail=None if compact else m + a / Q) for a in alphas]
 
     def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
-        u = np.empty((size, ambient))
-        scratch = np.empty_like(u)
-        log_w = np.zeros(size)
-        gauges = []
-        for law, a in zip(laws, alphas):
-            gen.random(out=u)
-            log_w += law.log_magnitudes(u, scratch)
-            g = gauge_array(np.exp(u, out=u), n)
-            log_w -= a * np.log(g)
-            gauges.append(g)
-        # the kernel folded into the one exponential: a weight that overflows
-        # where the kernel underflows to 0 then gives 0, not inf * 0; far in
-        # the tail the kernel's own powers overflow on the way to that 0
-        with np.errstate(divide="ignore", over="ignore"):
-            log_w += np.log(kernel.radial_profile(1.0, *gauges))
-        return np.exp(log_w, out=log_w)
+        uniforms = [gen.random((size, ambient)) for _ in laws]
+
+        def block(rows: slice) -> np.ndarray:
+            scratch = np.empty((rows.stop - rows.start, ambient))
+            log_w = np.zeros(scratch.shape[0])
+            gauges = []
+            for law, a, u in zip(laws, alphas, uniforms):
+                u = u[rows]
+                log_w += law.log_magnitudes(u, scratch)
+                g = gauge_array(np.exp(u, out=u), n)
+                log_w -= a * np.log(g)
+                gauges.append(g)
+            # the kernel folded into the one exponential: a weight that
+            # overflows where the kernel underflows to 0 then gives 0, not
+            # inf * 0; far in the tail the kernel's own powers overflow on
+            # the way to that 0
+            with np.errstate(divide="ignore", over="ignore"):
+                log_w += np.log(kernel.radial_profile(1.0, *gauges))
+            return np.exp(log_w, out=log_w)
+
+        return row_blocks(size, block)
 
     return values_fn
 

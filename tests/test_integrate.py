@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hlab import integrate
+from hlab import integrate, verify
 from hlab.hgroup import GroupDim, gauge, gauge_array, unit_ball_volume
 from hlab.integrate import (
     Domain,
@@ -15,6 +15,7 @@ from hlab.integrate import (
     QuadratureError,
     SeededStream,
     TupleBall,
+    mc_chunk_partials,
     mc_integrate,
     mc_integrate_radial,
     quad_1d,
@@ -25,7 +26,8 @@ from hlab.integrate import (
     sample_sphere_direction,
     sample_unit_ball,
 )
-from hlab.specfun import i_m_closed
+from hlab.operators import OperatorKind, OperatorSpec
+from hlab.specfun import AlphaProfile, i_m_closed
 
 DIM1 = GroupDim(1)
 
@@ -397,6 +399,132 @@ class TestMcIntegrate:
         a = mc_integrate_radial(f, stream=SeededStream(32), workers=1, **kwargs)
         b = mc_integrate_radial(f, stream=SeededStream(32), workers=8, **kwargs)
         assert a == b
+
+
+# two full chunks and a remainder chunk
+ROW_BLOCK_SAMPLES = 2 * 65536 + 100
+
+ROW_BLOCK_ORACLE_SPECS = [
+    OperatorSpec(kind, GroupDim(n), AlphaProfile(tuple(f * (2 * n + 2) for f in fractions)))
+    for kind in (OperatorKind.HARDY, OperatorKind.HLP, OperatorKind.HILBERT)
+    for n in (1, 2, 3)
+    for fractions in ((0.375,), (0.5, 0.375), (0.5, 0.375, 0.25))
+]
+
+
+def every_mc_partials(monkeypatch, workers):
+    """The chunk partials of every Monte Carlo user: the Cartesian oracle,
+    the radial sampler on both laws, the coordinate lift and the box
+    rejection volume."""
+    stream = SeededStream(7)
+    seen = [
+        verify._cartesian_mc(spec, ROW_BLOCK_SAMPLES, stream, workers)
+        for spec in ROW_BLOCK_ORACLE_SPECS
+    ]
+
+    def recording(*args, **kwargs):
+        seen.append(mc_chunk_partials(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(integrate, "mc_chunk_partials", recording)
+    dim = GroupDim(2)
+
+    def radial(gauges):
+        return 1.0 / (1.0 + gauges[0] ** dim.Q + gauges[1] ** dim.Q)
+
+    def coords(points):
+        return np.exp(-np.abs(points[0] - points[1]).sum(axis=1))
+
+    for sampler in (TupleBall((1.0, 0.5)), FullSpaceHeavyTail((1.0, 0.5))):
+        mc_integrate_radial(radial, dim, 2, sampler, ROW_BLOCK_SAMPLES, stream, workers)
+        mc_integrate(coords, dim, 2, sampler, ROW_BLOCK_SAMPLES, stream, workers)
+    rejection_volume_estimate(dim, ROW_BLOCK_SAMPLES, stream, workers)
+    return seen
+
+
+class TestRowBlocks:
+    """Row blocks are the cache unit of a chunk's arithmetic: their size
+    must not move a bit of any Monte Carlo result."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_size_does_not_change_bits(self, workers, monkeypatch):
+        default = every_mc_partials(monkeypatch, workers)
+        assert len(default) == len(ROW_BLOCK_ORACLE_SPECS) + 5
+        assert all(len(p) == 3 and p[-1][0] == 100 for p in default)
+        for block in (1 << 16, 1000):
+            monkeypatch.setattr(integrate, "_ROW_BLOCK", block)
+            assert every_mc_partials(monkeypatch, workers) == default
+
+    def test_blocks_cover_every_row_once(self, monkeypatch):
+        monkeypatch.setattr(integrate, "_ROW_BLOCK", 1000)
+        spans = []
+
+        def block(rows):
+            spans.append((rows.start, rows.stop))
+            return np.arange(rows.start, rows.stop, dtype=float)
+
+        np.testing.assert_array_equal(integrate.row_blocks(2500, block), np.arange(2500.0))
+        assert spans == [(0, 1000), (1000, 2000), (2000, 2500)]
+
+
+class RecordingGenerator:
+    """A generator that records each draw as ``(method, args)``."""
+
+    def __init__(self, gen, calls):
+        self._gen = gen
+        self._calls = calls
+
+    def __getattr__(self, name):
+        draw = getattr(self._gen, name)
+
+        def recorded(*args, **kwargs):
+            self._calls.append((name, args + tuple(kwargs.values())))
+            return draw(*args, **kwargs)
+
+        return recorded
+
+
+class RecordingStream:
+    def __init__(self, stream):
+        self._stream = stream
+        self.calls = {}
+
+    def generator(self, block=0):
+        calls = self.calls.setdefault(block, [])
+        return RecordingGenerator(self._stream.generator(block=block), calls)
+
+
+class TestOperatorSamplerDraws:
+    """The draws of each chunk, pinned: changing them changes every number."""
+
+    SIZES = {1: 65536, 2: 65536, 3: 100}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("sampler", [TupleBall, FullSpaceHeavyTail])
+    def test_radial_draws_one_uniform_per_factor(self, sampler, m):
+        stream = RecordingStream(SeededStream(5))
+        law = sampler((1.0,) * m)
+        mc_integrate_radial(lambda gs: gs[0], GroupDim(2), m, law, ROW_BLOCK_SAMPLES, stream)
+        assert stream.calls == {k: [("random", (size,))] * m for k, size in self.SIZES.items()}
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("sampler", [TupleBall, FullSpaceHeavyTail])
+    def test_lift_draws_directions_after_the_radii(self, sampler, m):
+        n = 2
+        stream = RecordingStream(SeededStream(5))
+        law = sampler((1.0,) * m)
+        mc_integrate(lambda ps: ps[0][:, 0] ** 2, GroupDim(n), m, law, ROW_BLOCK_SAMPLES, stream)
+
+        def draws(size):
+            radii = [("random", (size,))] * m
+            ball = [
+                ("beta", (n / 2.0, 1.5, size)),
+                ("standard_normal", ((size, 2 * n),)),
+                ("uniform", (-1.0, 1.0, size)),
+            ]
+            return radii + ball * m
+
+        assert stream.calls == {k: draws(size) for k, size in self.SIZES.items()}
 
 
 class TestEstimateInvariants:

@@ -269,6 +269,24 @@ class TestQuadratureBeyondH1:
         assert math.isclose(g ** sum(alphas) * est.value, spec.constant().value, rel_tol=1e-8)
 
 
+class TestHlpQuadratureSlowTails:
+    """Exponents whose sum is below 1 decay too slowly at infinity for the
+    t/(1-t) map of an infinite range; the max-kernel cells integrate their
+    outer gauge in u = r^{-sum alpha} instead."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize(
+        "alphas,rel_tol", [((0.25,), 1e-10), ((0.5,), 1e-10), ((1.0,), 1e-10), ((0.25, 0.5), 1e-8)]
+    )
+    def test_extremal_value_is_closed_form(self, alphas, rel_tol, n):
+        dim = GroupDim(n)
+        spec = OperatorSpec(OperatorKind.HLP, dim, AlphaProfile(alphas))
+        x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
+        qspec = QuadSpec(1e-12, 1e-14) if len(alphas) == 1 else QuadSpec(1e-9, 1e-14)
+        est = eval_hlp(extremals(*alphas), x, spec, QuadEngine(qspec))
+        assert math.isclose(est.value, spec.constant().value, rel_tol=rel_tol)
+
+
 class TestMonteCarloBeyondH1:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("alphas", [(1.5,), (2.0, 1.5)])
