@@ -3,10 +3,13 @@
 Three layers:
 
 * adaptive 1-D quadrature (15-point Gauss-Kronrod panels with bisection
-  refinement, infinite upper limits mapped through ``t -> t/(1-t)``),
+  refinement, infinite upper limits mapped through ``t -> t/(1-t)``), run
+  by one refiner that advances a batch of independent integrals in
+  vectorized rounds,
 * one nested-quadrature driver (``quad_nested``) behind the tensor
   quadrature for up to three variables and the Dirichlet-type integral
-  ``quad_dirichlet``,
+  ``quad_dirichlet``: the nodes of one level's new panels are the batch of
+  the level below,
 * seeded Monte Carlo samplers adapted to the Koranyi geometry, with
   importance tilts that neutralize power-law singularities.
 
@@ -21,7 +24,6 @@ every value depends only on its own row, the block size changes no bit.
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,6 +67,16 @@ _CHUNK = 1 << 16
 # the unit of a chunk's arithmetic after its draws, sized so that each
 # block's temporaries stay in a core's L2 cache; it changes no bit
 _ROW_BLOCK = 1 << 13
+# the most integrand nodes one vectorized quadrature call takes: it bounds
+# the memory of a nesting level's batch (the nodes of one call are the
+# owners of the level below) and, since owners are independent, no bit
+_QUAD_BATCH = 1 << 12
+# a panel whose half-width is at most this times its midpoint's magnitude
+# is at floating-point resolution and never splits
+_RESOLUTION = 4.0 * np.finfo(float).eps
+# the unit of the running error sums that choose which panels split: 2^-30
+# of the owner's tolerance
+_ERR_QUANTUM = 1 << 30
 
 
 class Method(enum.Enum):
@@ -177,23 +189,173 @@ _WG15 = np.zeros(15)
 _WG15[1:14:2] = np.concatenate((_WG[:3], _WG[3:4], _WG[2::-1]))
 
 
-def _eval_panel(f, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _ABSC
+def _new_panels(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    own: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (left, right, value, error) of the panels ``(a[i], b[i])`` of
+    owners ``own[i]`` (the Kronrod value and its distance from the embedded
+    Gauss value), and which of them are at floating-point resolution.  The
+    integrand runs in vectorized calls ``f(nodes, owners)`` of at most
+    ``_QUAD_BATCH`` nodes."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    xs = mid[:, None] + half[:, None] * _ABSC
     # keep nodes strictly interior: on panels a few ulps wide, rounding can
     # otherwise push a node onto an endpoint (e.g. the infinite-limit map's
     # singular point t = 1)
-    xs = np.clip(xs, np.nextafter(a, b), np.nextafter(b, a))
-    fv = np.asarray(f(xs), dtype=float)
-    if fv.shape != xs.shape:
-        raise TypeError("integrand must be vectorized: f(ndarray) -> ndarray of same shape")
-    if not np.all(np.isfinite(fv)):
-        bad = xs[~np.isfinite(fv)][0]
-        raise QuadratureError(f"non-finite integrand value at x={bad!r}")
-    val_k = half * float(_WK15 @ fv)
-    val_g = half * float(_WG15 @ fv)
-    return val_k, abs(val_k - val_g)
+    xs = np.minimum(np.maximum(xs, np.nextafter(a, b)[:, None]), np.nextafter(b, a)[:, None])
+    xs = xs.reshape(-1)
+    node_own = np.repeat(own, _ABSC.size)
+    fv = np.empty_like(xs)
+    for lo in range(0, xs.size, _QUAD_BATCH):
+        rows = slice(lo, lo + _QUAD_BATCH)
+        out = np.asarray(f(xs[rows], node_own[rows]), dtype=float)
+        if out.shape != xs[rows].shape:
+            raise TypeError("integrand must be vectorized: f(ndarray) -> ndarray of same shape")
+        fv[rows] = out
+    if not np.isfinite(fv).all():
+        raise QuadratureError(f"non-finite integrand value at x={xs[~np.isfinite(fv)][0]!r}")
+    fv = fv.reshape(-1, _ABSC.size)
+    # per-row sums, so that a panel's value does not depend on its batch
+    val = half * (fv * _WK15).sum(axis=1)
+    err = np.abs(val - half * (fv * _WG15).sum(axis=1))
+    tiny = half <= _RESOLUTION * (np.abs(mid) + 5e-301)
+    return np.stack((a, b, val, err)), tiny
+
+
+def _finite_axis(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    points: np.ndarray,
+) -> tuple[Callable, np.ndarray, np.ndarray, np.ndarray]:
+    """Map the owners whose upper limit is infinite to ``(0, 1)`` through
+    ``x = lo + t/(1-t)``, with their breakpoints."""
+    inf = np.isinf(hi)
+    if not inf.any():
+        return f, lo, hi, points
+    base = lo
+    shift = points - lo[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mapped = np.where(shift > 0.0, shift / (1.0 + shift), np.nan)
+    points = np.where(inf[:, None], mapped, points)
+
+    def g(t: np.ndarray, own: np.ndarray) -> np.ndarray:
+        mask = inf[own]
+        with np.errstate(divide="ignore"):
+            x = np.where(mask, base[own] + t / (1.0 - t), t)
+        return np.asarray(f(x, own), dtype=float) / np.where(mask, (1.0 - t) ** 2, 1.0)
+
+    return g, np.where(inf, 0.0, lo), np.where(inf, 1.0, hi), points
+
+
+def _refine(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    points: np.ndarray,
+    spec: QuadSpec,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate K independent 1-D integrals ("owners") together.
+
+    Owner ``k`` integrates ``f(x, k)`` over ``(lo[k], hi[k])`` (``hi[k]`` may
+    be infinite; an empty range gives 0), with its breakpoints in row ``k``
+    of ``points`` (entries outside the range, or NaN, are ignored).  Each
+    round evaluates every new panel in one batch.  Then every owner whose
+    error exceeds ``max(abs_tol, rel_tol |value|)`` sorts its panels by
+    error, ascending, and splits each panel where the running error sum,
+    plus the error of its panels at floating-point resolution (which never
+    split), exceeds its tolerance.  The running sums are integers in units
+    of ``_ERR_QUANTUM``, so one exact cumulative sum serves the batch; every
+    owner keeps its own subdivision count, and its sums run over its own
+    panels in a fixed order, so an owner's result does not depend on the
+    rest of its batch.  Returns the values, error estimates and node counts
+    per owner; raises the failure of the lowest-index owner that fails.
+    """
+    f, lo, hi, points = _finite_axis(f, lo, hi, points)
+    k_all = lo.size
+    hi = np.where(hi > lo, hi, lo)
+    pts = np.where((points > lo[:, None]) & (points < hi[:, None]), points, np.inf)
+    edges = np.sort(np.column_stack((lo, pts, hi)), axis=1)
+    left, right = edges[:, :-1], edges[:, 1:]
+    cut = (right > left) & (right < np.inf)
+    new_own, new_a, new_b = np.nonzero(cut)[0], left[cut], right[cut]
+    n_initial = np.bincount(new_own, minlength=k_all)
+    splits = np.zeros(k_all, dtype=np.intp)
+    value, abs_err = np.zeros(k_all), np.zeros(k_all)
+    active = n_initial > 0
+    # the value and error of each owner's panels at floating-point resolution
+    frozen_val, frozen_err = np.zeros(k_all), np.zeros(k_all)
+    failures: dict[int, QuadratureError] = {}
+    own, panels = new_own[:0], np.empty((4, 0))
+
+    while True:
+        children, tiny = _new_panels(f, new_own, new_a, new_b)
+        if tiny.any():
+            frozen_val += np.bincount(new_own[tiny], children[2, tiny], k_all)
+            frozen_err += np.bincount(new_own[tiny], children[3, tiny], k_all)
+            new_own, children = new_own[~tiny], children[:, ~tiny]
+        own = np.concatenate((own, new_own))
+        panels = np.concatenate((panels, children), axis=1)
+        # each owner's panels in ascending error
+        order = np.lexsort((panels[3], own))
+        own, panels = own[order], panels[:, order]
+        a, b, val, err = panels
+        total = frozen_val + np.bincount(own, val, k_all)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        error = frozen_err + np.bincount(own, err, k_all)
+        value = np.where(active, total, value)
+        abs_err = np.where(active, error, abs_err)
+        active &= error > tol
+        if not active.any():
+            break
+        stuck = np.bincount(own, minlength=k_all) == 0
+        failed = active & (stuck | (splits >= spec.max_subdivisions))
+        for k in np.flatnonzero(failed):
+            if stuck[k]:
+                message = (
+                    "all panels are at floating-point resolution without convergence "
+                    f"(error {error[k]:.3e})"
+                )
+            else:
+                message = (
+                    f"max_subdivisions={spec.max_subdivisions} exhausted (error {error[k]:.3e})"
+                )
+            n = int(15 * (n_initial[k] + 2 * splits[k]))
+            est = Estimate(float(total[k]), 0.0, n, Method.QUAD)
+            failures[int(k)] = QuadratureError(message, est)
+            active[k] = False
+
+        # split where the running error sum exceeds what the frozen panels
+        # leave of the tolerance (all of an owner's panels once they leave
+        # none); rounding up, every owner still pending splits a panel
+        budget = tol - frozen_err
+        ratio = np.where(budget[own] > 0.0, err / np.maximum(budget, 1e-300)[own], 2.0)
+        q = np.ceil(np.minimum(ratio, 2.0) * _ERR_QUANTUM).astype(np.int64)
+        running = np.cumsum(q)
+        first = np.searchsorted(own, own)
+        running += q[first] - running[first]
+        keep = active[own]
+        idx = np.flatnonzero(keep & (running > _ERR_QUANTUM))
+        if splits.max() + idx.size > spec.max_subdivisions:
+            # no owner splits past max_subdivisions: its largest panels first
+            po = own[idx]
+            from_end = np.searchsorted(po, po, side="right") - 1 - np.arange(idx.size)
+            idx = idx[from_end < spec.max_subdivisions - splits[po]]
+        po = own[idx]
+        splits += np.bincount(po, minlength=k_all)
+        mid = 0.5 * (a[idx] + b[idx])
+        new_own = np.concatenate((po, po))
+        new_a = np.concatenate((a[idx], mid))
+        new_b = np.concatenate((mid, b[idx]))
+        keep[idx] = False
+        own, panels = own[keep], panels[:, keep]
+
+    if failures:
+        raise failures[min(failures)]
+    return value, abs_err, 15 * (n_initial + 2 * splits)
 
 
 def quad_1d(
@@ -206,80 +368,21 @@ def quad_1d(
 ) -> Estimate:
     """Adaptively integrate ``f`` over ``(a, b)``; ``b`` may be ``math.inf``.
 
-    ``points`` seeds interior breakpoints (kinks, plateau edges) so panels
-    never straddle them.  Integrable endpoint singularities like ``r**-s``
-    with ``s < 1`` are handled by subdivision toward the endpoint; panel nodes
-    never touch the endpoints themselves.
+    ``f`` receives a flat array of nodes.  ``points`` seeds interior
+    breakpoints (kinks, plateau edges) so panels never straddle them.
+    Integrable endpoint singularities like ``r**-s`` with ``s < 1`` are
+    handled by subdivision toward the endpoint; panel nodes never touch the
+    endpoints themselves.  This is the one-owner case of the refiner behind
+    ``quad_nested``.
 
     Raises :class:`QuadratureError` with the best estimate attached once
     ``max_subdivisions`` is exhausted.
     """
-    spec = spec or QuadSpec()
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
-    if math.isinf(b):
-        inner = f
-
-        def f(t: np.ndarray) -> np.ndarray:  # noqa: ANN001 - local rebinding
-            t = np.asarray(t, dtype=float)
-            x = a + t / (1.0 - t)
-            return np.asarray(inner(x), dtype=float) / (1.0 - t) ** 2
-
-        points = [(p - a) / (1.0 + (p - a)) for p in points if p > a]
-        lo, hi = 0.0, 1.0
-    else:
-        if not (b > a):
-            raise ValueError(f"empty or reversed interval ({a}, {b})")
-        lo, hi = float(a), float(b)
-
-    edges = [lo] + sorted(p for p in set(points) if lo < p < hi) + [hi]
-    heap: list[tuple[float, int, float, float, float]] = []
-    counter = 0
-    total_val = 0.0
-    total_err = 0.0
-    frozen_err = 0.0
-    n_evals = 0
-    for left, right in zip(edges[:-1], edges[1:]):
-        val, err = _eval_panel(f, left, right)
-        n_evals += 15
-        heapq.heappush(heap, (-err, counter, left, right, val))
-        counter += 1
-        total_val += val
-        total_err += err
-
-    splits = 0
-    while total_err + frozen_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
-        if not heap:
-            raise QuadratureError(
-                "all panels are at floating-point resolution without convergence "
-                f"(error {total_err + frozen_err:.3e})",
-                Estimate(total_val, 0.0, n_evals, Method.QUAD),
-            )
-        if splits >= spec.max_subdivisions:
-            raise QuadratureError(
-                f"max_subdivisions={spec.max_subdivisions} exhausted "
-                f"(error {total_err + frozen_err:.3e})",
-                Estimate(total_val, 0.0, n_evals, Method.QUAD),
-            )
-        neg_err, _, left, right, val = heapq.heappop(heap)
-        width = right - left
-        if width <= 4.0 * np.finfo(float).eps * (abs(left) + abs(right) + 1e-300):
-            frozen_err += -neg_err
-            total_err -= -neg_err
-            continue
-        mid = 0.5 * (left + right)
-        val_l, err_l = _eval_panel(f, left, mid)
-        val_r, err_r = _eval_panel(f, mid, right)
-        n_evals += 30
-        splits += 1
-        total_val += val_l + val_r - val
-        total_err += err_l + err_r - (-neg_err)
-        heapq.heappush(heap, (-err_l, counter, left, mid, val_l))
-        counter += 1
-        heapq.heappush(heap, (-err_r, counter, mid, right, val_r))
-        counter += 1
-
-    return Estimate(total_val, 0.0, n_evals, Method.QUAD)
+    if not (b > a):
+        raise ValueError(f"empty or reversed interval ({a}, {b})")
+    return quad_nested(lambda depth, prefix: [(lambda x, own: f(x), a, b, points)], 1, spec)
 
 
 class Domain(enum.Enum):
@@ -288,49 +391,60 @@ class Domain(enum.Enum):
     SIMPLEX_BALL = "simplex_ball"
 
 
-# One 1-D integral of a nesting level: (integrand, lower, upper, breakpoints).
-Axis = tuple[Callable[[np.ndarray], object], float, float, Sequence[float]]
+# One 1-D integral of a nesting level for its K owners: (integrand, lower,
+# upper, breakpoints), the limits broadcasting to (K,) and the breakpoints to
+# (K, P); ``integrand(x, owner)`` takes a flat array of nodes and the index
+# of the owner of each node.
+Axis = tuple[Callable[[np.ndarray, np.ndarray], object], object, object, object]
 
 
 def quad_nested(
-    level: Callable[[int, tuple], Sequence[Axis] | None],
+    level: Callable[[int, tuple], Sequence[Axis]],
     m: int,
     spec: QuadSpec | None = None,
 ) -> Estimate:
     """Nested adaptive quadrature over ``m`` levels of 1-D integrals.
 
-    ``level(depth, prefix)`` describes the integral at ``depth`` (0 is the
-    outermost) given ``prefix``, the nodes the levels above it stand at
-    (``()`` at depth 0).  It returns ``None`` when the level's range is empty
-    (its value is 0), else the axes ``(integrand, lo, hi, points)`` whose
-    integrals multiply.  At the innermost depth ``integrand(x)`` returns its
-    values at ``x``; above it, it returns ``(weights, nodes)`` and its value
-    at ``x[k]`` is ``weights[k]`` times the next level at
-    ``prefix + (nodes[k],)``.  Level ``d`` runs under ``spec.at_depth(d)``
-    and ``n_samples`` counts the integrand evaluations of every level.
+    A level is a batch of K independent integrals, its owners, refined
+    together.  ``level(depth, prefix)`` describes them: ``prefix`` holds one
+    array per level above (``()`` at depth 0, where K = 1), whose row ``k``
+    is the node owner ``k`` descends from at that level.  It returns the axes
+    ``(integrand, lo, hi, points)`` whose integrals multiply; ``lo`` and
+    ``hi`` broadcast to (K,), an empty range counts as 0, and ``points``
+    broadcasts to (K, P), ignoring entries outside the range.  At the
+    innermost depth ``integrand(x, owner)`` returns its values at the nodes
+    ``x`` of owners ``owner``; above it, it returns ``(weights, nodes)`` and
+    its value at ``x[i]`` is ``weights[i]`` times the next level at the
+    prefix extended by ``nodes[i]``: the nodes of a round's new panels are
+    the owners of the next level, integrated in one batch.  Level ``d`` runs
+    under ``spec.at_depth(d)``, each owner to its own tolerance and its own
+    ``max_subdivisions``, and ``n_samples`` counts the integrand evaluations
+    of every level.
     """
     spec = spec or QuadSpec()
     specs = [spec.at_depth(d) for d in range(m)]
     n_evals = 0
 
-    def integrate(depth: int, prefix: tuple, value: float) -> float:
+    def integrate(depth: int, prefix: tuple) -> np.ndarray:
         nonlocal n_evals
-        axes = level(depth, prefix)
-        if axes is None:
-            return 0.0
-        for f, lo, hi, points in axes:
+        k = prefix[0].shape[0] if prefix else 1
+        value = np.ones(k)
+        for f, lo, hi, points in level(depth, prefix):
             if depth < m - 1:
                 f = partial(outer, f, depth, prefix)
-            est = quad_1d(f, lo, hi, specs[depth], points=points)
-            n_evals += est.n_samples
-            value *= est.value
+            zeros = np.zeros(k)
+            pts = np.asarray(points, dtype=float)
+            pts = zeros[:, None] + (pts if pts.ndim == 2 else pts.reshape(1, -1))
+            vals, _, evals = _refine(f, zeros + lo, zeros + hi, pts, specs[depth])
+            n_evals += int(evals.sum())
+            value *= vals
         return value
 
-    def outer(f: Callable, depth: int, prefix: tuple, x: np.ndarray) -> np.ndarray:
-        weights, nodes = f(x)
-        return np.array([integrate(depth + 1, prefix + (k,), w) for w, k in zip(weights, nodes)])
+    def outer(f: Callable, depth: int, prefix: tuple, x: np.ndarray, own: np.ndarray) -> np.ndarray:
+        weights, nodes = f(x, own)
+        return weights * integrate(depth + 1, tuple(p[own] for p in prefix) + (np.asarray(nodes),))
 
-    return Estimate(integrate(0, (), 1.0), 0.0, n_evals, Method.QUAD)
+    return Estimate(float(integrate(0, ())[0]), 0.0, n_evals, Method.QUAD)
 
 
 def quad_tensor(
@@ -343,27 +457,26 @@ def quad_tensor(
 ) -> Estimate:
     """Nested adaptive quadrature of an m-variate function, m <= 3.
 
-    ``f(r_1, ..., r_m)`` must broadcast when its last argument is an array.
-    SIMPLEX_BALL is ``{r_i > 0, sum r_i^2 < 1}``; POSITIVE_ORTHANT maps each
-    axis through ``t/(1-t)``.  ``points`` optionally lists per-axis
-    breakpoints in the native axis variable.
+    ``f(r_1, ..., r_m)`` is called with arrays of one shape in every
+    argument.  SIMPLEX_BALL is ``{r_i > 0, sum r_i^2 < 1}``;
+    POSITIVE_ORTHANT maps each axis through ``t/(1-t)``.  ``points``
+    optionally lists per-axis breakpoints in the native axis variable.
     """
     if not 1 <= m <= 3:
         raise ValueError(f"tensor quadrature supports 1 <= m <= 3, got m={m}")
 
-    def level(depth: int, prefix: tuple) -> list[Axis] | None:
+    def level(depth: int, prefix: tuple) -> list[Axis]:
         if domain is Domain.UNIT_CUBE:
             hi = 1.0
         elif domain is Domain.POSITIVE_ORTHANT:
             hi = math.inf
         else:
-            hi = math.sqrt(max(1.0 - sum(r * r for r in prefix), 0.0))
-        if hi < 1e-15:
-            return None
+            hi = np.sqrt(np.maximum(1.0 - sum(r * r for r in prefix), 0.0))
+            hi = np.where(hi < 1e-15, 0.0, hi)
         if depth == m - 1:
-            integrand = lambda x: f(*prefix, x)  # noqa: E731
+            integrand = lambda x, own: f(*(r[own] for r in prefix), x)  # noqa: E731
         else:
-            integrand = lambda x: (np.ones_like(x), x)  # noqa: E731
+            integrand = lambda x, own: (np.ones_like(x), x)  # noqa: E731
         return [(integrand, 0.0, hi, points[depth] if points is not None else ())]
 
     return quad_nested(level, m, spec)
@@ -402,11 +515,10 @@ def quad_dirichlet(
     # the xi-substitution below flattens it exactly for pure powers
     taus = [lead + math.fsum(1.0 - b for b in betas[d + 1 :]) for d in range(m)]
 
-    def level(depth: int, prefix: tuple) -> list[Axis] | None:
-        # prefix holds (s_k, 1 - s_1 - ... - s_k) of the outer levels
-        rest0 = prefix[-1][1] if prefix else 1.0
-        if rest0 <= 0.0:
-            return None
+    def level(depth: int, prefix: tuple) -> list[Axis]:
+        # row k of prefix[j] holds (s_{j+1}, 1 - s_1 - ... - s_{j+1}) of owner k
+        rest0 = prefix[-1][:, 1] if prefix else np.ones(1)
+        s_prefix = [pre[:, 0] for pre in prefix]
         p = ps[depth]
         ub = rest0 ** (1.0 - betas[depth])
         tau = taus[depth]
@@ -415,37 +527,43 @@ def quad_dirichlet(
         # endpoint decay.  Since ub^p == rest0 exactly, the remainder
         # rest0 - w^p equals -rest0 expm1(p log1p(-eta)), which avoids the
         # cancellation that otherwise drowns the leaf in rounding noise.
-        def split(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def split(xi: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             log_shrink = p * np.log1p(-(xi ** (1.0 / tau)))
-            s_d, rest = rest0 * np.exp(log_shrink), rest0 * -np.expm1(log_shrink)
-            jac = (ub / tau) * xi ** (1.0 / tau - 1.0)
+            s_d, rest = rest0[own] * np.exp(log_shrink), rest0[own] * -np.expm1(log_shrink)
+            jac = (ub[own] / tau) * xi ** (1.0 / tau - 1.0)
             return s_d, rest, jac
+
+        # the modulations' edges meet this level where the innermost rest
+        # reaches 0 with t_i = s_i / rest on an edge: at s = b rest0 / (1 + b)
+        # for this level's factor and s = rest0 - s_i / b for the outer
+        # ones.  Inside, the integral over the levels below has a kink.
+        s_pts = [bt * rest0 / (1.0 + bt) for bt in break_ts[depth]]
+        s_pts += [rest0 - s_i / bt for s_i, bts in zip(s_prefix, break_ts) for bt in bts]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w_pts = [np.where(s > 0.0, s, np.nan) ** (1.0 / p) for s in s_pts]
+            xi_pts = [np.where(w < ub, (1.0 - w / ub) ** tau, np.nan) for w in w_pts]
+        xi_pts = np.stack(xi_pts, axis=1) if xi_pts else ()
+        hi = np.where(rest0 > 0.0, 1.0, 0.0)
 
         if depth < m - 1:
 
-            def inner(xi: np.ndarray) -> tuple[np.ndarray, list]:
-                s_d, rest, jac = split(xi)
-                return jac, list(zip(s_d.tolist(), rest.tolist()))
+            def inner(xi: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                s_d, rest, jac = split(xi, own)
+                return jac, np.column_stack((s_d, rest))
 
-            return [(inner, 0.0, 1.0, ())]
+            return [(inner, 0.0, hi, xi_pts)]
 
-        s_prefix = [s for s, _ in prefix]
-
-        def leaf(xi: np.ndarray) -> np.ndarray:
-            s_last, rest, jac = split(xi)
+        def leaf(xi: np.ndarray, own: np.ndarray) -> np.ndarray:
+            s_last, rest, jac = split(xi, own)
             ok = rest > 0.0
             safe_rest = np.where(ok, rest, 1.0)
             out = safe_rest ** (lead - 1.0) * ok
-            for s_i, mod in zip(s_prefix + [s_last], mods):
+            for s_i, mod in zip([s[own] for s in s_prefix] + [s_last], mods):
                 if mod is not None:
                     out = out * np.where(ok, mod(s_i / safe_rest), 1.0)
             return out * jac
 
-        # the modulations' breakpoints as values of the last s, then of xi
-        s_pts = [bt * rest0 / (1.0 + bt) for bt in break_ts[-1]]
-        s_pts += [rest0 - s_i / bt for s_i, bts in zip(s_prefix, break_ts) for bt in bts]
-        w_pts = [s_m ** (1.0 / p) for s_m in s_pts if s_m > 0.0]
-        return [(leaf, 0.0, 1.0, [(1.0 - w / ub) ** tau for w in w_pts if w < ub])]
+        return [(leaf, 0.0, hi, xi_pts)]
 
     return quad_nested(level, m, spec).scaled(math.prod(ps))
 

@@ -447,25 +447,27 @@ def _hlp_quad(
     integrand constant."""
     Q, m, a = spec.dim.Q, spec.m, spec.profile.total
 
-    def unit_factor(tf: TestFunction, scale: float) -> Axis:
-        # int_0^1 g(scale * v) v^{Q-1} dv
-        pts = _radial_breaks(tf, scale, 0.0, 1.0)
-        return (lambda v: tf.power_weighted(scale, v, Q - 1), 0.0, 1.0, pts)
+    def unit_factor(tf: TestFunction, scale: np.ndarray) -> Axis:
+        # int_0^1 g(scale * v) v^{Q-1} dv, one scale per owner
+        pts = np.asarray(tf.breakpoints, dtype=float) / scale[:, None]
+        return (lambda v, own: tf.power_weighted(scale[own], v, Q - 1), 0.0, 1.0, pts)
 
     def cell(tfj: TestFunction, others: list[TestFunction]) -> Callable[[int, tuple], list[Axis]]:
-        def outer(u: np.ndarray) -> tuple[np.ndarray, list]:
+        def outer(u: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # r = u^{-1/a}, dr = r du / (a u)
             r = u ** (-1.0 / a)
-            return tfj.power_weighted(c, r, 0.0) / (a * u), r.tolist()
+            return tfj.power_weighted(c, r, 0.0) / (a * u), r
 
-        pts = [r ** -a for r in _radial_breaks(tfj, c, 1.0, math.inf)]
+        # tfj jumps at its own edges; a factor inside has a kink in r where
+        # one of its edges b meets the end of its range, r = b / c
+        pts = [r ** -a for tf in fs for r in _radial_breaks(tf, c, 1.0, math.inf)]
         axis = (outer, 0.0, 1.0, pts)
         return lambda depth, prefix: (
             [axis] if depth == 0 else [unit_factor(tf, c * prefix[0]) for tf in others]
         )
 
     # the cell where |x| realizes the max is the inner factors at r = 1
-    at_x = lambda depth, prefix: [unit_factor(tf, c) for tf in fs]  # noqa: E731
+    at_x = lambda depth, prefix: [unit_factor(tf, np.array([c])) for tf in fs]  # noqa: E731
     ests = [quad_nested(at_x, 1, qspec.at_depth(1))]
     for j, tfj in enumerate(fs):
         ests.append(quad_nested(cell(tfj, [tf for i, tf in enumerate(fs) if i != j]), 2, qspec))
@@ -495,20 +497,36 @@ def _kernel_quad(
     spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
 ) -> Estimate:
     """General-kernel quadrature over the simplex ball scaled to the kernel's
-    support when it has one, else over the positive orthant."""
+    support when it has one, else over the positive orthant.
+
+    On the orthant the outer gauge decays as ``r^{-1-a}``, ``a = sum alpha``,
+    whatever the kernel (by its homogeneity), and the orthant's ``t/(1-t)``
+    map turns that into ``(1-t)^{a-1}``, an endpoint power no rule resolves
+    when ``a < 1``.  There the outer axis is ``v = b (r / b)^a`` instead
+    (``b`` the base gauge), whose integrand decays as ``v^{-2}``, as
+    ``_hlp_quad`` integrates its outer gauge in a power of ``r``."""
     kernel, Q, m = spec.kernel, spec.dim.Q, spec.m
     base = kernel.base_gauge
     s = 1.0 if kernel.simplex_support is None else kernel.simplex_support * base
+    a = math.fsum(tf.alpha_j for tf in fs)
+    stretch = kernel.simplex_support is None and a < 1.0
 
     def integrand(*us: np.ndarray) -> np.ndarray:
-        rs = [s * np.asarray(u) for u in us]
-        out = kernel.radial_profile(base, *rs)
+        rs = [s * u for u in us]
+        jac = 1.0
+        if stretch:
+            # r = b (v / b)^{1/a}, dr = r dv / (a v)
+            rs[0] = base * (us[0] / base) ** (1.0 / a)
+            jac = rs[0] / (a * us[0])
+        out = kernel.radial_profile(base, *rs) * jac
         for tf, r in zip(fs, rs):
             out = out * tf.power_weighted(c, r, Q - 1)
         return out * s**m
 
     if kernel.simplex_support is None:
         pts = [[base] + _radial_breaks(tf, c, 0.0, math.inf) for tf in fs]
+        if stretch:
+            pts[0] = [base * (r / base) ** a for r in pts[0]]
         est = quad_tensor(integrand, m, Domain.POSITIVE_ORTHANT, qspec, points=pts)
     else:
         pts = [_radial_breaks(tf, c * s, 0.0, 1.0) for tf in fs]

@@ -20,6 +20,7 @@ from hlab.integrate import (
     mc_integrate_radial,
     quad_1d,
     quad_dirichlet,
+    quad_nested,
     quad_tensor,
     rejection_volume_estimate,
     sample_radius,
@@ -542,3 +543,89 @@ class TestEstimateInvariants:
         est = Estimate(2.0, 0.5, 10, Method.MC)
         scaled = est.scaled(-3.0)
         assert scaled.value == -6.0 and scaled.std_error == 1.5
+
+
+def _power_batch():
+    """50 owners: x^-s on (0, 1), and x^-s / (1 + x)^2 on (0, inf) for every
+    fifth; every third has breakpoints."""
+    s = np.linspace(0.05, 0.9, 50)
+    tail = np.arange(50) % 5 == 4
+    hi = np.where(tail, np.inf, 1.0)
+    points = np.where((np.arange(50) % 3 == 0)[:, None], [[0.3, 0.7]], np.nan)
+
+    def f(x, own):
+        return x ** -s[own] / np.where(tail[own], (1.0 + x) ** 2, 1.0)
+
+    return f, np.zeros(50), hi, points, s
+
+
+class TestBatchedRefiner:
+    def test_owner_result_does_not_depend_on_its_batch(self):
+        f, lo, hi, points, s = _power_batch()
+        spec = QuadSpec(rel_tol=1e-11, abs_tol=1e-14)
+        value, error, evals = integrate._refine(f, lo, hi, points, spec)
+        for k in range(lo.size):
+            one = slice(k, k + 1)
+            g = lambda x, own: f(x, np.full(x.shape, k))  # noqa: E731
+            alone = integrate._refine(g, lo[one], hi[one], points[one], spec)
+            assert (alone[0][0], alone[1][0], alone[2][0]) == (value[k], error[k], evals[k])
+        # and the batch converged to its integrals
+        assert np.allclose(value[::5], 1.0 / (1.0 - s[::5]), rtol=1e-10)
+
+    def test_quad_1d_is_the_one_owner_case(self):
+        f, lo, hi, points, _ = _power_batch()
+        spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-14)
+        value, _, evals = integrate._refine(f, lo, hi, points, spec)
+        for k in (0, 4, 7):
+            pts = [p for p in points[k] if not math.isnan(p)]
+            est = quad_1d(lambda x: f(x, np.full(x.shape, k)), 0.0, hi[k], spec, points=pts)
+            assert (est.value, est.n_samples) == (value[k], evals[k])
+
+    def test_each_owner_has_its_own_max_subdivisions(self):
+        s = np.array([0.2, 0.98, 0.5, 0.99])
+        f = lambda x, own: x ** -s[own]  # noqa: E731
+        zeros, ones, none = np.zeros(4), np.ones(4), np.empty((4, 0))
+        spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=100)
+        with pytest.raises(QuadratureError) as batch_err:
+            integrate._refine(f, zeros, ones, none, spec)
+        with pytest.raises(QuadratureError) as alone_err:
+            integrate._refine(lambda x, own: x**-0.98, zeros[:1], ones[:1], none[:1], spec)
+        # owners 1 and 3 fail; the lower index raises, with its own estimate
+        assert str(batch_err.value) == str(alone_err.value)
+        assert "max_subdivisions=100 exhausted" in str(batch_err.value)
+        assert batch_err.value.estimate == alone_err.value.estimate
+        assert batch_err.value.estimate.n_samples == 15 * (1 + 2 * 100)
+        # the owners that converge are untouched by the cap of the others
+        g = lambda x, own: x ** -s[[0, 2]][own]  # noqa: E731
+        value, _, evals = integrate._refine(g, zeros[:2], ones[:2], none[:2], spec)
+        assert np.allclose(value, 1.0 / (1.0 - s[[0, 2]]), rtol=1e-10)
+        assert (evals < 15 * (1 + 2 * 100)).all()
+
+    def test_empty_inner_range_contributes_zero(self):
+        # int_0^2 int_0^{1-x} dy dx: the inner range is empty for x > 1
+        def level(depth, prefix):
+            if depth == 0:
+                return [(lambda x, own: (np.ones_like(x), x), 0.0, 2.0, [1.0])]
+            return [(lambda y, own: np.ones_like(y), 0.0, 1.0 - prefix[0], ())]
+
+        est = quad_nested(level, 2, QuadSpec(rel_tol=1e-12, abs_tol=1e-14))
+        assert math.isclose(est.value, 0.5, rel_tol=1e-12)
+
+    def test_nested_levels_match_one_owner_recursion(self):
+        # the batched levels give each node's inner integral as quad_1d does
+        def level(depth, prefix):
+            if depth == 0:
+                return [(lambda x, own: (np.ones_like(x), x), 0.0, 1.0, ())]
+            c = prefix[0]
+            return [(lambda y, own: (y + c[own]) ** -0.5, 0.0, 1.0, ())]
+
+        spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-14)
+        est = quad_nested(level, 2, spec)
+        # int_0^1 int_0^1 (x + y)^-1/2 dy dx = (8/3)(sqrt 2 - 1)
+        assert math.isclose(est.value, 8.0 / 3.0 * (math.sqrt(2.0) - 1.0), rel_tol=1e-9)
+
+        def outer(xs):
+            inner = spec.at_depth(1)
+            return np.array([quad_1d(lambda y: (y + x) ** -0.5, 0.0, 1.0, inner).value for x in xs])
+
+        assert est.value == quad_1d(outer, 0.0, 1.0, spec).value

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hlab import integrate, operators
+from hlab import integrate, operators, verify
 from hlab.hgroup import Convention, GroupDim, HPoint, dilate, gauge, origin
 from hlab.integrate import QuadSpec, SeededStream
 from hlab.operators import (
@@ -285,6 +285,53 @@ class TestHlpQuadratureSlowTails:
         qspec = QuadSpec(1e-12, 1e-14) if len(alphas) == 1 else QuadSpec(1e-9, 1e-14)
         est = eval_hlp(extremals(*alphas), x, spec, QuadEngine(qspec))
         assert math.isclose(est.value, spec.constant().value, rel_tol=rel_tol)
+
+
+class TestKernelQuadratureSlowTails:
+    """The general-kernel path gives each orthant axis's tail the same
+    treatment, u = r^{-alpha_i}."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    @pytest.mark.parametrize(
+        "kernel,closed_form", [(hlp_kernel, hlp_constant), (hilbert_kernel, hilbert_constant)]
+    )
+    def test_extremal_value_is_closed_form(self, kernel, closed_form, alpha, n):
+        dim = GroupDim(n)
+        prof = AlphaProfile.of(alpha)
+        ker = kernel(dim, 1)
+        spec = OperatorSpec(OperatorKind.KERNEL, dim, prof, kernel=ker)
+        x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
+        est = eval_kernel_op(ker, extremals(alpha), x, spec, QuadEngine(QuadSpec(1e-12, 1e-14)))
+        assert math.isclose(est.value, closed_form(dim, prof).value, rel_tol=1e-10)
+
+
+class TestStepModulatedAccuracy:
+    """Step-modulated trials as ``upper_bound_search`` draws them (seed 7,
+    trials 1-20) land within 10x rel_tol of a reference 1000x tighter.  The
+    inner integrals have kinks where a plateau edge meets the end of their
+    range, which the outer levels must be told of."""
+
+    @pytest.mark.parametrize(
+        "kind,evaluator",
+        [
+            (OperatorKind.HARDY, eval_hardy),
+            (OperatorKind.HLP, eval_hlp),
+            (OperatorKind.HILBERT, eval_hilbert),
+        ],
+    )
+    def test_error_within_ten_times_rel_tol(self, kind, evaluator):
+        spec = spec_of(kind, 1.0, 1.0)
+        rel_tol = 1e-7
+        gen = SeededStream(7).generator()
+        errors = []
+        for _ in range(20):
+            fs = [verify._random_step_function(gen, a) for a in spec.profile.alphas]
+            x = HPoint.of(DIM1, [float(gen.choice([0.5, 1.0, 2.0])), 0.0, 0.0])
+            value = evaluator(fs, x, spec, QuadEngine(QuadSpec(rel_tol, 1e-12))).value
+            ref = evaluator(fs, x, spec, QuadEngine(QuadSpec(1e-10, 1e-15))).value
+            errors.append(abs(value - ref) / abs(ref))
+        assert max(errors) <= 10 * rel_tol
 
 
 class TestMonteCarloBeyondH1:
