@@ -74,8 +74,8 @@ _QUAD_BATCH = 1 << 12
 # a panel whose half-width is at most this times its midpoint's magnitude
 # is at floating-point resolution and never splits
 _RESOLUTION = 4.0 * np.finfo(float).eps
-# the unit of the running error sums that choose which panels split: 2^-30
-# of the owner's tolerance
+# the running error sums that choose which panels split count in units of
+# 1/_ERR_QUANTUM of what an owner's frozen panels leave of its tolerance
 _ERR_QUANTUM = 1 << 30
 
 
@@ -267,8 +267,8 @@ def _refine(
     error exceeds ``max(abs_tol, rel_tol |value|)`` sorts its panels by
     error, ascending, and splits each panel where the running error sum,
     plus the error of its panels at floating-point resolution (which never
-    split), exceeds its tolerance.  The running sums are integers in units
-    of ``_ERR_QUANTUM``, so one exact cumulative sum serves the batch; every
+    split), exceeds its tolerance.  The running sums are exact integers
+    (``_ERR_QUANTUM``), so one cumulative sum serves the batch; every
     owner keeps its own subdivision count, and its sums run over its own
     panels in a fixed order, so an owner's result does not depend on the
     rest of its batch.  Returns the values, error estimates and node counts
