@@ -28,7 +28,6 @@ from .integrate import (
     mc_integrate_radial,
     quad_1d,
     quad_tensor,
-    sample_radius,
     sample_sphere_direction,
     sample_unit_ball,
 )

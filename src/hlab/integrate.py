@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -55,7 +55,6 @@ __all__ = [
     "reduce_partials",
     "rejection_volume_estimate",
     "row_blocks",
-    "sample_radius",
     "sample_sphere_direction",
     "sample_unit_ball",
 ]
@@ -112,7 +111,12 @@ class Estimate:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Error control for adaptive quadrature."""
+    """Error control for adaptive quadrature.
+
+    ``abs_tol`` is the absolute error target on the value the integrating
+    function returns: a function that scales an inner integral by a
+    constant divides ``abs_tol`` by that constant before integrating.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
@@ -386,7 +390,6 @@ def quad_1d(
 
 
 class Domain(enum.Enum):
-    UNIT_CUBE = "unit_cube"
     POSITIVE_ORTHANT = "positive_orthant"
     SIMPLEX_BALL = "simplex_ball"
 
@@ -466,9 +469,7 @@ def quad_tensor(
         raise ValueError(f"tensor quadrature supports 1 <= m <= 3, got m={m}")
 
     def level(depth: int, prefix: tuple) -> list[Axis]:
-        if domain is Domain.UNIT_CUBE:
-            hi = 1.0
-        elif domain is Domain.POSITIVE_ORTHANT:
+        if domain is Domain.POSITIVE_ORTHANT:
             hi = math.inf
         else:
             hi = np.sqrt(np.maximum(1.0 - sum(r * r for r in prefix), 0.0))
@@ -499,7 +500,8 @@ def quad_dirichlet(
     nested limits ``w_k < (1 - S_{k-1})^{1 - beta_k}``.  Only the hypotenuse
     singularity remains for the adaptive rule.  ``modulations[i]`` is a
     bounded function of ``t_i`` (``None`` means 1) and ``points[i]`` lists
-    its positive breakpoints.
+    its positive breakpoints.  ``spec.abs_tol`` bounds the error of the
+    returned integral: the nested levels work to it divided by ``prod p_i``.
     """
     m = len(betas)
     mods = modulations or [None] * m
@@ -565,7 +567,9 @@ def quad_dirichlet(
 
         return [(leaf, 0.0, hi, xi_pts)]
 
-    return quad_nested(level, m, spec).scaled(math.prod(ps))
+    spec = spec or QuadSpec()
+    scale = math.prod(ps)
+    return quad_nested(level, m, replace(spec, abs_tol=spec.abs_tol / scale)).scaled(scale)
 
 
 @dataclass(frozen=True)
@@ -592,20 +596,6 @@ def _gen_of(stream: StreamLike) -> np.random.Generator:
     if isinstance(stream, np.random.Generator):
         return stream
     return stream.generator()
-
-
-def sample_radius(
-    Q: int, tilt: float, stream: StreamLike, size: int | None = None
-) -> float | np.ndarray:
-    """Radius with density ``(Q - tilt) r^{Q - tilt - 1}`` on (0, 1).
-
-    Inverse CDF: ``r = U^{1/(Q - tilt)}``.
-    """
-    if tilt >= Q:
-        raise ValueError(f"tilt must be < Q, got tilt={tilt} with Q={Q}")
-    gen = _gen_of(stream)
-    u = gen.random(size)
-    return u ** (1.0 / (Q - tilt))
 
 
 def _ball_batch(gen: np.random.Generator, dim: GroupDim, size: int) -> np.ndarray:
@@ -651,7 +641,8 @@ def sample_sphere_direction(
     """Gauge-sphere direction under the cone measure.
 
     Normalizes a uniform ball sample by ``delta_{1/gauge}``; combined with
-    ``sample_radius(Q, 0)`` this reconstructs the uniform ball law.
+    a radius of density ``Q r^{Q-1}`` on (0, 1) this reconstructs the
+    uniform ball law.
     """
     gen = _gen_of(stream)
     batch = _ball_batch(gen, dim, 1 if size is None else size)

@@ -6,13 +6,16 @@ operator over the tuple ball, the max-kernel (Hardy-Littlewood-Polya type)
 operator, and the sum-kernel (Hilbert-type) operator.
 
 Each kind has one record in ``OPERATORS``: its kernel profile, its closed
-form and its quadrature fast path.  One evaluator serves them all through
-the dilation identity: the value at ``x`` is an integral over tuples at base
-gauge 1 against ``f_i(delta_{|x|_h} .)``.  The quadrature engine performs the
-polar radial reduction (one radial variable per factor); the Monte Carlo
-engine samples the gauges of tuples (``mc_integrate_radial``, which draws no
-directions) with importance tilts taken from the operator's exponent profile
-and weights them by the kernel.
+form and, for the max-kernel and sum-kernel kinds only, a radial quadrature
+fast path.  One evaluator serves them all through the dilation identity:
+the value at ``x`` is an integral over tuples at base gauge 1 against
+``f_i(delta_{|x|_h} .)``.  The quadrature engine performs the polar radial
+reduction (one radial variable per factor): the averaging operator and
+general kernels share the general-kernel path on their kernel, and
+``QuadSpec.abs_tol`` bounds the error of the returned value on every path.
+The Monte Carlo engine samples the gauges of tuples
+(``mc_integrate_radial``, which draws no directions) with importance tilts
+taken from the operator's exponent profile and weights them by the kernel.
 
 Convention handling: the volume convention applies jointly to the
 normalizing ball volume and to every polar surface constant, so the
@@ -271,6 +274,11 @@ def _conv_factor(spec: OperatorSpec) -> float:
     return ratio**spec.m
 
 
+# a quadrature path at one evaluation point: the factor that scales its
+# integral to the operator's value, and that integral under a QuadSpec
+QuadPath = tuple[float, Callable[[QuadSpec], Estimate]]
+
+
 def _radial_breaks(f: TestFunction, c: float, lo: float, hi: float) -> list[float]:
     return [b / c for b in f.breakpoints if lo < b / c < hi]
 
@@ -340,10 +348,13 @@ def _evaluate(
     """Every operator kind through the dilation identity: the value at ``x``
     integrates the kernel at base gauge 1 against ``f_i(delta_{|x|_h} .)``.
 
-    Quadrature runs the kind's radial fast path.  Monte Carlo samples tuples
-    with tilts from the exponent profile, inside the tuple ball when the
-    kernel's support lies there and over all of H^{nm} otherwise, and weights
-    each tuple by the kernel at its gauges.
+    Quadrature runs the kind's radial fast path (hlp and hilbert) or the
+    general-kernel path on the kind's kernel (hardy and general kernels),
+    with ``abs_tol`` divided by the path's final factor, so that it bounds
+    the error of the returned value on every path.  Monte Carlo samples
+    tuples with tilts from the exponent profile, inside the tuple ball when
+    the kernel's support lies there and over all of H^{nm} otherwise, and
+    weights each tuple by the kernel at its gauges.
     """
     if len(fs) != spec.m:
         raise ValueError(f"need {spec.m} test functions, got {len(fs)}")
@@ -353,14 +364,17 @@ def _evaluate(
     if c == 0.0:
         raise ValueError("operators are defined away from the origin; got x = 0")
     op = OPERATORS[spec.kind]
+    kernel = op.kernel(spec)
     if spec.kind is OperatorKind.KERNEL:
-        _probe_homogeneity(spec.kernel, spec.dim, spec.m)
+        _probe_homogeneity(kernel, spec.dim, spec.m)
     if isinstance(engine, QuadEngine):
         if spec.m > 3:
             raise ValueError("quadrature engine supports m <= 3; use the MC engine")
-        return op.quad(spec, fs, c, engine.quad)
+        scale, run = op.quad(spec, fs, c) if op.quad else _kernel_quad(kernel, spec, fs, c)
+        # a factor that underflows to 0 leaves no error to control
+        abs_tol = engine.quad.abs_tol / scale if scale > 0.0 else math.inf
+        return run(replace(engine.quad, abs_tol=abs_tol)).scaled(scale)
 
-    kernel = op.kernel(spec)
     base = kernel.base_gauge
 
     def f(gauges: list[np.ndarray]) -> np.ndarray:
@@ -415,27 +429,7 @@ def _probe_homogeneity(kernel: KernelSpec, dim: GroupDim, m: int) -> None:
         )
 
 
-def _hardy_quad(
-    spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
-) -> Estimate:
-    """Averaging quadrature over the simplex ball ``sum r_i^2 < 1``; the
-    normalizer and the polar constants cancel to ``Q^m``."""
-    Q, m = spec.dim.Q, spec.m
-
-    def integrand(*rs: np.ndarray) -> np.ndarray:
-        out = 1.0
-        for tf, r in zip(fs, rs):
-            out = out * tf.power_weighted(c, r, Q - 1)
-        return out
-
-    pts = [_radial_breaks(tf, c, 0.0, 1.0) for tf in fs]
-    est = quad_tensor(integrand, m, Domain.SIMPLEX_BALL, qspec, points=pts)
-    return est.scaled(float(Q) ** m)
-
-
-def _hlp_quad(
-    spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
-) -> Estimate:
+def _hlp_quad(spec: OperatorSpec, fs: Sequence[TestFunction], c: float) -> QuadPath:
     """Max-kernel quadrature: the radial orthant splits into the m + 1 cells
     induced by which argument realizes the max; each cell collapses to an
     outer 1-D integral times inner 1-D factors.
@@ -468,16 +462,19 @@ def _hlp_quad(
 
     # the cell where |x| realizes the max is the inner factors at r = 1
     at_x = lambda depth, prefix: [unit_factor(tf, np.array([c])) for tf in fs]  # noqa: E731
-    ests = [quad_nested(at_x, 1, qspec.at_depth(1))]
-    for j, tfj in enumerate(fs):
-        ests.append(quad_nested(cell(tfj, [tf for i, tf in enumerate(fs) if i != j]), 2, qspec))
-    value = _conv_factor(spec) * sphere_measure(spec.dim) ** m * sum(e.value for e in ests)
-    return Estimate(value, 0.0, sum(e.n_samples for e in ests), Method.QUAD)
+
+    def run(qspec: QuadSpec) -> Estimate:
+        ests = [quad_nested(at_x, 1, qspec.at_depth(1))]
+        for j, tfj in enumerate(fs):
+            others = [tf for i, tf in enumerate(fs) if i != j]
+            ests.append(quad_nested(cell(tfj, others), 2, qspec))
+        value = sum(e.value for e in ests)
+        return Estimate(value, 0.0, sum(e.n_samples for e in ests), Method.QUAD)
+
+    return _conv_factor(spec) * sphere_measure(spec.dim) ** m, run
 
 
-def _hilbert_quad(
-    spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
-) -> Estimate:
+def _hilbert_quad(spec: OperatorSpec, fs: Sequence[TestFunction], c: float) -> QuadPath:
     """Sum-kernel quadrature of the radial integral
     ``int prod g_i(c t_i^{1/Q}) (1 + sum t)^{-m} dt`` (``t_i = r_i^Q``), the
     Dirichlet-type integral with ``beta_i = alpha_i / Q`` and the
@@ -488,14 +485,14 @@ def _hilbert_quad(
         for tf in fs
     ]
     break_ts = [[(b / c) ** Q for b in tf.breakpoints if b > 0.0] for tf in fs]
-    est = quad_dirichlet(m, [a / Q for a in alphas], qspec, modulations=mods, points=break_ts)
-    omega = sphere_measure(spec.dim)
-    return est.scaled(_conv_factor(spec) * (omega / Q) ** m * c ** -math.fsum(alphas))
+    betas = [a / Q for a in alphas]
+    scale = _conv_factor(spec) * (sphere_measure(spec.dim) / Q) ** m * c ** -math.fsum(alphas)
+    return scale, lambda qspec: quad_dirichlet(m, betas, qspec, modulations=mods, points=break_ts)
 
 
 def _kernel_quad(
-    spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
-) -> Estimate:
+    kernel: KernelSpec, spec: OperatorSpec, fs: Sequence[TestFunction], c: float
+) -> QuadPath:
     """General-kernel quadrature over the simplex ball scaled to the kernel's
     support when it has one, else over the positive orthant.
 
@@ -505,7 +502,7 @@ def _kernel_quad(
     when ``a < 1``.  There the outer axis is ``v = b (r / b)^a`` instead
     (``b`` the base gauge), whose integrand decays as ``v^{-2}``, as
     ``_hlp_quad`` integrates its outer gauge in a power of ``r``."""
-    kernel, Q, m = spec.kernel, spec.dim.Q, spec.m
+    Q, m = spec.dim.Q, spec.m
     base = kernel.base_gauge
     s = 1.0 if kernel.simplex_support is None else kernel.simplex_support * base
     a = math.fsum(tf.alpha_j for tf in fs)
@@ -524,14 +521,15 @@ def _kernel_quad(
         return out * s**m
 
     if kernel.simplex_support is None:
+        domain = Domain.POSITIVE_ORTHANT
         pts = [[base] + _radial_breaks(tf, c, 0.0, math.inf) for tf in fs]
         if stretch:
             pts[0] = [base * (r / base) ** a for r in pts[0]]
-        est = quad_tensor(integrand, m, Domain.POSITIVE_ORTHANT, qspec, points=pts)
     else:
+        domain = Domain.SIMPLEX_BALL
         pts = [_radial_breaks(tf, c * s, 0.0, 1.0) for tf in fs]
-        est = quad_tensor(integrand, m, Domain.SIMPLEX_BALL, qspec, points=pts)
-    return est.scaled(_conv_factor(spec) * sphere_measure(spec.dim) ** m)
+    scale = _conv_factor(spec) * sphere_measure(spec.dim) ** m
+    return scale, lambda qspec: quad_tensor(integrand, m, domain, qspec, points=pts)
 
 
 def hardy_kernel(
@@ -580,36 +578,37 @@ def hilbert_kernel(dim: GroupDim, m: int) -> KernelSpec:
 class Operator:
     """Everything that is particular to one operator kind.
 
-    ``kernel(spec)`` gives its kernel profile and ``quad(spec, fs, c, qspec)``
-    its quadrature fast path at an evaluation point of gauge ``c``.  The
-    named kinds also carry ``closed_form(spec)``, their sharp constant, and
-    ``evaluator``, their public ``eval_*`` function.
+    ``kernel(spec)`` gives its kernel profile, which the general-kernel
+    quadrature path and the Monte Carlo engine integrate.  The named kinds
+    also carry ``closed_form(spec)``, their sharp constant, and
+    ``evaluator``, their public ``eval_*`` function.  ``quad(spec, fs, c)``,
+    held by hlp and hilbert only, is a radial quadrature fast path at an
+    evaluation point of gauge ``c``; hardy and general kernels have none.
     """
 
     kernel: Callable[[OperatorSpec], KernelSpec]
-    quad: Callable[[OperatorSpec, Sequence[TestFunction], float, QuadSpec], Estimate]
     closed_form: Callable[[OperatorSpec], ConstantResult] | None = None
     evaluator: Callable[..., Estimate] | None = None
+    quad: Callable[[OperatorSpec, Sequence[TestFunction], float], QuadPath] | None = None
 
 
 OPERATORS: dict[OperatorKind, Operator] = {
-    OperatorKind.KERNEL: Operator(lambda spec: spec.kernel, _kernel_quad),
+    OperatorKind.KERNEL: Operator(lambda spec: spec.kernel),
     OperatorKind.HARDY: Operator(
         lambda spec: hardy_kernel(spec.dim, spec.m, spec.convention),
-        _hardy_quad,
         lambda spec: hardy_constant(spec.dim, spec.profile, spec.convention),
         eval_hardy,
     ),
     OperatorKind.HLP: Operator(
         lambda spec: hlp_kernel(spec.dim, spec.m),
-        _hlp_quad,
         lambda spec: hlp_constant(spec.dim, spec.profile, spec.convention),
         eval_hlp,
+        _hlp_quad,
     ),
     OperatorKind.HILBERT: Operator(
         lambda spec: hilbert_kernel(spec.dim, spec.m),
-        _hilbert_quad,
         lambda spec: hilbert_constant(spec.dim, spec.profile, spec.convention),
         eval_hilbert,
+        _hilbert_quad,
     ),
 }

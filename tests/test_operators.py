@@ -334,6 +334,59 @@ class TestStepModulatedAccuracy:
         assert max(errors) <= 10 * rel_tol
 
 
+class TestOneAbsTol:
+    """``QuadSpec.abs_tol`` bounds the error of the returned value on every
+    quadrature path, so one ``QuadSpec`` gives every path the same accuracy,
+    and the averaging operator is the general-kernel path on its kernel."""
+
+    SPEC = QuadSpec(1e-8, 1e-12)
+    REF = QuadSpec(1e-10, 1e-30)
+
+    @staticmethod
+    def evaluate(path, n, m, qspec):
+        dim = GroupDim(n)
+        prof = AlphaProfile((1.0,) * m)
+        fs = [TestFunction.step(a, (0.3, 0.7), (0.5, 1.0, 0.25)) for a in prof.alphas]
+        x = HPoint.of(dim, [1.3] + [0.0] * (dim.ambient - 1))
+        if path.startswith("kernel-"):
+            factory = {"hardy": hardy_kernel, "hlp": hlp_kernel, "hilbert": hilbert_kernel}
+            kern = factory[path.removeprefix("kernel-")](dim, m)
+            spec = OperatorSpec(OperatorKind.KERNEL, dim, prof, kernel=kern)
+            return eval_kernel_op(kern, fs, x, spec, QuadEngine(qspec))
+        evaluator = {"hardy": eval_hardy, "hlp": eval_hlp, "hilbert": eval_hilbert}[path]
+        return evaluator(fs, x, OperatorSpec(OperatorKind(path), dim, prof), QuadEngine(qspec))
+
+    @pytest.mark.parametrize(
+        "path,n,m",
+        [
+            (path, n, m)
+            for path in ("hardy", "hlp", "hilbert", "kernel-hardy", "kernel-hilbert")
+            for n in (1, 3)
+            for m in (1, 2)
+        ]
+        + [
+            # the orthant path misses the kink of the max kernel at r_1 = r_2
+            pytest.param("kernel-hlp", 1, 2, marks=pytest.mark.xfail(strict=True)),
+        ],
+    )
+    def test_within_ten_tolerances_of_a_tighter_reference(self, path, n, m):
+        value = self.evaluate(path, n, m, self.SPEC).value
+        ref = self.evaluate(path, n, m, self.REF).value
+        assert abs(value - ref) <= 10 * max(self.SPEC.abs_tol, self.SPEC.rel_tol * abs(ref))
+
+    def test_factor_that_underflows_gives_zero(self):
+        # c^{-sum alpha} of the sum-kernel path is 0 at this gauge
+        x = HPoint.of(DIM1, [1e200, 0.0, 0.0])
+        spec = spec_of(OperatorKind.HILBERT, 2.0)
+        assert eval_hilbert(extremals(2.0), x, spec, QuadEngine(self.SPEC)).value == 0.0
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_hardy_is_the_general_kernel_path(self, n, m):
+        named = self.evaluate("hardy", n, m, self.SPEC)
+        general = self.evaluate("kernel-hardy", n, m, self.SPEC)
+        assert (named.value, named.n_samples) == (general.value, general.n_samples)
+
+
 class TestMonteCarloBeyondH1:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("alphas", [(1.5,), (2.0, 1.5)])

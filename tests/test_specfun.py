@@ -139,12 +139,8 @@ class TestHlpRegions:
 
     def test_m2_against_three_region_quadrature(self):
         # the three cells of max(1, r1, r2): both below 1; r1 largest; r2 largest
-        cell0 = quad_tensor(
-            lambda a, b: np.asarray(a) ** 2 * np.asarray(b) ** 2,
-            2,
-            Domain.UNIT_CUBE,
-            TIGHT,
-        ).value
+        # the (0, 1)^2 cell of a^2 b^2 is the square of its 1-D factor
+        cell0 = quad_1d(lambda a: a**2, 0.0, 1.0, TIGHT).value ** 2
 
         def outer_cell(r):
             r = np.asarray(r, dtype=float)
