@@ -14,11 +14,12 @@ Three layers:
   importance tilts that neutralize power-law singularities.
 
 Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
-``k`` draws from the counter-based substream ``(seed, stream_id, block=k)``,
-and partial sums are reduced in chunk-index order.  Results are therefore
-bit-identical for any worker count.  Inside a chunk, the arithmetic after
-the draws runs in row blocks (``row_blocks``) sized for the cache; since
-every value depends only on its own row, the block size changes no bit.
+``k`` draws from the SFC64 substream keyed by ``(seed, stream_id, block=k)``
+(see ``SeededStream``), and partial sums are reduced in chunk-index order.
+Results are therefore bit-identical for any worker count.  Inside a chunk,
+the arithmetic after the draws runs in row blocks (``row_blocks``) sized for
+the cache; since every value depends only on its own row, the block size
+changes no bit.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 # the unit of randomness: chunk k draws from substream block k + 1, so
 # changing the chunk size changes every Monte Carlo number
 _CHUNK = 1 << 16
@@ -574,19 +576,27 @@ def quad_dirichlet(
 
 @dataclass(frozen=True)
 class SeededStream:
-    """Counter-based splittable random stream.
+    """Keyed splittable random stream.
 
     Identical ``(seed, stream_id)`` reproduce identical sample sequences;
-    ``generator(block=k)`` opens the disjoint substream used for chunk k.
+    ``generator(block=k)`` opens the independent substream used for chunk k:
+    an SFC64 generator seeded by ``SeedSequence`` from a fixed-width key.
+    The key is six uint32 words, the low and high halves of ``seed``,
+    ``stream_id`` and ``block``, each taken modulo 2^64, so distinct
+    triples never share a key.
     """
 
     seed: int
     stream_id: int = 0
 
     def generator(self, block: int = 0) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        counter = np.array([0, block & _MASK64, 0, 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(counter=counter, key=key))
+        # SeedSequence encodes a Python int at variable width, so packing
+        # the triple as ints would let e.g. (2^32, 5, 7) and (0, 1 + 5 * 2^32,
+        # 7) collide; fixed 32-bit words keep every key distinct
+        words = (v & _MASK64 for v in (self.seed, self.stream_id, block))
+        key = [w >> shift & _MASK32 for w in words for shift in (0, 32)]
+        entropy = np.random.SeedSequence(np.array(key, dtype=np.uint32))
+        return np.random.Generator(np.random.SFC64(entropy))
 
 
 StreamLike = SeededStream | np.random.Generator

@@ -406,7 +406,7 @@ def _probe_homogeneity(kernel: KernelSpec, dim: GroupDim, m: int) -> None:
             f"kernel declares degree {kernel.homogeneity_degree}, "
             f"but -mQ = {expected} is required"
         )
-    gen = np.random.Generator(np.random.Philox(key=[_PROBE_SEED, 0]))
+    gen = SeededStream(_PROBE_SEED).generator()
     worst = 0.0
     for _ in range(10):
         r0 = float(gen.uniform(0.5, 2.0))

@@ -20,11 +20,13 @@ from hlab.hgroup import (
     unit_ball_volume,
 )
 from hlab.integrate import (
+    Axis,
     QuadSpec,
     SeededStream,
     TupleBall,
     mc_integrate,
     quad_1d,
+    quad_nested,
     rejection_volume_estimate,
 )
 from hlab.operators import (
@@ -243,39 +245,34 @@ def _product_integral_quad(alpha: float, betas: tuple[float, ...], rel: float = 
     expo = alpha + math.fsum(betas) - m - 1.0
     taus = [expo + 1.0 + math.fsum(1.0 - b for b in betas[d + 1 :]) for d in range(m)]
 
-    def level(depth: int, rest: float) -> float:
-        if rest <= 0.0:
-            return 0.0
+    def level(depth: int, prefix: tuple) -> list[Axis]:
+        # the nodes handed down from the level above are its remainders
+        rest = prefix[-1] if prefix else np.ones(1)
         p, tau = ps[depth], taus[depth]
         ub = rest ** (1.0 - betas[depth])
 
-        def pieces(xi):
+        def pieces(xi, own):
             eta = xi ** (1.0 / tau)
-            remainder = rest * -np.expm1(p * np.log1p(-eta))
-            jac = (ub / tau) * xi ** (1.0 / tau - 1.0)
+            remainder = rest[own] * -np.expm1(p * np.log1p(-eta))
+            jac = (ub[own] / tau) * xi ** (1.0 / tau - 1.0)
             return remainder, jac
 
         if depth == m - 1:
 
-            def f(xi):
-                xi = np.asarray(xi, dtype=float)
-                remainder, jac = pieces(xi)
-                out = np.zeros_like(xi)
+            def f(xi, own):
+                remainder, jac = pieces(xi, own)
                 ok = remainder > 0.0
-                out[ok] = remainder[ok] ** expo
-                return out * jac
+                return np.where(ok, remainder, 1.0) ** expo * ok * jac
 
         else:
 
-            def f(xi):
-                xi = np.atleast_1d(np.asarray(xi, dtype=float))
-                remainder, jac = pieces(xi)
-                return np.array([level(depth + 1, float(r)) for r in remainder]) * jac
+            def f(xi, own):
+                remainder, jac = pieces(xi, own)
+                return jac, remainder
 
-        spec = QuadSpec(rel * 0.3**depth, 1e-13 if depth == 0 else 1e-290, 8192)
-        return quad_1d(f, 0.0, 1.0, spec).value
+        return [(f, 0.0, np.where(rest > 0.0, 1.0, 0.0), ())]
 
-    return math.prod(ps) * level(0, 1.0)
+    return math.prod(ps) * quad_nested(level, m, QuadSpec(rel, 1e-13, 8192)).value
 
 
 def test_criterion_5_hilbert_constants():

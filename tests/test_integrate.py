@@ -147,6 +147,28 @@ class TestStreams:
         b = SeededStream(42, 1).generator().random(8)
         assert not np.array_equal(a, b)
 
+    def test_key_is_fixed_width(self):
+        # variable-width integer encodings would give these two triples
+        # one key
+        a = SeededStream(2**32, 5).generator(block=7).random(8)
+        b = SeededStream(0, 1 + 5 * 2**32).generator(block=7).random(8)
+        assert not np.array_equal(a, b)
+
+    def test_negative_seed_wraps_modulo_2_64(self):
+        a = SeededStream(-3, 2).generator(block=1).random(8)
+        b = SeededStream(-3 & ((1 << 64) - 1), 2).generator(block=1).random(8)
+        assert np.array_equal(a, b)
+
+    def test_golden_draws(self):
+        # pins the stream: a change here moves every Monte Carlo number
+        draws = SeededStream(1, 2).generator(block=3).random(4)
+        assert draws.tolist() == [
+            0.5867921627270574,
+            0.15202612043670605,
+            0.5069785916974991,
+            0.7983510215141266,
+        ]
+
 
 class TestSamplers:
     def test_ball_samples_inside(self):

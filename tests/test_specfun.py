@@ -218,18 +218,11 @@ class TestProductIntegral:
         value = i_m_closed(2.0, (0.5, 0.5))
         assert math.isclose(value, math.pi, rel_tol=1e-13)
 
-        def inner(t1):
-            return quad_1d(
-                lambda t2: t2**-0.5 / (1 + t1 + t2) ** 2,
-                0.0,
-                math.inf,
-                QuadSpec(rel_tol=1e-10, abs_tol=1e-290),
-            ).value
-
-        oracle = quad_1d(
-            lambda arr: np.array([t**-0.5 * inner(float(t)) for t in np.atleast_1d(arr)]),
-            0.0,
-            math.inf,
+        # at_depth gives the inner level rel_tol 1e-10 and abs_tol 1e-290
+        oracle = quad_tensor(
+            lambda t1, t2: t1**-0.5 * t2**-0.5 / (1 + t1 + t2) ** 2,
+            2,
+            Domain.POSITIVE_ORTHANT,
             QuadSpec(rel_tol=1e-9, abs_tol=1e-13),
         ).value
         assert math.isclose(value, oracle, rel_tol=1e-7)
