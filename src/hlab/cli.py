@@ -9,11 +9,11 @@ search         random modulated tuples vs. the norm upper bound
 geometry       ball volume / sphere measure plus a Monte Carlo check
 discrepancies  the convention/typo findings report
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
-validation error.  The default seed comes from ``HLAB_SEED`` and is
-overridden by ``--seed``.  JSON output is byte-identical for identical
-configurations (including seed); all run-dependent timing lives under the
-``metadata`` key.
+Exit codes: 0 all checks passed, 1 a verification failed or was
+inconclusive, 2 usage or validation error.  The default seed comes from
+``HLAB_SEED`` and is overridden by ``--seed``.  JSON output is
+byte-identical for identical configurations (including seed); all
+run-dependent timing lives under the ``metadata`` key.
 """
 
 from __future__ import annotations
@@ -292,6 +292,8 @@ def _render(report: dict, fmt: Format, runtime_ms: int) -> str:
             extra = f"  rel_err={oracle['rel_err']:.3e}"
         if oracle.get("sigma_distance") is not None:
             extra += f"  sigma={oracle['sigma_distance']:+.2f}"
+        if oracle.get("resolution") is not None:
+            extra += f"  resolution={oracle['resolution']:.3g}"
         lines.append(
             f"oracle[{oracle['method']}]: {oracle['value']:.12g} "
             f"+/- {oracle['std_error']:.3g} (N={oracle['n_samples']}){extra}"

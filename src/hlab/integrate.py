@@ -90,8 +90,8 @@ class Estimate:
     """A numeric value with its uncertainty and provenance.
 
     ``std_error`` is 0 for deterministic quadrature.  Monte Carlo estimates
-    carry the sample standard error (which is itself 0 in the degenerate case
-    of a constant weighted integrand).
+    carry the sample standard error, floored at the rounding of the variance
+    (``reduce_partials``), so it is 0 only when every value is 0.
     """
 
     value: float
@@ -739,7 +739,13 @@ def row_blocks(size: int, block_values: Callable[[slice], np.ndarray]) -> np.nda
 
 def reduce_partials(partials: Sequence[ChunkPartial]) -> tuple[Estimate, int]:
     """Sample mean and standard error of the chunks, summed in chunk order,
-    with the count of nonzero values."""
+    with the count of nonzero values.
+
+    The variance ``s2/n - mean^2`` is floored at its own rounding,
+    ``eps * s2/n``: on constant values it cancels to exactly 0, and a std
+    error of 0 would make any rounding of the mean infinitely many standard
+    errors off.  The floor puts the std error of constant values at
+    ``sqrt(eps/n)`` relative (1.5e-11 at 10^6 samples)."""
     n = 0
     s1 = 0.0
     s2 = 0.0
@@ -750,7 +756,8 @@ def reduce_partials(partials: Sequence[ChunkPartial]) -> tuple[Estimate, int]:
         s2 += p2
         nonzero += pn
     mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0) * n / (n - 1)
+    second = s2 / n
+    var = max(second - mean * mean, math.ulp(1.0) * second) * n / (n - 1)
     return Estimate(mean, math.sqrt(var / n), n, Method.MC), nonzero
 
 

@@ -387,7 +387,7 @@ def test_criterion_9_determinism(tmp_path):
         "--operator",
         "hardy",
         "--n",
-        "1",
+        "2",
         "--m",
         "1",
         "--alphas",

@@ -131,6 +131,18 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["pass"] is False
 
+    def test_inconclusive_oracle_exits_1(self, capsys):
+        argv = ["verify", "--operator", "hlp", "--n", "3", "--m", "1", "--alphas", "1"]
+        code, out, _ = run_capture(argv + ["--samples", "4", "--seed", "0", "--format", "json"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        mc = next(o for o in doc["oracles"] if o["method"] == "mc")
+        assert abs(mc["sigma_distance"]) <= 3.0 and mc["resolution"] >= 2**1 - 1
+        assert doc["pass"] is False
+        assert doc["findings"][0]["verdict"] == "inconclusive"
+        assert doc["findings"][0]["mc_sampler"] == "gauge-polar"
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         argv = [
             "verify",
@@ -167,7 +179,7 @@ class TestVerifyCommand:
                 "--operator",
                 "hardy",
                 "--n",
-                "1",
+                "2",
                 "--m",
                 "1",
                 "--alphas",

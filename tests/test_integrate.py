@@ -22,6 +22,7 @@ from hlab.integrate import (
     quad_dirichlet,
     quad_nested,
     quad_tensor,
+    reduce_partials,
     rejection_volume_estimate,
     sample_sphere_direction,
     sample_unit_ball,
@@ -522,6 +523,25 @@ class TestEstimateInvariants:
             lambda c: gauge_array(c[0], 1), DIM1, 1, TupleBall((0.0,)), 5_000, SeededStream(30)
         )
         assert est.method is Method.MC and est.std_error > 0.0
+
+    def test_constant_values_keep_a_rounding_std_error(self):
+        # on constant values s2/n - mean^2 is 0 or a few roundings of s2/n;
+        # the floor eps * s2/n keeps the std error at least
+        # sqrt(eps/(n - 1)) relative, and rounding keeps it within 10x that
+        n = 1_000_000
+        for c in (1.6, 8 * math.pi**2 / 3, 1e-30):
+            partials = mc_chunk_partials(lambda gen, size: np.full(size, c), n, SeededStream(0))
+            est = reduce_partials(partials)[0]
+            floor = c * math.sqrt(math.ulp(1.0) / (n - 1))
+            assert math.isclose(est.value, c, rel_tol=1e-13)
+            assert floor * (1.0 - 1e-12) <= est.std_error <= 10.0 * floor
+
+    def test_floor_leaves_varying_values_and_zeros(self):
+        values = np.random.default_rng(0).random(5000)
+        est = reduce_partials([(5000, float(values.sum()), float(np.square(values).sum()), 5000)])[0]
+        assert math.isclose(est.std_error, values.std(ddof=1) / math.sqrt(5000), rel_tol=1e-9)
+        zeros = reduce_partials([(100, 0.0, 0.0, 0)])[0]
+        assert zeros.value == 0.0 and zeros.std_error == 0.0
 
     def test_scaled(self):
         est = Estimate(2.0, 0.5, 10, Method.MC)
