@@ -19,12 +19,9 @@ from .hgroup import (
 from .integrate import (
     Domain,
     Estimate,
-    FullSpaceHeavyTail,
     Method,
     QuadSpec,
     SeededStream,
-    TupleBall,
-    mc_integrate,
     mc_integrate_radial,
     quad_1d,
     quad_tensor,

@@ -10,8 +10,10 @@ Three layers:
   quadrature for up to three variables and the Dirichlet-type integral
   ``quad_dirichlet``: the nodes of one level's new panels are the batch of
   the level below,
-* seeded Monte Carlo samplers adapted to the Koranyi geometry, with
-  importance tilts that neutralize power-law singularities.
+* seeded Monte Carlo adapted to the Koranyi geometry: one gauge law
+  (``two_piece_gauges``, a two-piece power law at an importance tilt that
+  neutralizes a power-law singularity) serves both the radial tuple
+  integrator ``mc_integrate_radial`` and the verifier's Cartesian oracle.
 
 Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
 ``k`` draws from the SFC64 substream keyed by ``(seed, stream_id, block=k)``
@@ -40,14 +42,11 @@ __all__ = [
     "Domain",
     "Estimate",
     "EstimationError",
-    "FullSpaceHeavyTail",
     "Method",
     "QuadSpec",
     "QuadratureError",
     "SeededStream",
-    "TupleBall",
     "mc_chunk_partials",
-    "mc_integrate",
     "mc_integrate_radial",
     "quad_1d",
     "quad_dirichlet",
@@ -58,6 +57,7 @@ __all__ = [
     "row_blocks",
     "sample_sphere_direction",
     "sample_unit_ball",
+    "two_piece_gauges",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -663,31 +663,6 @@ def sample_sphere_direction(
     return batch
 
 
-@dataclass(frozen=True)
-class TupleBall:
-    """Sample m-tuples with tilted radii, rejecting unless ``sum r_i^2 < 1``.
-
-    Estimates Lebesgue integrals over the tuple ball
-    ``{(y_1, ..., y_m) : sum |y_i|_h^2 < 1}``; rejected tuples contribute 0.
-    """
-
-    tilts: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class FullSpaceHeavyTail:
-    """Sample m-tuples covering all of H^{nm}.
-
-    Tilted radii on (0, 1) are pushed through ``r -> r/(1-r)`` with the
-    matching Jacobian weight.
-    """
-
-    tilts: tuple[float, ...]
-
-
-Sampler = TupleBall | FullSpaceHeavyTail
-
-
 ChunkPartial = tuple[int, float, float, int]
 
 
@@ -769,68 +744,103 @@ def _check_finite(values: np.ndarray, points: list[np.ndarray]) -> None:
         raise EstimationError(f"non-finite integrand value at point(s) {where}")
 
 
-# the points of a chunk's accepted tuples: ``lift(gen, size)`` makes the
-# chunk's draws after the radii and returns ``at(rows, mask, gauges)``, the
-# points of the accepted rows of a row block given their factors' gauges
-Lift = Callable[[np.random.Generator, int], Callable[..., list[np.ndarray]]]
+# the floor of v, so that an exact zero uniform still gives a finite log
+_TINY = 2.0**-53
 
 
-def _mc_tuples(
+def two_piece_gauges(
+    x: np.ndarray, alpha: float, Q: float, compact: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Log gauges drawn from uniforms ``x`` by inverting a two-piece power law.
+
+    The law has density ``g^{Q-1-alpha} / M`` on (0, 1), of mass ``a/M``
+    with ``a = 1/(Q - alpha)``, and ``g^{-1-alpha} / M`` on (1, inf), of mass
+    ``b/M`` with ``b = 1/alpha``; ``M = a + b``.  ``compact`` drops the outer
+    piece (``b = 0``), for integrands that vanish unless ``g < 1``.  With
+    ``p = a/M`` the inner share, ``v = x/p`` on the inner piece and
+    ``v = (1 - x)/(1 - p)`` on the outer one, and ``g = v^e`` with ``e = a``
+    inside and ``e = -b`` outside.
+
+    Returns ``log g``, ``Q log g`` on the outer piece (0 inside) and ``M``:
+    the polar weight ``g^{Q-1} / density`` of a draw is ``M g^alpha`` inside
+    and ``M g^{Q+alpha}`` outside.
+    """
+    a = 1.0 / (Q - alpha)
+    b = 0.0 if compact else 1.0 / alpha
+    p = a / (a + b)
+    outer = np.greater_equal(x, p).astype(float)
+    log_g = x - outer
+    log_g /= p - outer  # v
+    np.maximum(log_g, _TINY, out=log_g)
+    np.log(log_g, out=log_g)
+    outer *= -(a + b)
+    outer += a  # e
+    log_g *= outer
+    log_q = log_g * Q
+    log_q *= outer < 0.0  # where e = -b < 0
+    return log_g, log_q, a + b
+
+
+def mc_integrate_radial(
     f: Callable[[list[np.ndarray]], np.ndarray],
-    lift: Lift,
     dim: GroupDim,
-    m: int,
-    sampler: Sampler,
+    tilts: Sequence[float],
     n_samples: int,
     stream: SeededStream,
-    workers: int,
+    workers: int = 1,
+    *,
+    compact: bool = False,
 ) -> Estimate:
-    """The tuple sampler: per chunk, one uniform per factor and tuple, drawn
-    in factor order, then the lift's draws; then, row block by row block,
-    tilted radii, their weights and the tuple-ball mask, and ``f`` at the
-    lifted points of the accepted tuples."""
-    if len(sampler.tilts) != m:
-        raise ValueError(f"sampler carries {len(sampler.tilts)} tilts for m={m}")
+    """Importance-sampled Lebesgue integral of a gauge-radial ``f`` over
+    m-tuples of points of H^n, one tilt per factor.
+
+    ``f`` receives a list of m arrays holding the gauges of the factors of N
+    accepted tuples and must return N values, each depending only on its
+    own tuple: ``f`` sees one row block of a chunk at a time.  No direction
+    is drawn: the integral of a radial function over each factor is its
+    polar integral.  Each factor's gauge comes from ``two_piece_gauges`` at
+    its tilt, one uniform per factor and tuple, drawn in factor order, and
+    the tuple's weight is formed in log space and exponentiated once.
+    Tilts equal to the integrand's power-law exponents make the weighted
+    evaluations bounded.  ``compact`` integrates over the tuple ball
+    ``{sum |y_i|_h^2 < 1}`` only: its gauges stay below 1, and tuples
+    outside the ball are rejected and contribute 0.
+    """
     Q = dim.Q
-    for t in sampler.tilts:
-        if t >= Q:
-            raise ValueError(f"tilt {t} must be < Q={Q}")
-    omega = sphere_measure(dim)
-    heavy = isinstance(sampler, FullSpaceHeavyTail)
-    tiny = 2.0**-53
+    if not tilts:
+        raise ValueError("need at least one tilt")
+    for i, t in enumerate(tilts):
+        if not (0.0 <= t < Q if compact else 0.0 < t < Q):
+            bounds = f"[0, {Q})" if compact else f"(0, {Q})"
+            raise ValueError(f"tilt {i + 1} = {t!r} must lie in {bounds}")
+    log_omega = math.log(sphere_measure(dim))
 
     def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
-        uniforms = [gen.random(size) for _ in sampler.tilts]
-        at = lift(gen, size)
+        uniforms = [gen.random(size) for _ in tilts]
 
         def block(rows: slice) -> np.ndarray:
-            count = rows.stop - rows.start
-            radii = []
-            weights = np.full(count, 1.0)
-            for tilt, u in zip(sampler.tilts, uniforms):
-                u = np.clip(u[rows], tiny, 1.0 - tiny)
-                r = u ** (1.0 / (Q - tilt))
-                if heavy:
-                    s = r / (1.0 - r)
-                    # density of s: (Q - tilt) r^{Q-tilt-1} (1-r)^2
-                    weights *= (
-                        omega * s ** (Q - 1) / ((Q - tilt) * r ** (Q - tilt - 1) * (1.0 - r) ** 2)
-                    )
-                    radii.append(s)
-                else:
-                    weights *= omega * r**tilt / (Q - tilt)
-                    radii.append(r)
-            out = np.zeros(count)
-            if heavy:
-                mask = np.full(count, True)
-            else:
-                rr = np.stack(radii)
-                mask = np.einsum("ij,ij->j", rr, rr) < 1.0
-            if mask.any():
-                points = at(rows, mask, [r[mask] for r in radii])
-                vals = np.asarray(f(points), dtype=float) * weights[mask]
-                _check_finite(vals, points)
-                out[mask] = vals
+            log_w = np.zeros(rows.stop - rows.start)
+            gauges = []
+            for tilt, x in zip(tilts, uniforms):
+                log_g, log_outer, mass = two_piece_gauges(x[rows], tilt, Q, compact)
+                log_w += log_outer
+                log_w += tilt * log_g
+                log_w += log_omega + math.log(mass)
+                gauges.append(np.exp(log_g, out=log_g))
+            out = np.zeros(log_w.size)
+            inside = slice(None)
+            if compact:
+                inside = sum(g * g for g in gauges) < 1.0
+                if not inside.any():
+                    return out
+                gauges, log_w = [g[inside] for g in gauges], log_w[inside]
+            vals = np.asarray(f(gauges), dtype=float)
+            # far in the outer tail a weight can overflow; the non-finite
+            # value it leaves is reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = vals * np.exp(log_w, out=log_w)
+            _check_finite(vals, gauges)
+            out[inside] = vals
             return out
 
         return row_blocks(size, block)
@@ -839,65 +849,6 @@ def _mc_tuples(
     if nonzero == 0:
         raise EstimationError("zero accepted samples; cannot form an estimate")
     return estimate
-
-
-def _gauges_only(gen: np.random.Generator, size: int) -> Callable[..., list[np.ndarray]]:
-    return lambda rows, mask, gauges: gauges
-
-
-def mc_integrate_radial(
-    f: Callable[[list[np.ndarray]], np.ndarray],
-    dim: GroupDim,
-    m: int,
-    sampler: Sampler,
-    n_samples: int,
-    stream: SeededStream,
-    workers: int = 1,
-) -> Estimate:
-    """Importance-sampled Lebesgue integral of a gauge-radial ``f`` over
-    m-tuples of points.
-
-    ``f`` receives a list of m arrays holding the gauges of the factors of N
-    accepted tuples and must return N values, each depending only on its
-    own tuple: ``f`` sees one row block of a chunk at a time.  No direction
-    is drawn: the integral of a radial function over each factor is its
-    polar integral.  Tilts equal to the integrand's power-law exponents make
-    the weighted evaluations bounded.
-    """
-    return _mc_tuples(f, _gauges_only, dim, m, sampler, n_samples, stream, workers)
-
-
-def mc_integrate(
-    f: Callable[[list[np.ndarray]], np.ndarray],
-    dim: GroupDim,
-    m: int,
-    sampler: Sampler,
-    n_samples: int,
-    stream: SeededStream,
-    workers: int = 1,
-) -> Estimate:
-    """Importance-sampled Lebesgue integral of ``f`` over m-tuples of points.
-
-    ``f`` receives a list of m coordinate arrays of shape (N, 2n + 1) and
-    must return N values, each depending only on its own tuple: ``f`` sees
-    one row block of a chunk at a time.  The sampler is that of
-    ``mc_integrate_radial``; each factor is lifted to a point of its gauge
-    along a gauge-sphere direction under the cone measure, drawn from the
-    chunk's generator after the radii, in factor order.
-    """
-
-    def lift(gen: np.random.Generator, size: int) -> Callable[..., list[np.ndarray]]:
-        dirs = [_ball_batch(gen, dim, size) for _ in range(m)]
-
-        def at(rows: slice, mask: np.ndarray, gauges: list[np.ndarray]) -> list[np.ndarray]:
-            accepted = [d[rows][mask] for d in dirs]
-            return [
-                _scale_coords(d, g / gauge_array(d, dim.n), dim.n) for d, g in zip(accepted, gauges)
-            ]
-
-        return at
-
-    return _mc_tuples(f, lift, dim, m, sampler, n_samples, stream, workers)
 
 
 def rejection_volume_estimate(

@@ -14,8 +14,10 @@ reduction (one radial variable per factor): the averaging operator and
 general kernels share the general-kernel path on their kernel, and
 ``QuadSpec.abs_tol`` bounds the error of the returned value on every path.
 The Monte Carlo engine samples the gauges of tuples
-(``mc_integrate_radial``, which draws no directions) with importance tilts
-taken from the operator's exponent profile and weights them by the kernel.
+(``mc_integrate_radial``, which draws no directions) from the gauge law the
+verifier's Cartesian oracle also uses, with importance tilts taken from the
+operator's exponent profile, and weights them by the kernel.  The law keeps
+to the tuple ball (``compact``) when the kernel's support lies there.
 
 Convention handling: the volume convention applies jointly to the
 normalizing ball volume and to every polar surface constant, so the
@@ -45,11 +47,9 @@ from .integrate import (
     Axis,
     Domain,
     Estimate,
-    FullSpaceHeavyTail,
     Method,
     QuadSpec,
     SeededStream,
-    TupleBall,
     mc_integrate_radial,
     quad_dirichlet,
     quad_nested,
@@ -383,14 +383,15 @@ def _evaluate(
             out = out * tf.radial(c * g)
         return out * kernel.radial_profile(base, *gauges)
 
-    tilts = tuple(spec.profile.alphas)
-    sampler: TupleBall | FullSpaceHeavyTail
-    if kernel.simplex_support is not None and kernel.simplex_support * base <= 1.0:
-        sampler = TupleBall(tilts)
-    else:
-        sampler = FullSpaceHeavyTail(tilts)
+    compact = kernel.simplex_support is not None and kernel.simplex_support * base <= 1.0
     raw = mc_integrate_radial(
-        f, spec.dim, spec.m, sampler, engine.n_samples, engine.stream, engine.workers
+        f,
+        spec.dim,
+        spec.profile.alphas,
+        engine.n_samples,
+        engine.stream,
+        engine.workers,
+        compact=compact,
     )
     return raw.scaled(_conv_factor(spec))
 

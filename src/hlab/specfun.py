@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -122,8 +123,15 @@ class ConstantResult:
     convention: Convention
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value > 0.0):
-            raise ValueError(f"constant must be finite and positive, got {self.value!r}")
+        # a subnormal constant has lost its digits, and one that underflows
+        # to 0 would make every oracle agree with it
+        if not (math.isfinite(self.value) and self.value >= sys.float_info.min):
+            raise ValueError(
+                f"the {self.formula_id.value} constant at n={self.dim.n}, m={self.profile.m}, "
+                f"alphas={','.join(map(str, self.profile.alphas))} is {self.value!r}, outside "
+                f"the normal floating-point range [{sys.float_info.min!r}, "
+                f"{sys.float_info.max!r}]"
+            )
 
 
 def hardy_constant(

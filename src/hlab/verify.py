@@ -13,14 +13,15 @@ closed forms it checks, which is what arbitrates the volume-convention
 question.
 
 Each factor draws a gauge g from a two-piece power law (density
-proportional to g^{Q-1-alpha} below 1 and g^{-1-alpha} above) and an angle
-theta uniform on (-pi/2, pi/2).  A unit vector omega would complete the
-point (g cos^{1/2}(theta) omega, g^2 sin theta), whose gauge is g whatever
-omega is; since every integrand the oracle sees depends on a point only
-through its gauge, no omega is drawn.  The coordinate density follows
-from rho^{2n-1} d rho dt = g^{Q-1} cos^{n-1}(theta) dg dtheta; the
-Heisenberg factor int cos^{n-1}(theta) dtheta is estimated by the sampler,
-never used as a number.  The weight is formed in log space and
+proportional to g^{Q-1-alpha} below 1 and g^{-1-alpha} above;
+``integrate.two_piece_gauges``, the law the operators' Monte Carlo engine
+draws from too) and an angle theta uniform on (-pi/2, pi/2).  A unit
+vector omega would complete the point (g cos^{1/2}(theta) omega, g^2 sin
+theta), whose gauge is g whatever omega is; since every integrand the
+oracle sees depends on a point only through its gauge, no omega is drawn.
+The coordinate density follows from rho^{2n-1} d rho dt = g^{Q-1}
+cos^{n-1}(theta) dg dtheta; the Heisenberg factor int cos^{n-1}(theta)
+dtheta is estimated by the sampler, never used as a number.  The weight is formed in log space and
 exponentiated once per sample, kernel included.
 
 At n = m = 1 the hlp and averaging weights are constant, and their
@@ -56,6 +57,7 @@ from .integrate import (
     rejection_volume_estimate,
     row_blocks,
     sample_sphere_direction,
+    two_piece_gauges,
 )
 from .operators import (
     OPERATORS,
@@ -183,24 +185,16 @@ def spec_record(spec: OperatorSpec) -> dict:
 # ----------------------------------------------------------------------------
 
 
-# the floor of v, so that an exact zero uniform still gives a finite log
-_TINY = 2.0**-53
-
-
 def _gauge_polar(
     u: np.ndarray, alpha: float, n: int, compact: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauges and log weights of one factor, from its uniforms ``u`` of
     shape (rows, 2).
 
-    Column 0 gives the gauge ``g`` by inverting a two-piece power law:
-    density ``g^{Q-1-alpha} / M`` on (0, 1), of mass ``a/M`` with
-    ``a = 1/(Q - alpha)``, and ``g^{-1-alpha} / M`` on (1, inf), of mass
-    ``b/M`` with ``b = 1/alpha``; ``M = a + b``.  ``compact`` drops the outer
-    piece (``b = 0``), for integrands that vanish unless ``g < 1``.  With
-    ``x`` the column's uniform, ``v = x/p`` on the inner piece (share
-    ``p = a/M``) and ``v = (1 - x)/(1 - p)`` on the outer one, and
-    ``g = v^e`` with ``e = a`` inside and ``e = -b`` outside.
+    Column 0 gives the gauge ``g`` through ``integrate.two_piece_gauges``,
+    the gauge law of the operators' Monte Carlo engine: density
+    ``g^{Q-1-alpha} / M`` below 1 and ``g^{-1-alpha} / M`` above, whose
+    outer piece ``compact`` drops.
 
     Column 1 gives ``theta = pi (x - 1/2)``, uniform on (-pi/2, pi/2); only
     ``cos theta = sin(pi x)`` is used.  With ``omega`` uniform on S^{2n-1},
@@ -212,23 +206,9 @@ def _gauge_polar(
     piece.  No ``omega`` is drawn: the integrands see a point only through
     its gauge.
     """
-    Q = 2 * n + 2
-    a = 1.0 / (Q - alpha)
-    b = 0.0 if compact else 1.0 / alpha
-    p = a / (a + b)
+    log_g, log_w, mass = two_piece_gauges(u[:, 0], alpha, 2 * n + 2, compact)
     # log(pi |S^{2n-1}| M), with |S^{2n-1}| = 2 pi^n / Gamma(n)
-    log_c = math.log(2.0 * (a + b)) + (n + 1) * math.log(math.pi) - math.lgamma(n)
-    outer = np.greater_equal(u[:, 0], p).astype(float)
-    log_g = u[:, 0] - outer
-    log_g /= p - outer  # v
-    np.maximum(log_g, _TINY, out=log_g)
-    np.log(log_g, out=log_g)
-    outer *= -(a + b)
-    outer += a  # e
-    log_g *= outer
-    log_w = log_g * Q
-    log_w *= outer < 0.0  # Q log g on the outer piece, where e = -b < 0
-    log_w += log_c
+    log_w += math.log(2.0 * mass) + (n + 1) * math.log(math.pi) - math.lgamma(n)
     if n > 1:
         # cos theta = sin(pi w), w = min(x, 1 - x), as 2 tau / (1 + tau^2)
         # with tau = tan(pi w / 2): tan on [0, pi/4] keeps full relative

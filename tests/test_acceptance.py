@@ -23,8 +23,7 @@ from hlab.integrate import (
     Axis,
     QuadSpec,
     SeededStream,
-    TupleBall,
-    mc_integrate,
+    mc_integrate_radial,
     quad_1d,
     quad_nested,
     rejection_volume_estimate,
@@ -414,12 +413,12 @@ def test_criterion_9_determinism(tmp_path):
 
 
 def test_criterion_10_mc_statistics():
-    def ones(coords):
-        return np.ones(coords[0].shape[0])
+    def ones(gauges):
+        return np.ones(gauges[0].shape[0])
 
     base = 250_000
-    small = mc_integrate(ones, DIM1, 2, TupleBall((0.0, 0.0)), base, SeededStream(10))
-    big = mc_integrate(ones, DIM1, 2, TupleBall((0.0, 0.0)), 4 * base, SeededStream(10))
+    small = mc_integrate_radial(ones, DIM1, (0.0, 0.0), base, SeededStream(10), compact=True)
+    big = mc_integrate_radial(ones, DIM1, (0.0, 0.0), 4 * base, SeededStream(10), compact=True)
     ratio = big.std_error / small.std_error
     ok = 0.4 <= ratio <= 0.6
     criterion(

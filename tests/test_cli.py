@@ -5,6 +5,7 @@ import time
 from importlib import resources
 
 import jsonschema
+import pytest
 
 import hlab.cli
 import hlab.verify
@@ -306,6 +307,17 @@ class TestInputErrors:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("hlab search:") and "1.714e-08" in err
+
+    @pytest.mark.parametrize("command", ["verify", "constants"])
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_constant_below_the_normal_range_exits_2(self, capsys, command, n):
+        # hlp at m = 6 is subnormal at n = 60 and underflows to 0 at n = 100
+        argv = [command, "--operator", "hlp", "--n", str(n), "--m", "6"]
+        code, out, err = run_capture(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"the hlp constant at n={n}, m=6, alphas=1.0,1.0,1.0,1.0,1.0,1.0 is" in err
+        assert "outside the normal floating-point range" in err
 
 
 class TestOtherCommands:

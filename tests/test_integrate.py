@@ -9,14 +9,11 @@ from hlab.integrate import (
     Domain,
     Estimate,
     EstimationError,
-    FullSpaceHeavyTail,
     Method,
     QuadSpec,
     QuadratureError,
     SeededStream,
-    TupleBall,
     mc_chunk_partials,
-    mc_integrate,
     mc_integrate_radial,
     quad_1d,
     quad_dirichlet,
@@ -279,27 +276,27 @@ class TestExactBallSampler:
         assert gauge_array(pts, 8).max() < 1.0
 
 
-def ones(coords):
-    return np.ones(coords[0].shape[0])
+def ones(gauges):
+    return np.ones(gauges[0].shape[0])
 
 
 class TestMcIntegrate:
     def test_ball_volume_m1(self):
-        est = mc_integrate(ones, DIM1, 1, TupleBall((0.0,)), 10_000, SeededStream(21))
+        est = mc_integrate_radial(ones, DIM1, (0.0,), 10_000, SeededStream(21), compact=True)
         assert math.isclose(est.value, unit_ball_volume(DIM1), rel_tol=1e-12)
 
     def test_tilt_cancels_singularity(self):
-        def f(coords):
-            return gauge_array(coords[0], 1) ** -1.0
+        def f(gauges):
+            return gauges[0] ** -1.0
 
-        est = mc_integrate(f, DIM1, 1, TupleBall((1.0,)), 10_000, SeededStream(22))
+        est = mc_integrate_radial(f, DIM1, (1.0,), 10_000, SeededStream(22), compact=True)
         # weighted integrand is constant, so the variance collapses to the
         # rounding floor of the accumulator
         assert est.std_error <= 1e-6 * abs(est.value)
         assert math.isclose(est.value, 2 * math.pi**2 / 3, rel_tol=1e-12)
 
     def test_tuple_ball_matches_quadrature(self):
-        est = mc_integrate(ones, DIM1, 2, TupleBall((0.0, 0.0)), 400_000, SeededStream(23))
+        est = mc_integrate_radial(ones, DIM1, (0.0, 0.0), 400_000, SeededStream(23), compact=True)
         truth = (2 * math.pi**2) ** 2 * quad_tensor(
             lambda a, b: np.asarray(a) ** 3 * np.asarray(b) ** 3,
             2,
@@ -308,80 +305,85 @@ class TestMcIntegrate:
         assert abs(est.value - truth) <= 3 * est.std_error
 
     def test_heavy_tail_full_space(self):
-        def f(coords):
-            g = gauge_array(coords[0], 1)
+        def f(gauges):
+            g = gauges[0]
             return g**-1.0 / np.maximum(1.0, g) ** 8
 
-        est = mc_integrate(f, DIM1, 1, FullSpaceHeavyTail((1.0,)), 400_000, SeededStream(24))
+        est = mc_integrate_radial(f, DIM1, (1.0,), 400_000, SeededStream(24))
         truth = 2 * math.pi**2 * (1.0 / 3.0 + 1.0 / 5.0)
         assert abs(est.value - truth) <= 3 * est.std_error
 
-    def test_worker_count_does_not_change_bits(self):
-        def f(coords):
-            g = gauge_array(coords[0], 1)
-            return 1.0 / (1.0 + g**4)
+    def test_gauge_law_matches_its_cdf(self):
+        # P(g <= s) is p s^{1/a} below 1 and 1 - (1 - p) s^{-1/b} above,
+        # a = 1/(Q - alpha), b = 1/alpha, p = a / (a + b)
+        size, alpha, Q = 100_000, 1.5, 6
+        x = SeededStream(33).generator().random(size)
+        g = np.sort(np.exp(integrate.two_piece_gauges(x, alpha, Q, False)[0]))
+        a, b = 1.0 / (Q - alpha), 1.0 / alpha
+        p = a / (a + b)
+        cdf = np.where(g < 1.0, p * g ** (Q - alpha), 1.0 - (1.0 - p) * g**-alpha)
+        ranks = np.arange(1, size + 1) / size
+        assert float(np.abs(cdf - ranks).max()) <= 1.95 / math.sqrt(size)
 
-        kwargs = dict(dim=DIM1, m=1, sampler=TupleBall((0.0,)), n_samples=300_000)
-        a = mc_integrate(f, stream=SeededStream(25), workers=1, **kwargs)
-        b = mc_integrate(f, stream=SeededStream(25), workers=8, **kwargs)
+    def test_worker_count_does_not_change_bits(self):
+        def f(gauges):
+            return 1.0 / (1.0 + gauges[0] ** 4)
+
+        kwargs = dict(dim=DIM1, tilts=(0.0,), n_samples=300_000, compact=True)
+        a = mc_integrate_radial(f, stream=SeededStream(25), workers=1, **kwargs)
+        b = mc_integrate_radial(f, stream=SeededStream(25), workers=8, **kwargs)
         assert a == b
 
     def test_std_error_scaling(self):
         vals = {}
         for n in (100_000, 400_000):
-            vals[n] = mc_integrate(
-                ones, DIM1, 2, TupleBall((0.0, 0.0)), n, SeededStream(26)
+            vals[n] = mc_integrate_radial(
+                ones, DIM1, (0.0, 0.0), n, SeededStream(26), compact=True
             )
         ratio = vals[400_000].std_error / vals[100_000].std_error
         assert 0.5 / 1.5 <= ratio <= 0.5 * 1.5
 
     def test_nonfinite_integrand_reports_point(self):
-        def f(coords):
-            return np.full(coords[0].shape[0], np.inf)
+        def f(gauges):
+            return np.full(gauges[0].shape[0], np.inf)
 
         with pytest.raises(EstimationError, match="non-finite"):
-            mc_integrate(f, DIM1, 1, TupleBall((0.0,)), 1_000, SeededStream(27))
+            mc_integrate_radial(f, DIM1, (0.0,), 1_000, SeededStream(27), compact=True)
 
     def test_zero_accepted_samples(self):
-        # with two radii near 1 the tuple constraint usually fails; find a
+        # with two gauges near 1 the tuple constraint usually fails; find a
         # seed whose first draws are all rejected
         for seed in range(200):
             est_or_err = None
             try:
-                est_or_err = mc_integrate(
-                    ones, DIM1, 2, TupleBall((0.0, 0.0)), 2, SeededStream(seed)
+                est_or_err = mc_integrate_radial(
+                    ones, DIM1, (0.0, 0.0), 2, SeededStream(seed), compact=True
                 )
             except EstimationError:
                 return
         pytest.fail(f"no rejecting seed found; last estimate {est_or_err}")
 
-    def test_tilt_validation(self):
-        with pytest.raises(ValueError):
-            mc_integrate(ones, DIM1, 1, TupleBall((4.0,)), 100, SeededStream(0))
-        with pytest.raises(ValueError):
-            mc_integrate(ones, DIM1, 2, TupleBall((0.0,)), 100, SeededStream(0))
-
-
-    def test_lift_matches_radial_core(self):
-        n = 2
-
-        def f(gauges):
-            g1, g2 = gauges
-            return (g1 * g2) ** -1.0 * np.maximum(1.0, np.maximum(g1, g2)) ** -12.0
-
-        for sampler in (TupleBall((1.0, 1.0)), FullSpaceHeavyTail((1.0, 1.0))):
-            args = (GroupDim(n), 2, sampler, 200_000, SeededStream(31))
-            lifted = mc_integrate(lambda c: f([gauge_array(ci, n) for ci in c]), *args)
-            radial = mc_integrate_radial(f, *args)
-            assert lifted.n_samples == radial.n_samples
-            assert math.isclose(lifted.value, radial.value, rel_tol=1e-13)
-            assert math.isclose(lifted.std_error, radial.std_error, rel_tol=1e-13)
+    @pytest.mark.parametrize(
+        "tilts,compact,offender",
+        [
+            ((4.0,), True, "tilt 1 = 4.0"),
+            ((1.0, 4.5), False, "tilt 2 = 4.5"),
+            ((0.0,), False, "tilt 1 = 0.0"),
+            ((-0.5,), True, "tilt 1 = -0.5"),
+            ((1.0, math.nan), True, "tilt 2 = nan"),
+            ((math.nan,), False, "tilt 1 = nan"),
+            ((), False, "at least one tilt"),
+        ],
+    )
+    def test_tilt_validation(self, tilts, compact, offender):
+        with pytest.raises(ValueError, match=offender):
+            mc_integrate_radial(ones, DIM1, tilts, 100, SeededStream(0), compact=compact)
 
     def test_radial_worker_count_does_not_change_bits(self):
         def f(gauges):
             return 1.0 / (1.0 + gauges[0] ** 4 + gauges[1] ** 2)
 
-        kwargs = dict(dim=GroupDim(3), m=2, sampler=FullSpaceHeavyTail((0.5, 1.0)), n_samples=300_000)
+        kwargs = dict(dim=GroupDim(3), tilts=(0.5, 1.0), n_samples=300_000)
         a = mc_integrate_radial(f, stream=SeededStream(32), workers=1, **kwargs)
         b = mc_integrate_radial(f, stream=SeededStream(32), workers=8, **kwargs)
         assert a == b
@@ -400,7 +402,7 @@ ROW_BLOCK_ORACLE_SPECS = [
 
 def every_mc_partials(monkeypatch, workers):
     """The chunk partials of every Monte Carlo user: the Cartesian oracle,
-    the radial sampler on both laws, the coordinate lift and the box
+    the radial sampler with and without its outer piece and the box
     rejection volume."""
     stream = SeededStream(7)
     seen = [
@@ -418,12 +420,10 @@ def every_mc_partials(monkeypatch, workers):
     def radial(gauges):
         return 1.0 / (1.0 + gauges[0] ** dim.Q + gauges[1] ** dim.Q)
 
-    def coords(points):
-        return np.exp(-np.abs(points[0] - points[1]).sum(axis=1))
-
-    for sampler in (TupleBall((1.0, 0.5)), FullSpaceHeavyTail((1.0, 0.5))):
-        mc_integrate_radial(radial, dim, 2, sampler, ROW_BLOCK_SAMPLES, stream, workers)
-        mc_integrate(coords, dim, 2, sampler, ROW_BLOCK_SAMPLES, stream, workers)
+    for compact in (True, False):
+        mc_integrate_radial(
+            radial, dim, (1.0, 0.5), ROW_BLOCK_SAMPLES, stream, workers, compact=compact
+        )
     rejection_volume_estimate(dim, ROW_BLOCK_SAMPLES, stream, workers)
     return seen
 
@@ -435,7 +435,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_size_does_not_change_bits(self, workers, monkeypatch):
         default = every_mc_partials(monkeypatch, workers)
-        assert len(default) == len(ROW_BLOCK_ORACLE_SPECS) + 5
+        assert len(default) == len(ROW_BLOCK_ORACLE_SPECS) + 3
         assert all(len(p) == 3 and p[-1][0] == 100 for p in default)
         for block in (1 << 16, 1000):
             monkeypatch.setattr(integrate, "_ROW_BLOCK", block)
@@ -486,31 +486,13 @@ class TestOperatorSamplerDraws:
     SIZES = {1: 65536, 2: 65536, 3: 100}
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("sampler", [TupleBall, FullSpaceHeavyTail])
-    def test_radial_draws_one_uniform_per_factor(self, sampler, m):
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_radial_draws_one_uniform_per_factor(self, compact, m):
         stream = RecordingStream(SeededStream(5))
-        law = sampler((1.0,) * m)
-        mc_integrate_radial(lambda gs: gs[0], GroupDim(2), m, law, ROW_BLOCK_SAMPLES, stream)
+        mc_integrate_radial(
+            lambda gs: gs[0], GroupDim(2), (1.0,) * m, ROW_BLOCK_SAMPLES, stream, compact=compact
+        )
         assert stream.calls == {k: [("random", (size,))] * m for k, size in self.SIZES.items()}
-
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("sampler", [TupleBall, FullSpaceHeavyTail])
-    def test_lift_draws_directions_after_the_radii(self, sampler, m):
-        n = 2
-        stream = RecordingStream(SeededStream(5))
-        law = sampler((1.0,) * m)
-        mc_integrate(lambda ps: ps[0][:, 0] ** 2, GroupDim(n), m, law, ROW_BLOCK_SAMPLES, stream)
-
-        def draws(size):
-            radii = [("random", (size,))] * m
-            ball = [
-                ("beta", (n / 2.0, 1.5, size)),
-                ("standard_normal", ((size, 2 * n),)),
-                ("uniform", (-1.0, 1.0, size)),
-            ]
-            return radii + ball * m
-
-        assert stream.calls == {k: draws(size) for k, size in self.SIZES.items()}
 
 
 class TestEstimateInvariants:
@@ -519,8 +501,8 @@ class TestEstimateInvariants:
             Estimate(1.0, 0.1, 10, Method.QUAD)
 
     def test_mc_estimates_carry_positive_std_error(self):
-        est = mc_integrate(
-            lambda c: gauge_array(c[0], 1), DIM1, 1, TupleBall((0.0,)), 5_000, SeededStream(30)
+        est = mc_integrate_radial(
+            lambda gs: gs[0], DIM1, (0.0,), 5_000, SeededStream(30), compact=True
         )
         assert est.method is Method.MC and est.std_error > 0.0
 

@@ -387,17 +387,22 @@ class TestOneAbsTol:
         assert (named.value, named.n_samples) == (general.value, general.n_samples)
 
 
-class TestMonteCarloBeyondH1:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("alphas", [(1.5,), (2.0, 1.5)])
-    @pytest.mark.parametrize(
-        "kind,evaluator",
-        [
-            (OperatorKind.HARDY, eval_hardy),
-            (OperatorKind.HLP, eval_hlp),
-            (OperatorKind.HILBERT, eval_hilbert),
-        ],
+# hlp and hilbert also run at n = 6, 8, 10; hardy stays at n <= 4, since at
+# n = 10, m = 2 its tuple ball accepts no tuple
+BEYOND_H1 = [
+    pytest.param(kind, evaluator, alphas, n, id=f"{kind}-{evaluator.__name__}-alphas{i}-{n}")
+    for kind, evaluator, ns in (
+        (OperatorKind.HARDY, eval_hardy, (2, 3, 4)),
+        (OperatorKind.HLP, eval_hlp, (2, 3, 4, 6, 8, 10)),
+        (OperatorKind.HILBERT, eval_hilbert, (2, 3, 4, 6, 8, 10)),
     )
+    for i, alphas in enumerate([(1.5,), (2.0, 1.5)])
+    for n in ns
+]
+
+
+class TestMonteCarloBeyondH1:
+    @pytest.mark.parametrize("kind,evaluator,alphas,n", BEYOND_H1)
     def test_extremal_value_is_closed_form(self, kind, evaluator, alphas, n):
         dim = GroupDim(n)
         spec = OperatorSpec(kind, dim, AlphaProfile(alphas))
