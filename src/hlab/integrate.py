@@ -14,6 +14,8 @@ Three layers:
   (``two_piece_gauges``, a two-piece power law at an importance tilt that
   neutralizes a power-law singularity) serves both the radial tuple
   integrator ``mc_integrate_radial`` and the verifier's Cartesian oracle.
+  Both form each sample's weight and integrand in log space, from the log
+  gauges the law returns, and exponentiate once per sample.
 
 Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
 ``k`` draws from the SFC64 substream keyed by ``(seed, stream_id, block=k)``
@@ -78,6 +80,8 @@ _RESOLUTION = 4.0 * np.finfo(float).eps
 # the running error sums that choose which panels split count in units of
 # 1/_ERR_QUANTUM of what an owner's frozen panels leave of its tolerance
 _ERR_QUANTUM = 1 << 30
+# the smallest normal float: below it a float keeps fewer significant bits
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 class Method(enum.Enum):
@@ -533,9 +537,8 @@ def quad_dirichlet(
         # cancellation that otherwise drowns the leaf in rounding noise.
         def split(xi: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             log_shrink = p * np.log1p(-(xi ** (1.0 / tau)))
-            s_d, rest = rest0[own] * np.exp(log_shrink), rest0[own] * -np.expm1(log_shrink)
-            jac = (ub[own] / tau) * xi ** (1.0 / tau - 1.0)
-            return s_d, rest, jac
+            frac = -np.expm1(log_shrink)  # rest / rest0
+            return rest0[own] * np.exp(log_shrink), rest0[own] * frac, frac
 
         # the modulations' edges meet this level where the innermost rest
         # reaches 0 with t_i = s_i / rest on an edge: at s = b rest0 / (1 + b)
@@ -552,20 +555,32 @@ def quad_dirichlet(
         if depth < m - 1:
 
             def inner(xi: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                s_d, rest, jac = split(xi, own)
+                s_d, rest, _ = split(xi, own)
+                jac = (ub[own] / tau) * xi ** (1.0 / tau - 1.0)
                 return jac, np.column_stack((s_d, rest))
 
             return [(inner, 0.0, hi, xi_pts)]
 
         def leaf(xi: np.ndarray, own: np.ndarray) -> np.ndarray:
-            s_last, rest, jac = split(xi, own)
-            ok = rest > 0.0
-            safe_rest = np.where(ok, rest, 1.0)
-            out = safe_rest ** (lead - 1.0) * ok
-            for s_i, mod in zip([s[own] for s in s_prefix] + [s_last], mods):
-                if mod is not None:
-                    out = out * np.where(ok, mod(s_i / safe_rest), 1.0)
-            return out * jac
+            s_last, rest, frac = split(xi, own)
+            # rest^{lead - 1} jac in log space: at small lead, rest^{lead - 1}
+            # overflows where rest underflows, though the product is finite.
+            # frac = 1 - (1 - eta)^p is p eta to within a factor 1 + O(eta),
+            # which stands in for it below the normal range
+            log_xi = np.log(xi)
+            normal = frac >= _NORMAL_MIN
+            log_frac = np.where(
+                normal, np.log(np.where(normal, frac, 1.0)), math.log(p) + log_xi / tau
+            )
+            log_rest = np.log(rest0[own]) + log_frac
+            log_jac = np.log(ub[own] / tau) + (1.0 / tau - 1.0) * log_xi
+            out = np.exp((lead - 1.0) * log_rest + log_jac)
+            # t_i = s_i / rest, infinite where rest underflows to 0
+            with np.errstate(divide="ignore"):
+                for s_i, mod in zip([s[own] for s in s_prefix] + [s_last], mods):
+                    if mod is not None:
+                        out = out * mod(s_i / rest)
+            return out
 
         return [(leaf, 0.0, hi, xi_pts)]
 
@@ -736,12 +751,12 @@ def reduce_partials(partials: Sequence[ChunkPartial]) -> tuple[Estimate, int]:
     return Estimate(mean, math.sqrt(var / n), n, Method.MC), nonzero
 
 
-def _check_finite(values: np.ndarray, points: list[np.ndarray]) -> None:
+def _check_finite(values: np.ndarray, log_gauges: list[np.ndarray]) -> None:
     bad = ~np.isfinite(values)
     if bad.any():
         idx = int(np.argmax(bad))
-        where = [p[idx].tolist() for p in points]
-        raise EstimationError(f"non-finite integrand value at point(s) {where}")
+        where = [lg[idx].tolist() for lg in log_gauges]
+        raise EstimationError(f"non-finite integrand value at log gauge(s) {where}")
 
 
 # the floor of v, so that an exact zero uniform still gives a finite log
@@ -766,7 +781,12 @@ def two_piece_gauges(
     and ``M g^{Q+alpha}`` outside.
     """
     a = 1.0 / (Q - alpha)
-    b = 0.0 if compact else 1.0 / alpha
+    if compact:
+        log_g = np.maximum(x, _TINY)
+        np.log(log_g, out=log_g)
+        log_g *= a
+        return log_g, np.zeros_like(log_g), a
+    b = 1.0 / alpha
     p = a / (a + b)
     outer = np.greater_equal(x, p).astype(float)
     log_g = x - outer
@@ -782,7 +802,7 @@ def two_piece_gauges(
 
 
 def mc_integrate_radial(
-    f: Callable[[list[np.ndarray]], np.ndarray],
+    log_f: Callable[[list[np.ndarray]], np.ndarray],
     dim: GroupDim,
     tilts: Sequence[float],
     n_samples: int,
@@ -791,20 +811,23 @@ def mc_integrate_radial(
     *,
     compact: bool = False,
 ) -> Estimate:
-    """Importance-sampled Lebesgue integral of a gauge-radial ``f`` over
-    m-tuples of points of H^n, one tilt per factor.
+    """Importance-sampled Lebesgue integral of a gauge-radial function over
+    m-tuples of points of H^n, one tilt per factor, given by its log.
 
-    ``f`` receives a list of m arrays holding the gauges of the factors of N
-    accepted tuples and must return N values, each depending only on its
-    own tuple: ``f`` sees one row block of a chunk at a time.  No direction
-    is drawn: the integral of a radial function over each factor is its
-    polar integral.  Each factor's gauge comes from ``two_piece_gauges`` at
-    its tilt, one uniform per factor and tuple, drawn in factor order, and
-    the tuple's weight is formed in log space and exponentiated once.
-    Tilts equal to the integrand's power-law exponents make the weighted
-    evaluations bounded.  ``compact`` integrates over the tuple ball
-    ``{sum |y_i|_h^2 < 1}`` only: its gauges stay below 1, and tuples
-    outside the ball are rejected and contribute 0.
+    ``log_f`` receives a list of m arrays holding the log gauges of the
+    factors of N accepted tuples and must return the N logs of the
+    integrand's values, ``-inf`` where it vanishes, each depending only on
+    its own tuple: ``log_f`` sees one row block of a chunk at a time.  No
+    direction is drawn: the integral of a radial function over each factor
+    is its polar integral.  Each factor's gauge comes from
+    ``two_piece_gauges`` at its tilt, one uniform per factor and tuple,
+    drawn in factor order.  The tuple's log weight and ``log_f`` are added
+    and exponentiated once, so a weight beyond the float range that meets an
+    integrand below it still gives their finite product.  Tilts equal to the
+    integrand's power-law exponents make the weighted evaluations bounded.
+    ``compact`` integrates over the tuple ball ``{sum |y_i|_h^2 < 1}`` only:
+    its gauges stay below 1, and tuples outside the ball are rejected and
+    contribute 0.
     """
     Q = dim.Q
     if not tilts:
@@ -820,26 +843,26 @@ def mc_integrate_radial(
 
         def block(rows: slice) -> np.ndarray:
             log_w = np.zeros(rows.stop - rows.start)
-            gauges = []
+            log_gauges = []
             for tilt, x in zip(tilts, uniforms):
                 log_g, log_outer, mass = two_piece_gauges(x[rows], tilt, Q, compact)
                 log_w += log_outer
                 log_w += tilt * log_g
                 log_w += log_omega + math.log(mass)
-                gauges.append(np.exp(log_g, out=log_g))
+                log_gauges.append(log_g)
             out = np.zeros(log_w.size)
             inside = slice(None)
             if compact:
-                inside = sum(g * g for g in gauges) < 1.0
+                inside = sum(np.exp(2.0 * lg) for lg in log_gauges) < 1.0
                 if not inside.any():
                     return out
-                gauges, log_w = [g[inside] for g in gauges], log_w[inside]
-            vals = np.asarray(f(gauges), dtype=float)
-            # far in the outer tail a weight can overflow; the non-finite
-            # value it leaves is reported below
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = vals * np.exp(log_w, out=log_w)
-            _check_finite(vals, gauges)
+                log_gauges, log_w = [lg[inside] for lg in log_gauges], log_w[inside]
+            log_w += np.asarray(log_f(log_gauges), dtype=float)
+            # an integrand of +inf, or NaN, leaves a non-finite value that
+            # is reported below
+            with np.errstate(over="ignore"):
+                vals = np.exp(log_w, out=log_w)
+            _check_finite(vals, log_gauges)
             out[inside] = vals
             return out
 

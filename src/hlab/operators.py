@@ -16,8 +16,10 @@ general kernels share the general-kernel path on their kernel, and
 The Monte Carlo engine samples the gauges of tuples
 (``mc_integrate_radial``, which draws no directions) from the gauge law the
 verifier's Cartesian oracle also uses, with importance tilts taken from the
-operator's exponent profile, and weights them by the kernel.  The law keeps
-to the tuple ball (``compact``) when the kernel's support lies there.
+operator's exponent profile, and weights them by the kernel, in log space:
+each kernel's ``log_profile`` at the log gauges.  The law keeps to the
+tuple ball (``compact``) when the kernel's support lies there.  The named
+kernels are written once, in log form; their ``radial_profile`` follows.
 
 Convention handling: the volume convention applies jointly to the
 normalizing ball volume and to every polar surface constant, so the
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,17 +99,50 @@ class KernelHomogeneityError(ValueError):
 class KernelSpec:
     """A nonnegative gauge-radial kernel of homogeneity degree -mQ.
 
-    ``radial_profile(r0, r1, ..., rm)`` gives the kernel as a function of the
-    gauges of its m + 1 arguments and must be numpy-vectorized.  When
+    ``log_profile(l0, l1, ..., lm)`` gives the log of the kernel as a
+    function of the log gauges of its m + 1 arguments, ``-inf`` where the
+    kernel vanishes; ``radial_profile(r0, r1, ..., rm)`` gives the kernel
+    itself at the gauges.  Both must be numpy-vectorized.  Give either one:
+    the other is derived from it, ``radial_profile`` as ``exp . log_profile
+    . log`` and ``log_profile`` as ``log . radial_profile . exp``.  The
+    named kernels are written in log form; the Monte Carlo paths add their
+    log weights to ``log_profile`` and exponentiate once per sample.  When
     ``simplex_support`` is set the profile vanishes outside
     ``sum r_i^2 < simplex_support^2 * r0^2``, which lets the quadrature
     engine integrate over the exact support instead of chasing a jump.
     """
 
-    radial_profile: Callable[..., np.ndarray]
+    radial_profile: Callable[..., np.ndarray] | None
     homogeneity_degree: float
     base_gauge: float = 1.0
     simplex_support: float | None = None
+    log_profile: Callable[..., np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        if self.log_profile is None:
+            if self.radial_profile is None:
+                raise ValueError("a kernel needs a radial_profile or a log_profile")
+            object.__setattr__(self, "log_profile", partial(_log_of_radial, self.radial_profile))
+        elif self.radial_profile is None:
+            object.__setattr__(self, "radial_profile", partial(_radial_of_log, self.log_profile))
+
+
+def _radial_of_log(log_profile: Callable[..., np.ndarray], *gauges: np.ndarray) -> np.ndarray:
+    # a zero gauge has log -inf, which the log profiles take
+    with np.errstate(divide="ignore"):
+        logs = [np.log(np.asarray(g, dtype=float)) for g in gauges]
+    return np.exp(log_profile(*logs))
+
+
+def _log_of_radial(
+    radial_profile: Callable[..., np.ndarray], *log_gauges: np.ndarray
+) -> np.ndarray:
+    # far in a tail a gauge overflows to inf and a kernel value can vanish
+    with np.errstate(over="ignore"):
+        gauges = [np.exp(np.asarray(lg, dtype=float)) for lg in log_gauges]
+    values = radial_profile(*gauges)
+    with np.errstate(divide="ignore"):
+        return np.log(values)
 
 
 @dataclass(frozen=True)
@@ -170,6 +206,17 @@ class TestFunction:
         out = s ** (-self.alpha_j)
         if self.modulation is not None:
             out = out * self.modulation(s)
+        return out
+
+    def log_radial(self, log_s: np.ndarray) -> np.ndarray:
+        """Log of the radial profile at log gauges (vectorized), ``-inf``
+        where the modulation vanishes."""
+        out = log_s * -self.alpha_j
+        if self.modulation is not None:
+            with np.errstate(over="ignore"):
+                s = np.exp(log_s)
+            with np.errstate(divide="ignore"):
+                out = out + np.log(self.modulation(s))
         return out
 
     def power_weighted(self, c: float, r: np.ndarray, exponent: float) -> np.ndarray:
@@ -354,7 +401,9 @@ def _evaluate(
     the error of the returned value on every path.  Monte Carlo samples
     tuples with tilts from the exponent profile, inside the tuple ball when
     the kernel's support lies there and over all of H^{nm} otherwise, and
-    weights each tuple by the kernel at its gauges.
+    hands it the log integrand ``log K + sum_i log f_i(c g_i)`` at the log
+    gauges of each tuple, so that a weight too large for a float meets a
+    kernel too small for one only in log space.
     """
     if len(fs) != spec.m:
         raise ValueError(f"need {spec.m} test functions, got {len(fs)}")
@@ -376,16 +425,17 @@ def _evaluate(
         return run(replace(engine.quad, abs_tol=abs_tol)).scaled(scale)
 
     base = kernel.base_gauge
+    log_c, log_base = math.log(c), math.log(base)
 
-    def f(gauges: list[np.ndarray]) -> np.ndarray:
-        out = np.full(gauges[0].shape[0], 1.0)
-        for tf, g in zip(fs, gauges):
-            out = out * tf.radial(c * g)
-        return out * kernel.radial_profile(base, *gauges)
+    def log_f(log_gauges: list[np.ndarray]) -> np.ndarray:
+        out = kernel.log_profile(log_base, *log_gauges)
+        for tf, lg in zip(fs, log_gauges):
+            out = out + tf.log_radial(log_c + lg)
+        return out
 
     compact = kernel.simplex_support is not None and kernel.simplex_support * base <= 1.0
     raw = mc_integrate_radial(
-        f,
+        log_f,
         spec.dim,
         spec.profile.alphas,
         engine.n_samples,
@@ -538,41 +588,44 @@ def hardy_kernel(
 ) -> KernelSpec:
     """Kernel profile of the averaging operator:
     ``chi(sum r_i^2 < r0^2) / (Omega^m r0^{mQ})``."""
-    om = unit_ball_volume(dim, convention) ** m
-    Q = dim.Q
+    log_norm = -m * math.log(unit_ball_volume(dim, convention))
+    mQ = float(m * dim.Q)
 
-    def profile(r0: np.ndarray, *rs: np.ndarray) -> np.ndarray:
-        r0 = np.asarray(r0, dtype=float)
-        ss = sum(np.asarray(r, dtype=float) ** 2 for r in rs)
-        return np.where(ss < r0**2, 1.0 / (om * r0 ** (m * Q)), 0.0)
+    def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
+        ss = sum(np.exp(2.0 * (lr - l0)) for lr in ls)
+        return np.where(ss < 1.0, log_norm - mQ * l0, -np.inf)
 
-    return KernelSpec(profile, -float(m * Q), simplex_support=1.0)
+    return KernelSpec(None, -mQ, simplex_support=1.0, log_profile=log_profile)
 
 
 def hlp_kernel(dim: GroupDim, m: int) -> KernelSpec:
     """Max-kernel profile ``max(r0, r_1, ..., r_m)^{-mQ}``."""
-    Q = dim.Q
+    mQ = float(m * dim.Q)
 
-    def profile(r0: np.ndarray, *rs: np.ndarray) -> np.ndarray:
-        gmax = np.asarray(r0, dtype=float)
-        for r in rs:
-            gmax = np.maximum(gmax, np.asarray(r, dtype=float))
-        return gmax ** (-float(m * Q))
+    def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
+        top = l0
+        for lr in ls:
+            top = np.maximum(top, lr)
+        return top * -mQ
 
-    return KernelSpec(profile, -float(m * Q))
+    return KernelSpec(None, -mQ, log_profile=log_profile)
 
 
 def hilbert_kernel(dim: GroupDim, m: int) -> KernelSpec:
-    """Sum-kernel profile ``(r0^Q + sum r_i^Q)^{-m}``."""
+    """Sum-kernel profile ``(r0^Q + sum r_i^Q)^{-m}``, in log form
+    ``-m logsumexp(Q l0, Q l1, ...)`` shifted by its largest term so that no
+    power overflows."""
     Q = dim.Q
 
-    def profile(r0: np.ndarray, *rs: np.ndarray) -> np.ndarray:
-        denom = np.asarray(r0, dtype=float) ** Q
-        for r in rs:
-            denom = denom + np.asarray(r, dtype=float) ** Q
-        return denom ** (-float(m))
+    def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
+        terms = [Q * lr for lr in (l0, *ls)]
+        top = terms[0]
+        for t in terms[1:]:
+            top = np.maximum(top, t)
+        total = sum(np.exp(t - top) for t in terms)
+        return (top + np.log(total)) * -float(m)
 
-    return KernelSpec(profile, -float(m * Q))
+    return KernelSpec(None, -float(m * Q), log_profile=log_profile)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ theta), whose gauge is g whatever omega is; since every integrand the
 oracle sees depends on a point only through its gauge, no omega is drawn.
 The coordinate density follows from rho^{2n-1} d rho dt = g^{Q-1}
 cos^{n-1}(theta) dg dtheta; the Heisenberg factor int cos^{n-1}(theta)
-dtheta is estimated by the sampler, never used as a number.  The weight is formed in log space and
-exponentiated once per sample, kernel included.
+dtheta is estimated by the sampler, never used as a number.  At n = 1,
+cos^0(theta) = 1 and no theta is drawn.  The weight is formed in log space,
+the kernel's log profile at the log gauges included, and exponentiated once
+per sample.
 
 At n = m = 1 the hlp and averaging weights are constant, and their
 variance cancels to 0; ``reduce_partials`` floors it at its own rounding,
@@ -188,8 +190,8 @@ def spec_record(spec: OperatorSpec) -> dict:
 def _gauge_polar(
     u: np.ndarray, alpha: float, n: int, compact: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauges and log weights of one factor, from its uniforms ``u`` of
-    shape (rows, 2).
+    """Log gauges and log weights of one factor, from its uniforms ``u`` of
+    shape (rows, 2), or (rows, 1) at n = 1.
 
     Column 0 gives the gauge ``g`` through ``integrate.two_piece_gauges``,
     the gauge law of the operators' Monte Carlo engine: density
@@ -203,8 +205,8 @@ def _gauge_polar(
     coordinate density ``q = p(g) / (pi |S^{2n-1}| g^{Q-1} cos^{n-1} theta)``.
     The log weight returned is ``log(g^{-alpha} / q)``:
     ``log(pi |S^{2n-1}| M cos^{n-1} theta)``, plus ``Q log g`` on the outer
-    piece.  No ``omega`` is drawn: the integrands see a point only through
-    its gauge.
+    piece.  At n = 1, ``cos^0 theta = 1`` and there is no column 1.  No
+    ``omega`` is drawn: the integrands see a point only through its gauge.
     """
     log_g, log_w, mass = two_piece_gauges(u[:, 0], alpha, 2 * n + 2, compact)
     # log(pi |S^{2n-1}| M), with |S^{2n-1}| = 2 pi^n / Gamma(n)
@@ -222,7 +224,7 @@ def _gauge_polar(
         cos *= 2.0
         with np.errstate(divide="ignore"):
             log_w += (n - 1) * np.log(cos, out=cos)
-    return np.exp(log_g, out=log_g), log_w
+    return log_g, log_w
 
 
 def _cartesian_values_fn(
@@ -232,12 +234,15 @@ def _cartesian_values_fn(
     ``int K(e_1, y) prod |y_i|^{-alpha_i} dy`` with the kernel taken under
     ``spec``'s convention; the oracle's callers pass the GEOMETRIC one.
 
-    Each factor makes one draw, ``gen.random((size, 2))``, in factor order:
-    its gauge and its angle theta, turned into the factor's gauge and log
-    weight by ``_gauge_polar``.  The chunk's draws all come first; the
-    arithmetic then runs in row blocks (``row_blocks``).  The weight
-    ``K(1, g_1..g_m) prod_i g_i^{-alpha_i} / q_i`` is formed in log space
-    and exponentiated once per sample.
+    Each factor makes one draw in factor order: ``gen.random((size, 2))``,
+    its gauge and its angle theta, or at n = 1, where theta does not enter
+    the weight, ``gen.random((size, 1))``, its gauge alone.  ``_gauge_polar``
+    turns them into the factor's log gauge and log weight.  The chunk's
+    draws all come first; the arithmetic then runs in row blocks
+    (``row_blocks``).  The weight ``K(1, g_1..g_m) prod_i g_i^{-alpha_i} /
+    q_i`` is the exponential of the factors' log weights plus the kernel's
+    ``log_profile`` at the log gauges, one ``exp`` per sample: a factor's
+    weight beyond the float range meets a kernel below it only in log space.
     """
     n = spec.dim.n
     alphas = spec.profile.alphas
@@ -245,23 +250,19 @@ def _cartesian_values_fn(
     # tuple-ball integrands vanish unless every gauge is below 1, so their
     # proposal takes no outer piece
     compact = kernel.simplex_support is not None
+    columns = 1 if n == 1 else 2
 
     def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
-        uniforms = [gen.random((size, 2)) for _ in alphas]
+        uniforms = [gen.random((size, columns)) for _ in alphas]
 
         def block(rows: slice) -> np.ndarray:
             log_w = np.zeros(rows.stop - rows.start)
-            gauges = []
+            log_gauges = []
             for a, u in zip(alphas, uniforms):
-                g, log_wi = _gauge_polar(u[rows], a, n, compact)
+                log_g, log_wi = _gauge_polar(u[rows], a, n, compact)
                 log_w += log_wi
-                gauges.append(g)
-            # the kernel folded into the one exponential: a weight that
-            # overflows where the kernel underflows to 0 then gives 0, not
-            # inf * 0; far in the tail the kernel's own powers overflow on
-            # the way to that 0
-            with np.errstate(divide="ignore", over="ignore"):
-                log_w += np.log(kernel.radial_profile(1.0, *gauges))
+                log_gauges.append(log_g)
+            log_w += kernel.log_profile(0.0, *log_gauges)
             return np.exp(log_w, out=log_w)
 
         return row_blocks(size, block)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,23 @@ class TestQuadDirichlet:
             points=[[1.0]],
         )
         assert math.isclose(est.value, 0.25 + 3 * math.pi / 8, rel_tol=1e-9)
+
+    # (n, alpha, m) of the sum-kernel integral at beta = alpha / Q, Q = 2n + 2,
+    # where lead = sum beta is small: rest^{lead - 1} overflows where rest
+    # underflows, though the leaf's integrand is finite
+    @pytest.mark.parametrize(
+        "n,alpha,m",
+        [(2, 0.05, 1), (3, 0.05, 1), (6, 0.05, 1), (6, 0.05, 2), (6, 0.1, 1), (10, 0.05, 1),
+         (10, 0.05, 2), (10, 0.1, 1)],
+    )
+    def test_small_lead_stays_finite(self, n, alpha, m):
+        betas = (alpha / (2 * n + 2),) * m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = quad_dirichlet(m, betas, QuadSpec(1e-10, 1e-14))
+        closed = i_m_closed(m, betas)
+        assert math.isfinite(est.value)
+        assert abs(est.value - closed) <= 1e-8 * closed
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -276,27 +294,30 @@ class TestExactBallSampler:
         assert gauge_array(pts, 8).max() < 1.0
 
 
-def ones(gauges):
-    return np.ones(gauges[0].shape[0])
+def log_one(log_gauges):
+    """The log of the integrand 1: ``mc_integrate_radial`` takes log integrands."""
+    return np.zeros(log_gauges[0].shape[0])
 
 
 class TestMcIntegrate:
     def test_ball_volume_m1(self):
-        est = mc_integrate_radial(ones, DIM1, (0.0,), 10_000, SeededStream(21), compact=True)
+        est = mc_integrate_radial(log_one, DIM1, (0.0,), 10_000, SeededStream(21), compact=True)
         assert math.isclose(est.value, unit_ball_volume(DIM1), rel_tol=1e-12)
 
     def test_tilt_cancels_singularity(self):
-        def f(gauges):
-            return gauges[0] ** -1.0
+        def log_f(log_gauges):
+            return -log_gauges[0]  # g^-1
 
-        est = mc_integrate_radial(f, DIM1, (1.0,), 10_000, SeededStream(22), compact=True)
+        est = mc_integrate_radial(log_f, DIM1, (1.0,), 10_000, SeededStream(22), compact=True)
         # weighted integrand is constant, so the variance collapses to the
         # rounding floor of the accumulator
         assert est.std_error <= 1e-6 * abs(est.value)
         assert math.isclose(est.value, 2 * math.pi**2 / 3, rel_tol=1e-12)
 
     def test_tuple_ball_matches_quadrature(self):
-        est = mc_integrate_radial(ones, DIM1, (0.0, 0.0), 400_000, SeededStream(23), compact=True)
+        est = mc_integrate_radial(
+            log_one, DIM1, (0.0, 0.0), 400_000, SeededStream(23), compact=True
+        )
         truth = (2 * math.pi**2) ** 2 * quad_tensor(
             lambda a, b: np.asarray(a) ** 3 * np.asarray(b) ** 3,
             2,
@@ -305,11 +326,11 @@ class TestMcIntegrate:
         assert abs(est.value - truth) <= 3 * est.std_error
 
     def test_heavy_tail_full_space(self):
-        def f(gauges):
-            g = gauges[0]
-            return g**-1.0 / np.maximum(1.0, g) ** 8
+        def log_f(log_gauges):
+            lg = log_gauges[0]
+            return -lg - 8.0 * np.maximum(0.0, lg)  # g^-1 / max(1, g)^8
 
-        est = mc_integrate_radial(f, DIM1, (1.0,), 400_000, SeededStream(24))
+        est = mc_integrate_radial(log_f, DIM1, (1.0,), 400_000, SeededStream(24))
         truth = 2 * math.pi**2 * (1.0 / 3.0 + 1.0 / 5.0)
         assert abs(est.value - truth) <= 3 * est.std_error
 
@@ -326,29 +347,29 @@ class TestMcIntegrate:
         assert float(np.abs(cdf - ranks).max()) <= 1.95 / math.sqrt(size)
 
     def test_worker_count_does_not_change_bits(self):
-        def f(gauges):
-            return 1.0 / (1.0 + gauges[0] ** 4)
+        def log_f(log_gauges):
+            return -np.log1p(np.exp(4.0 * log_gauges[0]))  # 1 / (1 + g^4)
 
         kwargs = dict(dim=DIM1, tilts=(0.0,), n_samples=300_000, compact=True)
-        a = mc_integrate_radial(f, stream=SeededStream(25), workers=1, **kwargs)
-        b = mc_integrate_radial(f, stream=SeededStream(25), workers=8, **kwargs)
+        a = mc_integrate_radial(log_f, stream=SeededStream(25), workers=1, **kwargs)
+        b = mc_integrate_radial(log_f, stream=SeededStream(25), workers=8, **kwargs)
         assert a == b
 
     def test_std_error_scaling(self):
         vals = {}
         for n in (100_000, 400_000):
             vals[n] = mc_integrate_radial(
-                ones, DIM1, (0.0, 0.0), n, SeededStream(26), compact=True
+                log_one, DIM1, (0.0, 0.0), n, SeededStream(26), compact=True
             )
         ratio = vals[400_000].std_error / vals[100_000].std_error
         assert 0.5 / 1.5 <= ratio <= 0.5 * 1.5
 
     def test_nonfinite_integrand_reports_point(self):
-        def f(gauges):
-            return np.full(gauges[0].shape[0], np.inf)
+        def log_f(log_gauges):
+            return np.full(log_gauges[0].shape[0], np.inf)
 
         with pytest.raises(EstimationError, match="non-finite"):
-            mc_integrate_radial(f, DIM1, (0.0,), 1_000, SeededStream(27), compact=True)
+            mc_integrate_radial(log_f, DIM1, (0.0,), 1_000, SeededStream(27), compact=True)
 
     def test_zero_accepted_samples(self):
         # with two gauges near 1 the tuple constraint usually fails; find a
@@ -357,7 +378,7 @@ class TestMcIntegrate:
             est_or_err = None
             try:
                 est_or_err = mc_integrate_radial(
-                    ones, DIM1, (0.0, 0.0), 2, SeededStream(seed), compact=True
+                    log_one, DIM1, (0.0, 0.0), 2, SeededStream(seed), compact=True
                 )
             except EstimationError:
                 return
@@ -377,15 +398,16 @@ class TestMcIntegrate:
     )
     def test_tilt_validation(self, tilts, compact, offender):
         with pytest.raises(ValueError, match=offender):
-            mc_integrate_radial(ones, DIM1, tilts, 100, SeededStream(0), compact=compact)
+            mc_integrate_radial(log_one, DIM1, tilts, 100, SeededStream(0), compact=compact)
 
     def test_radial_worker_count_does_not_change_bits(self):
-        def f(gauges):
-            return 1.0 / (1.0 + gauges[0] ** 4 + gauges[1] ** 2)
+        def log_f(log_gauges):
+            # 1 / (1 + g_1^4 + g_2^2)
+            return -np.log1p(np.exp(4.0 * log_gauges[0]) + np.exp(2.0 * log_gauges[1]))
 
         kwargs = dict(dim=GroupDim(3), tilts=(0.5, 1.0), n_samples=300_000)
-        a = mc_integrate_radial(f, stream=SeededStream(32), workers=1, **kwargs)
-        b = mc_integrate_radial(f, stream=SeededStream(32), workers=8, **kwargs)
+        a = mc_integrate_radial(log_f, stream=SeededStream(32), workers=1, **kwargs)
+        b = mc_integrate_radial(log_f, stream=SeededStream(32), workers=8, **kwargs)
         assert a == b
 
 
@@ -417,12 +439,13 @@ def every_mc_partials(monkeypatch, workers):
     monkeypatch.setattr(integrate, "mc_chunk_partials", recording)
     dim = GroupDim(2)
 
-    def radial(gauges):
-        return 1.0 / (1.0 + gauges[0] ** dim.Q + gauges[1] ** dim.Q)
+    def log_radial(log_gauges):
+        # 1 / (1 + g_1^Q + g_2^Q)
+        return -np.log1p(np.exp(dim.Q * log_gauges[0]) + np.exp(dim.Q * log_gauges[1]))
 
     for compact in (True, False):
         mc_integrate_radial(
-            radial, dim, (1.0, 0.5), ROW_BLOCK_SAMPLES, stream, workers, compact=compact
+            log_radial, dim, (1.0, 0.5), ROW_BLOCK_SAMPLES, stream, workers, compact=compact
         )
     rejection_volume_estimate(dim, ROW_BLOCK_SAMPLES, stream, workers)
     return seen
@@ -490,7 +513,7 @@ class TestOperatorSamplerDraws:
     def test_radial_draws_one_uniform_per_factor(self, compact, m):
         stream = RecordingStream(SeededStream(5))
         mc_integrate_radial(
-            lambda gs: gs[0], GroupDim(2), (1.0,) * m, ROW_BLOCK_SAMPLES, stream, compact=compact
+            lambda lgs: lgs[0], GroupDim(2), (1.0,) * m, ROW_BLOCK_SAMPLES, stream, compact=compact
         )
         assert stream.calls == {k: [("random", (size,))] * m for k, size in self.SIZES.items()}
 
@@ -502,7 +525,7 @@ class TestEstimateInvariants:
 
     def test_mc_estimates_carry_positive_std_error(self):
         est = mc_integrate_radial(
-            lambda gs: gs[0], DIM1, (0.0,), 5_000, SeededStream(30), compact=True
+            lambda lgs: lgs[0], DIM1, (0.0,), 5_000, SeededStream(30), compact=True
         )
         assert est.method is Method.MC and est.std_error > 0.0
 

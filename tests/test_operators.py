@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hlab import integrate, operators, verify
-from hlab.hgroup import Convention, GroupDim, HPoint, dilate, gauge, origin
+from hlab.hgroup import Convention, GroupDim, HPoint, dilate, gauge, origin, unit_ball_volume
 from hlab.integrate import QuadSpec, SeededStream
 from hlab.operators import (
     KernelHomogeneityError,
@@ -417,6 +419,20 @@ class TestMonteCarloBeyondH1:
         # hardy m = 1 weights every sample equally, so its error is rounding
         assert abs(scale * ests[0].value - closed) <= 4 * scale * ests[0].std_error + 1e-12 * closed
 
+    # at small alpha the outer piece's weight overflows where the kernel is
+    # below the float range; their product is O(1)
+    @pytest.mark.parametrize(
+        "kind,evaluator", [(OperatorKind.HLP, eval_hlp), (OperatorKind.HILBERT, eval_hilbert)]
+    )
+    @pytest.mark.parametrize("n,alpha", [(1, 0.05), (10, 0.1), (10, 0.3)])
+    def test_small_alpha_at_e1(self, kind, evaluator, n, alpha):
+        dim = GroupDim(n)
+        spec = OperatorSpec(kind, dim, AlphaProfile((alpha,)))
+        e1 = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
+        est = evaluator(extremals(alpha), e1, spec, McEngine(1 << 18, SeededStream(0)))
+        closed = spec.constant().value
+        assert abs(est.value - closed) <= 4 * est.std_error
+
     def test_mc_draws_no_directions(self, monkeypatch):
         def no_directions(*args, **kwargs):
             raise AssertionError("the operators' Monte Carlo drew a direction")
@@ -428,6 +444,75 @@ class TestMonteCarloBeyondH1:
         x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
         est = eval_hlp(extremals(1.0, 1.0), x, spec, McEngine(1 << 17, SeededStream(3)))
         assert abs(est.value - spec.constant().value) <= 4 * est.std_error
+
+
+def direct_kernel(kind, dim, m, r0, rs):
+    """The named kernels' formulas at gauges, as the operators define them."""
+    Q = dim.Q
+    if kind is OperatorKind.HARDY:
+        inside = sum(r * r for r in rs) < r0 * r0
+        return 1.0 / (unit_ball_volume(dim) ** m * r0 ** (m * Q)) if inside else 0.0
+    if kind is OperatorKind.HLP:
+        return max(r0, *rs) ** (-m * Q)
+    return (r0**Q + sum(r**Q for r in rs)) ** -m
+
+
+NAMED_KERNELS = {
+    OperatorKind.HARDY: hardy_kernel,
+    OperatorKind.HLP: hlp_kernel,
+    OperatorKind.HILBERT: hilbert_kernel,
+}
+
+
+@st.composite
+def kernel_arguments(draw):
+    """n, m, the gauges r0, r_1..r_m and a dilation t, all positive."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    gauges = st.floats(1e-3, 1e3)
+    return n, m, draw(gauges), draw(st.lists(gauges, min_size=m, max_size=m)), draw(gauges)
+
+
+def off_the_hardy_boundary(kind, r0, rs):
+    # the two forms of the indicator may round differently on its boundary
+    return kind is not OperatorKind.HARDY or abs(sum(r * r for r in rs) / r0**2 - 1.0) > 1e-9
+
+
+class TestKernelLogProfiles:
+    """Past H^1: each named kernel's log profile against its formula."""
+
+    @pytest.mark.parametrize("kind", list(NAMED_KERNELS), ids=lambda k: k.value)
+    @settings(max_examples=300, deadline=None)
+    @given(args=kernel_arguments())
+    def test_log_profile_is_the_log_of_the_formula(self, kind, args):
+        n, m, r0, rs, _ = args
+        assume(off_the_hardy_boundary(kind, r0, rs))
+        dim = GroupDim(n)
+        kernel = NAMED_KERNELS[kind](dim, m)
+        got = float(kernel.log_profile(math.log(r0), *np.log(rs)))
+        direct = direct_kernel(kind, dim, m, r0, rs)
+        if direct == 0.0:
+            assert got == -math.inf
+        else:
+            want = math.log(direct)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("kind", list(NAMED_KERNELS), ids=lambda k: k.value)
+    @settings(max_examples=300, deadline=None)
+    @given(args=kernel_arguments())
+    def test_log_profile_is_homogeneous(self, kind, args):
+        n, m, r0, rs, t = args
+        assume(off_the_hardy_boundary(kind, r0, rs))
+        dim = GroupDim(n)
+        kernel = NAMED_KERNELS[kind](dim, m)
+        logs = [math.log(r0), *np.log(rs)]
+        lt = math.log(t)
+        base = float(kernel.log_profile(*logs))
+        scaled = float(kernel.log_profile(*(lr + lt for lr in logs)))
+        if base == -math.inf:
+            assert scaled == -math.inf
+        else:
+            expected = base - m * dim.Q * lt
+            assert abs(scaled - expected) <= 1e-13 * max(1.0, abs(base), abs(expected))
 
 
 class TestKernelOperator:
@@ -476,6 +561,17 @@ class TestKernelOperator:
         spec = spec_of(OperatorKind.KERNEL, 2.0, kernel=hilbert_kernel(DIM1, 1))
         with pytest.raises(KernelHomogeneityError, match="worst probe"):
             eval_kernel_op(bad, extremals(2.0), E1, spec)
+
+    def test_radial_profile_alone_serves_the_mc_engine(self):
+        # a user kernel gets log . radial_profile . exp as its log form
+        user = KernelSpec(lambda r0, r1: (r0**4 + r1**4) ** -1.0, -4.0)
+        logs = np.log([0.5, 1.0, 3.0])
+        np.testing.assert_allclose(
+            user.log_profile(0.0, logs), hilbert_kernel(DIM1, 1).log_profile(0.0, logs), rtol=1e-14
+        )
+        spec = spec_of(OperatorKind.KERNEL, 2.0, kernel=user)
+        mc = eval_kernel_op(user, extremals(2.0), E1, spec, McEngine(150_000, SeededStream(34)))
+        assert abs(mc.value - math.pi**3 / 2) <= 3 * mc.std_error
 
     def test_mc_engine_specialization(self):
         kern = hilbert_kernel(DIM1, 1)

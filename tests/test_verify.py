@@ -314,7 +314,15 @@ class TestCartesianOracle:
         seed = 10 * spec.dim.n + spec.m
         values = verify._cartesian_values_fn(spec)(SeededStream(seed).generator(block=1), size)
         gen = SeededStream(seed).generator(block=1)
-        uniforms = [gen.random((size, 2)) for _ in range(spec.m)]
+        if spec.dim.n == 1:
+            # one uniform per factor: theta does not enter the weight at
+            # n = 1, so the reference takes it from its own generator
+            own = np.random.default_rng(seed + 1)
+            uniforms = [
+                np.column_stack((gen.random(size), own.random(size))) for _ in range(spec.m)
+            ]
+        else:
+            uniforms = [gen.random((size, 2)) for _ in range(spec.m)]
         expected = direct_oracle_values(spec, uniforms, np.random.default_rng(seed))
         assert np.isfinite(values).all() and np.isfinite(expected).all()
         assert np.count_nonzero(values) >= 20
@@ -323,14 +331,28 @@ class TestCartesianOracle:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_draw_of_two_uniforms_per_factor(self, n, m):
+        # at n = 1 theta does not enter the weight, and one uniform is drawn
         spec = OperatorSpec(OperatorKind.HILBERT, GroupDim(n), AlphaProfile((1.0,) * m))
         stream = RecordingStream(SeededStream(5))
         verify._cartesian_mc(spec, 2 * 65536 + 100, stream)
+        columns = 1 if n == 1 else 2
         assert stream.calls == {
-            1: [(65536, 2)] * m,
-            2: [(65536, 2)] * m,
-            3: [(100, 2)] * m,
+            1: [(65536, columns)] * m,
+            2: [(65536, columns)] * m,
+            3: [(100, columns)] * m,
         }
+
+    # at small alpha the outer piece reaches gauges whose kernel value is
+    # below the float range while the weighted value is O(1)
+    @pytest.mark.parametrize(
+        "kind,n,alpha",
+        [(OperatorKind.HLP, 10, 0.1), (OperatorKind.HILBERT, 10, 0.1), (OperatorKind.HLP, 1, 0.05)],
+    )
+    def test_small_alpha_lands_within_3_sigma(self, kind, n, alpha):
+        spec = OperatorSpec(kind, GroupDim(n), AlphaProfile((alpha,)))
+        est = reduce_partials(verify._cartesian_mc(spec, 1_000_000, SeededStream(0)))[0]
+        closed = spec.constant().value
+        assert abs(est.value - closed) <= 3.0 * est.std_error
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_jacobian_pins_the_ball_volume(self, n):
@@ -340,8 +362,8 @@ class TestCartesianOracle:
         samples = 200_000
 
         def volume_values(gen, size):
-            g, log_w = verify._gauge_polar(gen.random((size, 2)), 0.0, n, compact=True)
-            return np.where(g < 1.0, np.exp(log_w), 0.0)
+            log_g, log_w = verify._gauge_polar(gen.random((size, 2)), 0.0, n, compact=True)
+            return np.where(log_g < 0.0, np.exp(log_w), 0.0)
 
         est = reduce_partials(mc_chunk_partials(volume_values, samples, SeededStream(n)))[0]
         box = rejection_volume_estimate(dim, samples, SeededStream(n))
