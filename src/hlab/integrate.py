@@ -7,9 +7,9 @@ Three layers:
   by one refiner that advances a batch of independent integrals in
   vectorized rounds,
 * one nested-quadrature driver (``quad_nested``) behind the tensor
-  quadrature for up to three variables and the Dirichlet-type integral
-  ``quad_dirichlet``: the nodes of one level's new panels are the batch of
-  the level below,
+  quadrature for up to three variables and the operators' radial
+  integrals: the nodes of one level's new panels are the batch of the level
+  below,
 * seeded Monte Carlo adapted to the Koranyi geometry: one gauge law
   (``two_piece_gauges``, a two-piece power law at an importance tilt that
   neutralizes a power-law singularity) serves both the radial tuple
@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -51,7 +51,6 @@ __all__ = [
     "mc_chunk_partials",
     "mc_integrate_radial",
     "quad_1d",
-    "quad_dirichlet",
     "quad_nested",
     "quad_tensor",
     "reduce_partials",
@@ -80,8 +79,6 @@ _RESOLUTION = 4.0 * np.finfo(float).eps
 # the running error sums that choose which panels split count in units of
 # 1/_ERR_QUANTUM of what an owner's frozen panels leave of its tolerance
 _ERR_QUANTUM = 1 << 30
-# the smallest normal float: below it a float keeps fewer significant bits
-_NORMAL_MIN = np.finfo(float).tiny
 
 
 class Method(enum.Enum):
@@ -487,106 +484,6 @@ def quad_tensor(
         return [(integrand, 0.0, hi, points[depth] if points is not None else ())]
 
     return quad_nested(level, m, spec)
-
-
-def quad_dirichlet(
-    alpha: float,
-    betas: Sequence[float],
-    spec: QuadSpec | None = None,
-    *,
-    modulations: Sequence[Callable[[np.ndarray], np.ndarray] | None] | None = None,
-    points: Sequence[Sequence[float]] | None = None,
-) -> Estimate:
-    """``int_{(0,inf)^m} prod t_i^{-beta_i} mod_i(t_i) (1 + sum t)^{-alpha} dt``.
-
-    Two exact substitutions: the orthant is mapped to the open simplex via
-    ``t_i = s_i / (1 - sum s)``, then ``s_i = w_i^{p_i}`` with
-    ``p_i = 1/(1 - beta_i)`` cancels every power singularity analytically,
-    leaving ``prod p_i * prod mod_i * (1 - S)^{alpha + sum beta - m - 1}`` over
-    nested limits ``w_k < (1 - S_{k-1})^{1 - beta_k}``.  Only the hypotenuse
-    singularity remains for the adaptive rule.  ``modulations[i]`` is a
-    bounded function of ``t_i`` (``None`` means 1) and ``points[i]`` lists
-    its positive breakpoints.  ``spec.abs_tol`` bounds the error of the
-    returned integral: the nested levels work to it divided by ``prod p_i``.
-    """
-    m = len(betas)
-    mods = modulations or [None] * m
-    break_ts = points or [()] * m
-    if m < 1 or not all(b < 1.0 for b in betas) or not len(mods) == len(break_ts) == m:
-        raise ValueError(f"need betas < 1, each with a modulation and points; got {list(betas)}")
-    # alpha + sum beta - m, exact when alpha = m
-    lead = math.fsum([alpha, -m, *betas])
-    if not lead > 0.0:
-        raise ValueError(f"integral diverges: alpha + sum beta - m = {lead} <= 0")
-    ps = [1.0 / (1.0 - b) for b in betas]
-    # endpoint exponent of the level-d integrand near its upper limit;
-    # the xi-substitution below flattens it exactly for pure powers
-    taus = [lead + math.fsum(1.0 - b for b in betas[d + 1 :]) for d in range(m)]
-
-    def level(depth: int, prefix: tuple) -> list[Axis]:
-        # row k of prefix[j] holds (s_{j+1}, 1 - s_1 - ... - s_{j+1}) of owner k
-        rest0 = prefix[-1][:, 1] if prefix else np.ones(1)
-        s_prefix = [pre[:, 0] for pre in prefix]
-        p = ps[depth]
-        ub = rest0 ** (1.0 - betas[depth])
-        tau = taus[depth]
-
-        # w = ub (1 - eta), eta = xi^{1/tau}: flattens the (rest)^{tau - 1}
-        # endpoint decay.  Since ub^p == rest0 exactly, the remainder
-        # rest0 - w^p equals -rest0 expm1(p log1p(-eta)), which avoids the
-        # cancellation that otherwise drowns the leaf in rounding noise.
-        def split(xi: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            log_shrink = p * np.log1p(-(xi ** (1.0 / tau)))
-            frac = -np.expm1(log_shrink)  # rest / rest0
-            return rest0[own] * np.exp(log_shrink), rest0[own] * frac, frac
-
-        # the modulations' edges meet this level where the innermost rest
-        # reaches 0 with t_i = s_i / rest on an edge: at s = b rest0 / (1 + b)
-        # for this level's factor and s = rest0 - s_i / b for the outer
-        # ones.  Inside, the integral over the levels below has a kink.
-        s_pts = [bt * rest0 / (1.0 + bt) for bt in break_ts[depth]]
-        s_pts += [rest0 - s_i / bt for s_i, bts in zip(s_prefix, break_ts) for bt in bts]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w_pts = [np.where(s > 0.0, s, np.nan) ** (1.0 / p) for s in s_pts]
-            xi_pts = [np.where(w < ub, (1.0 - w / ub) ** tau, np.nan) for w in w_pts]
-        xi_pts = np.stack(xi_pts, axis=1) if xi_pts else ()
-        hi = np.where(rest0 > 0.0, 1.0, 0.0)
-
-        if depth < m - 1:
-
-            def inner(xi: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                s_d, rest, _ = split(xi, own)
-                jac = (ub[own] / tau) * xi ** (1.0 / tau - 1.0)
-                return jac, np.column_stack((s_d, rest))
-
-            return [(inner, 0.0, hi, xi_pts)]
-
-        def leaf(xi: np.ndarray, own: np.ndarray) -> np.ndarray:
-            s_last, rest, frac = split(xi, own)
-            # rest^{lead - 1} jac in log space: at small lead, rest^{lead - 1}
-            # overflows where rest underflows, though the product is finite.
-            # frac = 1 - (1 - eta)^p is p eta to within a factor 1 + O(eta),
-            # which stands in for it below the normal range
-            log_xi = np.log(xi)
-            normal = frac >= _NORMAL_MIN
-            log_frac = np.where(
-                normal, np.log(np.where(normal, frac, 1.0)), math.log(p) + log_xi / tau
-            )
-            log_rest = np.log(rest0[own]) + log_frac
-            log_jac = np.log(ub[own] / tau) + (1.0 / tau - 1.0) * log_xi
-            out = np.exp((lead - 1.0) * log_rest + log_jac)
-            # t_i = s_i / rest, infinite where rest underflows to 0
-            with np.errstate(divide="ignore"):
-                for s_i, mod in zip([s[own] for s in s_prefix] + [s_last], mods):
-                    if mod is not None:
-                        out = out * mod(s_i / rest)
-            return out
-
-        return [(leaf, 0.0, hi, xi_pts)]
-
-    spec = spec or QuadSpec()
-    scale = math.prod(ps)
-    return quad_nested(level, m, replace(spec, abs_tol=spec.abs_tol / scale)).scaled(scale)
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,21 @@ operator over the tuple ball, the max-kernel (Hardy-Littlewood-Polya type)
 operator, and the sum-kernel (Hilbert-type) operator.
 
 Each kind has one record in ``OPERATORS``: its kernel profile, its closed
-form and, for the max-kernel and sum-kernel kinds only, a radial quadrature
-fast path.  One evaluator serves them all through the dilation identity:
-the value at ``x`` is an integral over tuples at base gauge 1 against
-``f_i(delta_{|x|_h} .)``.  The quadrature engine performs the polar radial
-reduction (one radial variable per factor): the averaging operator and
-general kernels share the general-kernel path on their kernel, and
-``QuadSpec.abs_tol`` bounds the error of the returned value on every path.
-The Monte Carlo engine samples the gauges of tuples
+form and, for the max-kernel kind only, a radial quadrature fast path.  One
+evaluator serves them all through the dilation identity: the value at
+``x`` is an integral over tuples at base gauge 1 against
+``f_i(delta_{|x|_h} .)``, and the general-kernel quadrature path and the
+Monte Carlo engine integrate it as one log integrand, each kernel's
+``log_profile`` plus the factors' log profiles at the log gauges,
+exponentiated once per node or sample.  The quadrature
+engine performs the polar radial reduction (one radial variable per
+factor): every kind but the max kernel runs the general-kernel path on its
+kernel, and ``QuadSpec.abs_tol`` bounds the error of the returned value on
+every path.  The Monte Carlo engine samples the gauges of tuples
 (``mc_integrate_radial``, which draws no directions) from the gauge law the
 verifier's Cartesian oracle also uses, with importance tilts taken from the
-operator's exponent profile, and weights them by the kernel, in log space:
-each kernel's ``log_profile`` at the log gauges.  The law keeps to the
-tuple ball (``compact``) when the kernel's support lies there.  The named
+operator's exponent profile.  The law keeps to the tuple ball
+(``KernelSpec.compact``) when the kernel's support lies there.  The named
 kernels are written once, in log form; their ``radial_profile`` follows.
 
 Convention handling: the volume convention applies jointly to the
@@ -54,7 +56,6 @@ from .integrate import (
     QuadSpec,
     SeededStream,
     mc_integrate_radial,
-    quad_dirichlet,
     quad_nested,
     quad_tensor,
 )
@@ -105,8 +106,9 @@ class KernelSpec:
     itself at the gauges.  Both must be numpy-vectorized.  Give either one:
     the other is derived from it, ``radial_profile`` as ``exp . log_profile
     . log`` and ``log_profile`` as ``log . radial_profile . exp``.  The
-    named kernels are written in log form; the Monte Carlo paths add their
-    log weights to ``log_profile`` and exponentiate once per sample.  When
+    named kernels are written in log form; the general-kernel quadrature
+    path and the Monte Carlo paths add their log weights to ``log_profile``
+    and exponentiate once per node or sample.  When
     ``simplex_support`` is set the profile vanishes outside
     ``sum r_i^2 < simplex_support^2 * r0^2``, which lets the quadrature
     engine integrate over the exact support instead of chasing a jump.
@@ -114,7 +116,6 @@ class KernelSpec:
 
     radial_profile: Callable[..., np.ndarray] | None
     homogeneity_degree: float
-    base_gauge: float = 1.0
     simplex_support: float | None = None
     log_profile: Callable[..., np.ndarray] | None = None
 
@@ -125,6 +126,12 @@ class KernelSpec:
             object.__setattr__(self, "log_profile", partial(_log_of_radial, self.radial_profile))
         elif self.radial_profile is None:
             object.__setattr__(self, "radial_profile", partial(_radial_of_log, self.log_profile))
+
+    @property
+    def compact(self) -> bool:
+        """Whether the support lies in the tuple ball ``sum r_i^2 < r0^2``,
+        where the Monte Carlo gauge law drops its outer piece."""
+        return self.simplex_support is not None and self.simplex_support <= 1.0
 
 
 def _radial_of_log(log_profile: Callable[..., np.ndarray], *gauges: np.ndarray) -> np.ndarray:
@@ -217,16 +224,6 @@ class TestFunction:
                 s = np.exp(log_s)
             with np.errstate(divide="ignore"):
                 out = out + np.log(self.modulation(s))
-        return out
-
-    def power_weighted(self, c: float, r: np.ndarray, exponent: float) -> np.ndarray:
-        """``(c r)^{-alpha_j} * modulation(c r) * r^exponent`` with the powers
-        of ``r`` combined, so exponents close to -Q cannot overflow through an
-        intermediate factor near r = 0."""
-        r = np.asarray(r, dtype=float)
-        out = c**-self.alpha_j * r ** (exponent - self.alpha_j)
-        if self.modulation is not None:
-            out = out * self.modulation(c * r)
         return out
 
     def __call__(self, point: HPoint | np.ndarray, n: int | None = None) -> float | np.ndarray:
@@ -395,15 +392,16 @@ def _evaluate(
     """Every operator kind through the dilation identity: the value at ``x``
     integrates the kernel at base gauge 1 against ``f_i(delta_{|x|_h} .)``.
 
-    Quadrature runs the kind's radial fast path (hlp and hilbert) or the
-    general-kernel path on the kind's kernel (hardy and general kernels),
-    with ``abs_tol`` divided by the path's final factor, so that it bounds
-    the error of the returned value on every path.  Monte Carlo samples
-    tuples with tilts from the exponent profile, inside the tuple ball when
-    the kernel's support lies there and over all of H^{nm} otherwise, and
-    hands it the log integrand ``log K + sum_i log f_i(c g_i)`` at the log
-    gauges of each tuple, so that a weight too large for a float meets a
-    kernel too small for one only in log space.
+    The general-kernel quadrature path and Monte Carlo integrate the log
+    integrand ``log K + sum_i log f_i(c g_i)`` at the log gauges ``g_i`` of a
+    tuple, exponentiated once per node or sample, so that a power too large
+    for a float meets a kernel too small for one only in log space.
+    Quadrature runs the max kernel's cells (hlp) or the general-kernel path
+    on the kind's kernel (every other kind), with
+    ``abs_tol`` divided by the path's final factor, so that it bounds the
+    error of the returned value on every path.  Monte Carlo samples tuples
+    with tilts from the exponent profile, inside the tuple ball when the
+    kernel's support lies there and over all of H^{nm} otherwise.
     """
     if len(fs) != spec.m:
         raise ValueError(f"need {spec.m} test functions, got {len(fs)}")
@@ -416,24 +414,22 @@ def _evaluate(
     kernel = op.kernel(spec)
     if spec.kind is OperatorKind.KERNEL:
         _probe_homogeneity(kernel, spec.dim, spec.m)
-    if isinstance(engine, QuadEngine):
-        if spec.m > 3:
-            raise ValueError("quadrature engine supports m <= 3; use the MC engine")
-        scale, run = op.quad(spec, fs, c) if op.quad else _kernel_quad(kernel, spec, fs, c)
-        # a factor that underflows to 0 leaves no error to control
-        abs_tol = engine.quad.abs_tol / scale if scale > 0.0 else math.inf
-        return run(replace(engine.quad, abs_tol=abs_tol)).scaled(scale)
-
-    base = kernel.base_gauge
-    log_c, log_base = math.log(c), math.log(base)
+    log_c = math.log(c)
 
     def log_f(log_gauges: list[np.ndarray]) -> np.ndarray:
-        out = kernel.log_profile(log_base, *log_gauges)
+        out = kernel.log_profile(0.0, *log_gauges)
         for tf, lg in zip(fs, log_gauges):
             out = out + tf.log_radial(log_c + lg)
         return out
 
-    compact = kernel.simplex_support is not None and kernel.simplex_support * base <= 1.0
+    if isinstance(engine, QuadEngine):
+        if spec.m > 3:
+            raise ValueError("quadrature engine supports m <= 3; use the MC engine")
+        scale, run = op.quad(spec, fs, c) if op.quad else _kernel_quad(log_f, kernel, spec, fs, c)
+        # a factor that underflows to 0 leaves no error to control
+        abs_tol = engine.quad.abs_tol / scale if scale > 0.0 else math.inf
+        return run(replace(engine.quad, abs_tol=abs_tol)).scaled(scale)
+
     raw = mc_integrate_radial(
         log_f,
         spec.dim,
@@ -441,7 +437,7 @@ def _evaluate(
         engine.n_samples,
         engine.stream,
         engine.workers,
-        compact=compact,
+        compact=kernel.compact,
     )
     return raw.scaled(_conv_factor(spec))
 
@@ -489,30 +485,38 @@ def _hlp_quad(spec: OperatorSpec, fs: Sequence[TestFunction], c: float) -> QuadP
     with ``a = sum alpha``, which the ``t/(1-t)`` map of an infinite range
     turns into an endpoint power no rule resolves when ``a < 1``.  So the
     outer variable is ``u = r^{-a}`` on (0, 1), which makes the extremal
-    integrand constant."""
+    integrand constant.  Each factor is read through its log profile, one
+    ``exp`` per node, and the cells pass ``log r`` to their inner levels."""
     Q, m, a = spec.dim.Q, spec.m, spec.profile.total
+    log_a, log_c = math.log(a), math.log(c)
 
-    def unit_factor(tf: TestFunction, scale: np.ndarray) -> Axis:
+    def unit_factor(tf: TestFunction, log_scale: np.ndarray) -> Axis:
         # int_0^1 g(scale * v) v^{Q-1} dv, one scale per owner
-        pts = np.asarray(tf.breakpoints, dtype=float) / scale[:, None]
-        return (lambda v, own: tf.power_weighted(scale[own], v, Q - 1), 0.0, 1.0, pts)
+        pts = np.asarray(tf.breakpoints, dtype=float) * np.exp(-log_scale)[:, None]
+
+        def f(v: np.ndarray, own: np.ndarray) -> np.ndarray:
+            log_v = np.log(v)
+            return np.exp(tf.log_radial(log_scale[own] + log_v) + (Q - 1) * log_v)
+
+        return (f, 0.0, 1.0, pts)
 
     def cell(tfj: TestFunction, others: list[TestFunction]) -> Callable[[int, tuple], list[Axis]]:
         def outer(u: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # r = u^{-1/a}, dr = r du / (a u)
-            r = u ** (-1.0 / a)
-            return tfj.power_weighted(c, r, 0.0) / (a * u), r
+            log_u = np.log(u)
+            log_r = log_u / -a
+            return np.exp(tfj.log_radial(log_c + log_r) - log_a - log_u), log_r
 
         # tfj jumps at its own edges; a factor inside has a kink in r where
         # one of its edges b meets the end of its range, r = b / c
         pts = [r ** -a for tf in fs for r in _radial_breaks(tf, c, 1.0, math.inf)]
         axis = (outer, 0.0, 1.0, pts)
         return lambda depth, prefix: (
-            [axis] if depth == 0 else [unit_factor(tf, c * prefix[0]) for tf in others]
+            [axis] if depth == 0 else [unit_factor(tf, log_c + prefix[0]) for tf in others]
         )
 
     # the cell where |x| realizes the max is the inner factors at r = 1
-    at_x = lambda depth, prefix: [unit_factor(tf, np.array([c])) for tf in fs]  # noqa: E731
+    at_x = lambda depth, prefix: [unit_factor(tf, np.array([log_c])) for tf in fs]  # noqa: E731
 
     def run(qspec: QuadSpec) -> Estimate:
         ests = [quad_nested(at_x, 1, qspec.at_depth(1))]
@@ -525,62 +529,78 @@ def _hlp_quad(spec: OperatorSpec, fs: Sequence[TestFunction], c: float) -> QuadP
     return _conv_factor(spec) * sphere_measure(spec.dim) ** m, run
 
 
-def _hilbert_quad(spec: OperatorSpec, fs: Sequence[TestFunction], c: float) -> QuadPath:
-    """Sum-kernel quadrature of the radial integral
-    ``int prod g_i(c t_i^{1/Q}) (1 + sum t)^{-m} dt`` (``t_i = r_i^Q``), the
-    Dirichlet-type integral with ``beta_i = alpha_i / Q`` and the
-    modulations read at gauge ``c t_i^{1/Q}``."""
-    Q, m, alphas = spec.dim.Q, spec.m, spec.profile.alphas
-    mods = [
-        None if tf.modulation is None else (lambda t, mod=tf.modulation: mod(c * t ** (1.0 / Q)))
-        for tf in fs
-    ]
-    break_ts = [[(b / c) ** Q for b in tf.breakpoints if b > 0.0] for tf in fs]
-    betas = [a / Q for a in alphas]
-    scale = _conv_factor(spec) * (sphere_measure(spec.dim) / Q) ** m * c ** -math.fsum(alphas)
-    return scale, lambda qspec: quad_dirichlet(m, betas, qspec, modulations=mods, points=break_ts)
-
-
 def _kernel_quad(
-    kernel: KernelSpec, spec: OperatorSpec, fs: Sequence[TestFunction], c: float
+    log_f: Callable[[list[np.ndarray]], np.ndarray],
+    kernel: KernelSpec,
+    spec: OperatorSpec,
+    fs: Sequence[TestFunction],
+    c: float,
 ) -> QuadPath:
-    """General-kernel quadrature over the simplex ball scaled to the kernel's
-    support when it has one, else over the positive orthant.
+    """General-kernel quadrature of the log integrand ``log_f`` at the log
+    gauges, plus ``(Q-1) log r_i`` and the Jacobians of the axis maps,
+    exponentiated once per node: over the simplex ball scaled to the
+    kernel's support when it has one, else over the positive orthant.
 
     On the orthant the outer gauge decays as ``r^{-1-a}``, ``a = sum alpha``,
     whatever the kernel (by its homogeneity), and the orthant's ``t/(1-t)``
     map turns that into ``(1-t)^{a-1}``, an endpoint power no rule resolves
-    when ``a < 1``.  There the outer axis is ``v = b (r / b)^a`` instead
-    (``b`` the base gauge), whose integrand decays as ``v^{-2}``, as
-    ``_hlp_quad`` integrates its outer gauge in a power of ``r``."""
-    Q, m = spec.dim.Q, spec.m
-    base = kernel.base_gauge
-    s = 1.0 if kernel.simplex_support is None else kernel.simplex_support * base
-    a = math.fsum(tf.alpha_j for tf in fs)
-    stretch = kernel.simplex_support is None and a < 1.0
-
-    def integrand(*us: np.ndarray) -> np.ndarray:
-        rs = [s * u for u in us]
-        jac = 1.0
-        if stretch:
-            # r = b (v / b)^{1/a}, dr = r dv / (a v)
-            rs[0] = base * (us[0] / base) ** (1.0 / a)
-            jac = rs[0] / (a * us[0])
-        out = kernel.radial_profile(base, *rs) * jac
-        for tf, r in zip(fs, rs):
-            out = out * tf.power_weighted(c, r, Q - 1)
-        return out * s**m
-
-    if kernel.simplex_support is None:
-        domain = Domain.POSITIVE_ORTHANT
-        pts = [[base] + _radial_breaks(tf, c, 0.0, math.inf) for tf in fs]
-        if stretch:
-            pts[0] = [base * (r / base) ** a for r in pts[0]]
-    else:
-        domain = Domain.SIMPLEX_BALL
-        pts = [_radial_breaks(tf, c * s, 0.0, 1.0) for tf in fs]
+    when ``a < 1``.  There axis 0 is ``v = r^a`` instead, whose integrand
+    decays as ``v^{-2}``, as ``_hlp_quad`` integrates its outer gauge in a
+    power of ``r``.  Inner axis ``d > 0`` is relative, ``x = r_d / rho_d``
+    with ``rho_d = max(1, r_0, ..., r_{d-1})``: a homogeneous kernel's mass
+    and kinks in ``r_d`` sit at the scale of the gauges before it, which
+    ``t/(1-t)`` cannot reach once they are far from 1."""
+    Q, m, s = spec.dim.Q, spec.m, kernel.simplex_support
     scale = _conv_factor(spec) * sphere_measure(spec.dim) ** m
-    return scale, lambda qspec: quad_tensor(integrand, m, domain, qspec, points=pts)
+    if s is not None:
+        log_s = math.log(s)
+
+        def integrand(*us: np.ndarray) -> np.ndarray:
+            log_rs = [log_s + np.log(u) for u in us]
+            return np.exp(log_f(log_rs) + (Q - 1) * sum(log_rs) + m * log_s)
+
+        pts = [_radial_breaks(tf, c * s, 0.0, 1.0) for tf in fs]
+        return scale, lambda qspec: quad_tensor(
+            integrand, m, Domain.SIMPLEX_BALL, qspec, points=pts
+        )
+
+    a = math.fsum(tf.alpha_j for tf in fs)
+    # the breakpoints of each axis as log gauges: r = 1, and the edges
+    # of its factor read at gauge c r
+    log_breaks = [np.log([1.0] + [b / c for b in tf.breakpoints if b > 0.0]) for tf in fs]
+
+    def level(depth: int, prefix: tuple) -> list[Axis]:
+        # row k of prefix[j] holds (log r_j, log of the Jacobians and
+        # r^{Q-1} factors of axes 0..j) of owner k; r_d = rho y^{1/p}
+        p = min(a, 1.0) if depth == 0 else 1.0
+        log_p = math.log(p)
+        log_rs = [pre[:, 0] for pre in prefix]
+        log_w = prefix[-1][:, 1] if prefix else np.zeros(1)
+        log_rho = np.maximum.reduce([np.zeros_like(log_w), *log_rs])
+        # y = 1 is r = rho, where a max kernel has its kink
+        pts = np.exp(p * (log_breaks[depth][None, :] - log_rho[:, None]))
+        pts = np.column_stack((np.ones_like(log_rho), pts))
+
+        def node(y: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # r^{Q-1} dr = r^Q / (p y) dy
+            log_y = np.log(y)
+            log_r = log_rho[own] + log_y / p
+            return log_r, log_w[own] + Q * log_r - log_p - log_y
+
+        if depth < m - 1:
+
+            def inner(y: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                return np.ones_like(y), np.column_stack(node(y, own))
+
+            return [(inner, 0.0, math.inf, pts)]
+
+        def leaf(y: np.ndarray, own: np.ndarray) -> np.ndarray:
+            log_r, log_jac = node(y, own)
+            return np.exp(log_f([lr[own] for lr in log_rs] + [log_r]) + log_jac)
+
+        return [(leaf, 0.0, math.inf, pts)]
+
+    return scale, lambda qspec: quad_nested(level, m, qspec)
 
 
 def hardy_kernel(
@@ -636,8 +656,9 @@ class Operator:
     quadrature path and the Monte Carlo engine integrate.  The named kinds
     also carry ``closed_form(spec)``, their sharp constant, and
     ``evaluator``, their public ``eval_*`` function.  ``quad(spec, fs, c)``,
-    held by hlp and hilbert only, is a radial quadrature fast path at an
-    evaluation point of gauge ``c``; hardy and general kernels have none.
+    held by hlp alone, is a radial quadrature fast path at an evaluation
+    point of gauge ``c``: its m + 1 cells beat the general-kernel path on the
+    max kernel.  Every other kind runs the general-kernel path.
     """
 
     kernel: Callable[[OperatorSpec], KernelSpec]
@@ -663,6 +684,5 @@ OPERATORS: dict[OperatorKind, Operator] = {
         lambda spec: hilbert_kernel(spec.dim, spec.m),
         lambda spec: hilbert_constant(spec.dim, spec.profile, spec.convention),
         eval_hilbert,
-        _hilbert_quad,
     ),
 }

@@ -45,6 +45,7 @@ from .hgroup import (
     GroupDim,
     HPoint,
     dilate,
+    sphere_measure,
     unit_ball_volume,
 )
 from .integrate import (
@@ -54,7 +55,6 @@ from .integrate import (
     QuadSpec,
     SeededStream,
     mc_chunk_partials,
-    quad_dirichlet,
     reduce_partials,
     rejection_volume_estimate,
     row_blocks,
@@ -68,9 +68,11 @@ from .operators import (
     QuadEngine,
     TestFunction,
     hardy_kernel,
+    hilbert_kernel,
+    kernel_constant,
     weighted_norm,
 )
-from .specfun import i_m_closed, i_m_recursive
+from .specfun import AlphaProfile, i_m_closed, i_m_recursive
 
 __all__ = [
     "DiscrepancyReport",
@@ -249,7 +251,7 @@ def _cartesian_values_fn(
     kernel = OPERATORS[spec.kind].kernel(spec)
     # tuple-ball integrands vanish unless every gauge is below 1, so their
     # proposal takes no outer piece
-    compact = kernel.simplex_support is not None
+    compact = kernel.compact
     columns = 1 if n == 1 else 2
 
     def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
@@ -562,8 +564,15 @@ def discrepancy_report(
     probe_alpha, probe_betas = 2.0, (0.5, 0.5)
     closed = i_m_closed(probe_alpha, probe_betas)
     recur = i_m_recursive(probe_alpha, probe_betas)
-    quad_spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
-    quad_value = quad_dirichlet(probe_alpha, probe_betas, quad_spec).value
+    # the sum-kernel constant on H^1 (Q = 4) at alpha = (2, 2) is
+    # (omega_Q / Q)^2 I_2(2; 1/2, 1/2): t_i = r_i^Q, beta_i = alpha_i / Q
+    dim = GroupDim(1)
+    quad_value = kernel_constant(
+        hilbert_kernel(dim, 2),
+        dim,
+        AlphaProfile.of(2.0, 2.0),
+        QuadEngine(QuadSpec(rel_tol=1e-9, abs_tol=1e-13)),
+    ).value / (sphere_measure(dim) / dim.Q) ** 2
     agree = abs(closed - recur) <= 1e-12 * abs(closed) and abs(
         closed - quad_value
     ) <= 1e-6 * abs(closed)
@@ -586,7 +595,6 @@ def discrepancy_report(
         "closed form is not evaluable (undefined symbol, product instead of sum)"
     )
 
-    dim = GroupDim(1)
     m = 2
     kern = hardy_kernel(dim, m)
     gen = SeededStream(seed, 999).generator()

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from hlab.integrate import (
     mc_chunk_partials,
     mc_integrate_radial,
     quad_1d,
-    quad_dirichlet,
     quad_nested,
     quad_tensor,
     reduce_partials,
@@ -26,7 +24,7 @@ from hlab.integrate import (
     sample_unit_ball,
 )
 from hlab.operators import OperatorKind, OperatorSpec
-from hlab.specfun import AlphaProfile, i_m_closed
+from hlab.specfun import AlphaProfile
 
 DIM1 = GroupDim(1)
 
@@ -97,53 +95,6 @@ class TestQuadTensor:
     def test_rejects_large_m(self):
         with pytest.raises(ValueError):
             quad_tensor(lambda *a: 1.0, 4, Domain.SIMPLEX_BALL)
-
-
-class TestQuadDirichlet:
-    @pytest.mark.parametrize(
-        "alpha,betas",
-        [(3.0, (0.5, 0.5)), (2.5, (0.3, 0.6)), (2.0, (0.5,))],
-    )
-    def test_general_exponent_matches_closed_form(self, alpha, betas):
-        est = quad_dirichlet(alpha, betas, QuadSpec(rel_tol=1e-8, abs_tol=1e-14))
-        assert math.isclose(est.value, i_m_closed(alpha, betas), rel_tol=1e-8)
-        assert est.method is Method.QUAD and est.n_samples > 0
-
-    def test_modulation_with_breakpoint(self):
-        # mod = 1/2 on t > 1: int_0^inf t^-1/2 (1+t)^-2 mod dt = 1/4 + 3 pi/8
-        est = quad_dirichlet(
-            2.0,
-            (0.5,),
-            QuadSpec(rel_tol=1e-10, abs_tol=1e-14),
-            modulations=[lambda t: np.where(t > 1.0, 0.5, 1.0)],
-            points=[[1.0]],
-        )
-        assert math.isclose(est.value, 0.25 + 3 * math.pi / 8, rel_tol=1e-9)
-
-    # (n, alpha, m) of the sum-kernel integral at beta = alpha / Q, Q = 2n + 2,
-    # where lead = sum beta is small: rest^{lead - 1} overflows where rest
-    # underflows, though the leaf's integrand is finite
-    @pytest.mark.parametrize(
-        "n,alpha,m",
-        [(2, 0.05, 1), (3, 0.05, 1), (6, 0.05, 1), (6, 0.05, 2), (6, 0.1, 1), (10, 0.05, 1),
-         (10, 0.05, 2), (10, 0.1, 1)],
-    )
-    def test_small_lead_stays_finite(self, n, alpha, m):
-        betas = (alpha / (2 * n + 2),) * m
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            est = quad_dirichlet(m, betas, QuadSpec(1e-10, 1e-14))
-        closed = i_m_closed(m, betas)
-        assert math.isfinite(est.value)
-        assert abs(est.value - closed) <= 1e-8 * closed
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            quad_dirichlet(1.0, (0.5, 0.5))
-        with pytest.raises(ValueError):
-            quad_dirichlet(3.0, (1.0,))
-        with pytest.raises(ValueError):
-            quad_dirichlet(3.0, (0.5, 0.5), points=[[1.0]])
 
 
 class TestStreams:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,30 @@ class TestHilbertEvaluator:
             expected, hilbert_constant(1, AlphaProfile.of(1.0, 1.0)).value, rel_tol=1e-13
         )
 
+    def test_step_modulation_against_closed_form(self):
+        # f = r^-2 halved past r = 1: int t^-1/2 (1 + t)^-1 dt is pi/2 on each
+        # side of t = r^4 = 1, so the value is (OMEGA / 4)(pi/2 + pi/4)
+        f = TestFunction.step(2.0, (1.0,), (1.0, 0.5))
+        est = eval_hilbert([f], E1, spec_of(OperatorKind.HILBERT, 2.0), TIGHT)
+        assert math.isclose(est.value, 3 * math.pi**3 / 8, rel_tol=1e-9)
+
+    # (n, alpha, m) where sum alpha is small: the outer mass sits at gauges
+    # far beyond 1e16, and r^{Q-1-alpha} overflows where the kernel underflows
+    @pytest.mark.parametrize(
+        "n,alpha,m",
+        [(2, 0.05, 1), (3, 0.05, 1), (6, 0.05, 1), (6, 0.05, 2), (6, 0.1, 1), (10, 0.05, 1),
+         (10, 0.05, 2), (10, 0.1, 1), (1, 0.05, 2)],
+    )
+    def test_small_alpha_stays_finite(self, n, alpha, m):
+        dim = GroupDim(n)
+        spec = OperatorSpec(OperatorKind.HILBERT, dim, AlphaProfile((alpha,) * m))
+        e1 = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = eval_hilbert(extremals(*(alpha,) * m), e1, spec, TIGHT)
+        closed = hilbert_constant(dim, spec.profile).value
+        assert abs(est.value - closed) <= 1e-8 * closed
+
     def test_mc_engine_matches(self):
         spec = spec_of(OperatorKind.HILBERT, 2.0)
         mc = eval_hilbert(extremals(2.0), E1, spec, McEngine(200_000, SeededStream(33)))
@@ -362,13 +387,9 @@ class TestOneAbsTol:
         "path,n,m",
         [
             (path, n, m)
-            for path in ("hardy", "hlp", "hilbert", "kernel-hardy", "kernel-hilbert")
+            for path in ("hardy", "hlp", "hilbert", "kernel-hardy", "kernel-hlp", "kernel-hilbert")
             for n in (1, 3)
             for m in (1, 2)
-        ]
-        + [
-            # the orthant path misses the kink of the max kernel at r_1 = r_2
-            pytest.param("kernel-hlp", 1, 2, marks=pytest.mark.xfail(strict=True)),
         ],
     )
     def test_within_ten_tolerances_of_a_tighter_reference(self, path, n, m):
@@ -387,6 +408,13 @@ class TestOneAbsTol:
         named = self.evaluate("hardy", n, m, self.SPEC)
         general = self.evaluate("kernel-hardy", n, m, self.SPEC)
         assert (named.value, named.n_samples) == (general.value, general.n_samples)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_hilbert_is_the_general_kernel_path(self, n, m):
+        named = self.evaluate("hilbert", n, m, self.SPEC)
+        general = self.evaluate("kernel-hilbert", n, m, self.SPEC)
+        assert (named.value, named.n_samples) == (general.value, general.n_samples)
+        assert operators.OPERATORS[OperatorKind.HILBERT].quad is None
 
 
 # hlp and hilbert also run at n = 6, 8, 10; hardy stays at n <= 4, since at

@@ -159,6 +159,14 @@ class TestUpperBoundSearch:
         assert 0.999 * sr.bound <= sr.max_ratio <= sr.bound * (1 + 1e-3)
         assert sr.attaining_description
 
+    def test_hilbert_beyond_h1_converges(self):
+        # step edges far from gauge 1 put the inner mass of the sum kernel
+        # where an absolute inner axis exhausts max_subdivisions
+        spec = OperatorSpec(OperatorKind.HILBERT, GroupDim(3), AlphaProfile.of(1.0, 1.0))
+        sr = upper_bound_search(spec, trials=20, seed=0)
+        assert sr.violations == 0
+        assert abs(sr.max_ratio - sr.bound) <= 1e-6 * sr.bound
+
     def test_constant_half_modulation_ratio_equals_bound(self):
         from hlab.hgroup import HPoint
 
