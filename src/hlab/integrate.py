@@ -23,7 +23,10 @@ Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
 Results are therefore bit-identical for any worker count.  Inside a chunk,
 the arithmetic after the draws runs in row blocks (``row_blocks``) sized for
 the cache; since every value depends only on its own row, the block size
-changes no bit.
+changes no bit.  Each worker thread keeps one set of chunk-sized arrays
+(``ChunkBuffers``) for the whole call: every chunk draws its uniforms into
+them and writes its values and their squares there, so after the first
+chunk no chunk-sized array is allocated or freed.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .hgroup import GroupDim, HPoint, gauge_array, sphere_measure
 
 __all__ = [
     "Axis",
+    "ChunkBuffers",
     "Domain",
     "Estimate",
     "EstimationError",
@@ -578,8 +582,41 @@ def sample_sphere_direction(
 ChunkPartial = tuple[int, float, float, int]
 
 
+class ChunkBuffers:
+    """The arrays one worker thread reuses from one Monte Carlo chunk to the
+    next.
+
+    ``mc_chunk_partials`` makes one per worker thread for the whole call and
+    rewinds it before each chunk.  The k-th array a chunk asks for is then
+    the k-th array of the chunk before, cut to its rows: every chunk makes
+    the same requests in the same order, and no chunk is larger than the
+    first, so after the first chunk no large array is allocated or freed.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: list[np.ndarray] = []
+        self._next = 0
+
+    def rewind(self) -> None:
+        self._next = 0
+
+    def empty(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialized C-contiguous float array of ``shape``."""
+        k = self._next
+        self._next += 1
+        if k == len(self._arrays):
+            self._arrays.append(np.empty(shape))
+        elif self._arrays[k].shape[1:] != shape[1:] or self._arrays[k].shape[0] < shape[0]:
+            self._arrays[k] = np.empty(shape)
+        return self._arrays[k][: shape[0]]
+
+    def random(self, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+        """``gen.random(shape)``, drawn into a reused array: the same bits."""
+        return gen.random(out=self.empty(shape))
+
+
 def mc_chunk_partials(
-    values_fn: Callable[[np.random.Generator, int], np.ndarray],
+    values_fn: Callable[[np.random.Generator, int, ChunkBuffers], np.ndarray],
     n_samples: int,
     stream: SeededStream,
     workers: int = 1,
@@ -587,29 +624,41 @@ def mc_chunk_partials(
     """Evaluate ``values_fn`` chunk by chunk; chunk ``k`` draws from substream
     block ``k + 1``.
 
-    ``values_fn(gen, size)`` returns the chunk's ``size`` values, each of
-    which must depend only on its own row (its own draws), so that the chunk
-    may be evaluated in row blocks (``row_blocks``) without moving a bit.
-    Returns ``(size, sum, sum of squares, nonzero count)`` per chunk in chunk
-    order, identical for any worker count.
+    ``values_fn(gen, size, buffers)`` returns the chunk's ``size`` values,
+    each of which must depend only on its own row (its own draws), so that
+    the chunk may be evaluated in row blocks (``row_blocks``) without moving
+    a bit.  It takes its draws (``buffers.random``) and its value array
+    (``buffers.empty``) from ``buffers``, the ``ChunkBuffers`` of its worker
+    thread; the square of the values, for their sum of squares, goes to
+    them too.  Returns ``(size, sum, sum of squares, nonzero count)`` per
+    chunk in chunk order, identical for any worker count.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     full, rem = divmod(n_samples, _CHUNK)
     sizes = [_CHUNK] * full + ([rem] if rem else [])
+    stripes = min(max(workers, 1), len(sizes))
 
-    def one(block: int) -> ChunkPartial:
-        v = values_fn(stream.generator(block=block + 1), sizes[block])
-        return sizes[block], float(v.sum()), float(np.square(v).sum()), int(np.count_nonzero(v))
+    def one(block: int, buffers: ChunkBuffers) -> ChunkPartial:
+        buffers.rewind()
+        v = values_fn(stream.generator(block=block + 1), sizes[block], buffers)
+        square = np.square(v, out=buffers.empty(v.shape))
+        return sizes[block], float(v.sum()), float(square.sum()), int(np.count_nonzero(v))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(len(sizes))))
-    return [one(i) for i in range(len(sizes))]
+    def stripe(first: int) -> list[ChunkPartial]:
+        # chunks first, first + stripes, ...: one worker thread, one set of buffers
+        buffers = ChunkBuffers()
+        return [one(k, buffers) for k in range(first, len(sizes), stripes)]
+
+    if stripes > 1:
+        with ThreadPoolExecutor(max_workers=stripes) as pool:
+            done = list(pool.map(stripe, range(stripes)))
+        return [done[k % stripes][k // stripes] for k in range(len(sizes))]
+    return stripe(0)
 
 
-def row_blocks(size: int, block_values: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """The ``size`` values of a chunk, computed block by block.
+def row_blocks(out: np.ndarray, block_values: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """Fill ``out``, the values of a chunk, block by block, and return it.
 
     ``block_values(rows)`` returns the values of the rows in the slice
     ``rows`` (``rows.stop - rows.start`` of them), computed from data drawn
@@ -617,7 +666,7 @@ def row_blocks(size: int, block_values: Callable[[slice], np.ndarray]) -> np.nda
     temporaries in cache; a value that depends only on its own row comes out
     the same for any block size.
     """
-    out = np.empty(size)
+    size = out.shape[0]
     for lo in range(0, size, _ROW_BLOCK):
         rows = slice(lo, min(lo + _ROW_BLOCK, size))
         out[rows] = block_values(rows)
@@ -685,16 +734,16 @@ def two_piece_gauges(
         return log_g, np.zeros_like(log_g), a
     b = 1.0 / alpha
     p = a / (a + b)
-    outer = np.greater_equal(x, p).astype(float)
+    outer = np.greater_equal(x, p, out=np.empty(x.shape))  # 1 on the outer piece
     log_g = x - outer
     log_g /= p - outer  # v
     np.maximum(log_g, _TINY, out=log_g)
     np.log(log_g, out=log_g)
+    log_q = outer * Q
     outer *= -(a + b)
     outer += a  # e
     log_g *= outer
-    log_q = log_g * Q
-    log_q *= outer < 0.0  # where e = -b < 0
+    log_q *= log_g
     return log_g, log_q, a + b
 
 
@@ -735,8 +784,8 @@ def mc_integrate_radial(
             raise ValueError(f"tilt {i + 1} = {t!r} must lie in {bounds}")
     log_omega = math.log(sphere_measure(dim))
 
-    def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
-        uniforms = [gen.random(size) for _ in tilts]
+    def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
+        uniforms = [buffers.random(gen, (size,)) for _ in tilts]
 
         def block(rows: slice) -> np.ndarray:
             log_w = np.zeros(rows.stop - rows.start)
@@ -763,7 +812,7 @@ def mc_integrate_radial(
             out[inside] = vals
             return out
 
-        return row_blocks(size, block)
+        return row_blocks(buffers.empty((size,)), block)
 
     estimate, nonzero = reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))
     if nonzero == 0:
@@ -779,12 +828,15 @@ def rejection_volume_estimate(
     anything it is used to check."""
     box = 2.0**dim.ambient
 
-    def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
-        props = gen.uniform(-1.0, 1.0, (size, dim.ambient))
+    def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
+        # 2r - 1 has the bits of gen.uniform(-1, 1), -1 + 2r
+        uniforms = buffers.random(gen, (size, dim.ambient))
 
         def block(rows: slice) -> np.ndarray:
-            return np.where(gauge_array(props[rows], dim.n) < 1.0, box, 0.0)
+            props = uniforms[rows] * 2.0
+            props -= 1.0
+            return np.where(gauge_array(props, dim.n) < 1.0, box, 0.0)
 
-        return row_blocks(size, block)
+        return row_blocks(buffers.empty((size,)), block)
 
     return reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))[0]

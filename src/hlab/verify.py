@@ -15,18 +15,21 @@ question.
 Each factor draws a gauge g from a two-piece power law (density
 proportional to g^{Q-1-alpha} below 1 and g^{-1-alpha} above;
 ``integrate.two_piece_gauges``, the law the operators' Monte Carlo engine
-draws from too) and an angle theta uniform on (-pi/2, pi/2).  A unit
-vector omega would complete the point (g cos^{1/2}(theta) omega, g^2 sin
-theta), whose gauge is g whatever omega is; since every integrand the
-oracle sees depends on a point only through its gauge, no omega is drawn.
-The coordinate density follows from rho^{2n-1} d rho dt = g^{Q-1}
-cos^{n-1}(theta) dg dtheta; the Heisenberg factor int cos^{n-1}(theta)
-dtheta is estimated by the sampler, never used as a number.  At n = 1,
-cos^0(theta) = 1 and no theta is drawn.  The weight is formed in log space,
-the kernel's log profile at the log gauges included, and exponentiated once
-per sample.
+draws from too) and an angle.  A unit vector omega would complete the point
+(g cos^{1/2}(theta) omega, g^2 sin theta), whose gauge is g whatever omega
+is; since every integrand the oracle sees depends on a point only through
+its gauge, no omega is drawn.  The coordinate density follows from
+rho^{2n-1} d rho dt = g^{Q-1} cos^{n-1}(theta) dg dtheta.  At n = 1,
+cos^0(theta) = 1, theta would be uniform on (-pi/2, pi/2) and is not drawn.
+At n >= 2 the angle is s = sin theta, uniform on (-1, 1), and the factor is
+(1 - s^2)^{(n-2)/2} ds: 1 at n = 2, where s is not drawn either.  The
+Heisenberg factor int cos^{n-1}(theta) dtheta is estimated by the sampler,
+never used as a number; where no angle is drawn, it enters only as the
+length of the angle's range, pi at n = 1 and 2 at n = 2.  The weight is
+formed in log space, the kernel's log profile at the log gauges included,
+and exponentiated once per sample.
 
-At n = m = 1 the hlp and averaging weights are constant, and their
+At n <= 2, m = 1 the hlp and averaging weights are constant, and their
 variance cancels to 0; ``reduce_partials`` floors it at its own rounding,
 so their std error is about 1.5e-11 relative at 10^6 samples, not 0.
 """
@@ -49,6 +52,7 @@ from .hgroup import (
     unit_ball_volume,
 )
 from .integrate import (
+    ChunkBuffers,
     ChunkPartial,
     Estimate,
     Method,
@@ -193,58 +197,65 @@ def _gauge_polar(
     u: np.ndarray, alpha: float, n: int, compact: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log gauges and log weights of one factor, from its uniforms ``u`` of
-    shape (rows, 2), or (rows, 1) at n = 1.
+    shape (rows, 2), or (rows, 1) at n <= 2.
 
     Column 0 gives the gauge ``g`` through ``integrate.two_piece_gauges``,
     the gauge law of the operators' Monte Carlo engine: density
     ``g^{Q-1-alpha} / M`` below 1 and ``g^{-1-alpha} / M`` above, whose
     outer piece ``compact`` drops.
 
-    Column 1 gives ``theta = pi (x - 1/2)``, uniform on (-pi/2, pi/2); only
-    ``cos theta = sin(pi x)`` is used.  With ``omega`` uniform on S^{2n-1},
-    the point ``(g cos^{1/2}(theta) omega, g^2 sin theta)`` has gauge ``g``
-    and, since ``rho^{2n-1} d rho dt = g^{Q-1} cos^{n-1}(theta) dg dtheta``,
-    coordinate density ``q = p(g) / (pi |S^{2n-1}| g^{Q-1} cos^{n-1} theta)``.
-    The log weight returned is ``log(g^{-alpha} / q)``:
-    ``log(pi |S^{2n-1}| M cos^{n-1} theta)``, plus ``Q log g`` on the outer
-    piece.  At n = 1, ``cos^0 theta = 1`` and there is no column 1.  No
-    ``omega`` is drawn: the integrands see a point only through its gauge.
+    With ``omega`` uniform on S^{2n-1}, the point ``(g cos^{1/2}(theta)
+    omega, g^2 sin theta)`` has gauge ``g``, and ``rho^{2n-1} d rho dt =
+    g^{Q-1} cos^{n-1}(theta) dg dtheta``.  At n = 1, ``theta`` is uniform on
+    (-pi/2, pi/2) and ``cos^0 theta = 1``, so it is not drawn.  At n >= 2
+    the angle is ``s = sin theta``, uniform on (-1, 1): since ``ds = cos
+    theta dtheta``, the Jacobian is ``g^{Q-1} (1 - s^2)^{(n-2)/2} dg ds``.
+    Column 1 gives ``s = 2x - 1``, so ``1 - s^2 = 4x(1 - x)``; at n = 2 the
+    factor is 1 and there is no column 1.  The coordinate density is ``q =
+    p(g) / (L |S^{2n-1}| g^{Q-1} J)``, with ``L`` the length of the angle's
+    range (``pi``, or 2 for ``s``) and ``J`` the angular factor above, and
+    the log weight returned is ``log(g^{-alpha} / q)``: ``log(L |S^{2n-1}|
+    M J)``, plus ``Q log g`` on the outer piece.  No ``omega`` is drawn: the
+    integrands see a point only through its gauge.
     """
     log_g, log_w, mass = two_piece_gauges(u[:, 0], alpha, 2 * n + 2, compact)
-    # log(pi |S^{2n-1}| M), with |S^{2n-1}| = 2 pi^n / Gamma(n)
-    log_w += math.log(2.0 * mass) + (n + 1) * math.log(math.pi) - math.lgamma(n)
-    if n > 1:
-        # cos theta = sin(pi w), w = min(x, 1 - x), as 2 tau / (1 + tau^2)
-        # with tau = tan(pi w / 2): tan on [0, pi/4] keeps full relative
-        # precision and is far cheaper than sin on [0, pi]
-        tau = np.minimum(u[:, 1], 1.0 - u[:, 1])
-        tau *= 0.5 * math.pi
-        np.tan(tau, out=tau)
-        cos = tau * tau
-        cos += 1.0
-        np.divide(tau, cos, out=cos)
-        cos *= 2.0
+    # |S^{2n-1}| = 2 pi^n / Gamma(n)
+    if n == 1:
+        log_w += math.log(2.0 * mass) + 2.0 * math.log(math.pi)
+        return log_g, log_w
+    # log(2 |S^{2n-1}| M), and (n - 2) log 2 of (n - 2)/2 log(4x(1 - x))
+    log_w += (
+        math.log(4.0 * mass) + n * math.log(math.pi) - math.lgamma(n) + (n - 2) * math.log(2.0)
+    )
+    if n > 2:
+        # 1 - x is exact where x is near 1, so x(1 - x) keeps its relative
+        # precision at both ends
+        j = 1.0 - u[:, 1]
+        j *= u[:, 1]
         with np.errstate(divide="ignore"):
-            log_w += (n - 1) * np.log(cos, out=cos)
+            np.log(j, out=j)
+        j *= 0.5 * (n - 2)
+        log_w += j
     return log_g, log_w
 
 
 def _cartesian_values_fn(
     spec: OperatorSpec,
-) -> Callable[[np.random.Generator, int], np.ndarray]:
+) -> Callable[[np.random.Generator, int, ChunkBuffers], np.ndarray]:
     """Weighted samples of the constant-defining integral
     ``int K(e_1, y) prod |y_i|^{-alpha_i} dy`` with the kernel taken under
     ``spec``'s convention; the oracle's callers pass the GEOMETRIC one.
 
-    Each factor makes one draw in factor order: ``gen.random((size, 2))``,
-    its gauge and its angle theta, or at n = 1, where theta does not enter
-    the weight, ``gen.random((size, 1))``, its gauge alone.  ``_gauge_polar``
-    turns them into the factor's log gauge and log weight.  The chunk's
-    draws all come first; the arithmetic then runs in row blocks
-    (``row_blocks``).  The weight ``K(1, g_1..g_m) prod_i g_i^{-alpha_i} /
-    q_i`` is the exponential of the factors' log weights plus the kernel's
-    ``log_profile`` at the log gauges, one ``exp`` per sample: a factor's
-    weight beyond the float range meets a kernel below it only in log space.
+    Each factor makes one draw in factor order: ``(size, 2)`` uniforms, its
+    gauge and its angle ``s``, or at n <= 2, where the angle does not enter
+    the weight, ``(size, 1)``, its gauge alone.  They are drawn into the
+    chunk's ``ChunkBuffers``; ``_gauge_polar`` turns them into the factor's
+    log gauge and log weight.  The chunk's draws all come first; the
+    arithmetic then runs in row blocks (``row_blocks``).  The weight
+    ``K(1, g_1..g_m) prod_i g_i^{-alpha_i} / q_i`` is the exponential of the
+    factors' log weights plus the kernel's ``log_profile`` at the log
+    gauges, one ``exp`` per sample: a factor's weight beyond the float range
+    meets a kernel below it only in log space.
     """
     n = spec.dim.n
     alphas = spec.profile.alphas
@@ -252,10 +263,10 @@ def _cartesian_values_fn(
     # tuple-ball integrands vanish unless every gauge is below 1, so their
     # proposal takes no outer piece
     compact = kernel.compact
-    columns = 1 if n == 1 else 2
+    columns = 2 if n > 2 else 1
 
-    def values_fn(gen: np.random.Generator, size: int) -> np.ndarray:
-        uniforms = [gen.random((size, columns)) for _ in alphas]
+    def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
+        uniforms = [buffers.random(gen, (size, columns)) for _ in alphas]
 
         def block(rows: slice) -> np.ndarray:
             log_w = np.zeros(rows.stop - rows.start)
@@ -267,7 +278,7 @@ def _cartesian_values_fn(
             log_w += kernel.log_profile(0.0, *log_gauges)
             return np.exp(log_w, out=log_w)
 
-        return row_blocks(size, block)
+        return row_blocks(buffers.empty((size,)), block)
 
     return values_fn
 

@@ -386,7 +386,7 @@ def test_criterion_9_determinism(tmp_path):
         "--operator",
         "hardy",
         "--n",
-        "2",
+        "3",
         "--m",
         "1",
         "--alphas",

@@ -133,8 +133,8 @@ class TestVerifyCommand:
         assert json.loads(out)["pass"] is False
 
     def test_inconclusive_oracle_exits_1(self, capsys):
-        argv = ["verify", "--operator", "hlp", "--n", "3", "--m", "1", "--alphas", "1"]
-        code, out, _ = run_capture(argv + ["--samples", "4", "--seed", "0", "--format", "json"], capsys)
+        argv = ["verify", "--operator", "hlp", "--n", "4", "--m", "1", "--alphas", "1"]
+        code, out, _ = run_capture(argv + ["--samples", "2", "--seed", "0", "--format", "json"], capsys)
         assert code == 1
         doc = json.loads(out)
         jsonschema.validate(doc, SCHEMA)
@@ -180,7 +180,7 @@ class TestVerifyCommand:
                 "--operator",
                 "hardy",
                 "--n",
-                "2",
+                "3",
                 "--m",
                 "1",
                 "--alphas",

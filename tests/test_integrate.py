@@ -423,7 +423,9 @@ class TestRowBlocks:
             spans.append((rows.start, rows.stop))
             return np.arange(rows.start, rows.stop, dtype=float)
 
-        np.testing.assert_array_equal(integrate.row_blocks(2500, block), np.arange(2500.0))
+        np.testing.assert_array_equal(
+            integrate.row_blocks(np.empty(2500), block), np.arange(2500.0)
+        )
         assert spans == [(0, 1000), (1000, 2000), (2000, 2500)]
 
 
@@ -466,7 +468,30 @@ class TestOperatorSamplerDraws:
         mc_integrate_radial(
             lambda lgs: lgs[0], GroupDim(2), (1.0,) * m, ROW_BLOCK_SAMPLES, stream, compact=compact
         )
-        assert stream.calls == {k: [("random", (size,))] * m for k, size in self.SIZES.items()}
+        # each draw fills a reused array: recorded as the shape of its out
+        drawn = {
+            k: [(name, [np.shape(a) for a in args]) for name, args in calls]
+            for k, calls in stream.calls.items()
+        }
+        assert drawn == {k: [("random", [(size,)])] * m for k, size in self.SIZES.items()}
+
+    def test_chunks_reuse_their_buffers(self):
+        # hilbert n = 3, m = 2 draws (size, 2) per factor; hardy n = 1, m = 3
+        # draws (size, 1) per factor, one factor more
+        a = OperatorSpec(OperatorKind.HILBERT, GroupDim(3), AlphaProfile((1.0, 2.0)))
+        b = OperatorSpec(OperatorKind.HARDY, GroupDim(1), AlphaProfile((0.5, 0.5, 0.5)))
+        stream = RecordingStream(SeededStream(5))
+        first = verify._cartesian_mc(a, ROW_BLOCK_SAMPLES, stream)
+        outs = {k: [args[0] for _, args in calls] for k, calls in stream.calls.items()}
+        # each factor draws into its own array, the same one in every chunk
+        for k in (2, 3):
+            assert [x.ctypes.data for x in outs[k]] == [x.ctypes.data for x in outs[1]]
+        assert outs[1][0].shape == outs[2][0].shape == (65536, 2)
+        assert not np.shares_memory(outs[1][0], outs[1][1])
+        # and a call leaves nothing behind for the next
+        for workers in (1, 2):
+            verify._cartesian_mc(b, ROW_BLOCK_SAMPLES, SeededStream(5), workers)
+            assert verify._cartesian_mc(a, ROW_BLOCK_SAMPLES, SeededStream(5), workers) == first
 
 
 class TestEstimateInvariants:
@@ -486,7 +511,9 @@ class TestEstimateInvariants:
         # sqrt(eps/(n - 1)) relative, and rounding keeps it within 10x that
         n = 1_000_000
         for c in (1.6, 8 * math.pi**2 / 3, 1e-30):
-            partials = mc_chunk_partials(lambda gen, size: np.full(size, c), n, SeededStream(0))
+            partials = mc_chunk_partials(
+                lambda gen, size, buffers: np.full(size, c), n, SeededStream(0)
+            )
             est = reduce_partials(partials)[0]
             floor = c * math.sqrt(math.ulp(1.0) / (n - 1))
             assert math.isclose(est.value, c, rel_tol=1e-13)
