@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
+import functools
 import io
 import json
 import os
@@ -65,7 +66,10 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"{flag}: expected a comma-separated list of numbers")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    parsing leaves no state in it, so ``run`` can be called again."""
     parser = argparse.ArgumentParser(
         prog="hlab",
         description="Sharp-constant computations and verification for m-linear "
@@ -313,7 +317,7 @@ def run(argv: list[str] | None = None) -> int:
     Returns 0 when all checks pass, 1 when a verification fails, 2 on
     usage or validation errors.
     """
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.workers < 1:

@@ -13,9 +13,15 @@ Three layers:
 * seeded Monte Carlo adapted to the Koranyi geometry: one gauge law
   (``two_piece_gauges``, a two-piece power law at an importance tilt that
   neutralizes a power-law singularity) serves both the radial tuple
-  integrator ``mc_integrate_radial`` and the verifier's Cartesian oracle.
+  engine ``mc_integrate_tilted`` and the verifier's Cartesian oracle.
   Both form each sample's weight and integrand in log space, from the log
-  gauges the law returns, and exponentiate once per sample.
+  gauges the law returns, and exponentiate once per sample.  The engine's
+  log integrand carries the tilt ``prod_i g_i^tilt_i`` itself, so that a
+  test function's power at its own tilt cancels before any sample is drawn,
+  and it bounds the tuple ball itself (``-inf`` outside): the engine forms
+  no tilt power and tests no tuple against the ball.
+  ``mc_integrate_radial`` is the engine for a plain log integrand: it adds
+  the tilt's powers and, on the tuple ball, the ``-inf`` outside it.
 
 Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
 ``k`` draws from the SFC64 substream keyed by ``(seed, stream_id, block=k)``
@@ -54,6 +60,7 @@ __all__ = [
     "SeededStream",
     "mc_chunk_partials",
     "mc_integrate_radial",
+    "mc_integrate_tilted",
     "quad_1d",
     "quad_nested",
     "quad_tensor",
@@ -698,9 +705,12 @@ def reduce_partials(partials: Sequence[ChunkPartial]) -> tuple[Estimate, int]:
 
 
 def _check_finite(values: np.ndarray, log_gauges: list[np.ndarray]) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.argmax(bad))
+    """Raise on a non-finite value, naming the log gauges of its row.
+
+    The values are exponentials, never -inf, so one ``max`` tells: NaN and
+    +inf both propagate through it.  Only then is the row looked for."""
+    if not math.isfinite(values.max()):
+        idx = int(np.argmax(~np.isfinite(values)))
         where = [lg[idx].tolist() for lg in log_gauges]
         raise EstimationError(f"non-finite integrand value at log gauge(s) {where}")
 
@@ -726,25 +736,43 @@ def two_piece_gauges(
     the polar weight ``g^{Q-1} / density`` of a draw is ``M g^alpha`` inside
     and ``M g^{Q+alpha}`` outside.
     """
+    log_g, log_q = _two_piece(x, alpha, Q, compact)
+    mass = _two_piece_mass(alpha, Q, compact)
+    return log_g, np.zeros_like(log_g) if log_q is None else log_q, mass
+
+
+def _two_piece(
+    x: np.ndarray, alpha: float, Q: float, compact: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The log gauges and outer powers of ``two_piece_gauges``, with
+    ``None`` for the outer powers of the compact law, which has no outer
+    piece."""
     a = 1.0 / (Q - alpha)
     if compact:
         log_g = np.maximum(x, _TINY)
         np.log(log_g, out=log_g)
         log_g *= a
-        return log_g, np.zeros_like(log_g), a
-    b = 1.0 / alpha
-    p = a / (a + b)
+        return log_g, None
+    mass = _two_piece_mass(alpha, Q, compact)
+    p = a / mass
     outer = np.greater_equal(x, p, out=np.empty(x.shape))  # 1 on the outer piece
     log_g = x - outer
     log_g /= p - outer  # v
     np.maximum(log_g, _TINY, out=log_g)
     np.log(log_g, out=log_g)
     log_q = outer * Q
-    outer *= -(a + b)
+    outer *= -mass
     outer += a  # e
     log_g *= outer
     log_q *= log_g
-    return log_g, log_q, a + b
+    return log_g, log_q
+
+
+def _two_piece_mass(alpha: float, Q: float, compact: bool) -> float:
+    """The normalizer ``M`` of the two-piece law: ``a``, plus ``b`` with its
+    outer piece."""
+    a = 1.0 / (Q - alpha)
+    return a if compact else a + 1.0 / alpha
 
 
 def mc_integrate_radial(
@@ -774,6 +802,55 @@ def mc_integrate_radial(
     ``compact`` integrates over the tuple ball ``{sum |y_i|_h^2 < 1}`` only:
     its gauges stay below 1, and tuples outside the ball are rejected and
     contribute 0.
+
+    This is ``mc_integrate_tilted`` with ``sum_i tilt_i log g_i`` added to
+    ``log_f`` and, with ``compact``, ``-inf`` outside the tuple ball, where
+    ``log_f`` is not called.
+    """
+    tilts = tuple(tilts)
+
+    def log_tilted(log_gauges: list[np.ndarray]) -> np.ndarray:
+        out = sum(t * lg for t, lg in zip(tilts, log_gauges))
+        if not compact:
+            out += log_f(log_gauges)
+            return out
+        inside = sum(np.exp(2.0 * lg) for lg in log_gauges) < 1.0
+        if inside.any():
+            out[inside] += log_f([lg[inside] for lg in log_gauges])
+        out[~inside] = -np.inf
+        return out
+
+    return mc_integrate_tilted(log_tilted, dim, tilts, n_samples, stream, workers, compact=compact)
+
+
+def mc_integrate_tilted(
+    log_f: Callable[[list[np.ndarray]], np.ndarray],
+    dim: GroupDim,
+    tilts: Sequence[float],
+    n_samples: int,
+    stream: SeededStream,
+    workers: int = 1,
+    *,
+    compact: bool = False,
+    log_scale: float = 0.0,
+) -> Estimate:
+    """The Monte Carlo engine behind ``mc_integrate_radial`` and the
+    operators' ``McEngine``: the same integral, with the law's tilt folded
+    into the log integrand and the tuple ball left to it.
+
+    ``log_f`` returns the log of the integrand times ``prod_i g_i^tilt_i``,
+    so the draw's own ``tilt_i log g_i`` is never formed: a caller whose
+    integrand carries the powers ``g_i^-tilt_i`` (the operators' test
+    functions at the exponents of their profile) forms neither.  What stays
+    of a draw's log weight is one scalar per call, ``log_scale`` plus
+    ``log Omega + log M_i`` for each factor, and ``Q log g_i`` on the outer
+    pieces.  The weight is formed in the block's output and exponentiated
+    there, in place.
+
+    With ``compact`` the gauges are drawn below 1 and no tuple is tested
+    against the ball ``sum g_i^2 < 1``: ``log_f`` must be ``-inf`` outside
+    it.  ``mc_integrate_radial`` makes that test itself; a ``KernelSpec``
+    whose support lies in the ball vanishes outside it by its contract.
     """
     Q = dim.Q
     if not tilts:
@@ -783,36 +860,33 @@ def mc_integrate_radial(
             bounds = f"[0, {Q})" if compact else f"(0, {Q})"
             raise ValueError(f"tilt {i + 1} = {t!r} must lie in {bounds}")
     log_omega = math.log(sphere_measure(dim))
+    log_const = log_scale + math.fsum(
+        log_omega + math.log(_two_piece_mass(t, Q, compact)) for t in tilts
+    )
 
     def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
         uniforms = [buffers.random(gen, (size,)) for _ in tilts]
+        values = buffers.empty((size,))
 
         def block(rows: slice) -> np.ndarray:
-            log_w = np.zeros(rows.stop - rows.start)
-            log_gauges = []
+            log_gauges, outer = [], []
             for tilt, x in zip(tilts, uniforms):
-                log_g, log_outer, mass = two_piece_gauges(x[rows], tilt, Q, compact)
-                log_w += log_outer
-                log_w += tilt * log_g
-                log_w += log_omega + math.log(mass)
+                log_g, log_q = _two_piece(x[rows], tilt, Q, compact)
                 log_gauges.append(log_g)
-            out = np.zeros(log_w.size)
-            inside = slice(None)
-            if compact:
-                inside = sum(np.exp(2.0 * lg) for lg in log_gauges) < 1.0
-                if not inside.any():
-                    return out
-                log_gauges, log_w = [lg[inside] for lg in log_gauges], log_w[inside]
-            log_w += np.asarray(log_f(log_gauges), dtype=float)
+                if log_q is not None:
+                    outer.append(log_q)
+            # the rows' own slice of the output: row_blocks copies nothing
+            log_w = np.add(log_f(log_gauges), log_const, out=values[rows])
+            for log_q in outer:
+                log_w += log_q
             # an integrand of +inf, or NaN, leaves a non-finite value that
             # is reported below
             with np.errstate(over="ignore"):
-                vals = np.exp(log_w, out=log_w)
-            _check_finite(vals, log_gauges)
-            out[inside] = vals
-            return out
+                np.exp(log_w, out=log_w)
+            _check_finite(log_w, log_gauges)
+            return log_w
 
-        return row_blocks(buffers.empty((size,)), block)
+        return row_blocks(values, block)
 
     estimate, nonzero = reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))
     if nonzero == 0:

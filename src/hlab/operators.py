@@ -17,7 +17,7 @@ engine performs the polar radial reduction (one radial variable per
 factor): every kind but the max kernel runs the general-kernel path on its
 kernel, and ``QuadSpec.abs_tol`` bounds the error of the returned value on
 every path.  The Monte Carlo engine samples the gauges of tuples
-(``mc_integrate_radial``, which draws no directions) from the gauge law the
+(``mc_integrate_tilted``, which draws no directions) from the gauge law the
 verifier's Cartesian oracle also uses, with importance tilts taken from the
 operator's exponent profile.  The law keeps to the tuple ball
 (``KernelSpec.compact``) when the kernel's support lies there.  The named
@@ -55,7 +55,7 @@ from .integrate import (
     Method,
     QuadSpec,
     SeededStream,
-    mc_integrate_radial,
+    mc_integrate_tilted,
     quad_nested,
     quad_tensor,
 )
@@ -111,7 +111,10 @@ class KernelSpec:
     and exponentiate once per node or sample.  When
     ``simplex_support`` is set the profile vanishes outside
     ``sum r_i^2 < simplex_support^2 * r0^2``, which lets the quadrature
-    engine integrate over the exact support instead of chasing a jump.
+    engine integrate over the exact support instead of chasing a jump.  The
+    Monte Carlo engine relies on it too: for a ``compact`` kernel it draws
+    gauges below 1 and tests no tuple against the tuple ball, so the log
+    profile must be ``-inf`` (the radial profile 0) outside the support.
     """
 
     radial_profile: Callable[..., np.ndarray] | None
@@ -220,11 +223,16 @@ class TestFunction:
         where the modulation vanishes."""
         out = log_s * -self.alpha_j
         if self.modulation is not None:
-            with np.errstate(over="ignore"):
-                s = np.exp(log_s)
-            with np.errstate(divide="ignore"):
-                out = out + np.log(self.modulation(s))
+            out = out + self._log_modulation(log_s)
         return out
+
+    def _log_modulation(self, log_s: np.ndarray) -> np.ndarray:
+        """Log of the modulation at log gauges (vectorized), ``-inf`` where
+        it vanishes."""
+        with np.errstate(over="ignore"):
+            s = np.exp(log_s)
+        with np.errstate(divide="ignore"):
+            return np.log(self.modulation(s))
 
     def __call__(self, point: HPoint | np.ndarray, n: int | None = None) -> float | np.ndarray:
         if isinstance(point, HPoint):
@@ -392,16 +400,25 @@ def _evaluate(
     """Every operator kind through the dilation identity: the value at ``x``
     integrates the kernel at base gauge 1 against ``f_i(delta_{|x|_h} .)``.
 
-    The general-kernel quadrature path and Monte Carlo integrate the log
-    integrand ``log K + sum_i log f_i(c g_i)`` at the log gauges ``g_i`` of a
-    tuple, exponentiated once per node or sample, so that a power too large
-    for a float meets a kernel too small for one only in log space.
-    Quadrature runs the max kernel's cells (hlp) or the general-kernel path
-    on the kind's kernel (every other kind), with
-    ``abs_tol`` divided by the path's final factor, so that it bounds the
-    error of the returned value on every path.  Monte Carlo samples tuples
-    with tilts from the exponent profile, inside the tuple ball when the
-    kernel's support lies there and over all of H^{nm} otherwise.
+    Both engines integrate in log space, so that a power too large for a
+    float meets a kernel too small for one before the one ``exp`` per node
+    or sample.  The general-kernel quadrature path integrates ``log K +
+    sum_i log f_i(c g_i)`` at the log gauges ``g_i`` of a tuple.  Quadrature
+    runs the max kernel's cells (hlp) or the general-kernel path on the
+    kind's kernel (every other kind), with ``abs_tol`` divided by the path's
+    final factor, so that it bounds the error of the returned value on every
+    path.
+
+    Monte Carlo samples tuples with tilts ``t_i`` from the exponent profile,
+    inside the tuple ball when the kernel's support lies there and over all
+    of H^{nm} otherwise.  Its log integrand (``mc_integrate_tilted``) carries
+    the law's ``sum_i t_i log g_i``, which cancels each test function's power
+    ``-a_i (log c + log g_i)`` down to ``-a_i log c``: per sample it is the
+    kernel's log profile plus, per factor, ``(t_i - a_i) log g_i`` only
+    where the test function's exponent ``a_i`` differs from its tilt, and the
+    log modulation at ``c g_i`` only for a modulated one.  ``-sum_i a_i log
+    c`` is one scalar per call.  Nothing but the kernel bounds the tuple
+    ball: its log profile is ``-inf`` outside its support.
     """
     if len(fs) != spec.m:
         raise ValueError(f"need {spec.m} test functions, got {len(fs)}")
@@ -430,14 +447,29 @@ def _evaluate(
         abs_tol = engine.quad.abs_tol / scale if scale > 0.0 else math.inf
         return run(replace(engine.quad, abs_tol=abs_tol)).scaled(scale)
 
-    raw = mc_integrate_radial(
-        log_f,
+    # each factor's weight g_i^{t_i} meets its test function's power
+    # (c g_i)^{-a_i}: per sample only (t_i - a_i) log g_i and the modulation
+    tilts = spec.profile.alphas
+    steps = [(tilt - tf.alpha_j, tf) for tilt, tf in zip(tilts, fs)]
+
+    def log_tilted(log_gauges: list[np.ndarray]) -> np.ndarray:
+        out = kernel.log_profile(0.0, *log_gauges)
+        for (step, tf), lg in zip(steps, log_gauges):
+            if step != 0.0:
+                out = out + step * lg
+            if tf.modulation is not None:
+                out = out + tf._log_modulation(log_c + lg)
+        return out
+
+    raw = mc_integrate_tilted(
+        log_tilted,
         spec.dim,
-        spec.profile.alphas,
+        tilts,
         engine.n_samples,
         engine.stream,
         engine.workers,
         compact=kernel.compact,
+        log_scale=-log_c * math.fsum(tf.alpha_j for tf in fs),
     )
     return raw.scaled(_conv_factor(spec))
 
@@ -634,16 +666,28 @@ def hlp_kernel(dim: GroupDim, m: int) -> KernelSpec:
 def hilbert_kernel(dim: GroupDim, m: int) -> KernelSpec:
     """Sum-kernel profile ``(r0^Q + sum r_i^Q)^{-m}``, in log form
     ``-m logsumexp(Q l0, Q l1, ...)`` shifted by its largest term so that no
-    power overflows."""
+    power overflows.
+
+    The log profile runs in place on arrays of its own, never on its
+    arguments, which may be Python floats or 0-d arrays."""
     Q = dim.Q
 
     def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
-        terms = [Q * lr for lr in (l0, *ls)]
-        top = terms[0]
-        for t in terms[1:]:
-            top = np.maximum(top, t)
-        total = sum(np.exp(t - top) for t in terms)
-        return (top + np.log(total)) * -float(m)
+        shape = np.broadcast_shapes(*(np.shape(lr) for lr in (l0, *ls)))
+        terms = [np.multiply(lr, Q, out=np.empty(np.shape(lr))) for lr in (l0, *ls)]
+        top = np.maximum(terms[0], terms[1], out=np.empty(shape))
+        for t in terms[2:]:
+            np.maximum(top, t, out=top)
+        total = None
+        for t in terms:
+            # exp(t - top), in t's own array where it has the full shape
+            e = np.subtract(t, top, out=t if t.shape == shape else np.empty(shape))
+            np.exp(e, out=e)
+            total = e if total is None else np.add(total, e, out=total)
+        np.log(total, out=total)
+        total += top
+        total *= -float(m)
+        return total
 
     return KernelSpec(None, -float(m * Q), log_profile=log_profile)
 

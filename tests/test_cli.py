@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -427,3 +431,50 @@ class TestOtherCommands:
         )
         assert code == 0
         assert out.splitlines()[0] == "key,value"
+
+
+class TestParserBuiltOnce:
+    """``run`` builds its parser once per process: a second call in the same
+    process must see nothing of the first."""
+
+    CALLS = (
+        ["verify", "--operator", "hilbert", "--n", "1", "--m", "2", "--alphas", "1,1",
+         "--samples", "20000", "--seed", "4", "--tol", "0.05", "--convention", "paper"],
+        ["verify", "--operator", "hlp", "--n", "2", "--m", "1", "--alphas", "2",
+         "--samples", "30000", "--seed", "5"],
+    )
+
+    @staticmethod
+    def fresh_process(argv, tmp_path):
+        # the checkout's sources, as this process imports them
+        src = str(Path(hlab.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hlab.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        return proc.returncode, proc.stdout
+
+    @staticmethod
+    def without_metadata(text):
+        doc = json.loads(text)
+        doc.pop("metadata")
+        return doc
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
+        argvs = [argv + ["--format", "json"] for argv in self.CALLS]
+        fresh = [self.fresh_process(argv, tmp_path) for argv in argvs]
+        assert [code for code, _ in fresh] == [0, 0]
+        for argv, (code, out) in zip(argvs, fresh):
+            got_code, got, _ = run_capture(argv, capsys)
+            assert got_code == code
+            assert self.without_metadata(got) == self.without_metadata(out)
+
+    def test_help_text_unchanged_by_earlier_calls(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        _, fresh = self.fresh_process(["--help"], tmp_path)
+        run_capture(self.CALLS[1] + ["--format", "json"], capsys)
+        for _ in range(2):
+            code, out, _ = run_capture(["--help"], capsys)
+            assert code == 0
+            assert out == fresh

@@ -256,6 +256,64 @@ class TestEngineAgreement:
         mc = evaluator(fs, E1, spec, McEngine(150_000, SeededStream(seed)))
         assert abs(mc.value - quad.value) <= 3 * max(mc.std_error, 1e-12 * quad.value)
 
+    # The Monte Carlo engine folds each factor's tilt into its test function's
+    # power, keeping only log c, the modulation at c g and any difference of
+    # exponents per sample.  At gauge 2, log c is not 0 and the step edges
+    # sit at other gauges than they do at e_1.
+    X2 = HPoint.of(1, (2.0, 0.0, 0.0))
+    STEPS = (
+        TestFunction.step(1.0, [0.5, 2.0], [1.0, 0.3, 0.8]),
+        TestFunction.step(1.0, [1.5], [0.4, 1.0]),
+    )
+
+    @pytest.mark.parametrize(
+        "kind,evaluator,seed",
+        [
+            (OperatorKind.HARDY, eval_hardy, 47),
+            (OperatorKind.HLP, eval_hlp, 48),
+            (OperatorKind.HILBERT, eval_hilbert, 49),
+        ],
+    )
+    def test_step_modulated_pair_off_the_unit_gauge(self, kind, evaluator, seed):
+        assert gauge(self.X2) == 2.0
+        spec = spec_of(kind, 1.0, 1.0)
+        quad = evaluator(self.STEPS, self.X2, spec, TIGHT)
+        mc = evaluator(self.STEPS, self.X2, spec, McEngine(150_000, SeededStream(seed)))
+        assert abs(mc.value - quad.value) <= 3 * mc.std_error
+
+    @pytest.mark.parametrize(
+        "kind,evaluator,seed",
+        [
+            (OperatorKind.HARDY, eval_hardy, 50),
+            (OperatorKind.HILBERT, eval_hilbert, 51),
+        ],
+    )
+    def test_exponents_other_than_the_tilts(self, kind, evaluator, seed):
+        # the law is tilted by the profile (1, 1); the test functions'
+        # powers differ from it, so (tilt - alpha) log g stays per sample
+        spec = spec_of(kind, 1.0, 1.0)
+        fs = [TestFunction.extremal(1.5), TestFunction.step(0.5, [0.5], [1.0, 0.5])]
+        quad = evaluator(fs, self.X2, spec, TIGHT)
+        mc = evaluator(fs, self.X2, spec, McEngine(150_000, SeededStream(seed)))
+        assert abs(mc.value - quad.value) <= 3 * mc.std_error
+
+    def test_kernel_bounds_the_tuple_ball(self):
+        # support sum r_i^2 < r0^2 / 4: the compact law draws gauges below 1
+        # and nothing but the kernel's -inf rejects the tuples outside
+        mQ = 2.0 * DIM1.Q
+
+        def log_profile(l0, *ls):
+            ss = sum(np.exp(2.0 * (lr - l0)) for lr in ls)
+            return np.where(ss < 0.25, -mQ * l0, -np.inf)
+
+        kern = KernelSpec(None, -mQ, simplex_support=0.5, log_profile=log_profile)
+        assert kern.compact
+        spec = spec_of(OperatorKind.KERNEL, 1.0, 1.0, kernel=kern)
+        fs = extremals(1.0, 1.0)
+        quad = eval_kernel_op(kern, fs, E1, spec, TIGHT)
+        mc = eval_kernel_op(kern, fs, E1, spec, McEngine(150_000, SeededStream(52)))
+        assert abs(mc.value - quad.value) <= 3 * mc.std_error
+
 
 class TestDilationCovariance:
     @pytest.mark.parametrize(
@@ -541,6 +599,62 @@ class TestKernelLogProfiles:
         else:
             expected = base - m * dim.Q * lt
             assert abs(scaled - expected) <= 1e-13 * max(1.0, abs(base), abs(expected))
+
+
+def sum_kernel_by_formula(Q, m, l0, *ls):
+    """The sum kernel's log profile as plain expressions, one new array per
+    step: the in-place profile must give these bits."""
+    terms = [Q * lr for lr in (l0, *ls)]
+    top = terms[0]
+    for t in terms[1:]:
+        top = np.maximum(top, t)
+    total = sum(np.exp(t - top) for t in terms)
+    return (top + np.log(total)) * -float(m)
+
+
+class TestSumKernelLogProfile:
+    """``hilbert_kernel``'s log profile works in place on arrays of its own."""
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (3, 2), (2, 3)])
+    def test_bits_of_the_formula(self, n, m):
+        rng = np.random.default_rng(70 + m)
+        ls = [rng.normal(0.0, 20.0, 1000) for _ in range(m)]
+        ls[0][:4] = [-np.inf, 0.0, 300.0, -300.0]
+        profile = hilbert_kernel(GroupDim(n), m).log_profile
+        for l0 in (0.0, rng.normal(0.0, 2.0, 1000)):
+            got = profile(l0, *ls)
+            want = sum_kernel_by_formula(GroupDim(n).Q, m, l0, *ls)
+            assert got.tobytes() == np.asarray(want).tobytes()
+
+    def test_arguments_unchanged(self):
+        rng = np.random.default_rng(75)
+        args = [rng.normal(0.0, 3.0, 500) for _ in range(3)]
+        before = [a.copy() for a in args]
+        hilbert_kernel(DIM1, 2).log_profile(*args)
+        hilbert_kernel(DIM1, 2).log_profile(0.0, *args[1:])
+        for a, b in zip(args, before):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind", [float, np.float64, np.array], ids=["float", "numpy-scalar", "0-d"]
+    )
+    def test_scalar_arguments(self, kind):
+        logs = (0.0, -0.5, 1.25)
+        got = hilbert_kernel(DIM1, 2).log_profile(*(kind(v) for v in logs))
+        want = sum_kernel_by_formula(DIM1.Q, 2, *logs)
+        assert np.shape(got) == ()
+        assert float(got) == float(want)
+
+    def test_finite_at_large_log_gauges(self):
+        lg = np.array([-300.0, -1.0, 0.0, 1.0, 150.0, 300.0])
+        for n, m in ((1, 2), (10, 3)):
+            kernel = hilbert_kernel(GroupDim(n), m)
+            out = kernel.log_profile(0.0, *([lg] * m))
+            assert np.isfinite(out).all()
+            # at l = 300 the m equal terms Q l lead and the term of l0 = 0
+            # underflows, so the log profile is -m (300 Q + log m)
+            want = -m * (GroupDim(n).Q * 300.0 + math.log(m))
+            assert math.isclose(out[-1], want, rel_tol=1e-15)
 
 
 class TestKernelOperator:
