@@ -25,8 +25,6 @@ from .integrate import (
     mc_integrate_radial,
     quad_1d,
     quad_tensor,
-    sample_sphere_direction,
-    sample_unit_ball,
 )
 from .operators import (
     KernelSpec,

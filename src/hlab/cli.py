@@ -113,12 +113,11 @@ def _parser() -> argparse.ArgumentParser:
         help="write a CSV convergence curve (n_samples,estimate,std_error,closed_form)",
     )
 
-    p = sub.add_parser("extremal", help="extremal attainment across gauges and directions")
+    p = sub.add_parser("extremal", help="extremal attainment across gauges")
     add_common(p)
     p.add_argument(
         "--gauges", type=lambda s: _parse_floats(s, "--gauges"), default=(0.5, 1.0, 2.0, 10.0)
     )
-    p.add_argument("--directions", type=int, default=5)
 
     p = sub.add_parser("search", help="random modulated tuples vs. the norm upper bound")
     add_common(p)
@@ -207,7 +206,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
         vr = verify_extremal(
             spec,
             gauges=args.gauges,
-            directions=args.directions,
             seed=args.seed,
             tol=args.tol if args.tol is not None else 1e-6,
         )

@@ -21,7 +21,9 @@ Three layers:
   and it bounds the tuple ball itself (``-inf`` outside): the engine forms
   no tilt power and tests no tuple against the ball.
   ``mc_integrate_radial`` is the engine for a plain log integrand: it adds
-  the tilt's powers and, on the tuple ball, the ``-inf`` outside it.
+  the tilt's powers and, on the tuple ball, the ``-inf`` outside it.  No
+  Monte Carlo path draws a point or a direction, since every integrand is
+  gauge-radial; only ``rejection_volume_estimate`` draws coordinates.
 
 Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
 ``k`` draws from the SFC64 substream keyed by ``(seed, stream_id, block=k)``
@@ -46,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hgroup import GroupDim, HPoint, gauge_array, sphere_measure
+from .hgroup import GroupDim, gauge_array, sphere_measure
 
 __all__ = [
     "Axis",
@@ -67,8 +69,6 @@ __all__ = [
     "reduce_partials",
     "rejection_volume_estimate",
     "row_blocks",
-    "sample_sphere_direction",
-    "sample_unit_ball",
     "two_piece_gauges",
 ]
 
@@ -522,70 +522,6 @@ class SeededStream:
         return np.random.Generator(np.random.SFC64(entropy))
 
 
-StreamLike = SeededStream | np.random.Generator
-
-
-def _gen_of(stream: StreamLike) -> np.random.Generator:
-    if isinstance(stream, np.random.Generator):
-        return stream
-    return stream.generator()
-
-
-def _ball_batch(gen: np.random.Generator, dim: GroupDim, size: int) -> np.ndarray:
-    """Uniform Lebesgue samples of the unit gauge ball, drawn exactly.
-
-    The radial marginal of ``|z|`` is proportional to
-    ``rho^{2n-1} sqrt(1 - rho^4)``, so ``s = |z|^4 ~ Beta(n/2, 3/2)``; given
-    ``s``, ``z/|z|`` is uniform on ``S^{2n-1}`` and ``t`` is uniform on
-    ``(-sqrt(1 - s), sqrt(1 - s))``.  Every draw is a fixed multiple of
-    ``size``, whatever ``n``.
-    """
-    n = dim.n
-    s = gen.beta(n / 2.0, 1.5, size)
-    z = gen.standard_normal((size, 2 * n))
-    t = np.sqrt(1.0 - s) * gen.uniform(-1.0, 1.0, size)
-    z *= (s**0.25 / np.sqrt(np.einsum("ij,ij->i", z, z)))[:, None]
-    return np.column_stack((z, t))
-
-
-def sample_unit_ball(
-    dim: GroupDim, stream: StreamLike, size: int | None = None
-) -> HPoint | np.ndarray:
-    """Uniform point(s) of the unit gauge ball (Lebesgue measure), drawn
-    without rejection."""
-    gen = _gen_of(stream)
-    batch = _ball_batch(gen, dim, 1 if size is None else size)
-    if size is None:
-        return HPoint.of(dim, batch[0])
-    return batch
-
-
-def _scale_coords(coords: np.ndarray, r: np.ndarray | float, n: int) -> np.ndarray:
-    out = np.array(coords, dtype=float, copy=True)
-    r = np.asarray(r, dtype=float)
-    out[..., : 2 * n] *= r[..., None]
-    out[..., 2 * n] *= r * r
-    return out
-
-
-def sample_sphere_direction(
-    dim: GroupDim, stream: StreamLike, size: int | None = None
-) -> HPoint | np.ndarray:
-    """Gauge-sphere direction under the cone measure.
-
-    Normalizes a uniform ball sample by ``delta_{1/gauge}``; combined with
-    a radius of density ``Q r^{Q-1}`` on (0, 1) this reconstructs the
-    uniform ball law.
-    """
-    gen = _gen_of(stream)
-    batch = _ball_batch(gen, dim, 1 if size is None else size)
-    g = gauge_array(batch, dim.n)
-    batch = _scale_coords(batch, 1.0 / g, dim.n)
-    if size is None:
-        return HPoint.of(dim, batch[0])
-    return batch
-
-
 ChunkPartial = tuple[int, float, float, int]
 
 
@@ -721,7 +657,7 @@ _TINY = 2.0**-53
 
 def two_piece_gauges(
     x: np.ndarray, alpha: float, Q: float, compact: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Log gauges drawn from uniforms ``x`` by inverting a two-piece power law.
 
     The law has density ``g^{Q-1-alpha} / M`` on (0, 1), of mass ``a/M``
@@ -732,28 +668,18 @@ def two_piece_gauges(
     ``v = (1 - x)/(1 - p)`` on the outer one, and ``g = v^e`` with ``e = a``
     inside and ``e = -b`` outside.
 
-    Returns ``log g``, ``Q log g`` on the outer piece (0 inside) and ``M``:
-    the polar weight ``g^{Q-1} / density`` of a draw is ``M g^alpha`` inside
-    and ``M g^{Q+alpha}`` outside.
+    Returns ``log g``, the outer powers ``Q log g`` (0 on the inner piece;
+    ``None`` for the compact law, which has no outer piece) and ``M``: the
+    polar weight ``g^{Q-1} / density`` of a draw is ``M g^alpha`` inside and
+    ``M g^{Q+alpha}`` outside.
     """
-    log_g, log_q = _two_piece(x, alpha, Q, compact)
-    mass = _two_piece_mass(alpha, Q, compact)
-    return log_g, np.zeros_like(log_g) if log_q is None else log_q, mass
-
-
-def _two_piece(
-    x: np.ndarray, alpha: float, Q: float, compact: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The log gauges and outer powers of ``two_piece_gauges``, with
-    ``None`` for the outer powers of the compact law, which has no outer
-    piece."""
     a = 1.0 / (Q - alpha)
+    mass = _two_piece_mass(alpha, Q, compact)
     if compact:
         log_g = np.maximum(x, _TINY)
         np.log(log_g, out=log_g)
         log_g *= a
-        return log_g, None
-    mass = _two_piece_mass(alpha, Q, compact)
+        return log_g, None, mass
     p = a / mass
     outer = np.greater_equal(x, p, out=np.empty(x.shape))  # 1 on the outer piece
     log_g = x - outer
@@ -765,7 +691,7 @@ def _two_piece(
     outer += a  # e
     log_g *= outer
     log_q *= log_g
-    return log_g, log_q
+    return log_g, log_q, mass
 
 
 def _two_piece_mass(alpha: float, Q: float, compact: bool) -> float:
@@ -871,7 +797,7 @@ def mc_integrate_tilted(
         def block(rows: slice) -> np.ndarray:
             log_gauges, outer = [], []
             for tilt, x in zip(tilts, uniforms):
-                log_g, log_q = _two_piece(x[rows], tilt, Q, compact)
+                log_g, log_q, _ = two_piece_gauges(x[rows], tilt, Q, compact)
                 log_gauges.append(log_g)
                 if log_q is not None:
                     outer.append(log_q)

@@ -320,9 +320,7 @@ def test_criterion_6_extremal_attainment():
     for kind in (OperatorKind.HARDY, OperatorKind.HLP, OperatorKind.HILBERT):
         for prof in (AlphaProfile.of(1.0), AlphaProfile.of(1.0, 1.0)):
             spec = OperatorSpec(kind, DIM1, prof)
-            vr = verify_extremal(
-                spec, gauges=(0.5, 1.0, 2.0, 10.0), directions=5, seed=6, tol=1e-6
-            )
+            vr = verify_extremal(spec, gauges=(0.5, 1.0, 2.0, 10.0), seed=6, tol=1e-6)
             ok = ok and vr.passed and vr.details["spread"] <= 1e-6
             details.append(f"{kind.value} m={prof.m}: {vr.details['spread']:.1e}")
     criterion(6, ok, "spreads " + ", ".join(details))

@@ -271,6 +271,18 @@ class TestVerifyCommand:
         assert code == 0
         assert passes == [100000]
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kind", ["hardy", "hlp", "hilbert"])
+    def test_m3_quadrature_oracle(self, kind, n, capsys):
+        argv = ["verify", "--operator", kind, "--n", str(n), "--m", "3", "--alphas", "1,1,1"]
+        argv += ["--samples", "100000", "--seed", "0", "--format", "json"]
+        code, out, _ = run_capture(argv, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        quad = next(o for o in doc["oracles"] if o["method"] == "quad")
+        assert quad["rel_err"] <= doc["findings"][0]["tol"]
+
 
 class TestInputErrors:
     def test_malformed_seed_environment(self, capsys, monkeypatch):
@@ -347,7 +359,15 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["pass"] is True
+        # one point per gauge: the report records the gauges and no directions
+        assert doc["findings"][0]["gauges"] == [0.5, 1.0, 2.0, 10.0]
+        assert "directions" not in doc["findings"][0]
         jsonschema.validate(doc, SCHEMA)
+
+    def test_extremal_takes_no_directions(self, capsys):
+        code, _, err = run_capture(["extremal", "--directions", "5"], capsys)
+        assert code == 2
+        assert "--directions" in err
 
     def test_search(self, capsys):
         code, out, _ = run_capture(

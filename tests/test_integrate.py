@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlab import integrate, verify
-from hlab.hgroup import GroupDim, gauge, gauge_array, unit_ball_volume
+from hlab.hgroup import GroupDim, unit_ball_volume
 from hlab.integrate import (
     Domain,
     Estimate,
@@ -20,11 +22,9 @@ from hlab.integrate import (
     quad_tensor,
     reduce_partials,
     rejection_volume_estimate,
-    sample_sphere_direction,
-    sample_unit_ball,
 )
 from hlab.operators import OperatorKind, OperatorSpec
-from hlab.specfun import AlphaProfile
+from hlab.specfun import AlphaProfile, hardy_constant, hilbert_constant, hlp_constant
 
 DIM1 = GroupDim(1)
 
@@ -138,14 +138,6 @@ class TestStreams:
 
 
 class TestSamplers:
-    def test_ball_samples_inside(self):
-        pts = sample_unit_ball(DIM1, SeededStream(1), size=20_000)
-        assert gauge_array(pts, 1).max() < 1.0
-
-    def test_single_sample_is_point(self):
-        p = sample_unit_ball(DIM1, SeededStream(2))
-        assert gauge(p) < 1.0
-
     def test_acceptance_rate(self):
         n = 200_000
         est = rejection_volume_estimate(DIM1, n, SeededStream(3))
@@ -154,95 +146,34 @@ class TestSamplers:
         sigma = est.std_error / 2.0**3
         assert abs(rate - expected) <= 3 * sigma
 
-    def test_symmetry_of_first_coordinate(self):
-        pts = sample_unit_ball(DIM1, SeededStream(4), size=100_000)
-        mean = pts[:, 0].mean()
-        se = pts[:, 0].std() / math.sqrt(len(pts))
-        assert abs(mean) <= 3 * se
 
-    def test_sphere_direction_unit_gauge(self):
-        dirs = sample_sphere_direction(DIM1, SeededStream(14), size=5_000)
-        assert np.abs(gauge_array(dirs, 1) - 1.0).max() <= 1e-12
-
-    def test_direction_symmetry(self):
-        dirs = sample_sphere_direction(DIM1, SeededStream(16), size=50_000)
-        mean = dirs[:, 0].mean()
-        se = dirs[:, 0].std() / math.sqrt(len(dirs))
-        assert abs(mean) <= 3 * se
+@st.composite
+def profiles_past_h1(draw):
+    """n in 1..4, m in 1..3, exponents alpha_i = f_i Q with f_i in [0.01, 0.99],
+    and uniforms in [0, 1), the range of ``Generator.random``, with 0 and its
+    largest value below 1 among them."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    fractions = draw(st.lists(st.floats(0.01, 0.99), min_size=m, max_size=m))
+    x = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
+    return n, tuple(f * (2 * n + 2) for f in fractions), np.array(x + [0.0, 1.0 - 2.0**-53])
 
 
-
-def box_rejection(gen, dim, size):
-    """Uniform ball samples by rejection from [-1, 1]^{2n+1}; n <= 3 only."""
-    batches, have = [], 0
-    while have < size:
-        props = gen.uniform(-1.0, 1.0, (200_000, dim.ambient))
-        hits = props[gauge_array(props, dim.n) < 1.0]
-        batches.append(hits)
-        have += hits.shape[0]
-    return np.concatenate(batches)[:size]
-
-
-def ks_distance(a, b):
-    """Two-sample Kolmogorov-Smirnov statistic."""
-    grid = np.concatenate((a, b))
-    cdf_a = np.searchsorted(np.sort(a), grid, side="right") / a.size
-    cdf_b = np.searchsorted(np.sort(b), grid, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
-
-
-class BoundedDraws:
-    """A generator that refuses any single draw of more than ``limit`` values."""
-
-    def __init__(self, gen, limit):
-        self.gen, self.limit = gen, limit
-
-    def __getattr__(self, name):
-        method = getattr(self.gen, name)
-
-        def draw(*args, **kwargs):
-            size = kwargs.get("size", args[-1] if args else None)
-            count = math.prod(size) if isinstance(size, tuple) else size
-            if isinstance(count, (int, np.integer)) and count > self.limit:
-                raise MemoryError(f"{name} asked for {count} values at once")
-            return method(*args, **kwargs)
-
-        return draw
-
-
-class TestExactBallSampler:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_box_rejection(self, n):
-        dim = GroupDim(n)
-        size = 100_000
-        exact = sample_unit_ball(dim, SeededStream(40 + n), size=size)
-        box = box_rejection(SeededStream(50 + n).generator(), dim, size)
-        # the 0.1% critical value of the two-sample KS statistic
-        critical = 1.95 * math.sqrt(2.0 / size)
-        for law in (
-            lambda p: gauge_array(p, n),
-            lambda p: np.linalg.norm(p[:, : 2 * n], axis=1),
-            lambda p: np.abs(p[:, 2 * n]),
-        ):
-            assert ks_distance(law(exact), law(box)) <= critical
-
-    @pytest.mark.parametrize("n", [8, 10])
-    def test_gauge_power_q_is_uniform(self, n):
-        # |B(0, r)| = r^Q |B(0, 1)|, so gauge^Q of a uniform ball point is U(0, 1)
-        dim = GroupDim(n)
-        size = 100_000
-        u = np.sort(gauge_array(sample_unit_ball(dim, SeededStream(60), size=size), n) ** dim.Q)
-        ranks = np.arange(1, size + 1) / size
-        assert u.max() < 1.0
-        assert float(np.abs(u - ranks).max()) <= 1.95 / math.sqrt(size)
-
-    def test_draws_are_bounded_at_n8(self):
-        dim = GroupDim(8)
-        size = 1_000
-        gen = BoundedDraws(SeededStream(61).generator(), 64 * size * dim.ambient)
-        pts = integrate._ball_batch(gen, dim, size)
-        assert pts.shape == (size, dim.ambient)
-        assert gauge_array(pts, 8).max() < 1.0
+class TestPastH1:
+    @settings(max_examples=200, deadline=None)
+    @given(args=profiles_past_h1())
+    def test_gauge_law_and_constants(self, args):
+        n, alphas, x = args
+        Q = 2 * n + 2
+        for alpha in alphas:
+            log_g, log_q, _ = integrate.two_piece_gauges(x, alpha, Q, False)
+            assert np.isfinite(log_g).all() and np.isfinite(log_q).all()
+            # the compact law's gauges are below 1 before exp rounds them
+            log_g, log_q, _ = integrate.two_piece_gauges(x, alpha, Q, True)
+            assert log_q is None and (log_g < 0.0).all() and np.isfinite(log_g).all()
+        profile = AlphaProfile(alphas)
+        for constant in (hardy_constant, hlp_constant, hilbert_constant):
+            value = constant(n, profile).value
+            assert math.isfinite(value) and value > 0.0
 
 
 def log_one(log_gauges):

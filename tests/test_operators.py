@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hlab import integrate, operators, verify
+from hlab import operators, verify
 from hlab.hgroup import Convention, GroupDim, HPoint, dilate, gauge, origin, unit_ball_volume
 from hlab.integrate import QuadSpec, SeededStream
 from hlab.operators import (
@@ -523,7 +523,6 @@ class TestMonteCarloBeyondH1:
         def no_directions(*args, **kwargs):
             raise AssertionError("the operators' Monte Carlo drew a direction")
 
-        monkeypatch.setattr(integrate, "_ball_batch", no_directions)
         monkeypatch.setattr(operators, "gauge_array", no_directions)
         dim = GroupDim(3)
         spec = OperatorSpec(OperatorKind.HLP, dim, AlphaProfile((1.0, 1.0)))

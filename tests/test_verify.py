@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hlab import verify
-from hlab.hgroup import Convention, GroupDim, HPoint, gauge_array, unit_ball_volume
+from hlab.hgroup import Convention, GroupDim, HPoint, gauge, gauge_array, unit_ball_volume
 from hlab.integrate import (
     ChunkBuffers,
     SeededStream,
@@ -53,12 +53,20 @@ class TestVerifyConstant:
         assert vr.rel_err_quad <= 1e-8
         assert math.isclose(vr.closed_form, math.pi**3 / 2, rel_tol=1e-14)
 
-    def test_m3_skips_quadrature(self):
+    def test_m3_runs_quadrature(self):
         vr = verify_constant(
             spec_of(OperatorKind.HARDY, 0.5, 0.5, 0.5), n_samples=100_000, seed=2
         )
-        assert vr.oracle_quad is None and vr.rel_err_quad is None
+        assert vr.oracle_quad is not None and vr.rel_err_quad <= vr.details["tol"]
         assert vr.passed
+
+    def test_m4_skips_quadrature(self):
+        # past the quadrature engine's m <= 3 only the Monte Carlo oracle runs
+        vr = verify_constant(
+            spec_of(OperatorKind.HARDY, 0.5, 0.5, 0.5, 0.5), n_samples=100_000, seed=2
+        )
+        assert vr.oracle_quad is None and vr.rel_err_quad is None
+        assert vr.oracle_mc is not None
 
     def test_forces_geometric_convention(self):
         spec = OperatorSpec(
@@ -131,15 +139,34 @@ class TestVerifyExtremal:
         assert math.isclose(vr.oracle_quad.value, 4.0 / 3.0, rel_tol=1e-9)
 
     def test_single_gauge_zero_spread(self):
-        vr = verify_extremal(
-            spec_of(OperatorKind.HARDY, 1.0), gauges=(1.0,), directions=1, seed=5
-        )
+        vr = verify_extremal(spec_of(OperatorKind.HARDY, 1.0), gauges=(1.0,), seed=5)
         assert vr.details["spread"] == 0.0
 
     def test_hlp_m2(self):
         vr = verify_extremal(spec_of(OperatorKind.HLP, 1.0, 1.0), seed=6, tol=1e-6)
         assert vr.passed
         assert vr.rel_err_quad <= 1e-6
+
+    @pytest.mark.parametrize(
+        "engine", [None, McEngine(1 << 14, SeededStream(0))], ids=["quad", "mc"]
+    )
+    def test_one_evaluation_per_gauge(self, monkeypatch, engine):
+        # the evaluators see x only through its gauge: one point per gauge
+        spec = spec_of(OperatorKind.HLP, 1.0, 1.0)
+        evaluate = verify._EVALUATORS[spec.kind]
+        seen = []
+
+        def counting(fs, x, spec, engine):
+            seen.append(gauge(x))
+            return evaluate(fs, x, spec, engine)
+
+        monkeypatch.setitem(verify._EVALUATORS, spec.kind, counting)
+        gauges = (0.5, 1.0, 2.0, 10.0)
+        vr = verify_extremal(spec, gauges=gauges, seed=3, engine=engine)
+        assert len(seen) == len(gauges)
+        assert seen == pytest.approx(gauges, rel=1e-15)
+        assert "directions" not in vr.details
+        assert vr.details["spread"] <= 1e-6
 
     def test_mc_error_is_one_evaluation_error(self):
         # all evaluations draw the same engine stream, so pooling must not
