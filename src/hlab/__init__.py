@@ -4,7 +4,6 @@ Heisenberg group, with independent quadrature and Monte Carlo verification."""
 from .hgroup import (
     Convention,
     GroupDim,
-    GroupGeometry,
     HPoint,
     ball_volume,
     dilate,
@@ -17,14 +16,11 @@ from .hgroup import (
     unit_ball_volume,
 )
 from .integrate import (
-    Domain,
     Estimate,
     Method,
     QuadSpec,
     SeededStream,
-    mc_integrate_radial,
     quad_1d,
-    quad_tensor,
 )
 from .operators import (
     KernelSpec,

@@ -18,7 +18,6 @@ __all__ = [
     "Convention",
     "DimensionMismatchError",
     "GroupDim",
-    "GroupGeometry",
     "HPoint",
     "as_dim",
     "ball_volume",
@@ -223,19 +222,3 @@ def dilation_jacobian(dim: GroupDim | int, r: float) -> float:
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"dilation factor must be positive and finite, got {r!r}")
     return float(r) ** as_dim(dim).Q
-
-
-@dataclass(frozen=True)
-class GroupGeometry:
-    """Measure constants of H^n under a fixed volume convention."""
-
-    dim: GroupDim
-    convention: Convention = Convention.GEOMETRIC
-
-    @property
-    def ball_volume_unit(self) -> float:
-        return unit_ball_volume(self.dim, self.convention)
-
-    @property
-    def sphere_measure(self) -> float:
-        return self.dim.Q * self.ball_volume_unit

@@ -6,10 +6,9 @@ Three layers:
   refinement, infinite upper limits mapped through ``t -> t/(1-t)``), run
   by one refiner that advances a batch of independent integrals in
   vectorized rounds,
-* one nested-quadrature driver (``quad_nested``) behind the tensor
-  quadrature for up to three variables and the operators' radial
-  integrals: the nodes of one level's new panels are the batch of the level
-  below,
+* one nested-quadrature driver (``quad_nested``) behind every
+  multivariate integral, the operators' radial integrals among them: the
+  nodes of one level's new panels are the batch of the level below,
 * seeded Monte Carlo adapted to the Koranyi geometry: one gauge law
   (``two_piece_gauges``, a two-piece power law at an importance tilt that
   neutralizes a power-law singularity) serves both the radial tuple
@@ -19,11 +18,13 @@ Three layers:
   log integrand carries the tilt ``prod_i g_i^tilt_i`` itself, so that a
   test function's power at its own tilt cancels before any sample is drawn,
   and it bounds the tuple ball itself (``-inf`` outside): the engine forms
-  no tilt power and tests no tuple against the ball.
-  ``mc_integrate_radial`` is the engine for a plain log integrand: it adds
-  the tilt's powers and, on the tuple ball, the ``-inf`` outside it.  No
-  Monte Carlo path draws a point or a direction, since every integrand is
-  gauge-radial; only ``rejection_volume_estimate`` draws coordinates.
+  no tilt power and tests no tuple against the ball.  No Monte Carlo path
+  draws a point or a direction, since every integrand is gauge-radial; only
+  ``rejection_volume_estimate`` draws coordinates.
+
+This module knows no tuple ball: where an integrand vanishes outside one,
+its caller gives the quadrature levels their finite upper limits and the
+Monte Carlo log integrand its ``-inf``.
 
 Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
 ``k`` draws from the SFC64 substream keyed by ``(seed, stream_id, block=k)``
@@ -53,7 +54,6 @@ from .hgroup import GroupDim, gauge_array, sphere_measure
 __all__ = [
     "Axis",
     "ChunkBuffers",
-    "Domain",
     "Estimate",
     "EstimationError",
     "Method",
@@ -61,11 +61,9 @@ __all__ = [
     "QuadratureError",
     "SeededStream",
     "mc_chunk_partials",
-    "mc_integrate_radial",
     "mc_integrate_tilted",
     "quad_1d",
     "quad_nested",
-    "quad_tensor",
     "reduce_partials",
     "rejection_volume_estimate",
     "row_blocks",
@@ -403,11 +401,6 @@ def quad_1d(
     return quad_nested(lambda depth, prefix: [(lambda x, own: f(x), a, b, points)], 1, spec)
 
 
-class Domain(enum.Enum):
-    POSITIVE_ORTHANT = "positive_orthant"
-    SIMPLEX_BALL = "simplex_ball"
-
-
 # One 1-D integral of a nesting level for its K owners: (integrand, lower,
 # upper, breakpoints), the limits broadcasting to (K,) and the breakpoints to
 # (K, P); ``integrand(x, owner)`` takes a flat array of nodes and the index
@@ -462,39 +455,6 @@ def quad_nested(
         return weights * integrate(depth + 1, tuple(p[own] for p in prefix) + (np.asarray(nodes),))
 
     return Estimate(float(integrate(0, ())[0]), 0.0, n_evals, Method.QUAD)
-
-
-def quad_tensor(
-    f: Callable[..., np.ndarray],
-    m: int,
-    domain: Domain,
-    spec: QuadSpec | None = None,
-    *,
-    points: Sequence[Sequence[float]] | None = None,
-) -> Estimate:
-    """Nested adaptive quadrature of an m-variate function, m <= 3.
-
-    ``f(r_1, ..., r_m)`` is called with arrays of one shape in every
-    argument.  SIMPLEX_BALL is ``{r_i > 0, sum r_i^2 < 1}``;
-    POSITIVE_ORTHANT maps each axis through ``t/(1-t)``.  ``points``
-    optionally lists per-axis breakpoints in the native axis variable.
-    """
-    if not 1 <= m <= 3:
-        raise ValueError(f"tensor quadrature supports 1 <= m <= 3, got m={m}")
-
-    def level(depth: int, prefix: tuple) -> list[Axis]:
-        if domain is Domain.POSITIVE_ORTHANT:
-            hi = math.inf
-        else:
-            hi = np.sqrt(np.maximum(1.0 - sum(r * r for r in prefix), 0.0))
-            hi = np.where(hi < 1e-15, 0.0, hi)
-        if depth == m - 1:
-            integrand = lambda x, own: f(*(r[own] for r in prefix), x)  # noqa: E731
-        else:
-            integrand = lambda x, own: (np.ones_like(x), x)  # noqa: E731
-        return [(integrand, 0.0, hi, points[depth] if points is not None else ())]
-
-    return quad_nested(level, m, spec)
 
 
 @dataclass(frozen=True)
@@ -573,8 +533,9 @@ def mc_chunk_partials(
     a bit.  It takes its draws (``buffers.random``) and its value array
     (``buffers.empty``) from ``buffers``, the ``ChunkBuffers`` of its worker
     thread; the square of the values, for their sum of squares, goes to
-    them too.  Returns ``(size, sum, sum of squares, nonzero count)`` per
-    chunk in chunk order, identical for any worker count.
+    them too.  The values must be nonnegative.  Returns ``(size, sum, sum
+    of squares, positive count)`` per chunk in chunk order, identical for
+    any worker count.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -586,7 +547,8 @@ def mc_chunk_partials(
         buffers.rewind()
         v = values_fn(stream.generator(block=block + 1), sizes[block], buffers)
         square = np.square(v, out=buffers.empty(v.shape))
-        return sizes[block], float(v.sum()), float(square.sum()), int(np.count_nonzero(v))
+        positive = np.count_nonzero(np.greater(v, 0.0))
+        return sizes[block], float(v.sum()), float(square.sum()), int(positive)
 
     def stripe(first: int) -> list[ChunkPartial]:
         # chunks first, first + stripes, ...: one worker thread, one set of buffers
@@ -618,7 +580,7 @@ def row_blocks(out: np.ndarray, block_values: Callable[[slice], np.ndarray]) -> 
 
 def reduce_partials(partials: Sequence[ChunkPartial]) -> tuple[Estimate, int]:
     """Sample mean and standard error of the chunks, summed in chunk order,
-    with the count of nonzero values.
+    with the count of positive values.
 
     The variance ``s2/n - mean^2`` is floored at its own rounding,
     ``eps * s2/n``: on constant values it cancels to exactly 0, and a std
@@ -628,16 +590,16 @@ def reduce_partials(partials: Sequence[ChunkPartial]) -> tuple[Estimate, int]:
     n = 0
     s1 = 0.0
     s2 = 0.0
-    nonzero = 0
+    positive = 0
     for size, p1, p2, pn in partials:
         n += size
         s1 += p1
         s2 += p2
-        nonzero += pn
+        positive += pn
     mean = s1 / n
     second = s2 / n
     var = max(second - mean * mean, math.ulp(1.0) * second) * n / (n - 1)
-    return Estimate(mean, math.sqrt(var / n), n, Method.MC), nonzero
+    return Estimate(mean, math.sqrt(var / n), n, Method.MC), positive
 
 
 def _check_finite(values: np.ndarray, log_gauges: list[np.ndarray]) -> None:
@@ -701,54 +663,6 @@ def _two_piece_mass(alpha: float, Q: float, compact: bool) -> float:
     return a if compact else a + 1.0 / alpha
 
 
-def mc_integrate_radial(
-    log_f: Callable[[list[np.ndarray]], np.ndarray],
-    dim: GroupDim,
-    tilts: Sequence[float],
-    n_samples: int,
-    stream: SeededStream,
-    workers: int = 1,
-    *,
-    compact: bool = False,
-) -> Estimate:
-    """Importance-sampled Lebesgue integral of a gauge-radial function over
-    m-tuples of points of H^n, one tilt per factor, given by its log.
-
-    ``log_f`` receives a list of m arrays holding the log gauges of the
-    factors of N accepted tuples and must return the N logs of the
-    integrand's values, ``-inf`` where it vanishes, each depending only on
-    its own tuple: ``log_f`` sees one row block of a chunk at a time.  No
-    direction is drawn: the integral of a radial function over each factor
-    is its polar integral.  Each factor's gauge comes from
-    ``two_piece_gauges`` at its tilt, one uniform per factor and tuple,
-    drawn in factor order.  The tuple's log weight and ``log_f`` are added
-    and exponentiated once, so a weight beyond the float range that meets an
-    integrand below it still gives their finite product.  Tilts equal to the
-    integrand's power-law exponents make the weighted evaluations bounded.
-    ``compact`` integrates over the tuple ball ``{sum |y_i|_h^2 < 1}`` only:
-    its gauges stay below 1, and tuples outside the ball are rejected and
-    contribute 0.
-
-    This is ``mc_integrate_tilted`` with ``sum_i tilt_i log g_i`` added to
-    ``log_f`` and, with ``compact``, ``-inf`` outside the tuple ball, where
-    ``log_f`` is not called.
-    """
-    tilts = tuple(tilts)
-
-    def log_tilted(log_gauges: list[np.ndarray]) -> np.ndarray:
-        out = sum(t * lg for t, lg in zip(tilts, log_gauges))
-        if not compact:
-            out += log_f(log_gauges)
-            return out
-        inside = sum(np.exp(2.0 * lg) for lg in log_gauges) < 1.0
-        if inside.any():
-            out[inside] += log_f([lg[inside] for lg in log_gauges])
-        out[~inside] = -np.inf
-        return out
-
-    return mc_integrate_tilted(log_tilted, dim, tilts, n_samples, stream, workers, compact=compact)
-
-
 def mc_integrate_tilted(
     log_f: Callable[[list[np.ndarray]], np.ndarray],
     dim: GroupDim,
@@ -760,23 +674,34 @@ def mc_integrate_tilted(
     compact: bool = False,
     log_scale: float = 0.0,
 ) -> Estimate:
-    """The Monte Carlo engine behind ``mc_integrate_radial`` and the
-    operators' ``McEngine``: the same integral, with the law's tilt folded
-    into the log integrand and the tuple ball left to it.
+    """Importance-sampled Lebesgue integral of a gauge-radial function over
+    m-tuples of points of H^n, one tilt per factor, given by its log with
+    the law's tilt folded in.
 
-    ``log_f`` returns the log of the integrand times ``prod_i g_i^tilt_i``,
-    so the draw's own ``tilt_i log g_i`` is never formed: a caller whose
-    integrand carries the powers ``g_i^-tilt_i`` (the operators' test
-    functions at the exponents of their profile) forms neither.  What stays
-    of a draw's log weight is one scalar per call, ``log_scale`` plus
-    ``log Omega + log M_i`` for each factor, and ``Q log g_i`` on the outer
-    pieces.  The weight is formed in the block's output and exponentiated
-    there, in place.
+    ``log_f`` receives a list of m arrays holding the log gauges ``log g_i``
+    of the factors of N tuples and must return the N logs of the integrand
+    times ``prod_i g_i^tilt_i``, ``-inf`` where the integrand vanishes, each
+    depending only on its own tuple: ``log_f`` sees one row block of a chunk
+    at a time.  No direction is drawn: the integral of a radial function
+    over each factor is its polar integral.  Each factor's gauge comes from
+    ``two_piece_gauges`` at its tilt, one uniform per factor and tuple,
+    drawn in factor order.  Tilts equal to the integrand's power-law
+    exponents make the weighted evaluations bounded.
+
+    Since the tilt is in ``log_f``, the draw's own ``tilt_i log g_i`` is
+    never formed: a caller whose integrand carries the powers
+    ``g_i^-tilt_i`` (the operators' test functions at the exponents of
+    their profile) forms neither.  What stays of a draw's log weight is one
+    scalar per call, ``log_scale`` plus ``log Omega + log M_i`` for each
+    factor, and ``Q log g_i`` on the outer pieces.  The weight and ``log_f``
+    are added in the block's output and exponentiated there, in place, once
+    per tuple, so a weight beyond the float range that meets an integrand
+    below it still gives their finite product.
 
     With ``compact`` the gauges are drawn below 1 and no tuple is tested
-    against the ball ``sum g_i^2 < 1``: ``log_f`` must be ``-inf`` outside
-    it.  ``mc_integrate_radial`` makes that test itself; a ``KernelSpec``
-    whose support lies in the ball vanishes outside it by its contract.
+    against the tuple ball ``sum g_i^2 < 1``: ``log_f`` must be ``-inf``
+    outside it, as a ``KernelSpec`` whose support lies in the ball is by its
+    contract.
     """
     Q = dim.Q
     if not tilts:
@@ -814,8 +739,8 @@ def mc_integrate_tilted(
 
         return row_blocks(values, block)
 
-    estimate, nonzero = reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))
-    if nonzero == 0:
+    estimate, positive = reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))
+    if positive == 0:
         raise EstimationError("zero accepted samples; cannot form an estimate")
     return estimate
 

@@ -15,8 +15,9 @@ Monte Carlo engine integrate it as one log integrand, each kernel's
 exponentiated once per node or sample.  The quadrature
 engine performs the polar radial reduction (one radial variable per
 factor): every kind but the max kernel runs the general-kernel path on its
-kernel, and ``QuadSpec.abs_tol`` bounds the error of the returned value on
-every path.  The Monte Carlo engine samples the gauges of tuples
+kernel, over one geometry, the positive orthant in axes relative to the
+gauges before them, which a kernel's ``simplex_support`` only cuts short.
+``QuadSpec.abs_tol`` bounds the error of the returned value on every path.  The Monte Carlo engine samples the gauges of tuples
 (``mc_integrate_tilted``, which draws no directions) from the gauge law the
 verifier's Cartesian oracle also uses, with importance tilts taken from the
 operator's exponent profile.  The law keeps to the tuple ball
@@ -50,14 +51,12 @@ from .hgroup import (
 )
 from .integrate import (
     Axis,
-    Domain,
     Estimate,
     Method,
     QuadSpec,
     SeededStream,
     mc_integrate_tilted,
     quad_nested,
-    quad_tensor,
 )
 from .specfun import AlphaProfile, ConstantResult, hardy_constant, hilbert_constant, hlp_constant
 
@@ -108,13 +107,15 @@ class KernelSpec:
     . log`` and ``log_profile`` as ``log . radial_profile . exp``.  The
     named kernels are written in log form; the general-kernel quadrature
     path and the Monte Carlo paths add their log weights to ``log_profile``
-    and exponentiate once per node or sample.  When
-    ``simplex_support`` is set the profile vanishes outside
-    ``sum r_i^2 < simplex_support^2 * r0^2``, which lets the quadrature
-    engine integrate over the exact support instead of chasing a jump.  The
-    Monte Carlo engine relies on it too: for a ``compact`` kernel it draws
-    gauges below 1 and tests no tuple against the tuple ball, so the log
-    profile must be ``-inf`` (the radial profile 0) outside the support.
+    and exponentiate once per node or sample.
+
+    ``simplex_support`` ``s`` declares that the kernel vanishes outside the
+    tuple ball ``sum r_i^2 < s^2 r0^2``: its log profile must be ``-inf``
+    (its radial profile 0) there, since no engine tests a tuple against the
+    ball.  The quadrature path gives each radial axis a finite upper limit
+    where the gauges before it fill the ball, instead of chasing the jump
+    out to infinity; for a ``compact`` kernel the Monte Carlo engine draws
+    its gauges below 1.
     """
 
     radial_profile: Callable[..., np.ndarray] | None
@@ -569,33 +570,27 @@ def _kernel_quad(
     c: float,
 ) -> QuadPath:
     """General-kernel quadrature of the log integrand ``log_f`` at the log
-    gauges, plus ``(Q-1) log r_i`` and the Jacobians of the axis maps,
-    exponentiated once per node: over the simplex ball scaled to the
-    kernel's support when it has one, else over the positive orthant.
+    gauges over the positive orthant, plus ``(Q-1) log r_i`` and the
+    Jacobians of the axis maps, exponentiated once per node.
 
-    On the orthant the outer gauge decays as ``r^{-1-a}``, ``a = sum alpha``,
-    whatever the kernel (by its homogeneity), and the orthant's ``t/(1-t)``
-    map turns that into ``(1-t)^{a-1}``, an endpoint power no rule resolves
-    when ``a < 1``.  There axis 0 is ``v = r^a`` instead, whose integrand
-    decays as ``v^{-2}``, as ``_hlp_quad`` integrates its outer gauge in a
-    power of ``r``.  Inner axis ``d > 0`` is relative, ``x = r_d / rho_d``
-    with ``rho_d = max(1, r_0, ..., r_{d-1})``: a homogeneous kernel's mass
-    and kinks in ``r_d`` sit at the scale of the gauges before it, which
-    ``t/(1-t)`` cannot reach once they are far from 1."""
+    The outer gauge decays as ``r^{-1-a}``, ``a = sum alpha``, whatever the
+    kernel (by its homogeneity), and the ``t/(1-t)`` map of an infinite
+    range turns that into ``(1-t)^{a-1}``, an endpoint power no rule
+    resolves when ``a < 1``.  There axis 0 is ``v = r^a`` instead, whose
+    integrand decays as ``v^{-2}``, as ``_hlp_quad`` integrates its outer
+    gauge in a power of ``r``.  Inner axis ``d > 0`` is relative, ``x = r_d /
+    rho_d`` with ``rho_d = max(1, r_0, ..., r_{d-1})``: a homogeneous
+    kernel's mass and kinks in ``r_d`` sit at the scale of the gauges before
+    it, which ``t/(1-t)`` cannot reach once they are far from 1.
+
+    A kernel with a ``simplex_support`` ``s`` vanishes outside the tuple ball
+    ``sum r_i^2 < s^2``, so axis ``d`` ends where the gauges before it leave
+    no room, at ``(sqrt(s^2 - sum_{j<d} r_j^2) / rho_d)^p`` in its variable
+    (0 once they fill the ball), not at infinity; the kernel's ``-inf`` does
+    the rest.  On the ball with ``s <= 1``, ``rho_d = 1`` and the axes are
+    the gauges themselves."""
     Q, m, s = spec.dim.Q, spec.m, kernel.simplex_support
     scale = _conv_factor(spec) * sphere_measure(spec.dim) ** m
-    if s is not None:
-        log_s = math.log(s)
-
-        def integrand(*us: np.ndarray) -> np.ndarray:
-            log_rs = [log_s + np.log(u) for u in us]
-            return np.exp(log_f(log_rs) + (Q - 1) * sum(log_rs) + m * log_s)
-
-        pts = [_radial_breaks(tf, c * s, 0.0, 1.0) for tf in fs]
-        return scale, lambda qspec: quad_tensor(
-            integrand, m, Domain.SIMPLEX_BALL, qspec, points=pts
-        )
-
     a = math.fsum(tf.alpha_j for tf in fs)
     # the breakpoints of each axis as log gauges: r = 1, and the edges
     # of its factor read at gauge c r
@@ -603,7 +598,8 @@ def _kernel_quad(
 
     def level(depth: int, prefix: tuple) -> list[Axis]:
         # row k of prefix[j] holds (log r_j, log of the Jacobians and
-        # r^{Q-1} factors of axes 0..j) of owner k; r_d = rho y^{1/p}
+        # r^{Q-1} factors of axes 0..j, sum of r_i^2 over axes 0..j) of
+        # owner k; r_d = rho y^{1/p}
         p = min(a, 1.0) if depth == 0 else 1.0
         log_p = math.log(p)
         log_rs = [pre[:, 0] for pre in prefix]
@@ -612,25 +608,41 @@ def _kernel_quad(
         # y = 1 is r = rho, where a max kernel has its kink
         pts = np.exp(p * (log_breaks[depth][None, :] - log_rho[:, None]))
         pts = np.column_stack((np.ones_like(log_rho), pts))
+        hi = math.inf
+        if s is not None:
+            sq = prefix[-1][:, 2] if prefix else np.zeros(1)
+            rho = np.exp(log_rho)
+            hi = (np.sqrt(np.maximum(s * s - sq, 0.0)) / rho) ** p
 
         def node(y: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # r^{Q-1} dr = r^Q / (p y) dy
+            # r^{Q-1} dr = r^Q / (p y) dy, formed in the gathered arrays
             log_y = np.log(y)
-            log_r = log_rho[own] + log_y / p
-            return log_r, log_w[own] + Q * log_r - log_p - log_y
+            log_r = log_rho[own]
+            log_r += log_y / p
+            log_jac = log_w[own]
+            log_jac += Q * log_r
+            log_jac -= log_p
+            log_jac -= log_y
+            return log_r, log_jac
 
         if depth < m - 1:
 
             def inner(y: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                return np.ones_like(y), np.column_stack(node(y, own))
+                columns = node(y, own)
+                if s is not None:
+                    # the gauges' squares so far, for the next axis' limit
+                    r = rho[own] * y ** (1.0 / p)
+                    columns += (sq[own] + r * r,)
+                return np.ones_like(y), np.column_stack(columns)
 
-            return [(inner, 0.0, math.inf, pts)]
+            return [(inner, 0.0, hi, pts)]
 
         def leaf(y: np.ndarray, own: np.ndarray) -> np.ndarray:
             log_r, log_jac = node(y, own)
-            return np.exp(log_f([lr[own] for lr in log_rs] + [log_r]) + log_jac)
+            log_jac += log_f([lr[own] for lr in log_rs] + [log_r])
+            return np.exp(log_jac, out=log_jac)
 
-        return [(leaf, 0.0, math.inf, pts)]
+        return [(leaf, 0.0, hi, pts)]
 
     return scale, lambda qspec: quad_nested(level, m, qspec)
 

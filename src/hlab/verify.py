@@ -116,8 +116,10 @@ class VerificationReport:
             oracles.append(oracle_record(self.oracle_quad, rel_err=self.rel_err_quad))
         if self.oracle_mc is not None:
             # 3 sigma relative to the closed form: the smallest relative
-            # error this oracle can detect
-            resolution = 3.0 * self.oracle_mc.std_error / abs(self.closed_form)
+            # error this oracle can detect; none without a sigma distance
+            resolution = None
+            if self.sigma_distance_mc is not None:
+                resolution = 3.0 * self.oracle_mc.std_error / abs(self.closed_form)
             oracles.append(
                 oracle_record(
                     self.oracle_mc, sigma_distance=self.sigma_distance_mc, resolution=resolution
@@ -348,7 +350,11 @@ def verify_constant(
     agree but 3 Monte Carlo standard errors span the gap between the
     geometric and the paper-convention constant (a factor 2^m for hlp and
     hilbert, none for hardy), ``"inconclusive"``: such an oracle cannot tell
-    the two conventions apart, so its agreement is no pass.
+    the two conventions apart, so its agreement is no pass.  A Monte Carlo
+    oracle that kept no sample (every value 0, as when no tuple the
+    averaging oracle draws falls in the tuple ball) has no sigma distance
+    and no resolution; unless the quadrature oracle fails, the verdict is
+    ``"inconclusive"``.
     """
     start = time.perf_counter()
     spec = replace(spec, convention=Convention.GEOMETRIC)
@@ -365,17 +371,20 @@ def verify_constant(
         rel_err = abs(oracle_quad.value - closed) / abs(closed)
 
     mc_chunks = _cartesian_mc(spec, n_samples, SeededStream(seed), workers)
-    oracle_mc = reduce_partials(mc_chunks)[0]
-    if oracle_mc.std_error > 0.0:
+    oracle_mc, kept = reduce_partials(mc_chunks)
+    if kept == 0:
+        # an oracle that kept no sample measured nothing
+        sigma = None
+    elif oracle_mc.std_error > 0.0:
         sigma = (oracle_mc.value - closed) / oracle_mc.std_error
     else:
         sigma = 0.0 if oracle_mc.value == closed else math.inf
 
     paper = replace(spec, convention=Convention.PAPER_FORMULA).constant().value
     gap = abs(paper - closed)
-    if not ((rel_err is None or rel_err <= tol) and abs(sigma) <= 3.0):
+    if not ((rel_err is None or rel_err <= tol) and (sigma is None or abs(sigma) <= 3.0)):
         verdict = "fail"
-    elif gap > 0.0 and 3.0 * oracle_mc.std_error >= gap:
+    elif sigma is None or (gap > 0.0 and 3.0 * oracle_mc.std_error >= gap):
         verdict = "inconclusive"
     else:
         verdict = "pass"

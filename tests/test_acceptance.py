@@ -23,7 +23,7 @@ from hlab.integrate import (
     Axis,
     QuadSpec,
     SeededStream,
-    mc_integrate_radial,
+    mc_integrate_tilted,
     quad_1d,
     quad_nested,
     rejection_volume_estimate,
@@ -411,12 +411,14 @@ def test_criterion_9_determinism(tmp_path):
 
 
 def test_criterion_10_mc_statistics():
-    def log_one(log_gauges):
-        return np.zeros(log_gauges[0].shape[0])
+    def log_ball(log_gauges):
+        # the indicator of the tuple ball at tilt 0: 0 inside, -inf outside
+        inside = sum(np.exp(2.0 * lg) for lg in log_gauges) < 1.0
+        return np.where(inside, 0.0, -np.inf)
 
     base = 250_000
-    small = mc_integrate_radial(log_one, DIM1, (0.0, 0.0), base, SeededStream(10), compact=True)
-    big = mc_integrate_radial(log_one, DIM1, (0.0, 0.0), 4 * base, SeededStream(10), compact=True)
+    small = mc_integrate_tilted(log_ball, DIM1, (0.0, 0.0), base, SeededStream(10), compact=True)
+    big = mc_integrate_tilted(log_ball, DIM1, (0.0, 0.0), 4 * base, SeededStream(10), compact=True)
     ratio = big.std_error / small.std_error
     ok = 0.4 <= ratio <= 0.6
     criterion(

@@ -283,6 +283,25 @@ class TestVerifyCommand:
         quad = next(o for o in doc["oracles"] if o["method"] == "quad")
         assert quad["rel_err"] <= doc["findings"][0]["tol"]
 
+    def test_oracle_that_kept_no_sample_is_inconclusive_strict_json(self, capsys):
+        # every averaging-oracle tuple at n = 6, m = 3 falls outside the tuple ball
+        argv = ["verify", "--operator", "hardy", "--n", "6", "--m", "3", "--alphas", "1,1,1"]
+        argv += ["--samples", "200000", "--seed", "0", "--format", "json"]
+        code, out, _ = run_capture(argv, capsys)
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        jsonschema.validate(doc, SCHEMA)
+        mc = next(o for o in doc["oracles"] if o["method"] == "mc")
+        assert mc["sigma_distance"] is None and mc["resolution"] is None
+        quad = next(o for o in doc["oracles"] if o["method"] == "quad")
+        assert quad["rel_err"] <= doc["findings"][0]["tol"]
+        assert doc["pass"] is False
+        assert doc["findings"][0]["verdict"] == "inconclusive"
+
 
 class TestInputErrors:
     def test_malformed_seed_environment(self, capsys, monkeypatch):

@@ -9,7 +9,6 @@ from hlab.hgroup import (
     Convention,
     DimensionMismatchError,
     GroupDim,
-    GroupGeometry,
     HPoint,
     ball_volume,
     dilate,
@@ -226,9 +225,12 @@ class TestMeasure:
                     rel_tol=1e-14,
                 )
 
-    def test_group_geometry_invariant(self):
-        geo = GroupGeometry(GroupDim(2), Convention.PAPER_FORMULA)
-        assert math.isclose(geo.sphere_measure, geo.dim.Q * geo.ball_volume_unit, rel_tol=1e-15)
+    def test_sphere_measure_is_q_unit_ball_volumes(self):
+        dim = GroupDim(2)
+        for conv in Convention:
+            assert math.isclose(
+                sphere_measure(dim, conv), dim.Q * unit_ball_volume(dim, conv), rel_tol=1e-15
+            )
 
     def test_geometric_volume_matches_rejection_mc(self):
         for n, seed in ((1, 5), (2, 6)):

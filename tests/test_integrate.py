@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hlab import integrate, verify
 from hlab.hgroup import GroupDim, unit_ball_volume
 from hlab.integrate import (
-    Domain,
     Estimate,
     EstimationError,
     Method,
@@ -16,10 +15,9 @@ from hlab.integrate import (
     QuadratureError,
     SeededStream,
     mc_chunk_partials,
-    mc_integrate_radial,
+    mc_integrate_tilted,
     quad_1d,
     quad_nested,
-    quad_tensor,
     reduce_partials,
     rejection_volume_estimate,
 )
@@ -67,34 +65,36 @@ class TestQuad1d:
             quad_1d(lambda r: r, -math.inf, 0.5)
 
 
-class TestQuadTensor:
+def tensor_level(f, m, ball):
+    """The level function of ``f(r_1, ..., r_m)`` over the simplex ball
+    ``{r_i > 0, sum r_i^2 < 1}`` (``ball``), where each axis ends where the
+    ones before it fill the ball, or over the positive orthant."""
+
+    def level(depth, prefix):
+        hi = np.sqrt(np.maximum(1.0 - sum(r * r for r in prefix), 0.0)) if ball else math.inf
+        if depth < m - 1:
+            return [(lambda x, own: (np.ones_like(x), x), 0.0, hi, ())]
+        return [(lambda x, own: f(*(r[own] for r in prefix), x), 0.0, hi, ())]
+
+    return level
+
+
+class TestQuadNestedGeometries:
     def test_quarter_disk_area(self):
-        est = quad_tensor(
-            lambda a, b: np.ones_like(np.asarray(a) * np.asarray(b)),
-            2,
-            Domain.SIMPLEX_BALL,
-        )
+        est = quad_nested(tensor_level(lambda a, b: np.ones_like(a * b), 2, ball=True), 2)
         assert math.isclose(est.value, math.pi / 4, rel_tol=1e-9)
 
     def test_polynomial_moment_on_simplex_ball(self):
-        est = quad_tensor(
-            lambda a, b: np.asarray(a) ** 2 * np.asarray(b) ** 2,
-            2,
-            Domain.SIMPLEX_BALL,
-        )
+        est = quad_nested(tensor_level(lambda a, b: a**2 * b**2, 2, ball=True), 2)
         assert math.isclose(est.value, math.pi / 96, rel_tol=1e-9)
 
     def test_orthant_product_integral(self):
         def f(t1, t2):
-            t1, t2 = np.asarray(t1), np.asarray(t2)
             return t1**-0.5 * t2**-0.5 / (1 + t1 + t2) ** 2
 
-        est = quad_tensor(f, 2, Domain.POSITIVE_ORTHANT, QuadSpec(rel_tol=1e-8, abs_tol=1e-12))
+        level = tensor_level(f, 2, ball=False)
+        est = quad_nested(level, 2, QuadSpec(rel_tol=1e-8, abs_tol=1e-12))
         assert math.isclose(est.value, math.pi, rel_tol=1e-6)
-
-    def test_rejects_large_m(self):
-        with pytest.raises(ValueError):
-            quad_tensor(lambda *a: 1.0, 4, Domain.SIMPLEX_BALL)
 
 
 class TestStreams:
@@ -177,42 +177,48 @@ class TestPastH1:
 
 
 def log_one(log_gauges):
-    """The log of the integrand 1: ``mc_integrate_radial`` takes log integrands."""
+    """The log of the integrand 1 at tilt 0: ``mc_integrate_tilted`` takes
+    log integrands with the law's tilt folded in."""
     return np.zeros(log_gauges[0].shape[0])
+
+
+def log_ball(log_gauges):
+    """The log of the indicator of the tuple ball ``sum g_i^2 < 1`` at tilt
+    0: 0 inside, ``-inf`` outside."""
+    inside = sum(np.exp(2.0 * lg) for lg in log_gauges) < 1.0
+    return np.where(inside, 0.0, -np.inf)
 
 
 class TestMcIntegrate:
     def test_ball_volume_m1(self):
-        est = mc_integrate_radial(log_one, DIM1, (0.0,), 10_000, SeededStream(21), compact=True)
+        est = mc_integrate_tilted(log_one, DIM1, (0.0,), 10_000, SeededStream(21), compact=True)
         assert math.isclose(est.value, unit_ball_volume(DIM1), rel_tol=1e-12)
 
     def test_tilt_cancels_singularity(self):
         def log_f(log_gauges):
-            return -log_gauges[0]  # g^-1
+            return -log_gauges[0] + log_gauges[0]  # g^-1 times the law's tilt g
 
-        est = mc_integrate_radial(log_f, DIM1, (1.0,), 10_000, SeededStream(22), compact=True)
+        est = mc_integrate_tilted(log_f, DIM1, (1.0,), 10_000, SeededStream(22), compact=True)
         # weighted integrand is constant, so the variance collapses to the
         # rounding floor of the accumulator
         assert est.std_error <= 1e-6 * abs(est.value)
         assert math.isclose(est.value, 2 * math.pi**2 / 3, rel_tol=1e-12)
 
     def test_tuple_ball_matches_quadrature(self):
-        est = mc_integrate_radial(
-            log_one, DIM1, (0.0, 0.0), 400_000, SeededStream(23), compact=True
+        est = mc_integrate_tilted(
+            log_ball, DIM1, (0.0, 0.0), 400_000, SeededStream(23), compact=True
         )
-        truth = (2 * math.pi**2) ** 2 * quad_tensor(
-            lambda a, b: np.asarray(a) ** 3 * np.asarray(b) ** 3,
-            2,
-            Domain.SIMPLEX_BALL,
-        ).value
+        level = tensor_level(lambda a, b: a**3 * b**3, 2, ball=True)
+        truth = (2 * math.pi**2) ** 2 * quad_nested(level, 2).value
         assert abs(est.value - truth) <= 3 * est.std_error
 
     def test_heavy_tail_full_space(self):
         def log_f(log_gauges):
             lg = log_gauges[0]
-            return -lg - 8.0 * np.maximum(0.0, lg)  # g^-1 / max(1, g)^8
+            # g^-1 / max(1, g)^8 times the law's tilt g
+            return -lg - 8.0 * np.maximum(0.0, lg) + lg
 
-        est = mc_integrate_radial(log_f, DIM1, (1.0,), 400_000, SeededStream(24))
+        est = mc_integrate_tilted(log_f, DIM1, (1.0,), 400_000, SeededStream(24))
         truth = 2 * math.pi**2 * (1.0 / 3.0 + 1.0 / 5.0)
         assert abs(est.value - truth) <= 3 * est.std_error
 
@@ -233,15 +239,15 @@ class TestMcIntegrate:
             return -np.log1p(np.exp(4.0 * log_gauges[0]))  # 1 / (1 + g^4)
 
         kwargs = dict(dim=DIM1, tilts=(0.0,), n_samples=300_000, compact=True)
-        a = mc_integrate_radial(log_f, stream=SeededStream(25), workers=1, **kwargs)
-        b = mc_integrate_radial(log_f, stream=SeededStream(25), workers=8, **kwargs)
+        a = mc_integrate_tilted(log_f, stream=SeededStream(25), workers=1, **kwargs)
+        b = mc_integrate_tilted(log_f, stream=SeededStream(25), workers=8, **kwargs)
         assert a == b
 
     def test_std_error_scaling(self):
         vals = {}
         for n in (100_000, 400_000):
-            vals[n] = mc_integrate_radial(
-                log_one, DIM1, (0.0, 0.0), n, SeededStream(26), compact=True
+            vals[n] = mc_integrate_tilted(
+                log_ball, DIM1, (0.0, 0.0), n, SeededStream(26), compact=True
             )
         ratio = vals[400_000].std_error / vals[100_000].std_error
         assert 0.5 / 1.5 <= ratio <= 0.5 * 1.5
@@ -251,7 +257,7 @@ class TestMcIntegrate:
             return np.full(log_gauges[0].shape[0], np.inf)
 
         with pytest.raises(EstimationError, match="non-finite"):
-            mc_integrate_radial(log_f, DIM1, (0.0,), 1_000, SeededStream(27), compact=True)
+            mc_integrate_tilted(log_f, DIM1, (0.0,), 1_000, SeededStream(27), compact=True)
 
     def test_zero_accepted_samples(self):
         # with two gauges near 1 the tuple constraint usually fails; find a
@@ -259,8 +265,8 @@ class TestMcIntegrate:
         for seed in range(200):
             est_or_err = None
             try:
-                est_or_err = mc_integrate_radial(
-                    log_one, DIM1, (0.0, 0.0), 2, SeededStream(seed), compact=True
+                est_or_err = mc_integrate_tilted(
+                    log_ball, DIM1, (0.0, 0.0), 2, SeededStream(seed), compact=True
                 )
             except EstimationError:
                 return
@@ -280,16 +286,17 @@ class TestMcIntegrate:
     )
     def test_tilt_validation(self, tilts, compact, offender):
         with pytest.raises(ValueError, match=offender):
-            mc_integrate_radial(log_one, DIM1, tilts, 100, SeededStream(0), compact=compact)
+            mc_integrate_tilted(log_one, DIM1, tilts, 100, SeededStream(0), compact=compact)
 
     def test_radial_worker_count_does_not_change_bits(self):
         def log_f(log_gauges):
-            # 1 / (1 + g_1^4 + g_2^2)
-            return -np.log1p(np.exp(4.0 * log_gauges[0]) + np.exp(2.0 * log_gauges[1]))
+            # 1 / (1 + g_1^4 + g_2^2) times the law's tilt g_1^{1/2} g_2
+            lg1, lg2 = log_gauges
+            return 0.5 * lg1 + lg2 - np.log1p(np.exp(4.0 * lg1) + np.exp(2.0 * lg2))
 
         kwargs = dict(dim=GroupDim(3), tilts=(0.5, 1.0), n_samples=300_000)
-        a = mc_integrate_radial(log_f, stream=SeededStream(32), workers=1, **kwargs)
-        b = mc_integrate_radial(log_f, stream=SeededStream(32), workers=8, **kwargs)
+        a = mc_integrate_tilted(log_f, stream=SeededStream(32), workers=1, **kwargs)
+        b = mc_integrate_tilted(log_f, stream=SeededStream(32), workers=8, **kwargs)
         assert a == b
 
 
@@ -306,7 +313,7 @@ ROW_BLOCK_ORACLE_SPECS = [
 
 def every_mc_partials(monkeypatch, workers):
     """The chunk partials of every Monte Carlo user: the Cartesian oracle,
-    the radial sampler with and without its outer piece and the box
+    the operators' engine with and without its outer piece and the box
     rejection volume."""
     stream = SeededStream(7)
     seen = [
@@ -322,12 +329,16 @@ def every_mc_partials(monkeypatch, workers):
     dim = GroupDim(2)
 
     def log_radial(log_gauges):
-        # 1 / (1 + g_1^Q + g_2^Q)
-        return -np.log1p(np.exp(dim.Q * log_gauges[0]) + np.exp(dim.Q * log_gauges[1]))
+        # 1 / (1 + g_1^Q + g_2^Q) times the law's tilt g_1 g_2^{1/2}
+        lg1, lg2 = log_gauges
+        return lg1 + 0.5 * lg2 - np.log1p(np.exp(dim.Q * lg1) + np.exp(dim.Q * lg2))
 
-    for compact in (True, False):
-        mc_integrate_radial(
-            log_radial, dim, (1.0, 0.5), ROW_BLOCK_SAMPLES, stream, workers, compact=compact
+    def log_radial_on_ball(log_gauges):
+        return log_radial(log_gauges) + log_ball(log_gauges)
+
+    for log_f, compact in ((log_radial_on_ball, True), (log_radial, False)):
+        mc_integrate_tilted(
+            log_f, dim, (1.0, 0.5), ROW_BLOCK_SAMPLES, stream, workers, compact=compact
         )
     rejection_volume_estimate(dim, ROW_BLOCK_SAMPLES, stream, workers)
     return seen
@@ -396,7 +407,7 @@ class TestOperatorSamplerDraws:
     @pytest.mark.parametrize("compact", [True, False])
     def test_radial_draws_one_uniform_per_factor(self, compact, m):
         stream = RecordingStream(SeededStream(5))
-        mc_integrate_radial(
+        mc_integrate_tilted(
             lambda lgs: lgs[0], GroupDim(2), (1.0,) * m, ROW_BLOCK_SAMPLES, stream, compact=compact
         )
         # each draw fills a reused array: recorded as the shape of its out
@@ -431,7 +442,7 @@ class TestEstimateInvariants:
             Estimate(1.0, 0.1, 10, Method.QUAD)
 
     def test_mc_estimates_carry_positive_std_error(self):
-        est = mc_integrate_radial(
+        est = mc_integrate_tilted(
             lambda lgs: lgs[0], DIM1, (0.0,), 5_000, SeededStream(30), compact=True
         )
         assert est.method is Method.MC and est.std_error > 0.0

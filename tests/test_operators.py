@@ -30,6 +30,7 @@ from hlab.operators import (
 from hlab.specfun import (
     AlphaProfile,
     DivergentConstantError,
+    hardy_constant,
     hilbert_constant,
     hlp_constant,
     i_m_closed,
@@ -313,6 +314,47 @@ class TestEngineAgreement:
         quad = eval_kernel_op(kern, fs, E1, spec, TIGHT)
         mc = eval_kernel_op(kern, fs, E1, spec, McEngine(150_000, SeededStream(52)))
         assert abs(mc.value - quad.value) <= 3 * mc.std_error
+
+
+def scaled_hardy_kernel(dim, m, s):
+    """The averaging kernel scaled to support ``s``: ``K_s(r0; r) =
+    K_hardy(s r0; r)``, which vanishes outside ``sum r_i^2 < s^2 r0^2``."""
+    base = hardy_kernel(dim, m)
+    log_s = math.log(s)
+
+    def log_profile(l0, *ls):
+        return base.log_profile(l0 + log_s, *ls)
+
+    return KernelSpec(None, base.homogeneity_degree, simplex_support=s, log_profile=log_profile)
+
+
+class TestOneGeometry:
+    """Every kernel but the max kernel runs one quadrature geometry; a
+    ``simplex_support`` only gives its axes finite upper limits."""
+
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scaled_support(self, s, n, m):
+        # substituting y = delta_s z: H_m(K_s) = s^{-sum alpha} H_m(K_hardy);
+        # at s = 2 the gauges pass 1 and the inner axes' scale rho exceeds 1
+        dim = GroupDim(n)
+        prof = AlphaProfile((1.0,) * m)
+        engine = QuadEngine(QuadSpec(1e-9, 1e-14))
+        est = kernel_constant(scaled_hardy_kernel(dim, m, s), dim, prof, engine)
+        want = s**-prof.total * hardy_constant(dim, prof).value
+        assert abs(est.value - want) <= 1e-8 * want
+
+    @pytest.mark.parametrize("alphas", [(0.5,), (0.2, 0.2)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hardy_below_unit_total_exponent(self, alphas, n):
+        # sum alpha < 1 stretches axis 0 to v = r^{sum alpha} on the ball too
+        dim = GroupDim(n)
+        spec = OperatorSpec(OperatorKind.HARDY, dim, AlphaProfile(alphas))
+        x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
+        est = eval_hardy(extremals(*alphas), x, spec, QuadEngine(QuadSpec(1e-9, 1e-14)))
+        closed = spec.constant().value
+        assert abs(est.value - closed) <= verify._default_tol(len(alphas)) * closed
 
 
 class TestDilationCovariance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hlab.hgroup import Convention, GroupDim
-from hlab.integrate import Domain, QuadSpec, quad_1d, quad_tensor
+from hlab.integrate import QuadSpec, quad_1d, quad_nested
 from hlab.specfun import (
     AlphaProfile,
     DivergentConstantError,
@@ -60,15 +60,14 @@ class TestHardyConstant:
         assert math.isclose(value, 1.0, rel_tol=1e-9)
 
     def test_m2_against_simplex_quadrature(self):
-        oracle = (
-            16.0
-            * quad_tensor(
-                lambda a, b: np.asarray(a) ** 2 * np.asarray(b) ** 2,
-                2,
-                Domain.SIMPLEX_BALL,
-                TIGHT,
-            ).value
-        )
+        def level(depth, prefix):
+            # the quarter disk {a, b > 0, a^2 + b^2 < 1}, b inside a
+            if depth == 0:
+                return [(lambda a, own: (np.ones_like(a), a), 0.0, 1.0, ())]
+            a = prefix[0]
+            return [(lambda b, own: a[own] ** 2 * b**2, 0.0, np.sqrt(1.0 - a * a), ())]
+
+        oracle = 16.0 * quad_nested(level, 2, TIGHT).value
         value = hardy_constant(1, AlphaProfile.of(1.0, 1.0)).value
         assert math.isclose(value, oracle, rel_tol=1e-10)
         assert math.isclose(value, math.pi / 6.0, rel_tol=1e-14)
@@ -219,12 +218,17 @@ class TestProductIntegral:
         assert math.isclose(value, math.pi, rel_tol=1e-13)
 
         # at_depth gives the inner level rel_tol 1e-10 and abs_tol 1e-290
-        oracle = quad_tensor(
-            lambda t1, t2: t1**-0.5 * t2**-0.5 / (1 + t1 + t2) ** 2,
-            2,
-            Domain.POSITIVE_ORTHANT,
-            QuadSpec(rel_tol=1e-9, abs_tol=1e-13),
-        ).value
+        def level(depth, prefix):
+            if depth == 0:
+                return [(lambda t1, own: (np.ones_like(t1), t1), 0.0, math.inf, ())]
+            t1 = prefix[0]
+
+            def f(t2, own):
+                return t1[own] ** -0.5 * t2**-0.5 / (1 + t1[own] + t2) ** 2
+
+            return [(f, 0.0, math.inf, ())]
+
+        oracle = quad_nested(level, 2, QuadSpec(rel_tol=1e-9, abs_tol=1e-13)).value
         assert math.isclose(value, oracle, rel_tol=1e-7)
 
     def test_m3_value(self):

@@ -130,6 +130,19 @@ class TestPowerGate:
         vr = verify_constant(spec, n_samples=4, seed=0)
         assert vr.details["verdict"] != "inconclusive"
 
+    def test_oracle_that_kept_no_sample_is_inconclusive(self):
+        # no tuple the averaging oracle draws at n = 6, m = 3 falls in the
+        # tuple ball: every value is 0, which measures nothing
+        spec = OperatorSpec(OperatorKind.HARDY, GroupDim(6), AlphaProfile.of(1.0, 1.0, 1.0))
+        vr = verify_constant(spec, n_samples=200_000, seed=0)
+        assert vr.oracle_mc.value == 0.0 and vr.oracle_mc.std_error == 0.0
+        assert vr.rel_err_quad <= vr.details["tol"]
+        assert vr.sigma_distance_mc is None
+        mc = next(o for o in vr.to_record()["oracles"] if o["method"] == "mc")
+        assert mc["sigma_distance"] is None and mc["resolution"] is None
+        assert vr.details["verdict"] == "inconclusive"
+        assert not vr.passed
+
 
 class TestVerifyExtremal:
     def test_hardy_m1_attains(self):
@@ -338,7 +351,9 @@ def is_constant_weight(spec):
 # within [0.85, 1.15]; for each spec's 20, mean within 1.0 (4.5 standard
 # errors) and sd within [0.4, 1.7].  Since the angle is drawn as s = sin
 # theta, the weights of hlp and hardy at n = 2, m = 1 are constant too, so
-# 20 specs (400 z-scores) are pooled under the same bounds.  Each spec draws
+# 20 specs (400 z-scores) are pooled under the same bounds.  Five m = 3
+# specs (hlp and hilbert at n = 1, 2, hardy at n = 1; alpha = (1, 1, 1))
+# join them under the same bounds: 25 specs, 500 z-scores.  Each spec draws
 # from its own stream: at m = 1 the weights of the others depend on the
 # angle alone, so specs sharing seeds would share their z-scores, and the
 # pooled bounds assume independent ones.
@@ -347,6 +362,16 @@ CALIBRATION_SPECS = [
     for kind in (OperatorKind.HARDY, OperatorKind.HLP, OperatorKind.HILBERT)
     for n in (1, 2, 3, 4)
     for alphas in ((1.0,), (1.5, n + 1.0))
+] + [
+    # m = 3, appended so that the specs above keep their streams
+    OperatorSpec(kind, GroupDim(n), AlphaProfile.of(1.0, 1.0, 1.0))
+    for kind, n in (
+        (OperatorKind.HLP, 1),
+        (OperatorKind.HLP, 2),
+        (OperatorKind.HILBERT, 1),
+        (OperatorKind.HILBERT, 2),
+        (OperatorKind.HARDY, 1),
+    )
 ]
 CALIBRATION_SEEDS = range(20)
 CALIBRATION_SAMPLES = 1 << 16
@@ -437,7 +462,7 @@ class TestCartesianOracle:
             assert 0.4 <= z.std(ddof=1) <= 1.7, (label, z)
             pooled.extend(z)
         pooled = np.array(pooled)
-        assert pooled.size == 20 * len(CALIBRATION_SEEDS)
+        assert pooled.size == 25 * len(CALIBRATION_SEEDS)
         assert np.abs(pooled).max() < 5.0
         assert np.count_nonzero(np.abs(pooled) > 3.0) <= 5
         assert abs(pooled.mean()) <= 0.2
