@@ -24,6 +24,7 @@ import enum
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -256,7 +257,9 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return report
 
     if args.command == "discrepancies":
-        rep = discrepancy_report(args.n_values, n_samples=args.samples, seed=args.seed)
+        rep = discrepancy_report(
+            args.n_values, n_samples=args.samples, seed=args.seed, workers=args.workers
+        )
         report = _base_report(
             args, {"operator": "discrepancies", "n": args.n_values[0], "m": 0, "alphas": []}
         )
@@ -322,6 +325,15 @@ def run(argv: list[str] | None = None) -> int:
             parser.error(f"--workers must be at least 1, got {args.workers}")
         if not 2 <= args.samples <= _MAX_SAMPLES:
             parser.error(f"--samples must be between 2 and {_MAX_SAMPLES:,}, got {args.samples}")
+        # inputs that would pass vacuously or write a non-JSON number
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+            parser.error(f"--tol must be finite and at least 0, got {args.tol}")
+        if args.command == "search" and args.trials < 1:
+            parser.error(f"--trials must be at least 1, got {args.trials}")
+        if args.command == "extremal" and not (
+            args.gauges and all(math.isfinite(g) and g > 0.0 for g in args.gauges)
+        ):
+            parser.error(f"--gauges must list finite gauges above 0, got {list(args.gauges)}")
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -9,18 +9,20 @@ Three layers:
 * one nested-quadrature driver (``quad_nested``) behind every
   multivariate integral, the operators' radial integrals among them: the
   nodes of one level's new panels are the batch of the level below,
-* seeded Monte Carlo adapted to the Koranyi geometry: one gauge law
-  (``two_piece_gauges``, a two-piece power law at an importance tilt that
-  neutralizes a power-law singularity) serves both the radial tuple
-  engine ``mc_integrate_tilted`` and the verifier's Cartesian oracle.
-  Both form each sample's weight and integrand in log space, from the log
-  gauges the law returns, and exponentiate once per sample.  The engine's
-  log integrand carries the tilt ``prod_i g_i^tilt_i`` itself, so that a
-  test function's power at its own tilt cancels before any sample is drawn,
-  and it bounds the tuple ball itself (``-inf`` outside): the engine forms
-  no tilt power and tests no tuple against the ball.  No Monte Carlo path
-  draws a point or a direction, since every integrand is gauge-radial; only
-  ``rejection_volume_estimate`` draws coordinates.
+* seeded Monte Carlo adapted to the Koranyi geometry: one block
+  (``tilted_values``) serves both the radial tuple engine
+  ``mc_integrate_tilted`` and the verifier's Cartesian oracle, which differ
+  only in a factor's polar constant and the oracle's angle.  It draws each
+  factor's gauge from one law (``two_piece_gauges``, a two-piece power law
+  at an importance tilt that neutralizes a power-law singularity), forms
+  each sample's weight and integrand in log space and exponentiates once
+  per sample.  The log integrand carries the tilt ``prod_i g_i^tilt_i``
+  itself, so that a test function's power at its own tilt cancels before
+  any sample is drawn, and it bounds the tuple ball itself (``-inf``
+  outside): the block forms no tilt power and tests no tuple against the
+  ball.  No Monte Carlo path draws a point or a direction, since every
+  integrand is gauge-radial; only ``rejection_volume_estimate`` draws
+  coordinates.
 
 This module knows no tuple ball: where an integrand vanishes outside one,
 its caller gives the quadrature levels their finite upper limits and the
@@ -67,6 +69,7 @@ __all__ = [
     "reduce_partials",
     "rejection_volume_estimate",
     "row_blocks",
+    "tilted_values",
     "two_piece_gauges",
 ]
 
@@ -663,6 +666,81 @@ def _two_piece_mass(alpha: float, Q: float, compact: bool) -> float:
     return a if compact else a + 1.0 / alpha
 
 
+def tilted_values(
+    log_f: Callable[[list[np.ndarray]], np.ndarray],
+    Q: float,
+    tilts: Sequence[float],
+    *,
+    compact: bool = False,
+    log_scale: float = 0.0,
+    log_polar: float = 0.0,
+    angle: float = 0.0,
+) -> Callable[[np.random.Generator, int, ChunkBuffers], np.ndarray]:
+    """The ``values_fn`` (``mc_chunk_partials``) of a gauge-radial integral
+    over m-tuples, drawn from ``two_piece_gauges`` at one tilt per factor
+    (``compact``: without the law's outer piece) and given by its log
+    ``log_f`` with the law's tilt folded in.
+
+    ``log_f`` receives a list of m arrays holding the log gauges ``log g_i``
+    of the factors of one row block's tuples and returns their logs, ``-inf``
+    where the integrand vanishes, each depending only on its own tuple.
+
+    Each factor makes one draw, in factor order: ``(size,)`` uniforms, its
+    gauge, or with ``angle`` ``e > 0``, ``(size, 2)``: its gauge, then an
+    angle ``s = 2x - 1`` uniform on (-1, 1) of angular factor
+    ``(1 - s^2)^e = (4x(1 - x))^e``.  A tuple's log value is the sum, formed
+    in the block's output, of ``log_f``; the one scalar ``log_scale`` plus
+    ``log_polar + log M_i`` for each factor (``log_polar`` the log of a
+    factor's polar constant, ``M_i`` the mass of its law); ``Q log g_i`` on
+    the outer pieces; and ``e log(4x_i(1 - x_i))`` for each factor.  It is
+    exponentiated in place, once per tuple, so a weight beyond the float
+    range that meets an integrand below it still gives their finite
+    product; a NaN or +inf value raises ``EstimationError``.
+    """
+    log_const = log_scale + math.fsum(
+        log_polar + math.log(_two_piece_mass(t, Q, compact)) for t in tilts
+    )
+    columns = (2,) if angle else ()
+
+    def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
+        uniforms = [buffers.random(gen, (size, *columns)) for _ in tilts]
+        values = buffers.empty((size,))
+
+        def block(rows: slice) -> np.ndarray:
+            log_gauges, outer = [], []
+            for tilt, u in zip(tilts, uniforms):
+                x = u[rows, 0] if angle else u[rows]
+                log_g, log_q, _ = two_piece_gauges(x, tilt, Q, compact)
+                log_gauges.append(log_g)
+                if log_q is not None:
+                    outer.append(log_q)
+            # the rows' own slice of the output: row_blocks copies nothing
+            log_w = np.add(log_f(log_gauges), log_const, out=values[rows])
+            for log_q in outer:
+                log_w += log_q
+            if angle:
+                for u in uniforms:
+                    # 1 - x is exact where x is near 1, so 4x(1 - x) keeps
+                    # its relative precision at both ends
+                    j = 1.0 - u[rows, 1]
+                    j *= u[rows, 1]
+                    j *= 4.0
+                    with np.errstate(divide="ignore"):
+                        np.log(j, out=j)
+                    j *= angle
+                    log_w += j
+            # an integrand of +inf, or NaN, leaves a non-finite value that
+            # is reported below
+            with np.errstate(over="ignore"):
+                np.exp(log_w, out=log_w)
+            _check_finite(log_w, log_gauges)
+            return log_w
+
+        return row_blocks(values, block)
+
+    return values_fn
+
+
 def mc_integrate_tilted(
     log_f: Callable[[list[np.ndarray]], np.ndarray],
     dim: GroupDim,
@@ -676,27 +754,17 @@ def mc_integrate_tilted(
 ) -> Estimate:
     """Importance-sampled Lebesgue integral of a gauge-radial function over
     m-tuples of points of H^n, one tilt per factor, given by its log with
-    the law's tilt folded in.
+    the law's tilt folded in: ``tilted_values`` at the polar constant
+    ``Omega`` of H^n and no angle.
 
-    ``log_f`` receives a list of m arrays holding the log gauges ``log g_i``
-    of the factors of N tuples and must return the N logs of the integrand
-    times ``prod_i g_i^tilt_i``, ``-inf`` where the integrand vanishes, each
-    depending only on its own tuple: ``log_f`` sees one row block of a chunk
-    at a time.  No direction is drawn: the integral of a radial function
-    over each factor is its polar integral.  Each factor's gauge comes from
-    ``two_piece_gauges`` at its tilt, one uniform per factor and tuple,
-    drawn in factor order.  Tilts equal to the integrand's power-law
-    exponents make the weighted evaluations bounded.
-
-    Since the tilt is in ``log_f``, the draw's own ``tilt_i log g_i`` is
-    never formed: a caller whose integrand carries the powers
-    ``g_i^-tilt_i`` (the operators' test functions at the exponents of
-    their profile) forms neither.  What stays of a draw's log weight is one
-    scalar per call, ``log_scale`` plus ``log Omega + log M_i`` for each
-    factor, and ``Q log g_i`` on the outer pieces.  The weight and ``log_f``
-    are added in the block's output and exponentiated there, in place, once
-    per tuple, so a weight beyond the float range that meets an integrand
-    below it still gives their finite product.
+    ``log_f`` must return the logs of the integrand times ``prod_i
+    g_i^tilt_i``.  No direction is drawn: the integral of a radial function
+    over each factor is its polar integral.  Tilts equal to the integrand's
+    power-law exponents make the weighted evaluations bounded.  Since the
+    tilt is in ``log_f``, the draw's own ``tilt_i log g_i`` is never formed:
+    a caller whose integrand carries the powers ``g_i^-tilt_i`` (the
+    operators' test functions at the exponents of their profile) forms
+    neither.
 
     With ``compact`` the gauges are drawn below 1 and no tuple is tested
     against the tuple ball ``sum g_i^2 < 1``: ``log_f`` must be ``-inf``
@@ -710,35 +778,14 @@ def mc_integrate_tilted(
         if not (0.0 <= t < Q if compact else 0.0 < t < Q):
             bounds = f"[0, {Q})" if compact else f"(0, {Q})"
             raise ValueError(f"tilt {i + 1} = {t!r} must lie in {bounds}")
-    log_omega = math.log(sphere_measure(dim))
-    log_const = log_scale + math.fsum(
-        log_omega + math.log(_two_piece_mass(t, Q, compact)) for t in tilts
+    values_fn = tilted_values(
+        log_f,
+        Q,
+        tilts,
+        compact=compact,
+        log_scale=log_scale,
+        log_polar=math.log(sphere_measure(dim)),
     )
-
-    def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
-        uniforms = [buffers.random(gen, (size,)) for _ in tilts]
-        values = buffers.empty((size,))
-
-        def block(rows: slice) -> np.ndarray:
-            log_gauges, outer = [], []
-            for tilt, x in zip(tilts, uniforms):
-                log_g, log_q, _ = two_piece_gauges(x[rows], tilt, Q, compact)
-                log_gauges.append(log_g)
-                if log_q is not None:
-                    outer.append(log_q)
-            # the rows' own slice of the output: row_blocks copies nothing
-            log_w = np.add(log_f(log_gauges), log_const, out=values[rows])
-            for log_q in outer:
-                log_w += log_q
-            # an integrand of +inf, or NaN, leaves a non-finite value that
-            # is reported below
-            with np.errstate(over="ignore"):
-                np.exp(log_w, out=log_w)
-            _check_finite(log_w, log_gauges)
-            return log_w
-
-        return row_blocks(values, block)
-
     estimate, positive = reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))
     if positive == 0:
         raise EstimationError("zero accepted samples; cannot form an estimate")

@@ -13,22 +13,20 @@ Gamma(n).  It shares no ball-volume or Heisenberg sphere constant with the
 closed forms it checks, which is what arbitrates the volume-convention
 question.
 
-Each factor draws a gauge g from a two-piece power law (density
-proportional to g^{Q-1-alpha} below 1 and g^{-1-alpha} above;
-``integrate.two_piece_gauges``, the law the operators' Monte Carlo engine
-draws from too) and an angle.  A unit vector omega would complete the point
+The oracle runs on ``integrate.tilted_values``, the block of the
+operators' Monte Carlo engine, which draws each factor's gauge g and, at
+n > 2, an angle.  A unit vector omega would complete the point
 (g cos^{1/2}(theta) omega, g^2 sin theta), whose gauge is g whatever omega
-is; since every integrand the oracle sees depends on a point only through
-its gauge, no omega is drawn.  The coordinate density follows from
+is; every integrand the oracle sees depends on a point only through its
+gauge, so no omega is drawn.  The coordinate density follows from
 rho^{2n-1} d rho dt = g^{Q-1} cos^{n-1}(theta) dg dtheta.  At n = 1,
-cos^0(theta) = 1, theta would be uniform on (-pi/2, pi/2) and is not drawn.
-At n >= 2 the angle is s = sin theta, uniform on (-1, 1), and the factor is
-(1 - s^2)^{(n-2)/2} ds: 1 at n = 2, where s is not drawn either.  The
-Heisenberg factor int cos^{n-1}(theta) dtheta is estimated by the sampler,
-never used as a number; where no angle is drawn, it enters only as the
-length of the angle's range, pi at n = 1 and 2 at n = 2.  The weight is
-formed in log space, the kernel's log profile at the log gauges included,
-and exponentiated once per sample.
+cos^0(theta) = 1 and theta, uniform on (-pi/2, pi/2), is not drawn.  At
+n >= 2 the angle is s = sin theta, uniform on (-1, 1), and the factor is
+(1 - s^2)^{(n-2)/2} ds: the block's angle exponent (n - 2)/2, or at n = 2
+no angle at all.  The Heisenberg factor int cos^{n-1}(theta) dtheta is
+estimated by the sampler, never used as a number; it enters the polar
+constant L |S^{2n-1}| of a factor only as the length L of the angle's
+range, pi at n = 1 and 2 at n >= 2.
 
 At n <= 2, m = 1 the hlp and averaging weights are constant, and their
 variance cancels to 0; ``reduce_partials`` floors it at its own rounding,
@@ -62,8 +60,7 @@ from .integrate import (
     mc_chunk_partials,
     reduce_partials,
     rejection_volume_estimate,
-    row_blocks,
-    two_piece_gauges,
+    tilted_values,
 )
 from .operators import (
     OPERATORS,
@@ -195,55 +192,6 @@ def spec_record(spec: OperatorSpec) -> dict:
 # ----------------------------------------------------------------------------
 
 
-def _gauge_polar(
-    u: np.ndarray, alpha: float, n: int, compact: bool
-) -> tuple[np.ndarray, np.ndarray | float]:
-    """Log gauges and log weights of one factor, from its uniforms ``u`` of
-    shape (rows, 2), or (rows, 1) at n <= 2.
-
-    Column 0 gives the gauge ``g`` through ``integrate.two_piece_gauges``,
-    the gauge law of the operators' Monte Carlo engine: density
-    ``g^{Q-1-alpha} / M`` below 1 and ``g^{-1-alpha} / M`` above, whose
-    outer piece ``compact`` drops.
-
-    With ``omega`` uniform on S^{2n-1}, the point ``(g cos^{1/2}(theta)
-    omega, g^2 sin theta)`` has gauge ``g``, and ``rho^{2n-1} d rho dt =
-    g^{Q-1} cos^{n-1}(theta) dg dtheta``.  At n = 1, ``theta`` is uniform on
-    (-pi/2, pi/2) and ``cos^0 theta = 1``, so it is not drawn.  At n >= 2
-    the angle is ``s = sin theta``, uniform on (-1, 1): since ``ds = cos
-    theta dtheta``, the Jacobian is ``g^{Q-1} (1 - s^2)^{(n-2)/2} dg ds``.
-    Column 1 gives ``s = 2x - 1``, so ``1 - s^2 = 4x(1 - x)``; at n = 2 the
-    factor is 1 and there is no column 1.  The coordinate density is ``q =
-    p(g) / (L |S^{2n-1}| g^{Q-1} J)``, with ``L`` the length of the angle's
-    range (``pi``, or 2 for ``s``) and ``J`` the angular factor above, and
-    the log weight returned is ``log(g^{-alpha} / q)``: ``log(L |S^{2n-1}|
-    M J)``, plus ``Q log g`` on the outer piece.  It is a float where it is
-    the same for every row: on the compact law at n <= 2.  No ``omega`` is
-    drawn: the integrands see a point only through its gauge.
-    """
-    log_g, log_q, mass = two_piece_gauges(u[:, 0], alpha, 2 * n + 2, compact)
-    # |S^{2n-1}| = 2 pi^n / Gamma(n)
-    if n == 1:
-        log_c = math.log(2.0 * mass) + 2.0 * math.log(math.pi)
-    else:
-        # log(2 |S^{2n-1}| M), and (n - 2) log 2 of (n - 2)/2 log(4x(1 - x))
-        log_c = (
-            math.log(4.0 * mass) + n * math.log(math.pi) - math.lgamma(n) + (n - 2) * math.log(2.0)
-        )
-    # the compact law has no outer powers: at n <= 2 its weight is log_c alone
-    log_w = log_c if log_q is None else np.add(log_q, log_c, out=log_q)
-    if n > 2:
-        # 1 - x is exact where x is near 1, so x(1 - x) keeps its relative
-        # precision at both ends
-        j = 1.0 - u[:, 1]
-        j *= u[:, 1]
-        with np.errstate(divide="ignore"):
-            np.log(j, out=j)
-        j *= 0.5 * (n - 2)
-        log_w = np.add(log_w, j, out=j)
-    return log_g, log_w
-
-
 def _cartesian_values_fn(
     spec: OperatorSpec,
 ) -> Callable[[np.random.Generator, int, ChunkBuffers], np.ndarray]:
@@ -251,45 +199,26 @@ def _cartesian_values_fn(
     ``int K(e_1, y) prod |y_i|^{-alpha_i} dy`` with the kernel taken under
     ``spec``'s convention; the oracle's callers pass the GEOMETRIC one.
 
-    Each factor makes one draw in factor order: ``(size, 2)`` uniforms, its
-    gauge and its angle ``s``, or at n <= 2, where the angle does not enter
-    the weight, ``(size, 1)``, its gauge alone.  They are drawn into the
-    chunk's ``ChunkBuffers``; ``_gauge_polar`` turns them into the factor's
-    log gauge and log weight.  The chunk's draws all come first; the
-    arithmetic then runs in row blocks (``row_blocks``).  The weight
-    ``K(1, g_1..g_m) prod_i g_i^{-alpha_i} / q_i`` is the exponential of the
-    factors' log weights plus the kernel's ``log_profile`` at the log
-    gauges, one ``exp`` per sample: a factor's weight beyond the float range
-    meets a kernel below it only in log space.
+    ``integrate.tilted_values`` at the exponents as tilts, so that each
+    law's ``g_i^{alpha_i}`` cancels ``|y_i|^{-alpha_i}`` and the log
+    integrand is the kernel's log profile at base gauge 1.  A factor's
+    polar constant is ``L |S^{2n-1}|``, and its angle exponent
+    ``(n - 2)/2`` at n > 2 (module docstring).
     """
     n = spec.dim.n
-    alphas = spec.profile.alphas
     kernel = OPERATORS[spec.kind].kernel(spec)
-    # tuple-ball integrands vanish unless every gauge is below 1, so their
-    # proposal takes no outer piece
-    compact = kernel.compact
-    columns = 2 if n > 2 else 1
-
-    def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
-        uniforms = [buffers.random(gen, (size, columns)) for _ in alphas]
-        values = buffers.empty((size,))
-
-        def block(rows: slice) -> np.ndarray:
-            log_gauges, log_ws = zip(
-                *(_gauge_polar(u[rows], a, n, compact) for a, u in zip(alphas, uniforms))
-            )
-            # the first factor's own weight starts the sum, in place; the
-            # compact law's constant weights at n <= 2 add as floats
-            log_w = log_ws[0]
-            for log_wi in log_ws[1:]:
-                log_w += log_wi
-            # the rows' own slice of the output: row_blocks copies nothing
-            log_w = np.add(log_w, kernel.log_profile(0.0, *log_gauges), out=values[rows])
-            return np.exp(log_w, out=log_w)
-
-        return row_blocks(values, block)
-
-    return values_fn
+    # L |S^{2n-1}| = L 2 pi^n / Gamma(n), with L = pi at n = 1 and 2 at n >= 2
+    span = math.pi if n == 1 else 2.0
+    log_polar = math.log(2.0 * span) + n * math.log(math.pi) - math.lgamma(n)
+    return tilted_values(
+        lambda log_gauges: kernel.log_profile(0.0, *log_gauges),
+        spec.dim.Q,
+        spec.profile.alphas,
+        # tuple-ball kernels vanish unless every gauge is below 1
+        compact=kernel.compact,
+        log_polar=log_polar,
+        angle=max(0.5 * (n - 2), 0.0),
+    )
 
 
 def _cartesian_mc(
@@ -352,9 +281,10 @@ def verify_constant(
     hilbert, none for hardy), ``"inconclusive"``: such an oracle cannot tell
     the two conventions apart, so its agreement is no pass.  A Monte Carlo
     oracle that kept no sample (every value 0, as when no tuple the
-    averaging oracle draws falls in the tuple ball) has no sigma distance
-    and no resolution; unless the quadrature oracle fails, the verdict is
-    ``"inconclusive"``.
+    averaging oracle draws falls in the tuple ball), or whose std error is
+    0 (every square below the float range, as for hlp at n = 40, m = 6),
+    has no sigma distance and no resolution; unless the quadrature oracle
+    fails, the verdict is ``"inconclusive"``.
     """
     start = time.perf_counter()
     spec = replace(spec, convention=Convention.GEOMETRIC)
@@ -372,13 +302,11 @@ def verify_constant(
 
     mc_chunks = _cartesian_mc(spec, n_samples, SeededStream(seed), workers)
     oracle_mc, kept = reduce_partials(mc_chunks)
-    if kept == 0:
-        # an oracle that kept no sample measured nothing
-        sigma = None
-    elif oracle_mc.std_error > 0.0:
+    # an oracle that kept no sample, or whose every square underflows to a
+    # std error of 0, measured nothing
+    sigma = None
+    if kept > 0 and oracle_mc.std_error > 0.0:
         sigma = (oracle_mc.value - closed) / oracle_mc.std_error
-    else:
-        sigma = 0.0 if oracle_mc.value == closed else math.inf
 
     paper = replace(spec, convention=Convention.PAPER_FORMULA).constant().value
     gap = abs(paper - closed)
@@ -418,8 +346,8 @@ def verify_extremal(
     of the same gauge would repeat the same integral; ``spread`` measures
     dilation invariance.  Passes when the spread is at most ``tol`` and the
     mean matches the constant (within ``tol`` for quadrature, 3 sigma for
-    Monte Carlo).  ``seed`` draws nothing: it is the seed the report
-    records.
+    Monte Carlo, which never passes at a std error of 0).  ``seed`` draws
+    nothing: it is the seed the report records.
     """
     start = time.perf_counter()
     closed = spec.constant().value
@@ -452,8 +380,9 @@ def verify_extremal(
         # fully correlated: averaging them does not shrink the error
         pooled = float(np.mean(errors))
         oracle = Estimate(mean, pooled, n_total, Method.MC)
-        sigma = (mean - closed) / pooled if pooled > 0 else 0.0
-        passed = spread <= tol and abs(sigma) <= 3.0
+        # an error of 0 (every square below the float range) measures nothing
+        sigma = (mean - closed) / pooled if pooled > 0 else None
+        passed = sigma is not None and spread <= tol and abs(sigma) <= 3.0
         report_rel = None
     return VerificationReport(
         spec=spec,

@@ -302,6 +302,24 @@ class TestVerifyCommand:
         assert doc["pass"] is False
         assert doc["findings"][0]["verdict"] == "inconclusive"
 
+    def test_oracle_whose_squares_underflow_is_inconclusive_strict_json(self, capsys):
+        # every square of the hlp oracle's values at n = 40, m = 6 underflows
+        argv = ["verify", "--operator", "hlp", "--n", "40", "--m", "6", "--alphas", "1,1,1,1,1,1"]
+        argv += ["--samples", "20000", "--format", "json"]
+        code, out, _ = run_capture(argv, capsys)
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        jsonschema.validate(doc, SCHEMA)
+        mc = next(o for o in doc["oracles"] if o["method"] == "mc")
+        assert mc["std_error"] == 0.0
+        assert mc["sigma_distance"] is None and mc["resolution"] is None
+        assert doc["pass"] is False
+        assert doc["findings"][0]["verdict"] == "inconclusive"
+
 
 class TestInputErrors:
     def test_malformed_seed_environment(self, capsys, monkeypatch):
@@ -328,6 +346,26 @@ class TestInputErrors:
         code, out, _ = run_capture(["verify", "--help"], capsys)
         assert code == 0
         assert "1,000,000,000" in " ".join(out.split())
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["search", "--trials", "0"], "--trials"),
+            (["search", "--trials", "-3"], "--trials"),
+            (["extremal", "--tol", "inf"], "--tol"),
+            (["verify", "--tol", "nan"], "--tol"),
+            (["verify", "--tol=-1e-6"], "--tol"),
+            (["extremal", "--gauges", ""], "--gauges"),
+            (["extremal", "--gauges", "1,inf"], "--gauges"),
+            (["extremal", "--gauges", "0,1"], "--gauges"),
+        ],
+    )
+    def test_vacuous_or_non_json_inputs_exit_2(self, capsys, argv, flag):
+        # each would pass vacuously or write a non-JSON number
+        code, out, err = run_capture(argv + ["--format", "json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert flag in err and "Warning" not in err
 
     def test_numerical_failure_exits_2(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -445,6 +483,26 @@ class TestOtherCommands:
         ids = [f["id"] for f in doc["findings"]]
         assert "unit-ball-volume-factor-2" in ids
         jsonschema.validate(doc, SCHEMA)
+
+    def test_discrepancies_workers_do_not_change_the_report(self, capsys, monkeypatch):
+        report = hlab.cli.discrepancy_report
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(hlab.cli, "discrepancy_report", recording)
+        argv = ["discrepancies", "--n-values", "1,2", "--samples", "200000", "--format", "json"]
+        reports = []
+        for workers in ("1", "2"):
+            code, out, _ = run_capture(argv + ["--workers", workers], capsys)
+            assert code == 0
+            doc = json.loads(out)
+            doc.pop("metadata")
+            reports.append(json.dumps(doc, sort_keys=True))
+        assert seen == [1, 2]
+        assert reports[0] == reports[1]
 
     def test_text_and_csv_formats(self, capsys):
         code, out, _ = run_capture(

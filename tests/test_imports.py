@@ -38,3 +38,18 @@ def test_inner_level_floor_lives_in_integrate():
         if path.name != "integrate.py" and "1e-290" in path.read_text()
     ]
     assert hits == []
+
+
+def test_one_monte_carlo_block():
+    # both Monte Carlo integrals, the operators' engine and the Cartesian
+    # oracle, draw their gauges in integrate.tilted_values
+    callers = [
+        f"{path.name}:{top.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "two_piece_gauges"
+    ]
+    assert callers == ["integrate.py:tilted_values"]

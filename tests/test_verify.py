@@ -1,16 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hlab import verify
+from hlab import cli, verify
 from hlab.hgroup import Convention, GroupDim, HPoint, gauge, gauge_array, unit_ball_volume
 from hlab.integrate import (
     ChunkBuffers,
+    EstimationError,
     SeededStream,
     mc_chunk_partials,
     reduce_partials,
     rejection_volume_estimate,
+    tilted_values,
 )
 from hlab.operators import (
     OPERATORS,
@@ -143,6 +146,21 @@ class TestPowerGate:
         assert vr.details["verdict"] == "inconclusive"
         assert not vr.passed
 
+    def test_oracle_whose_squares_underflow_is_inconclusive(self):
+        # hlp at n = 40, m = 6: the values are positive but so small that
+        # every square underflows to 0, and a std error of 0 measures nothing
+        vr = verify_constant(HLP40, n_samples=20_000, seed=0)
+        assert vr.oracle_mc.value > 0.0 and vr.oracle_mc.std_error == 0.0
+        assert vr.sigma_distance_mc is None
+        mc = next(o for o in vr.to_record()["oracles"] if o["method"] == "mc")
+        assert mc["sigma_distance"] is None and mc["resolution"] is None
+        assert vr.details["verdict"] == "inconclusive"
+        assert not vr.passed
+
+
+# every square of its Monte Carlo values underflows
+HLP40 = OperatorSpec(OperatorKind.HLP, GroupDim(40), AlphaProfile((1.0,) * 6))
+
 
 class TestVerifyExtremal:
     def test_hardy_m1_attains(self):
@@ -192,6 +210,12 @@ class TestVerifyExtremal:
         assert math.isclose(vr.oracle_mc.std_error, one.std_error, rel_tol=1e-12)
         assert vr.sigma_distance_mc == (vr.oracle_mc.value - vr.closed_form) / vr.oracle_mc.std_error
 
+    def test_mc_error_of_zero_does_not_pass(self):
+        # an McEngine whose squares all underflow pools an error of 0
+        vr = verify_extremal(HLP40, gauges=(1.0,), engine=McEngine(20_000, SeededStream(0)))
+        assert vr.oracle_mc.value > 0.0 and vr.oracle_mc.std_error == 0.0
+        assert vr.sigma_distance_mc is None
+        assert not vr.passed
 
 class TestUpperBoundSearch:
     def test_no_violations_and_attainment(self):
@@ -401,15 +425,15 @@ class TestCartesianOracle:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_draw_of_two_uniforms_per_factor(self, n, m):
         # at n <= 2 the angle does not enter the weight, and one uniform is
-        # drawn
+        # drawn: (size,), the draw of the operators' engine
         spec = OperatorSpec(OperatorKind.HILBERT, GroupDim(n), AlphaProfile((1.0,) * m))
         stream = RecordingStream(SeededStream(5))
         verify._cartesian_mc(spec, 2 * 65536 + 100, stream)
-        columns = 2 if n > 2 else 1
+        columns = (2,) if n > 2 else ()
         assert stream.calls == {
-            1: [(65536, columns)] * m,
-            2: [(65536, columns)] * m,
-            3: [(100, columns)] * m,
+            1: [(65536, *columns)] * m,
+            2: [(65536, *columns)] * m,
+            3: [(100, *columns)] * m,
         }
 
     # at small alpha the outer piece reaches gauges whose kernel value is
@@ -426,21 +450,49 @@ class TestCartesianOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_jacobian_pins_the_ball_volume(self, n):
-        # alpha = 0 and the indicator of g < 1 on the same proposal: its
-        # weights average to |S^{2n-1}| / Q * int cos^{n-1}, the volume
+        # alpha = 0 and the indicator of g < 1 on the oracle's block, at its
+        # polar constant L |S^{2n-1}| and angle exponent: its weights average
+        # to |S^{2n-1}| / Q * int cos^{n-1}, the volume
         dim = GroupDim(n)
         samples = 200_000
-
-        def volume_values(gen, size, buffers):
-            log_g, log_w = verify._gauge_polar(gen.random((size, 2)), 0.0, n, compact=True)
-            return np.where(log_g < 0.0, np.exp(log_w), 0.0)
-
+        span = math.pi if n == 1 else 2.0
+        volume_values = tilted_values(
+            lambda log_gauges: np.where(log_gauges[0] < 0.0, 0.0, -np.inf),
+            dim.Q,
+            (0.0,),
+            compact=True,
+            log_polar=math.log(span * 2.0 * math.pi**n / math.gamma(n)),
+            angle=max(0.5 * (n - 2), 0.0),
+        )
         est = reduce_partials(mc_chunk_partials(volume_values, samples, SeededStream(n)))[0]
         box = rejection_volume_estimate(dim, samples, SeededStream(n))
         exact = unit_ball_volume(dim)
         assert abs(est.value - exact) <= 3.0 * est.std_error
         assert abs(est.value - box.value) <= 3.0 * math.hypot(est.std_error, box.std_error)
         assert abs(est.value - 2.0 * exact) > 3.0 * est.std_error
+
+    def test_non_finite_weight_raises(self, monkeypatch, capsys):
+        # a kernel whose log profile is NaN beyond gauge 1: the oracle raises,
+        # and the CLI reports a numerical failure; m = 4 runs no quadrature
+        op = OPERATORS[OperatorKind.HLP]
+
+        def nan_kernel(spec):
+            kernel = op.kernel(spec)
+
+            def log_profile(l0, *log_gauges):
+                return np.where(log_gauges[0] > 0.0, np.nan, kernel.log_profile(l0, *log_gauges))
+
+            return replace(kernel, log_profile=log_profile)
+
+        monkeypatch.setitem(OPERATORS, OperatorKind.HLP, replace(op, kernel=nan_kernel))
+        spec = OperatorSpec(OperatorKind.HLP, DIM1, AlphaProfile((1.0,) * 4))
+        with pytest.raises(EstimationError, match="non-finite"):
+            verify._cartesian_mc(spec, 10_000, SeededStream(0))
+        argv = ["verify", "--operator", "hlp", "--m", "4", "--samples", "10000"]
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hlab verify: numerical failure:")
 
     def test_calibrated(self):
         pooled = []
