@@ -1,13 +1,8 @@
 """Command-line front end.
 
-Commands
---------
-constants      evaluate a closed-form sharp constant
-verify         closed form vs. quadrature and Monte Carlo oracles
-extremal       check that extremal powers attain the constant
-search         random modulated tuples vs. the norm upper bound
-geometry       ball volume / sphere measure plus a Monte Carlo check
-discrepancies  the convention/typo findings report
+``_COMMANDS`` lists each command with the flags it reads.  ``_FLAGS`` declares
+each flag once, with its check in its argparse ``type``: a command rejects a
+flag it would ignore, and a value that fails its check exits 2 naming the flag.
 
 Exit codes: 0 all checks passed, 1 a verification failed or was
 inconclusive, 2 usage or validation error.  The default seed comes from
@@ -60,11 +55,121 @@ class Format(enum.Enum):
     TEXT = "text"
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{flag}: expected a comma-separated list of numbers")
+def _checked(parse, must: str, ok=lambda value: True):
+    """An argparse ``type``: the value ``parse`` reads from the text, if ``ok``
+    accepts it; otherwise argparse exits 2 with ``argument <flag>: must be
+    <must>, got <text>``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {must}, got {text!r}")
+
+    return convert
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip() != "")
+
+
+def _choice(default: enum.Enum) -> dict:
+    """A flag whose value is a member of ``default``'s enum, given by its value."""
+    values = [member.value for member in type(default)]
+    parse = _checked(type(default), "one of " + ", ".join(values))
+    return {"type": parse, "default": default, "metavar": "{" + ",".join(values) + "}"}
+
+
+_POSITIVE = _checked(int, "a positive integer", lambda k: k >= 1)
+
+# each flag once, with its check; a default of SUPPRESS leaves it to the library function
+_FLAGS = {
+    "--operator": {"choices": _OPERATORS, "default": "hardy"},
+    "--n": {"type": _POSITIVE, "default": 1, "help": "group index n (Q = 2n + 2)"},
+    "--m": {"type": _POSITIVE, "default": 1, "help": "operator arity"},
+    "--alphas": {
+        "type": _checked(_floats, "a comma-separated list of numbers"),
+        "help": "comma-separated exponents alpha_1..alpha_m (default all 1)",
+    },
+    "--convention": _choice(Convention.GEOMETRIC),
+    "--seed": {"type": int, "help": "default from HLAB_SEED, else 0"},
+    "--samples": {
+        "type": _checked(int, f"from 2 to {_MAX_SAMPLES:,}", lambda k: 2 <= k <= _MAX_SAMPLES),
+        "default": 1_000_000,
+        "help": f"Monte Carlo samples, from 2 to {_MAX_SAMPLES:,} (default %(default)s)",
+    },
+    # a negative or non-finite tolerance would pass vacuously or write a non-JSON number
+    "--tol": {
+        "type": _checked(float, "finite and at least 0", lambda t: math.isfinite(t) and t >= 0.0),
+        "default": argparse.SUPPRESS,
+    },
+    "--workers": {"type": _POSITIVE, "default": 1},
+    "--convergence": {
+        "dest": "convergence_path",
+        "help": "write a CSV convergence curve (n_samples,estimate,std_error,closed_form)",
+    },
+    "--gauges": {
+        "type": _checked(
+            _floats,
+            "a non-empty list of finite gauges above 0",
+            lambda gs: gs and all(math.isfinite(g) and g > 0.0 for g in gs),
+        ),
+        "default": argparse.SUPPRESS,
+    },
+    "--trials": {"type": _POSITIVE, "default": argparse.SUPPRESS},
+    "--n-values": {
+        "dest": "n_values",
+        "type": _checked(
+            lambda text: tuple(int(n) for n in text.split(",")),
+            "a comma-separated list of positive integers",
+            lambda ns: all(n >= 1 for n in ns),
+        ),
+        "default": (1, 2),
+    },
+    "--format": _choice(Format.TEXT),
+    "--output": {"dest": "output_path"},
+}
+# extremal and search evaluate on the quadrature engine alone
+_QUAD_M = {
+    "--m": {
+        **_FLAGS["--m"],
+        "type": _checked(int, "from 1 to 3 (the quadrature engine's limit)", lambda m: 1 <= m <= 3),
+    }
+}
+
+
+def _reads(*flags: str) -> dict[str, dict]:
+    return {flag: _FLAGS[flag] for flag in (*flags, "--seed", "--format", "--output")}
+
+
+_SPEC = ("--operator", "--n", "--m", "--alphas")
+# for each command, its help and the flags it reads; _reads adds --seed, --format and --output
+_COMMANDS = {
+    "constants": ("evaluate a closed-form sharp constant", _reads(*_SPEC, "--convention")),
+    "verify": (
+        "closed form vs. quadrature + Monte Carlo oracles",
+        _reads(*_SPEC, "--samples", "--tol", "--workers", "--convergence"),
+    ),
+    "extremal": (
+        "extremal attainment across gauges",
+        _reads(*_SPEC, "--convention", "--tol", "--gauges") | _QUAD_M,
+    ),
+    "search": (
+        "random modulated tuples vs. the norm upper bound",
+        _reads(*_SPEC, "--convention", "--tol", "--trials") | _QUAD_M,
+    ),
+    "geometry": (
+        "ball volume and sphere measure with an MC check",
+        _reads("--n", "--convention", "--samples", "--workers"),
+    ),
+    "discrepancies": (
+        "convention/typo findings report",
+        _reads("--n-values", "--samples", "--workers"),
+    ),
+}
 
 
 @functools.cache
@@ -77,65 +182,10 @@ def _parser() -> argparse.ArgumentParser:
         "integral operators in gauge geometry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, spec_args: bool = True) -> None:
-        if spec_args:
-            p.add_argument("--operator", choices=_OPERATORS, default="hardy")
-            p.add_argument("--n", type=int, default=1, help="group index n (Q = 2n + 2)")
-            p.add_argument("--m", type=int, default=1, help="operator arity")
-            p.add_argument(
-                "--alphas",
-                type=lambda s: _parse_floats(s, "--alphas"),
-                default=None,
-                help="comma-separated exponents alpha_1..alpha_m",
-            )
-        p.add_argument("--convention", choices=[c.value for c in Convention], default="geometric")
-        p.add_argument("--seed", type=int, default=None, help="default from HLAB_SEED, else 0")
-        p.add_argument(
-            "--samples",
-            type=int,
-            default=1_000_000,
-            help=f"Monte Carlo samples, from 2 to {_MAX_SAMPLES:,} (default %(default)s)",
-        )
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=[f.value for f in Format], default="text")
-        p.add_argument("--output", dest="output_path", default=None)
-
-    p = sub.add_parser("constants", help="evaluate a closed-form sharp constant")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="closed form vs. quadrature + Monte Carlo oracles")
-    add_common(p)
-    p.add_argument(
-        "--convergence",
-        dest="convergence_path",
-        default=None,
-        help="write a CSV convergence curve (n_samples,estimate,std_error,closed_form)",
-    )
-
-    p = sub.add_parser("extremal", help="extremal attainment across gauges")
-    add_common(p)
-    p.add_argument(
-        "--gauges", type=lambda s: _parse_floats(s, "--gauges"), default=(0.5, 1.0, 2.0, 10.0)
-    )
-
-    p = sub.add_parser("search", help="random modulated tuples vs. the norm upper bound")
-    add_common(p)
-    p.add_argument("--trials", type=int, default=100)
-
-    p = sub.add_parser("geometry", help="ball volume and sphere measure with an MC check")
-    add_common(p, spec_args=False)
-    p.add_argument("--n", type=int, default=1)
-
-    p = sub.add_parser("discrepancies", help="convention/typo findings report")
-    add_common(p, spec_args=False)
-    p.add_argument(
-        "--n-values",
-        dest="n_values",
-        type=lambda s: tuple(int(x) for x in s.split(",")),
-        default=(1, 2),
-    )
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -150,23 +200,23 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _make_spec(args: argparse.Namespace) -> OperatorSpec:
-    if len(args.alphas) != args.m:
-        raise DivergentConstantError(
-            f"--alphas must list exactly m={args.m} exponents, got {len(args.alphas)}"
-        )
-    return OperatorSpec(
-        OperatorKind(args.operator),
-        GroupDim(args.n),
-        AlphaProfile(args.alphas),
-        args.convention,
-    )
+    alphas = (1.0,) * args.m if args.alphas is None else args.alphas
+    if len(alphas) != args.m:
+        raise DivergentConstantError(f"must list exactly m={args.m} exponents, got {len(alphas)}")
+    kind, dim, profile = OperatorKind(args.operator), GroupDim(args.n), AlphaProfile(alphas)
+    return OperatorSpec(kind, dim, profile, **_given(args, "convention"))
 
 
-def _base_report(args: argparse.Namespace, spec_rec: dict) -> dict:
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named flags that were given; the library owns the others' defaults."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
+def _base_report(args: argparse.Namespace, spec_rec: dict, convention: Convention) -> dict:
     return {
         "command": args.command,
         "spec": spec_rec,
-        "convention": args.convention.value,
+        "convention": convention.value,
         "closed_form": None,
         "oracles": [],
         "pass": None,
@@ -184,16 +234,15 @@ def _verification_report(args: argparse.Namespace, vr: VerificationReport, findi
 def _dispatch(args: argparse.Namespace) -> dict:
     if args.command == "constants":
         spec = _make_spec(args)
-        result = spec.constant()
-        report = _base_report(args, spec_record(spec))
-        report["closed_form"] = result.value
+        report = _base_report(args, spec_record(spec), spec.convention)
+        report["closed_form"] = spec.constant().value
         report["pass"] = True
         return report
 
     if args.command == "verify":
         spec = _make_spec(args)
         vr = verify_constant(
-            spec, n_samples=args.samples, seed=args.seed, tol=args.tol, workers=args.workers
+            spec, args.samples, seed=args.seed, workers=args.workers, **_given(args, "tol")
         )
         if args.convergence_path:
             with open(args.convergence_path, "w", newline="") as fh:
@@ -203,33 +252,17 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return _verification_report(args, vr, "tolerances")
 
     if args.command == "extremal":
-        spec = _make_spec(args)
-        vr = verify_extremal(
-            spec,
-            gauges=args.gauges,
-            seed=args.seed,
-            tol=args.tol if args.tol is not None else 1e-6,
-        )
+        vr = verify_extremal(_make_spec(args), seed=args.seed, **_given(args, "gauges", "tol"))
         return _verification_report(args, vr, "attainment")
 
     if args.command == "search":
         spec = _make_spec(args)
-        sr = upper_bound_search(
-            spec, trials=args.trials, seed=args.seed, tol=args.tol if args.tol is not None else 1e-3
-        )
-        rec = sr.to_record()
-        report = _base_report(args, spec_record(spec))
+        rec = upper_bound_search(spec, seed=args.seed, **_given(args, "trials", "tol")).to_record()
+        report = _base_report(args, spec_record(spec), spec.convention)
         report["closed_form"] = rec["bound"]
         report["pass"] = rec["pass"]
-        report["findings"] = [
-            {
-                "id": "upper-bound-search",
-                "trials": rec["trials"],
-                "max_ratio": rec["max_ratio"],
-                "violations": rec["violations"],
-                "attaining_description": rec["attaining_description"],
-            }
-        ]
+        keys = ("trials", "max_ratio", "violations", "attaining_description")
+        report["findings"] = [{"id": "upper-bound-search", **{key: rec[key] for key in keys}}]
         return report
 
     if args.command == "geometry":
@@ -238,37 +271,27 @@ def _dispatch(args: argparse.Namespace) -> dict:
         geom = unit_ball_volume(dim, Convention.GEOMETRIC)
         tab = unit_ball_volume(dim, Convention.PAPER_FORMULA)
         sigma = (est.value - geom) / est.std_error if est.std_error else 0.0
-        report = _base_report(
-            args, {"operator": "geometry", "n": args.n, "m": 0, "alphas": []}
-        )
+        spec_rec = {"operator": "geometry", "n": args.n, "m": 0, "alphas": []}
+        report = _base_report(args, spec_rec, args.convention)
         report["closed_form"] = geom if args.convention is Convention.GEOMETRIC else tab
         report["oracles"] = [oracle_record(est, sigma_distance=sigma)]
         report["pass"] = abs(sigma) <= 3.0
-        report["findings"] = [
-            {
-                "id": "geometry",
-                "Q": dim.Q,
-                "geometric_volume": geom,
-                "tabulated_volume": tab,
-                "sphere_measure_geometric": dim.Q * geom,
-                "sphere_measure_tabulated": dim.Q * tab,
-            }
-        ]
+        finding = {"id": "geometry", "Q": dim.Q, "geometric_volume": geom, "tabulated_volume": tab}
+        finding["sphere_measure_geometric"] = dim.Q * geom
+        finding["sphere_measure_tabulated"] = dim.Q * tab
+        report["findings"] = [finding]
         return report
 
-    if args.command == "discrepancies":
-        rep = discrepancy_report(
-            args.n_values, n_samples=args.samples, seed=args.seed, workers=args.workers
-        )
-        report = _base_report(
-            args, {"operator": "discrepancies", "n": args.n_values[0], "m": 0, "alphas": []}
-        )
-        report["pass"] = all(f.get("pass", True) for f in rep.findings)
-        report["findings"] = rep.findings
-        report["details_text"] = rep.text
-        return report
-
-    raise ValueError(f"unknown command {args.command!r}")
+    # discrepancies: the report weighs both conventions; its header names the geometric one
+    rep = discrepancy_report(
+        args.n_values, n_samples=args.samples, seed=args.seed, workers=args.workers
+    )
+    spec_rec = {"operator": "discrepancies", "n": args.n_values[0], "m": 0, "alphas": []}
+    report = _base_report(args, spec_rec, Convention.GEOMETRIC)
+    report["pass"] = all(f.get("pass", True) for f in rep.findings)
+    report["findings"] = rep.findings
+    report["details_text"] = rep.text
+    return report
 
 
 def _render(report: dict, fmt: Format, runtime_ms: int) -> str:
@@ -318,32 +341,14 @@ def run(argv: list[str] | None = None) -> int:
     Returns 0 when all checks pass, 1 when a verification fails, 2 on
     usage or validation errors.
     """
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-        if args.workers < 1:
-            parser.error(f"--workers must be at least 1, got {args.workers}")
-        if not 2 <= args.samples <= _MAX_SAMPLES:
-            parser.error(f"--samples must be between 2 and {_MAX_SAMPLES:,}, got {args.samples}")
-        # inputs that would pass vacuously or write a non-JSON number
-        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
-            parser.error(f"--tol must be finite and at least 0, got {args.tol}")
-        if args.command == "search" and args.trials < 1:
-            parser.error(f"--trials must be at least 1, got {args.trials}")
-        if args.command == "extremal" and not (
-            args.gauges and all(math.isfinite(g) and g > 0.0 for g in args.gauges)
-        ):
-            parser.error(f"--gauges must list finite gauges above 0, got {list(args.gauges)}")
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     start = time.perf_counter()
     try:
         args.seed = _resolve_seed(args.seed)
-        if getattr(args, "alphas", ()) is None:
-            args.alphas = (1.0,) * args.m
-        args.convention = Convention(args.convention)
-        args.format = Format(args.format)
         report = _dispatch(args)
     except DivergentConstantError as exc:
         print(f"hlab {args.command}: --alphas: {exc}", file=sys.stderr)

@@ -284,7 +284,7 @@ class QuadEngine:
 
 @dataclass(frozen=True)
 class McEngine:
-    """Stochastic engine; works for any m and any measurable inputs."""
+    """Stochastic engine; works for any m, on gauge-radial ``TestFunction`` inputs only."""
 
     n_samples: int = 1_000_000
     stream: SeededStream = field(default_factory=lambda: SeededStream(0))

@@ -260,13 +260,19 @@ def _default_tol(m: int) -> float:
     return 1e-8 if m == 3 else 1e-6
 
 
+# the quadrature oracle's error control at m = 1 and above, and the search's;
+# fixed, since each verdict's tolerance is set against them (_default_tol)
+_ORACLE_QUAD_M1 = QuadSpec(rel_tol=1e-12, abs_tol=1e-14)
+_ORACLE_QUAD = QuadSpec(rel_tol=1e-9, abs_tol=1e-14)
+_SEARCH_QUAD = QuadSpec(rel_tol=1e-7, abs_tol=1e-12)
+
+
 def verify_constant(
     spec: OperatorSpec,
     n_samples: int = 1_000_000,
     seed: int = 0,
     tol: float | None = None,
     workers: int = 1,
-    quad: QuadSpec | None = None,
 ) -> VerificationReport:
     """Compare the closed-form constant against both numeric oracles.
 
@@ -295,9 +301,9 @@ def verify_constant(
     rel_err = None
     # wherever the quadrature engine runs
     if spec.m <= 3:
-        quad_spec = quad or QuadSpec(rel_tol=1e-12 if spec.m == 1 else 1e-9, abs_tol=1e-14)
+        engine = QuadEngine(_ORACLE_QUAD_M1 if spec.m == 1 else _ORACLE_QUAD)
         fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
-        oracle_quad = _EVALUATORS[spec.kind](fs, _e1(spec.dim), spec, QuadEngine(quad_spec))
+        oracle_quad = _EVALUATORS[spec.kind](fs, _e1(spec.dim), spec, engine)
         rel_err = abs(oracle_quad.value - closed) / abs(closed)
 
     mc_chunks = _cartesian_mc(spec, n_samples, SeededStream(seed), workers)
@@ -421,7 +427,6 @@ def upper_bound_search(
     trials: int = 100,
     seed: int = 0,
     tol: float = 1e-3,
-    quad: QuadSpec | None = None,
 ) -> SearchReport:
     """Search for violations of ``value <= constant * prod norms``.
 
@@ -432,8 +437,7 @@ def upper_bound_search(
     """
     bound = spec.constant().value
     alpha = spec.profile.total
-    quad = quad or QuadSpec(rel_tol=1e-7, abs_tol=1e-12)
-    engine = QuadEngine(quad)
+    engine = QuadEngine(_SEARCH_QUAD)
     evaluator = _EVALUATORS[spec.kind]
     gen = SeededStream(seed).generator()
 

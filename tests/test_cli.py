@@ -67,7 +67,7 @@ class TestConstantsCommand:
             ["constants", "--n", "1", "--m", "2", "--alphas", "1"], capsys
         )
         assert code == 2
-        assert "--alphas" in err
+        assert err == "hlab constants: --alphas: must list exactly m=2 exponents, got 1\n"
 
     def test_malformed_list_names_flag(self, capsys):
         code, _, err = run_capture(
@@ -358,14 +358,32 @@ class TestInputErrors:
             (["extremal", "--gauges", ""], "--gauges"),
             (["extremal", "--gauges", "1,inf"], "--gauges"),
             (["extremal", "--gauges", "0,1"], "--gauges"),
+            # flags that these commands would ignore
+            (["constants", "--samples", "1000"], "--samples"),
+            (["constants", "--tol", "0.1"], "--tol"),
+            (["constants", "--workers", "2"], "--workers"),
+            (["verify", "--convention", "paper"], "--convention"),
+            (["extremal", "--samples", "10"], "--samples"),
+            (["extremal", "--workers", "2"], "--workers"),
+            (["search", "--samples", "10"], "--samples"),
+            (["search", "--workers", "2"], "--workers"),
+            (["geometry", "--tol", "0.1"], "--tol"),
+            (["discrepancies", "--tol", "0.1"], "--tol"),
+            (["discrepancies", "--convention", "paper"], "--convention"),
+            (["constants", "--n", "0"], "--n"),
+            (["constants", "--m", "0"], "--m"),
+            (["discrepancies", "--n-values", "1,x"], "--n-values"),
+            # extremal and search run on the quadrature engine, which stops at m = 3
+            (["extremal", "--m", "4", "--alphas", "1,1,1,1"], "--m"),
+            (["search", "--m", "4", "--alphas", "1,1,1,1"], "--m"),
         ],
     )
     def test_vacuous_or_non_json_inputs_exit_2(self, capsys, argv, flag):
-        # each would pass vacuously or write a non-JSON number
+        # each would pass vacuously, be ignored or write a non-JSON number
         code, out, err = run_capture(argv + ["--format", "json"], capsys)
         assert code == 2
         assert out == ""
-        assert flag in err and "Warning" not in err
+        assert flag in err and "Warning" not in err and "<lambda>" not in err
 
     def test_numerical_failure_exits_2(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -530,13 +548,35 @@ class TestOtherCommands:
         assert out.splitlines()[0] == "key,value"
 
 
+class TestFlagTable:
+    SPEC = {"--operator", "--n", "--m", "--alphas"}
+    REPORT = {"--seed", "--format", "--output"}
+    FLAGS = {
+        "constants": SPEC | REPORT | {"--convention"},
+        "verify": SPEC | REPORT | {"--samples", "--tol", "--workers", "--convergence"},
+        "extremal": SPEC | REPORT | {"--convention", "--tol", "--gauges"},
+        "search": SPEC | REPORT | {"--convention", "--tol", "--trials"},
+        "geometry": REPORT | {"--n", "--convention", "--samples", "--workers"},
+        "discrepancies": REPORT | {"--n-values", "--samples", "--workers"},
+    }
+
+    def test_each_command_takes_exactly_the_flags_it_reads(self):
+        parser = hlab.cli._parser()
+        (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+        assert set(commands) == set(self.FLAGS)
+        for command, sub in commands.items():
+            flags = {opt for action in sub._actions for opt in action.option_strings}
+            assert flags - {"-h", "--help"} == self.FLAGS[command], command
+        assert sum(map(len, self.FLAGS.values())) == 52
+
+
 class TestParserBuiltOnce:
     """``run`` builds its parser once per process: a second call in the same
     process must see nothing of the first."""
 
     CALLS = (
         ["verify", "--operator", "hilbert", "--n", "1", "--m", "2", "--alphas", "1,1",
-         "--samples", "20000", "--seed", "4", "--tol", "0.05", "--convention", "paper"],
+         "--samples", "20000", "--seed", "4", "--tol", "0.05", "--workers", "2"],
         ["verify", "--operator", "hlp", "--n", "2", "--m", "1", "--alphas", "2",
          "--samples", "30000", "--seed", "5"],
     )
