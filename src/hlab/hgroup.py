@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -130,19 +131,24 @@ def dilate(r: float, p: HPoint) -> HPoint:
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"dilation factor must be positive and finite, got {r!r}")
     n = p.dim.n
-    coords = tuple(r * c for c in p.coords[: 2 * n]) + (r * r * p.coords[2 * n],)
+    # r (r t): a zero t stays 0 at any r, where (r r) t is inf * 0
+    coords = tuple(r * c for c in p.coords[: 2 * n]) + (r * (r * p.coords[2 * n]),)
     return HPoint(p.dim, coords)
 
 
 def gauge(p: HPoint) -> float:
-    """Koranyi gauge ``((sum_i x_i^2)^2 + x_{2n+1}^2)^{1/4}``; zero iff p = 0."""
+    """Koranyi gauge ``((sum_i x_i^2)^2 + x_{2n+1}^2)^{1/4}``; zero iff p = 0.
+
+    A point whose plain form overflows, or falls below the normal range
+    (gauge below about 1e-77) away from the origin, takes the scaled form
+    of ``_scaled_gauge``."""
     n = p.dim.n
     s = sum(c * c for c in p.coords[: 2 * n])
     t = p.coords[2 * n]
-    g = (s * s + t * t) ** 0.25
-    if math.isinf(g):
+    q = s * s + t * t
+    if math.isinf(q) or (q < sys.float_info.min and any(p.coords)):
         return float(_scaled_gauge(np.asarray(p.coords[: 2 * n]), np.asarray(t)))
-    return g
+    return q**0.25
 
 
 def gauge_array(coords: np.ndarray, n: int) -> np.ndarray:

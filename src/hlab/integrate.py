@@ -146,13 +146,15 @@ class QuadSpec:
     def at_depth(self, depth: int) -> "QuadSpec":
         """Error control of nesting level ``depth`` (0 = outermost).
 
-        Inner levels are driven by relative error with a vanishing absolute
-        floor: inner values of any magnitude get re-weighted by the outer
-        variable transforms, so an absolute cutoff would silently truncate
-        tails.
+        Every level refines to the same ``rel_tol``.  Inner levels keep a
+        vanishing absolute floor instead of ``abs_tol``: inner values of any
+        magnitude get re-weighted by the outer variable transforms, so an
+        absolute cutoff would silently truncate tails.  On a nonnegative
+        integrand, m levels that each meet ``rel_tol`` leave the value
+        within about ``m * rel_tol`` relative.
         """
         floor = self.abs_tol if depth == 0 else 1e-290
-        return QuadSpec(self.rel_tol * 0.1**depth, floor, self.max_subdivisions)
+        return QuadSpec(self.rel_tol, floor, self.max_subdivisions)
 
 
 class QuadratureError(RuntimeError):

@@ -36,6 +36,7 @@ so their std error is about 1.5e-11 relative at 10^6 samples, not 0.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -77,17 +78,24 @@ from .specfun import AlphaProfile, i_m_closed, i_m_recursive
 
 __all__ = [
     "DiscrepancyReport",
+    "GaugeRangeError",
     "SearchReport",
     "VerificationReport",
     "discrepancy_report",
     "oracle_record",
     "spec_record",
+    "unit_ball_check",
     "upper_bound_search",
     "verify_constant",
     "verify_extremal",
 ]
 
 _EVALUATORS = {kind: op.evaluator for kind, op in OPERATORS.items() if op.evaluator is not None}
+
+
+class GaugeRangeError(ValueError):
+    """An extremal-attainment gauge outside the floating-point range of the
+    values there."""
 
 
 @dataclass(frozen=True)
@@ -247,24 +255,49 @@ def _prefix_rows(
 # ----------------------------------------------------------------------------
 
 
+def _sigma_distance(est: Estimate, target: float) -> float | None:
+    """How many standard errors a Monte Carlo estimate lies from ``target``;
+    None at a std error of 0: an oracle that kept no sample (every value 0),
+    or whose every square underflows, measured nothing."""
+    return (est.value - target) / est.std_error if est.std_error > 0.0 else None
+
+
+def unit_ball_check(
+    dim: GroupDim, n_samples: int, stream: SeededStream, workers: int = 1
+) -> tuple[Estimate, float | None, bool]:
+    """The box-normalized Monte Carlo volume of the unit gauge ball, its
+    sigma distance from the geometric volume (None when no sample fell in
+    the ball) and whether it passes: within 3 sigma, never without one."""
+    est = rejection_volume_estimate(dim, n_samples, stream, workers)
+    sigma = _sigma_distance(est, unit_ball_volume(dim, Convention.GEOMETRIC))
+    return est, sigma, sigma is not None and abs(sigma) <= 3.0
+
+
 def _e1(dim: GroupDim) -> HPoint:
     """The point ``(1, 0, ..., 0)``, of gauge 1."""
     return HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
 
 
-def _default_tol(m: int) -> float:
-    if m == 1:
-        return 1e-10
-    # at m = 3, 10x the quadrature oracle's rel_tol: hardy, hlp and hilbert
-    # at n <= 6 all land within 5e-13 of their closed forms
-    return 1e-8 if m == 3 else 1e-6
+# The quadrature oracle's error control at m = 1 and above, and the
+# search's.  Each controls relative error only: its absolute tolerance,
+# rel_tol times the smallest normal float, stays below rel_tol |value| for
+# every constant ConstantResult accepts, also once a path's scale divides
+# both.  Its rel_tol is the only number each sets.
+def _relative(rel_tol: float) -> QuadSpec:
+    return QuadSpec(rel_tol=rel_tol, abs_tol=rel_tol * sys.float_info.min)
 
 
-# the quadrature oracle's error control at m = 1 and above, and the search's;
-# fixed, since each verdict's tolerance is set against them (_default_tol)
-_ORACLE_QUAD_M1 = QuadSpec(rel_tol=1e-12, abs_tol=1e-14)
-_ORACLE_QUAD = QuadSpec(rel_tol=1e-9, abs_tol=1e-14)
-_SEARCH_QUAD = QuadSpec(rel_tol=1e-7, abs_tol=1e-12)
+_ORACLE_QUAD_M1 = _relative(1e-12)
+_ORACLE_QUAD = _relative(1e-9)
+_SEARCH_QUAD = _relative(1e-7)
+
+
+def _verdict_tol(quad: QuadSpec) -> float:
+    """The relative error a quadrature verdict allows: every operator
+    integrand is nonnegative, so m <= 3 levels that each meet ``rel_tol``
+    leave the value within about 3 ``rel_tol``, and 10 ``rel_tol`` is that
+    bound with a margin."""
+    return 10.0 * quad.rel_tol
 
 
 def verify_constant(
@@ -276,7 +309,8 @@ def verify_constant(
 ) -> VerificationReport:
     """Compare the closed-form constant against both numeric oracles.
 
-    Quadrature (radial reduction, m <= 3) must match within ``tol``;
+    Quadrature (radial reduction, m <= 3) must match within ``tol``, by
+    default 10 times its ``rel_tol`` (1e-11 at m = 1, 1e-8 above);
     Cartesian Monte Carlo must land within 3 standard errors.  Both oracles
     and the closed form are taken under the GEOMETRIC convention, since the
     Monte Carlo oracle measures true Lebesgue integrals.
@@ -294,25 +328,22 @@ def verify_constant(
     """
     start = time.perf_counter()
     spec = replace(spec, convention=Convention.GEOMETRIC)
-    tol = _default_tol(spec.m) if tol is None else tol
+    quad = _ORACLE_QUAD_M1 if spec.m == 1 else _ORACLE_QUAD
+    tol = _verdict_tol(quad) if tol is None else tol
     closed = spec.constant().value
 
     oracle_quad = None
     rel_err = None
     # wherever the quadrature engine runs
     if spec.m <= 3:
-        engine = QuadEngine(_ORACLE_QUAD_M1 if spec.m == 1 else _ORACLE_QUAD)
+        engine = QuadEngine(quad)
         fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
         oracle_quad = _EVALUATORS[spec.kind](fs, _e1(spec.dim), spec, engine)
         rel_err = abs(oracle_quad.value - closed) / abs(closed)
 
     mc_chunks = _cartesian_mc(spec, n_samples, SeededStream(seed), workers)
-    oracle_mc, kept = reduce_partials(mc_chunks)
-    # an oracle that kept no sample, or whose every square underflows to a
-    # std error of 0, measured nothing
-    sigma = None
-    if kept > 0 and oracle_mc.std_error > 0.0:
-        sigma = (oracle_mc.value - closed) / oracle_mc.std_error
+    oracle_mc = reduce_partials(mc_chunks)[0]
+    sigma = _sigma_distance(oracle_mc, closed)
 
     paper = replace(spec, convention=Convention.PAPER_FORMULA).constant().value
     gap = abs(paper - closed)
@@ -341,7 +372,7 @@ def verify_extremal(
     spec: OperatorSpec,
     gauges: Sequence[float] = (0.5, 1.0, 2.0, 10.0),
     seed: int = 0,
-    tol: float = 1e-6,
+    tol: float | None = None,
     engine: Engine | None = None,
 ) -> VerificationReport:
     """Check that the extremal powers attain the closed-form constant.
@@ -352,14 +383,36 @@ def verify_extremal(
     of the same gauge would repeat the same integral; ``spread`` measures
     dilation invariance.  Passes when the spread is at most ``tol`` and the
     mean matches the constant (within ``tol`` for quadrature, 3 sigma for
-    Monte Carlo, which never passes at a std error of 0).  ``seed`` draws
-    nothing: it is the seed the report records.
+    Monte Carlo, which never passes at a std error of 0).  ``tol`` defaults
+    to 10 times the ``rel_tol`` of the quadrature engine, or of the
+    quadrature oracle for a Monte Carlo engine, whose evaluations share one
+    stream, so that its spread is rounding.  ``seed`` draws nothing: it is
+    the seed the report records.
+
+    A gauge ``g`` raises ``GaugeRangeError`` before anything is evaluated
+    when ``g^alpha`` is outside the square root of the floating-point range
+    (about 1e-154 to 1e154), or the value there, ``closed * g^-alpha``, is
+    not a normal float.
     """
     start = time.perf_counter()
     closed = spec.constant().value
     alpha = spec.profile.total
+    # an evaluation's nodes carry g^-alpha, so g^alpha keeps within the
+    # square root of the float range, and the value there is a normal float
+    half = 0.5 * math.log(sys.float_info.max)
+    lo, hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
+    for g in map(float, gauges):
+        power = alpha * math.log(g) if g > 0.0 else math.nan
+        if not (abs(power) <= half and lo <= math.log(closed) - power <= hi):
+            raise GaugeRangeError(
+                f"at gauge {g!r}, g^{alpha:g} is outside the square root of the "
+                f"floating-point range, or the value there, {closed:.6g} g^-{alpha:g}, "
+                "is not a normal float"
+            )
     fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
-    engine = engine or QuadEngine(QuadSpec(rel_tol=1e-9, abs_tol=1e-13))
+    engine = engine or QuadEngine(_ORACLE_QUAD)
+    if tol is None:
+        tol = _verdict_tol(engine.quad if isinstance(engine, QuadEngine) else _ORACLE_QUAD)
     evaluator = _EVALUATORS[spec.kind]
 
     e1 = _e1(spec.dim)
@@ -498,13 +551,9 @@ def discrepancy_report(
 
     for idx, n in enumerate(n_values):
         dim = GroupDim(int(n))
-        est = rejection_volume_estimate(dim, n_samples, SeededStream(seed, idx), workers)
+        est, sigma, ok = unit_ball_check(dim, n_samples, SeededStream(seed, idx), workers)
         geom = unit_ball_volume(dim, Convention.GEOMETRIC)
         tab = unit_ball_volume(dim, Convention.PAPER_FORMULA)
-        sigma_geom = (est.value - geom) / est.std_error if est.std_error else 0.0
-        ratio_mc = tab / est.value
-        sigma_ratio = (est.value - 0.5 * tab) / est.std_error if est.std_error else 0.0
-        ok = abs(sigma_geom) <= 3.0
         findings.append(
             {
                 "id": "unit-ball-volume-factor-2",
@@ -515,16 +564,21 @@ def discrepancy_report(
                 "geometric_volume": geom,
                 "tabulated_volume": tab,
                 "ratio_tabulated_over_geometric": tab / geom,
-                "ratio_tabulated_over_mc": ratio_mc,
-                "sigma_mc_vs_geometric": sigma_geom,
-                "sigma_mc_vs_half_tabulated": sigma_ratio,
+                "ratio_tabulated_over_mc": None if sigma is None else tab / est.value,
+                "sigma_mc_vs_geometric": sigma,
+                "sigma_mc_vs_half_tabulated": _sigma_distance(est, 0.5 * tab),
                 "pass": ok,
             }
         )
+        measured = (
+            "measured nothing: no sample fell in the ball"
+            if sigma is None
+            else f"matches geometric {geom:.6f} ({sigma:+.2f} sigma)"
+        )
         lines.append(
             f"n={n}: MC unit-ball volume {est.value:.6f} +/- {est.std_error:.2e} "
-            f"matches geometric {geom:.6f} ({sigma_geom:+.2f} sigma); tabulated "
-            f"{tab:.6f} is {tab / geom:.3f}x the geometric value -> factor-2 flagged"
+            f"{measured}; tabulated {tab:.6f} is {tab / geom:.3f}x the geometric "
+            "value -> factor-2 flagged"
         )
 
     probe_alpha, probe_betas = 2.0, (0.5, 0.5)
@@ -537,11 +591,11 @@ def discrepancy_report(
         hilbert_kernel(dim, 2),
         dim,
         AlphaProfile.of(2.0, 2.0),
-        QuadEngine(QuadSpec(rel_tol=1e-9, abs_tol=1e-13)),
+        QuadEngine(_ORACLE_QUAD),
     ).value / (sphere_measure(dim) / dim.Q) ** 2
     agree = abs(closed - recur) <= 1e-12 * abs(closed) and abs(
         closed - quad_value
-    ) <= 1e-6 * abs(closed)
+    ) <= _verdict_tol(_ORACLE_QUAD) * abs(closed)
     findings.append(
         {
             "id": "product-integral-closed-form",

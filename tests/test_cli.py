@@ -358,6 +358,10 @@ class TestInputErrors:
             (["extremal", "--gauges", ""], "--gauges"),
             (["extremal", "--gauges", "1,inf"], "--gauges"),
             (["extremal", "--gauges", "0,1"], "--gauges"),
+            # gauges whose values leave the float range
+            (["extremal", "--gauges", "1e300"], "--gauges"),
+            (["extremal", "--gauges", "1e-300"], "--gauges"),
+            (["extremal", "--m", "2", "--alphas", "2,2", "--gauges", "1,1e100"], "--gauges"),
             # flags that these commands would ignore
             (["constants", "--samples", "1000"], "--samples"),
             (["constants", "--tol", "0.1"], "--tol"),
@@ -384,6 +388,10 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert flag in err and "Warning" not in err and "<lambda>" not in err
+        # a parser error shows the command's own usage, whichever parser found it
+        if err.startswith("usage:"):
+            assert err.startswith(f"usage: hlab {argv[0]} [-h]")
+            assert f"\nhlab {argv[0]}: error: " in err
 
     def test_numerical_failure_exits_2(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -501,6 +509,40 @@ class TestOtherCommands:
         ids = [f["id"] for f in doc["findings"]]
         assert "unit-ball-volume-factor-2" in ids
         jsonschema.validate(doc, SCHEMA)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geometry", "--n", "8", "--samples", "10000"],
+            ["discrepancies", "--n-values", "12", "--samples", "1000"],
+        ],
+        ids=["geometry", "discrepancies"],
+    )
+    def test_volume_that_kept_no_sample_fails_strict_json(self, capsys, argv):
+        # no sample of the bounding box falls in the unit ball at these n
+        code, out, _ = run_capture(argv + ["--format", "json"], capsys)
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["pass"] is False
+        if doc["command"] == "geometry":
+            (oracle,) = doc["oracles"]
+            assert oracle["value"] == 0.0 and oracle["sigma_distance"] is None
+        else:
+            vol = doc["findings"][0]
+            assert vol["mc_volume"] == 0.0 and vol["pass"] is False
+            for key in (
+                "ratio_tabulated_over_mc",
+                "sigma_mc_vs_geometric",
+                "sigma_mc_vs_half_tabulated",
+            ):
+                assert vol[key] is None
+        code, out, _ = run_capture(argv, capsys)
+        assert code == 1 and out.endswith("pass: False\n")
 
     def test_discrepancies_workers_do_not_change_the_report(self, capsys, monkeypatch):
         report = hlab.cli.discrepancy_report

@@ -79,6 +79,17 @@ def tensor_level(f, m, ball):
     return level
 
 
+class TestAtDepth:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5])
+    def test_every_level_refines_to_rel_tol(self, depth):
+        spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-14, max_subdivisions=100)
+        level = spec.at_depth(depth)
+        assert level.rel_tol == spec.rel_tol
+        assert level.max_subdivisions == spec.max_subdivisions
+        # inner levels keep a vanishing absolute floor
+        assert level.abs_tol == (spec.abs_tol if depth == 0 else 1e-290)
+
+
 class TestQuadNestedGeometries:
     def test_quarter_disk_area(self):
         est = quad_nested(tensor_level(lambda a, b: np.ones_like(a * b), 2, ball=True), 2)

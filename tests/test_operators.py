@@ -352,9 +352,11 @@ class TestOneGeometry:
         dim = GroupDim(n)
         spec = OperatorSpec(OperatorKind.HARDY, dim, AlphaProfile(alphas))
         x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
-        est = eval_hardy(extremals(*alphas), x, spec, QuadEngine(QuadSpec(1e-9, 1e-14)))
+        # the quadrature oracle's error control and verdict: 1e-11 at m = 1, 1e-8 at m = 2
+        quad = verify._ORACLE_QUAD_M1 if len(alphas) == 1 else verify._ORACLE_QUAD
+        est = eval_hardy(extremals(*alphas), x, spec, QuadEngine(quad))
         closed = spec.constant().value
-        assert abs(est.value - closed) <= verify._default_tol(len(alphas)) * closed
+        assert abs(est.value - closed) <= verify._verdict_tol(quad) * closed
 
 
 class TestDilationCovariance:

@@ -217,7 +217,7 @@ class TestProductIntegral:
         value = i_m_closed(2.0, (0.5, 0.5))
         assert math.isclose(value, math.pi, rel_tol=1e-13)
 
-        # at_depth gives the inner level rel_tol 1e-10 and abs_tol 1e-290
+        # at_depth gives the inner level the outer rel_tol, 1e-9, and abs_tol 1e-290
         def level(depth, prefix):
             if depth == 0:
                 return [(lambda t1, own: (np.ones_like(t1), t1), 0.0, math.inf, ())]

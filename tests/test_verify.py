@@ -1,11 +1,21 @@
 import math
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hlab import cli, verify
-from hlab.hgroup import Convention, GroupDim, HPoint, gauge, gauge_array, unit_ball_volume
+from hlab.hgroup import (
+    Convention,
+    GroupDim,
+    HPoint,
+    gauge,
+    gauge_array,
+    sphere_measure,
+    unit_ball_volume,
+)
 from hlab.integrate import (
     ChunkBuffers,
     EstimationError,
@@ -216,6 +226,60 @@ class TestVerifyExtremal:
         assert vr.oracle_mc.value > 0.0 and vr.oracle_mc.std_error == 0.0
         assert vr.sigma_distance_mc is None
         assert not vr.passed
+
+
+class TestQuadratureRule:
+    """Every nested level refines to its spec's rel_tol, and every quadrature
+    verdict allows 10 times the rel_tol of the spec it ran."""
+
+    @pytest.mark.parametrize(
+        "kind,alphas",
+        [
+            (OperatorKind.HARDY, (1.0, 1.0)),
+            (OperatorKind.HILBERT, (1.0,)),
+            (OperatorKind.HILBERT, (1.0, 1.0)),
+        ],
+    )
+    def test_oracle_within_tol_at_n30(self, kind, alphas):
+        # constants of 4e-18 to 9e-17: an absolute tolerance of 1e-14 would
+        # stop refinement 2% and 1.4e-5 off
+        spec = OperatorSpec(kind, GroupDim(30), AlphaProfile(alphas))
+        vr = verify_constant(spec, n_samples=1000, seed=0)
+        assert vr.details["tol"] == (1e-11 if len(alphas) == 1 else 1e-8)
+        assert vr.rel_err_quad <= vr.details["tol"]
+
+    def test_extremal_hilbert_n30(self):
+        spec = OperatorSpec(OperatorKind.HILBERT, GroupDim(30), AlphaProfile.of(1.0))
+        vr = verify_extremal(spec)
+        assert vr.details["tol"] == 1e-8
+        assert vr.passed
+
+    def test_oracle_specs_control_relative_error_only(self):
+        # the absolute tolerance stays below rel_tol |value| for every normal
+        # constant, and stays positive once the largest scale of a path,
+        # (2 Omega)^m at either convention, divides it
+        omega = max(sphere_measure(GroupDim(n)) for n in range(1, 60))
+        for quad, m in (
+            (verify._ORACLE_QUAD_M1, 1),
+            (verify._ORACLE_QUAD, 3),
+            (verify._SEARCH_QUAD, 3),
+        ):
+            assert quad.abs_tol <= quad.rel_tol * sys.float_info.min
+            assert quad.abs_tol / (2.0 * omega) ** m > 0.0
+
+
+class TestExtremalGauges:
+    def test_every_gauge_in_range_is_evaluated(self):
+        # delta_g(e_1) keeps its gauge where g^4 leaves the float range
+        vr = verify_extremal(spec_of(OperatorKind.HARDY, 1.0), gauges=(1e-100, 1e100))
+        assert vr.passed
+
+    @pytest.mark.parametrize("g", [1e300, 1e-300, 1e40, 0.0])
+    def test_gauge_out_of_range_raises(self, g):
+        spec = spec_of(OperatorKind.HILBERT, 2.0, 2.0)
+        with pytest.raises(verify.GaugeRangeError, match=re.escape(f"at gauge {g!r},")):
+            verify_extremal(spec, gauges=(1.0, g))
+
 
 class TestUpperBoundSearch:
     def test_no_violations_and_attainment(self):
