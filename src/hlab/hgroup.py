@@ -29,6 +29,7 @@ __all__ = [
     "gauge_array",
     "group_inv",
     "group_mul",
+    "log_unit_ball_volume",
     "origin",
     "sphere_measure",
     "unit_ball_volume",
@@ -155,19 +156,22 @@ def gauge_array(coords: np.ndarray, n: int) -> np.ndarray:
     """Vectorized gauge for an array of shape (..., 2n + 1).
 
     Rows whose plain form overflows (``|z|`` above about 1e77 or ``|t|``
-    above about 1e154) are recomputed in the scaled form of
-    ``_scaled_gauge``; every other row keeps the plain form's bits.
+    above about 1e154), or falls below the normal range away from the
+    origin, are recomputed in the scaled form of ``_scaled_gauge``, as in
+    ``gauge``; every other row keeps the plain form's bits.
     """
     c = np.asarray(coords, dtype=float)
     horiz = c[..., : 2 * n]
     vert = c[..., 2 * n]
     s = np.einsum("...i,...i->...", horiz, horiz)
     with np.errstate(over="ignore"):
-        g = (s * s + vert * vert) ** 0.25
-    big = np.isinf(g)
-    if big.any():
+        q = s * s + vert * vert
+    g = q**0.25
+    redo = np.isinf(q) | (q < sys.float_info.min)
+    if redo.any():
+        redo &= np.any(c != 0.0, axis=-1)
         g = np.asarray(g)
-        g[big] = _scaled_gauge(horiz[big], vert[big])
+        g[redo] = _scaled_gauge(horiz[redo], vert[redo])
         return g[()]
     return g
 
@@ -189,11 +193,12 @@ def distance(p: HPoint, q: HPoint) -> float:
     return gauge(group_mul(group_inv(q), p))
 
 
-def unit_ball_volume(dim: GroupDim | int, convention: Convention = Convention.GEOMETRIC) -> float:
-    """Volume of the unit gauge ball under the chosen convention.
-
-    The geometric value is ``pi^{n+1/2} Gamma(n/2) / ((n+1) Gamma(n)
-    Gamma((n+1)/2))``; PAPER_FORMULA doubles it.
+def log_unit_ball_volume(
+    dim: GroupDim | int, convention: Convention = Convention.GEOMETRIC
+) -> float:
+    """Log of the unit gauge ball's volume, finite at every n (the volume
+    leaves the normal range at n = 218).  The geometric value is ``pi^{n+1/2}
+    Gamma(n/2) / ((n+1) Gamma(n) Gamma((n+1)/2))``; PAPER_FORMULA doubles it.
     """
     n = as_dim(dim).n
     log_v = (
@@ -203,7 +208,12 @@ def unit_ball_volume(dim: GroupDim | int, convention: Convention = Convention.GE
         - math.lgamma(float(n))
         - math.lgamma((n + 1) / 2.0)
     )
-    v = math.exp(log_v)
+    return log_v + math.log(2.0) if convention is Convention.PAPER_FORMULA else log_v
+
+
+def unit_ball_volume(dim: GroupDim | int, convention: Convention = Convention.GEOMETRIC) -> float:
+    """Volume of the unit gauge ball, the ``exp`` of ``log_unit_ball_volume``."""
+    v = math.exp(log_unit_ball_volume(dim))
     return 2.0 * v if convention is Convention.PAPER_FORMULA else v
 
 

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hgroup import GroupDim, gauge_array, sphere_measure
+from .hgroup import GroupDim, gauge_array, log_unit_ball_volume
 
 __all__ = [
     "Axis",
@@ -91,6 +91,9 @@ _RESOLUTION = 4.0 * np.finfo(float).eps
 # the running error sums that choose which panels split count in units of
 # 1/_ERR_QUANTUM of what an owner's frozen panels leave of its tolerance
 _ERR_QUANTUM = 1 << 30
+# an integral refines to rel_tol times the larger of its |value| and this,
+# the smallest normal float: values below it have lost digits to underflow
+_NORMAL = np.finfo(float).tiny
 
 
 class Method(enum.Enum):
@@ -118,43 +121,23 @@ class Estimate:
         if self.std_error < 0.0:
             raise ValueError("std_error must be nonnegative")
 
-    def scaled(self, factor: float) -> "Estimate":
-        return Estimate(
-            self.value * factor, self.std_error * abs(factor), self.n_samples, self.method
-        )
-
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Error control for adaptive quadrature.
-
-    ``abs_tol`` is the absolute error target on the value the integrating
-    function returns: a function that scales an inner integral by a
-    constant divides ``abs_tol`` by that constant before integrating.
-    """
+    """Error control for adaptive quadrature: every 1-D integral, at every
+    nesting level, refines until its error estimate is at most ``rel_tol``
+    times its value, or times the smallest normal float for a value below
+    it, or fails after ``max_subdivisions`` panel splits."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
     max_subdivisions: int = 4096
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-    def at_depth(self, depth: int) -> "QuadSpec":
-        """Error control of nesting level ``depth`` (0 = outermost).
-
-        Every level refines to the same ``rel_tol``.  Inner levels keep a
-        vanishing absolute floor instead of ``abs_tol``: inner values of any
-        magnitude get re-weighted by the outer variable transforms, so an
-        absolute cutoff would silently truncate tails.  On a nonnegative
-        integrand, m levels that each meet ``rel_tol`` leave the value
-        within about ``m * rel_tol`` relative.
-        """
-        floor = self.abs_tol if depth == 0 else 1e-290
-        return QuadSpec(self.rel_tol, floor, self.max_subdivisions)
+        if not self.rel_tol > 0.0:
+            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
+        n = self.max_subdivisions
+        if type(n) is not int or n < 1:
+            raise ValueError(f"max_subdivisions must be an integer >= 1, got {n!r}")
 
 
 class QuadratureError(RuntimeError):
@@ -285,7 +268,7 @@ def _refine(
     be infinite; an empty range gives 0), with its breakpoints in row ``k``
     of ``points`` (entries outside the range, or NaN, are ignored).  Each
     round evaluates every new panel in one batch.  Then every owner whose
-    error exceeds ``max(abs_tol, rel_tol |value|)`` sorts its panels by
+    error exceeds ``rel_tol max(|value|, _NORMAL)`` sorts its panels by
     error, ascending, and splits each panel where the running error sum,
     plus the error of its panels at floating-point resolution (which never
     split), exceeds its tolerance.  The running sums are exact integers
@@ -325,7 +308,7 @@ def _refine(
         own, panels = own[order], panels[:, order]
         a, b, val, err = panels
         total = frozen_val + np.bincount(own, val, k_all)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        tol = spec.rel_tol * np.maximum(np.abs(total), _NORMAL)
         error = frozen_err + np.bincount(own, err, k_all)
         value = np.where(active, total, value)
         abs_err = np.where(active, error, abs_err)
@@ -353,7 +336,8 @@ def _refine(
         # leave of the tolerance (all of an owner's panels once they leave
         # none); rounding up, every owner still pending splits a panel
         budget = tol - frozen_err
-        ratio = np.where(budget[own] > 0.0, err / np.maximum(budget, 1e-300)[own], 2.0)
+        left = budget > 0.0
+        ratio = np.where(left[own], err / np.where(left, budget, 1.0)[own], 2.0)
         q = np.ceil(np.minimum(ratio, 2.0) * _ERR_QUANTUM).astype(np.int64)
         running = np.cumsum(q)
         first = np.searchsorted(own, own)
@@ -394,7 +378,8 @@ def quad_1d(
     Integrable endpoint singularities like ``r**-s`` with ``s < 1`` are
     handled by subdivision toward the endpoint; panel nodes never touch the
     endpoints themselves.  This is the one-owner case of the refiner behind
-    ``quad_nested``.
+    ``quad_nested``: it controls the relative error of the value, as every
+    hlab integrand is nonnegative.
 
     Raises :class:`QuadratureError` with the best estimate attached once
     ``max_subdivisions`` is exhausted.
@@ -431,13 +416,13 @@ def quad_nested(
     ``x`` of owners ``owner``; above it, it returns ``(weights, nodes)`` and
     its value at ``x[i]`` is ``weights[i]`` times the next level at the
     prefix extended by ``nodes[i]``: the nodes of a round's new panels are
-    the owners of the next level, integrated in one batch.  Level ``d`` runs
-    under ``spec.at_depth(d)``, each owner to its own tolerance and its own
+    the owners of the next level, integrated in one batch.  Every level
+    refines to ``spec``, each owner to its own tolerance and its own
     ``max_subdivisions``, and ``n_samples`` counts the integrand evaluations
-    of every level.
+    of every level.  On a nonnegative integrand, m levels that each meet
+    ``rel_tol`` leave the value within about ``m * rel_tol`` relative.
     """
     spec = spec or QuadSpec()
-    specs = [spec.at_depth(d) for d in range(m)]
     n_evals = 0
 
     def integrate(depth: int, prefix: tuple) -> np.ndarray:
@@ -450,7 +435,7 @@ def quad_nested(
             zeros = np.zeros(k)
             pts = np.asarray(points, dtype=float)
             pts = zeros[:, None] + (pts if pts.ndim == 2 else pts.reshape(1, -1))
-            vals, _, evals = _refine(f, zeros + lo, zeros + hi, pts, specs[depth])
+            vals, _, evals = _refine(f, zeros + lo, zeros + hi, pts, spec)
             n_evals += int(evals.sum())
             value *= vals
         return value
@@ -786,7 +771,7 @@ def mc_integrate_tilted(
         tilts,
         compact=compact,
         log_scale=log_scale,
-        log_polar=math.log(sphere_measure(dim)),
+        log_polar=math.log(Q) + log_unit_ball_volume(dim),
     )
     estimate, positive = reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))
     if positive == 0:

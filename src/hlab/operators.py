@@ -17,7 +17,9 @@ engine performs the polar radial reduction (one radial variable per
 factor): every kind but the max kernel runs the general-kernel path on its
 kernel, over one geometry, the positive orthant in axes relative to the
 gauges before them, which a kernel's ``simplex_support`` only cuts short.
-``QuadSpec.abs_tol`` bounds the error of the returned value on every path.  The Monte Carlo engine samples the gauges of tuples
+Each quadrature path carries its polar constants in its log integrand, so
+``QuadSpec.rel_tol`` bounds the relative error of the returned value on
+every path.  The Monte Carlo engine samples the gauges of tuples
 (``mc_integrate_tilted``, which draws no directions) from the gauge law the
 verifier's Cartesian oracle also uses, with importance tilts taken from the
 operator's exponent profile.  The law keeps to the tuple ball
@@ -46,8 +48,7 @@ from .hgroup import (
     HPoint,
     gauge,
     gauge_array,
-    sphere_measure,
-    unit_ball_volume,
+    log_unit_ball_volume,
 )
 from .integrate import (
     Axis,
@@ -319,17 +320,9 @@ def _of_kind(spec: OperatorSpec, kind: OperatorKind) -> OperatorSpec:
     return spec
 
 
-def _conv_factor(spec: OperatorSpec) -> float:
-    """(Omega_convention / Omega_geometric)^m, the joint-convention scaling."""
-    if spec.convention is Convention.GEOMETRIC:
-        return 1.0
-    ratio = unit_ball_volume(spec.dim, spec.convention) / unit_ball_volume(spec.dim)
-    return ratio**spec.m
-
-
-# a quadrature path at one evaluation point: the factor that scales its
-# integral to the operator's value, and that integral under a QuadSpec
-QuadPath = tuple[float, Callable[[QuadSpec], Estimate]]
+def _log_omega(spec: OperatorSpec) -> float:
+    """``log omega_Q``, one factor's polar constant, at the spec's convention."""
+    return math.log(spec.dim.Q) + log_unit_ball_volume(spec.dim, spec.convention)
 
 
 def _radial_breaks(f: TestFunction, c: float, lo: float, hi: float) -> list[float]:
@@ -406,9 +399,9 @@ def _evaluate(
     or sample.  The general-kernel quadrature path integrates ``log K +
     sum_i log f_i(c g_i)`` at the log gauges ``g_i`` of a tuple.  Quadrature
     runs the max kernel's cells (hlp) or the general-kernel path on the
-    kind's kernel (every other kind), with ``abs_tol`` divided by the path's
-    final factor, so that it bounds the error of the returned value on every
-    path.
+    kind's kernel (every other kind), each with its polar constants in its
+    log integrand, so that no constant underflows before it is used and the
+    relative error control of ``QuadSpec`` applies to the returned value.
 
     Monte Carlo samples tuples with tilts ``t_i`` from the exponent profile,
     inside the tuple ball when the kernel's support lies there and over all
@@ -418,8 +411,9 @@ def _evaluate(
     kernel's log profile plus, per factor, ``(t_i - a_i) log g_i`` only
     where the test function's exponent ``a_i`` differs from its tilt, and the
     log modulation at ``c g_i`` only for a modulated one.  ``-sum_i a_i log
-    c`` is one scalar per call.  Nothing but the kernel bounds the tuple
-    ball: its log profile is ``-inf`` outside its support.
+    c``, with the convention's scaling, is one scalar per call.  Nothing but
+    the kernel bounds the tuple ball: its log profile is ``-inf`` outside
+    its support.
     """
     if len(fs) != spec.m:
         raise ValueError(f"need {spec.m} test functions, got {len(fs)}")
@@ -443,14 +437,16 @@ def _evaluate(
     if isinstance(engine, QuadEngine):
         if spec.m > 3:
             raise ValueError("quadrature engine supports m <= 3; use the MC engine")
-        scale, run = op.quad(spec, fs, c) if op.quad else _kernel_quad(log_f, kernel, spec, fs, c)
-        # a factor that underflows to 0 leaves no error to control
-        abs_tol = engine.quad.abs_tol / scale if scale > 0.0 else math.inf
-        return run(replace(engine.quad, abs_tol=abs_tol)).scaled(scale)
+        if op.quad:
+            return op.quad(spec, fs, c, engine.quad)
+        return _kernel_quad(log_f, kernel, spec, fs, c, engine.quad)
 
     # each factor's weight g_i^{t_i} meets its test function's power
     # (c g_i)^{-a_i}: per sample only (t_i - a_i) log g_i and the modulation
     tilts = spec.profile.alphas
+    # mc_integrate_tilted's polar constants are geometric: the convention
+    # scales each factor's by Omega_convention / Omega_geometric
+    log_conv = log_unit_ball_volume(spec.dim, spec.convention) - log_unit_ball_volume(spec.dim)
     steps = [(tilt - tf.alpha_j, tf) for tilt, tf in zip(tilts, fs)]
 
     def log_tilted(log_gauges: list[np.ndarray]) -> np.ndarray:
@@ -462,7 +458,7 @@ def _evaluate(
                 out = out + tf._log_modulation(log_c + lg)
         return out
 
-    raw = mc_integrate_tilted(
+    return mc_integrate_tilted(
         log_tilted,
         spec.dim,
         tilts,
@@ -470,9 +466,8 @@ def _evaluate(
         engine.stream,
         engine.workers,
         compact=kernel.compact,
-        log_scale=-log_c * math.fsum(tf.alpha_j for tf in fs),
+        log_scale=spec.m * log_conv - log_c * math.fsum(tf.alpha_j for tf in fs),
     )
-    return raw.scaled(_conv_factor(spec))
 
 
 _PROBE_SEED = 0x9E3779B97F4A7C15
@@ -509,7 +504,9 @@ def _probe_homogeneity(kernel: KernelSpec, dim: GroupDim, m: int) -> None:
         )
 
 
-def _hlp_quad(spec: OperatorSpec, fs: Sequence[TestFunction], c: float) -> QuadPath:
+def _hlp_quad(
+    spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
+) -> Estimate:
     """Max-kernel quadrature: the radial orthant splits into the m + 1 cells
     induced by which argument realizes the max; each cell collapses to an
     outer 1-D integral times inner 1-D factors.
@@ -519,17 +516,20 @@ def _hlp_quad(spec: OperatorSpec, fs: Sequence[TestFunction], c: float) -> QuadP
     turns into an endpoint power no rule resolves when ``a < 1``.  So the
     outer variable is ``u = r^{-a}`` on (0, 1), which makes the extremal
     integrand constant.  Each factor is read through its log profile, one
-    ``exp`` per node, and the cells pass ``log r`` to their inner levels."""
-    Q, m, a = spec.dim.Q, spec.m, spec.profile.total
-    log_a, log_c = math.log(a), math.log(c)
+    ``exp`` per node, and the cells pass ``log r`` to their inner levels.
+    Each factor's integrand carries its polar constant."""
+    Q, a = spec.dim.Q, spec.profile.total
+    log_c, log_omega = math.log(c), _log_omega(spec)
+    # the outer factor's polar constant and the 1/a of its map
+    log_outer = log_omega - math.log(a)
 
     def unit_factor(tf: TestFunction, log_scale: np.ndarray) -> Axis:
-        # int_0^1 g(scale * v) v^{Q-1} dv, one scale per owner
+        # omega_Q int_0^1 g(scale * v) v^{Q-1} dv, one scale per owner
         pts = np.asarray(tf.breakpoints, dtype=float) * np.exp(-log_scale)[:, None]
 
         def f(v: np.ndarray, own: np.ndarray) -> np.ndarray:
             log_v = np.log(v)
-            return np.exp(tf.log_radial(log_scale[own] + log_v) + (Q - 1) * log_v)
+            return np.exp(tf.log_radial(log_scale[own] + log_v) + (Q - 1) * log_v + log_omega)
 
         return (f, 0.0, 1.0, pts)
 
@@ -538,7 +538,7 @@ def _hlp_quad(spec: OperatorSpec, fs: Sequence[TestFunction], c: float) -> QuadP
             # r = u^{-1/a}, dr = r du / (a u)
             log_u = np.log(u)
             log_r = log_u / -a
-            return np.exp(tfj.log_radial(log_c + log_r) - log_a - log_u), log_r
+            return np.exp(tfj.log_radial(log_c + log_r) + log_outer - log_u), log_r
 
         # tfj jumps at its own edges; a factor inside has a kink in r where
         # one of its edges b meets the end of its range, r = b / c
@@ -550,16 +550,12 @@ def _hlp_quad(spec: OperatorSpec, fs: Sequence[TestFunction], c: float) -> QuadP
 
     # the cell where |x| realizes the max is the inner factors at r = 1
     at_x = lambda depth, prefix: [unit_factor(tf, np.array([log_c])) for tf in fs]  # noqa: E731
-
-    def run(qspec: QuadSpec) -> Estimate:
-        ests = [quad_nested(at_x, 1, qspec.at_depth(1))]
-        for j, tfj in enumerate(fs):
-            others = [tf for i, tf in enumerate(fs) if i != j]
-            ests.append(quad_nested(cell(tfj, others), 2, qspec))
-        value = sum(e.value for e in ests)
-        return Estimate(value, 0.0, sum(e.n_samples for e in ests), Method.QUAD)
-
-    return _conv_factor(spec) * sphere_measure(spec.dim) ** m, run
+    ests = [quad_nested(at_x, 1, qspec)]
+    for j, tfj in enumerate(fs):
+        others = [tf for i, tf in enumerate(fs) if i != j]
+        ests.append(quad_nested(cell(tfj, others), 2, qspec))
+    value = sum(e.value for e in ests)
+    return Estimate(value, 0.0, sum(e.n_samples for e in ests), Method.QUAD)
 
 
 def _kernel_quad(
@@ -568,10 +564,12 @@ def _kernel_quad(
     spec: OperatorSpec,
     fs: Sequence[TestFunction],
     c: float,
-) -> QuadPath:
+    qspec: QuadSpec,
+) -> Estimate:
     """General-kernel quadrature of the log integrand ``log_f`` at the log
-    gauges over the positive orthant, plus ``(Q-1) log r_i`` and the
-    Jacobians of the axis maps, exponentiated once per node.
+    gauges over the positive orthant, plus the polar constants ``m log
+    omega_Q``, ``(Q-1) log r_i`` and the Jacobians of the axis maps,
+    exponentiated once per node.
 
     The outer gauge decays as ``r^{-1-a}``, ``a = sum alpha``, whatever the
     kernel (by its homogeneity), and the ``t/(1-t)`` map of an infinite
@@ -590,20 +588,19 @@ def _kernel_quad(
     the rest.  On the ball with ``s <= 1``, ``rho_d = 1`` and the axes are
     the gauges themselves."""
     Q, m, s = spec.dim.Q, spec.m, kernel.simplex_support
-    scale = _conv_factor(spec) * sphere_measure(spec.dim) ** m
     a = math.fsum(tf.alpha_j for tf in fs)
     # the breakpoints of each axis as log gauges: r = 1, and the edges
     # of its factor read at gauge c r
     log_breaks = [np.log([1.0] + [b / c for b in tf.breakpoints if b > 0.0]) for tf in fs]
 
     def level(depth: int, prefix: tuple) -> list[Axis]:
-        # row k of prefix[j] holds (log r_j, log of the Jacobians and
-        # r^{Q-1} factors of axes 0..j, sum of r_i^2 over axes 0..j) of
-        # owner k; r_d = rho y^{1/p}
+        # row k of prefix[j] holds (log r_j, log of the polar constants,
+        # Jacobians and r^{Q-1} factors of axes 0..j, sum of r_i^2 over
+        # axes 0..j) of owner k; r_d = rho y^{1/p}
         p = min(a, 1.0) if depth == 0 else 1.0
         log_p = math.log(p)
         log_rs = [pre[:, 0] for pre in prefix]
-        log_w = prefix[-1][:, 1] if prefix else np.zeros(1)
+        log_w = prefix[-1][:, 1] if prefix else np.full(1, m * _log_omega(spec))
         log_rho = np.maximum.reduce([np.zeros_like(log_w), *log_rs])
         # y = 1 is r = rho, where a max kernel has its kink
         pts = np.exp(p * (log_breaks[depth][None, :] - log_rho[:, None]))
@@ -644,7 +641,7 @@ def _kernel_quad(
 
         return [(leaf, 0.0, hi, pts)]
 
-    return scale, lambda qspec: quad_nested(level, m, qspec)
+    return quad_nested(level, m, qspec)
 
 
 def hardy_kernel(
@@ -652,7 +649,7 @@ def hardy_kernel(
 ) -> KernelSpec:
     """Kernel profile of the averaging operator:
     ``chi(sum r_i^2 < r0^2) / (Omega^m r0^{mQ})``."""
-    log_norm = -m * math.log(unit_ball_volume(dim, convention))
+    log_norm = -m * log_unit_ball_volume(dim, convention)
     mQ = float(m * dim.Q)
 
     def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
@@ -711,16 +708,16 @@ class Operator:
     ``kernel(spec)`` gives its kernel profile, which the general-kernel
     quadrature path and the Monte Carlo engine integrate.  The named kinds
     also carry ``closed_form(spec)``, their sharp constant, and
-    ``evaluator``, their public ``eval_*`` function.  ``quad(spec, fs, c)``,
-    held by hlp alone, is a radial quadrature fast path at an evaluation
-    point of gauge ``c``: its m + 1 cells beat the general-kernel path on the
-    max kernel.  Every other kind runs the general-kernel path.
+    ``evaluator``, their public ``eval_*`` function.  ``quad(spec, fs, c,
+    qspec)``, held by hlp alone, is a radial quadrature fast path at an
+    evaluation point of gauge ``c``: its m + 1 cells beat the general-kernel
+    path on the max kernel.  Every other kind runs the general-kernel path.
     """
 
     kernel: Callable[[OperatorSpec], KernelSpec]
     closed_form: Callable[[OperatorSpec], ConstantResult] | None = None
     evaluator: Callable[..., Estimate] | None = None
-    quad: Callable[[OperatorSpec, Sequence[TestFunction], float], QuadPath] | None = None
+    quad: Callable[[OperatorSpec, Sequence[TestFunction], float, QuadSpec], Estimate] | None = None
 
 
 OPERATORS: dict[OperatorKind, Operator] = {

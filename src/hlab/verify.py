@@ -279,17 +279,10 @@ def _e1(dim: GroupDim) -> HPoint:
 
 
 # The quadrature oracle's error control at m = 1 and above, and the
-# search's.  Each controls relative error only: its absolute tolerance,
-# rel_tol times the smallest normal float, stays below rel_tol |value| for
-# every constant ConstantResult accepts, also once a path's scale divides
-# both.  Its rel_tol is the only number each sets.
-def _relative(rel_tol: float) -> QuadSpec:
-    return QuadSpec(rel_tol=rel_tol, abs_tol=rel_tol * sys.float_info.min)
-
-
-_ORACLE_QUAD_M1 = _relative(1e-12)
-_ORACLE_QUAD = _relative(1e-9)
-_SEARCH_QUAD = _relative(1e-7)
+# search's: a relative tolerance on every level (``QuadSpec``).
+_ORACLE_QUAD_M1 = QuadSpec(1e-12)
+_ORACLE_QUAD = QuadSpec(1e-9)
+_SEARCH_QUAD = QuadSpec(1e-7)
 
 
 def _verdict_tol(quad: QuadSpec) -> float:

@@ -125,7 +125,7 @@ def test_criterion_2_geometry():
 
 
 def test_criterion_3_hardy_constants():
-    quad = QuadEngine(QuadSpec(rel_tol=1e-12, abs_tol=1e-15))
+    quad = QuadEngine(QuadSpec(rel_tol=1e-12))
     checks = []
 
     closed1 = hardy_constant(1, AlphaProfile.of(1.0)).value
@@ -179,7 +179,7 @@ def test_criterion_4_hlp_constants():
         closed = hlp_constant(n, prof).value
         worst_identity = max(worst_identity, abs(total - closed) / closed)
 
-    quad = QuadEngine(QuadSpec(rel_tol=1e-11, abs_tol=1e-14))
+    quad = QuadEngine(QuadSpec(rel_tol=1e-11))
     prof1 = AlphaProfile.of(1.0)
     closed1 = hlp_constant(1, prof1).value
     est1 = eval_hlp(
@@ -221,7 +221,7 @@ def _beta_integral_quad(a: float, b: float) -> float:
     the adaptive rule sees smooth integrands only.
     """
     c = a + b - 2.0
-    tight = QuadSpec(rel_tol=1e-12, abs_tol=1e-16)
+    tight = QuadSpec(rel_tol=1e-12)
     p = 1.0 / (1.0 - b)
     left = p * quad_1d(
         lambda xi: (1.0 - np.asarray(xi) ** p) ** c, 0.0, 0.5 ** (1.0 / p), tight
@@ -271,11 +271,11 @@ def _product_integral_quad(alpha: float, betas: tuple[float, ...], rel: float = 
 
         return [(f, 0.0, np.where(rest > 0.0, 1.0, 0.0), ())]
 
-    return math.prod(ps) * quad_nested(level, m, QuadSpec(rel, 1e-13, 8192)).value
+    return math.prod(ps) * quad_nested(level, m, QuadSpec(rel, max_subdivisions=8192)).value
 
 
 def test_criterion_5_hilbert_constants():
-    quad = QuadEngine(QuadSpec(rel_tol=1e-11, abs_tol=1e-14))
+    quad = QuadEngine(QuadSpec(rel_tol=1e-11))
     prof = AlphaProfile.of(2.0)
     closed = hilbert_constant(1, prof).value
     est = eval_hilbert(
@@ -344,7 +344,7 @@ def test_criterion_7_upper_bound():
 
 
 def test_criterion_8_kernel_specialization():
-    quad = QuadEngine(QuadSpec(rel_tol=1e-8, abs_tol=1e-12))
+    quad = QuadEngine(QuadSpec(rel_tol=1e-8))
     cases = [
         (OperatorKind.HARDY, eval_hardy, hardy_kernel, AlphaProfile.of(1.0)),
         (OperatorKind.HARDY, eval_hardy, hardy_kernel, AlphaProfile.of(1.0, 1.0)),

@@ -18,6 +18,7 @@ from hlab.hgroup import (
     gauge_array,
     group_inv,
     group_mul,
+    log_unit_ball_volume,
     origin,
     sphere_measure,
     unit_ball_volume,
@@ -154,6 +155,21 @@ class TestGauge:
             assert math.isclose(gauge(pt(1, *coords)), expected, rel_tol=1e-15)
         assert gauge_array([[np.inf, 0.0, 0.0]], 1)[0] == np.inf
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gauge_array_agrees_with_gauge_at_every_scale(self, n):
+        # rows whose plain form falls below the normal range, or overflows,
+        # take the scaled form in both
+        rng = np.random.default_rng(5)
+        base = [HPoint.of(n, rng.uniform(-1, 1, 2 * n + 1)) for _ in range(3)]
+        base += [pt(n, *([1.0] + [0.0] * (2 * n))), pt(n, *([0.0] * (2 * n) + [1.0]))]
+        for r in np.logspace(-150, 150, 61):
+            points = [dilate(float(r), p) for p in base]
+            rows = gauge_array(np.array([p.coords for p in points]), n)
+            for p, q, g in zip(base, points, rows):
+                assert math.isclose(g, gauge(q), rel_tol=1e-15)
+                assert math.isclose(g, r * gauge(p), rel_tol=1e-14)
+        assert gauge_array([[1e-100, 0.0, 0.0]], 1)[0] == 1e-100
+
     def test_gauge_array_keeps_plain_form_bits(self):
         rng = np.random.default_rng(4)
         batch = rng.standard_normal((1000, 7)) * np.exp(rng.uniform(-30, 30, (1000, 7)))
@@ -195,6 +211,15 @@ class TestMeasure:
             math.pi**2,
             rel_tol=1e-14,
         )
+
+    def test_log_volume(self):
+        for n in (1, 2, 5, 200):
+            for conv in Convention:
+                log_v = log_unit_ball_volume(GroupDim(n), conv)
+                assert math.isclose(math.exp(log_v), unit_ball_volume(n, conv), rel_tol=1e-13)
+        # finite where the volume itself underflows
+        assert unit_ball_volume(335) == 0.0
+        assert math.isfinite(log_unit_ball_volume(335))
 
     def test_convention_ratio_is_two(self):
         for n in (1, 2, 3, 5):

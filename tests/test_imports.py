@@ -30,16 +30,6 @@ def test_no_private_names_across_modules():
     assert [hit for path in modules for hit in private_imports(path)] == []
 
 
-def test_inner_level_floor_lives_in_integrate():
-    # the per-level tolerance rule of nested quadrature is QuadSpec.at_depth
-    hits = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "integrate.py" and "1e-290" in path.read_text()
-    ]
-    assert hits == []
-
-
 def test_one_monte_carlo_block():
     # both Monte Carlo integrals, the operators' engine and the Cartesian
     # oracle, draw their gauges in integrate.tilted_values

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ class TestQuad1d:
         assert math.isclose(est.value, math.pi / 4, rel_tol=1e-10)
 
     def test_integrable_endpoint_singularity(self):
-        spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-13)
+        spec = QuadSpec(rel_tol=1e-10)
         est = quad_1d(lambda r: r**-0.5, 0.0, 1.0, spec)
         assert abs(est.value - 2.0) <= 2.0 * spec.rel_tol * 10
 
@@ -52,7 +53,7 @@ class TestQuad1d:
         assert math.isclose(est.value, 0.37 + 3 * 0.63, rel_tol=1e-13)
 
     def test_nonconvergence_carries_best_estimate(self):
-        spec = QuadSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=3)
+        spec = QuadSpec(rel_tol=1e-14, max_subdivisions=3)
         with pytest.raises(QuadratureError) as err:
             quad_1d(lambda r: r**-0.9, 0.0, 1.0, spec)
         assert err.value.estimate is not None
@@ -79,15 +80,55 @@ def tensor_level(f, m, ball):
     return level
 
 
-class TestAtDepth:
-    @pytest.mark.parametrize("depth", [0, 1, 2, 5])
-    def test_every_level_refines_to_rel_tol(self, depth):
-        spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-14, max_subdivisions=100)
-        level = spec.at_depth(depth)
-        assert level.rel_tol == spec.rel_tol
-        assert level.max_subdivisions == spec.max_subdivisions
-        # inner levels keep a vanishing absolute floor
-        assert level.abs_tol == (spec.abs_tol if depth == 0 else 1e-290)
+class TestQuadSpec:
+    def test_relative_tolerance_and_subdivisions_only(self):
+        assert [f.name for f in dataclasses.fields(QuadSpec)] == ["rel_tol", "max_subdivisions"]
+
+    @pytest.mark.parametrize(
+        "args", [(1e-9, 1e-14), (1e-9, 0), (1e-9, 2.0), (1e-9, True), (0.0,), (math.nan,)]
+    )
+    def test_rejects_bad_fields(self, args):
+        # the old positional QuadSpec(rel_tol, abs_tol) puts abs_tol in
+        # max_subdivisions, which must be an integer >= 1
+        with pytest.raises(ValueError):
+            QuadSpec(*args)
+
+    def test_old_three_field_call_fails(self):
+        with pytest.raises(TypeError):
+            QuadSpec(1e-9, 1e-14, 100)
+
+
+class TestRelativeRule:
+    """Every level refines to rel_tol times the larger of its value and the
+    smallest normal float."""
+
+    @staticmethod
+    def nested(scale):
+        # int_0^1 int_0^1 scale y^(-1/2) dy dx = 2 scale
+        def level(depth, prefix):
+            if depth == 0:
+                return [(lambda x, own: (np.ones_like(x), x), 0.0, 1.0, ())]
+            return [(lambda y, own: scale * y**-0.5, 0.0, 1.0, ())]
+
+        return quad_nested(level, 2, QuadSpec(rel_tol=1e-10))
+
+    def test_outer_value_near_the_bottom_of_the_range_converges(self):
+        spec = QuadSpec(rel_tol=1e-10)
+        est = quad_1d(lambda r: 1e-300 * r**-0.5, 0.0, 1.0, spec)
+        assert abs(est.value - 2e-300) <= 10 * spec.rel_tol * 2e-300
+        # which takes more than the first panel
+        assert est.n_samples > 15
+
+    def test_inner_values_near_the_bottom_of_the_range_converge(self):
+        est = self.nested(1e-300)
+        assert abs(est.value - 2e-300) <= 10 * 1e-10 * 2e-300
+        assert est.n_samples == self.nested(1.0).n_samples
+
+    def test_subnormal_values_stop_at_the_smallest_normal_float(self):
+        # one panel at each level: 15 outer nodes, 15 nodes inside each
+        est = self.nested(1e-320)
+        assert est.n_samples == 15 + 15 * 15
+        assert 0.0 < est.value < 1e-310
 
 
 class TestQuadNestedGeometries:
@@ -104,7 +145,7 @@ class TestQuadNestedGeometries:
             return t1**-0.5 * t2**-0.5 / (1 + t1 + t2) ** 2
 
         level = tensor_level(f, 2, ball=False)
-        est = quad_nested(level, 2, QuadSpec(rel_tol=1e-8, abs_tol=1e-12))
+        est = quad_nested(level, 2, QuadSpec(rel_tol=1e-8))
         assert math.isclose(est.value, math.pi, rel_tol=1e-6)
 
 
@@ -479,11 +520,6 @@ class TestEstimateInvariants:
         zeros = reduce_partials([(100, 0.0, 0.0, 0)])[0]
         assert zeros.value == 0.0 and zeros.std_error == 0.0
 
-    def test_scaled(self):
-        est = Estimate(2.0, 0.5, 10, Method.MC)
-        scaled = est.scaled(-3.0)
-        assert scaled.value == -6.0 and scaled.std_error == 1.5
-
 
 def _power_batch():
     """50 owners: x^-s on (0, 1), and x^-s / (1 + x)^2 on (0, inf) for every
@@ -502,7 +538,7 @@ def _power_batch():
 class TestBatchedRefiner:
     def test_owner_result_does_not_depend_on_its_batch(self):
         f, lo, hi, points, s = _power_batch()
-        spec = QuadSpec(rel_tol=1e-11, abs_tol=1e-14)
+        spec = QuadSpec(rel_tol=1e-11)
         value, error, evals = integrate._refine(f, lo, hi, points, spec)
         for k in range(lo.size):
             one = slice(k, k + 1)
@@ -514,7 +550,7 @@ class TestBatchedRefiner:
 
     def test_quad_1d_is_the_one_owner_case(self):
         f, lo, hi, points, _ = _power_batch()
-        spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-14)
+        spec = QuadSpec(rel_tol=1e-10)
         value, _, evals = integrate._refine(f, lo, hi, points, spec)
         for k in (0, 4, 7):
             pts = [p for p in points[k] if not math.isnan(p)]
@@ -525,7 +561,7 @@ class TestBatchedRefiner:
         s = np.array([0.2, 0.98, 0.5, 0.99])
         f = lambda x, own: x ** -s[own]  # noqa: E731
         zeros, ones, none = np.zeros(4), np.ones(4), np.empty((4, 0))
-        spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=100)
+        spec = QuadSpec(rel_tol=1e-10, max_subdivisions=100)
         with pytest.raises(QuadratureError) as batch_err:
             integrate._refine(f, zeros, ones, none, spec)
         with pytest.raises(QuadratureError) as alone_err:
@@ -548,7 +584,7 @@ class TestBatchedRefiner:
                 return [(lambda x, own: (np.ones_like(x), x), 0.0, 2.0, [1.0])]
             return [(lambda y, own: np.ones_like(y), 0.0, 1.0 - prefix[0], ())]
 
-        est = quad_nested(level, 2, QuadSpec(rel_tol=1e-12, abs_tol=1e-14))
+        est = quad_nested(level, 2, QuadSpec(rel_tol=1e-12))
         assert math.isclose(est.value, 0.5, rel_tol=1e-12)
 
     def test_nested_levels_match_one_owner_recursion(self):
@@ -559,13 +595,13 @@ class TestBatchedRefiner:
             c = prefix[0]
             return [(lambda y, own: (y + c[own]) ** -0.5, 0.0, 1.0, ())]
 
-        spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-14)
+        spec = QuadSpec(rel_tol=1e-10)
         est = quad_nested(level, 2, spec)
         # int_0^1 int_0^1 (x + y)^-1/2 dy dx = (8/3)(sqrt 2 - 1)
         assert math.isclose(est.value, 8.0 / 3.0 * (math.sqrt(2.0) - 1.0), rel_tol=1e-9)
 
         def outer(xs):
-            inner = spec.at_depth(1)
-            return np.array([quad_1d(lambda y: (y + x) ** -0.5, 0.0, 1.0, inner).value for x in xs])
+            # every level runs the same rule: quad_1d per node is the inner level
+            return np.array([quad_1d(lambda y: (y + x) ** -0.5, 0.0, 1.0, spec).value for x in xs])
 
         assert est.value == quad_1d(outer, 0.0, 1.0, spec).value

@@ -1,6 +1,5 @@
 import math
 import re
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +12,12 @@ from hlab.hgroup import (
     HPoint,
     gauge,
     gauge_array,
-    sphere_measure,
     unit_ball_volume,
 )
 from hlab.integrate import (
     ChunkBuffers,
     EstimationError,
+    QuadSpec,
     SeededStream,
     mc_chunk_partials,
     reduce_partials,
@@ -255,17 +254,27 @@ class TestQuadratureRule:
         assert vr.passed
 
     def test_oracle_specs_control_relative_error_only(self):
-        # the absolute tolerance stays below rel_tol |value| for every normal
-        # constant, and stays positive once the largest scale of a path,
-        # (2 Omega)^m at either convention, divides it
-        omega = max(sphere_measure(GroupDim(n)) for n in range(1, 60))
-        for quad, m in (
-            (verify._ORACLE_QUAD_M1, 1),
-            (verify._ORACLE_QUAD, 3),
-            (verify._SEARCH_QUAD, 3),
+        # a QuadSpec holds no absolute tolerance: its rel_tol is all it sets
+        for quad, rel_tol in (
+            (verify._ORACLE_QUAD_M1, 1e-12),
+            (verify._ORACLE_QUAD, 1e-9),
+            (verify._SEARCH_QUAD, 1e-7),
         ):
-            assert quad.abs_tol <= quad.rel_tol * sys.float_info.min
-            assert quad.abs_tol / (2.0 * omega) ** m > 0.0
+            assert quad == QuadSpec(rel_tol)
+
+    @pytest.mark.parametrize("n", [200, 335])
+    def test_hardy_where_the_volume_leaves_the_float_range(self, n):
+        # the unit ball's volume is 6e-277 at n = 200 and 0.0 at n = 335;
+        # the constants, 4.9e-120 and 3.3e-201, are normal floats
+        spec = OperatorSpec(OperatorKind.HARDY, GroupDim(n), AlphaProfile.of(1.0, 1.0))
+        vr = verify_constant(spec, n_samples=1000, seed=0)
+        assert vr.rel_err_quad <= vr.details["tol"] == 1e-8
+        # the tuple ball holds none of the Monte Carlo oracle's samples
+        assert vr.details["verdict"] == "inconclusive"
+        e1 = HPoint.of(spec.dim, [1.0] + [0.0] * (spec.dim.ambient - 1))
+        fs = [TestFunction.extremal(1.0)] * 2
+        with pytest.raises(EstimationError, match="zero accepted samples"):
+            eval_hardy(fs, e1, spec, McEngine(1000, SeededStream(0)))
 
 
 class TestExtremalGauges:
