@@ -609,7 +609,7 @@ _TINY = 2.0**-53
 
 def two_piece_gauges(
     x: np.ndarray, alpha: float, Q: float, compact: bool
-) -> tuple[np.ndarray, np.ndarray | None, float]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Log gauges drawn from uniforms ``x`` by inverting a two-piece power law.
 
     The law has density ``g^{Q-1-alpha} / M`` on (0, 1), of mass ``a/M``
@@ -620,10 +620,10 @@ def two_piece_gauges(
     ``v = (1 - x)/(1 - p)`` on the outer one, and ``g = v^e`` with ``e = a``
     inside and ``e = -b`` outside.
 
-    Returns ``log g``, the outer powers ``Q log g`` (0 on the inner piece;
-    ``None`` for the compact law, which has no outer piece) and ``M``: the
+    Returns ``log g`` and the outer powers ``Q log g`` (0 on the inner
+    piece; ``None`` for the compact law, which has no outer piece): the
     polar weight ``g^{Q-1} / density`` of a draw is ``M g^alpha`` inside and
-    ``M g^{Q+alpha}`` outside.
+    ``M g^{Q+alpha}`` outside, with ``M`` from ``_two_piece_mass``.
     """
     a = 1.0 / (Q - alpha)
     mass = _two_piece_mass(alpha, Q, compact)
@@ -631,7 +631,7 @@ def two_piece_gauges(
         log_g = np.maximum(x, _TINY)
         np.log(log_g, out=log_g)
         log_g *= a
-        return log_g, None, mass
+        return log_g, None
     p = a / mass
     outer = np.greater_equal(x, p, out=np.empty(x.shape))  # 1 on the outer piece
     log_g = x - outer
@@ -643,7 +643,7 @@ def two_piece_gauges(
     outer += a  # e
     log_g *= outer
     log_q *= log_g
-    return log_g, log_q, mass
+    return log_g, log_q
 
 
 def _two_piece_mass(alpha: float, Q: float, compact: bool) -> float:
@@ -697,7 +697,7 @@ def tilted_values(
             log_gauges, outer = [], []
             for tilt, u in zip(tilts, uniforms):
                 x = u[rows, 0] if angle else u[rows]
-                log_g, log_q, _ = two_piece_gauges(x, tilt, Q, compact)
+                log_g, log_q = two_piece_gauges(x, tilt, Q, compact)
                 log_gauges.append(log_g)
                 if log_q is not None:
                     outer.append(log_q)

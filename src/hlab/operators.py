@@ -574,16 +574,21 @@ def _kernel_quad(
     The outer gauge decays as ``r^{-1-a}``, ``a = sum alpha``, whatever the
     kernel (by its homogeneity), and the ``t/(1-t)`` map of an infinite
     range turns that into ``(1-t)^{a-1}``, an endpoint power no rule
-    resolves when ``a < 1``.  There axis 0 is ``v = r^a`` instead, whose
-    integrand decays as ``v^{-2}``, as ``_hlp_quad`` integrates its outer
-    gauge in a power of ``r``.  Inner axis ``d > 0`` is relative, ``x = r_d /
-    rho_d`` with ``rho_d = max(1, r_0, ..., r_{d-1})``: a homogeneous
-    kernel's mass and kinks in ``r_d`` sit at the scale of the gauges before
-    it, which ``t/(1-t)`` cannot reach once they are far from 1.
+    resolves when ``a < 1``.  There axis 0 is ``v = r^a`` past ``r = 1``
+    instead, whose integrand decays as ``v^{-2}``, as ``_hlp_quad``
+    integrates its outer gauge in a power of ``r``.  Below ``r = 1`` it stays
+    ``v = r``: there ``r^a`` would turn the integrand's ``r^{Q-1-a}`` into
+    ``v^{Q/a-2}`` (``v^{3018}`` for hilbert at n = 150, ``a`` = 0.1), a
+    spike at ``v = 1`` that the first panel's Kronrod and Gauss sums both
+    miss.  Inner axis ``d > 0`` is relative, ``x = r_d / rho_d`` with
+    ``rho_d = max(1, r_0, ..., r_{d-1})``: a homogeneous kernel's mass and
+    kinks in ``r_d`` sit at the scale of the gauges before it, which
+    ``t/(1-t)`` cannot reach once they are far from 1.  An axis's
+    breakpoints and upper limit go through its map.
 
     A kernel with a ``simplex_support`` ``s`` vanishes outside the tuple ball
     ``sum r_i^2 < s^2``, so axis ``d`` ends where the gauges before it leave
-    no room, at ``(sqrt(s^2 - sum_{j<d} r_j^2) / rho_d)^p`` in its variable
+    no room, at ``sqrt(s^2 - sum_{j<d} r_j^2) / rho_d`` in ``r_d / rho_d``
     (0 once they fill the ball), not at infinity; the kernel's ``-inf`` does
     the rest.  On the ball with ``s <= 1``, ``rho_d = 1`` and the axes are
     the gauges themselves."""
@@ -596,29 +601,38 @@ def _kernel_quad(
     def level(depth: int, prefix: tuple) -> list[Axis]:
         # row k of prefix[j] holds (log r_j, log of the polar constants,
         # Jacobians and r^{Q-1} factors of axes 0..j, sum of r_i^2 over
-        # axes 0..j) of owner k; r_d = rho y^{1/p}
+        # axes 0..j) of owner k; r_d = rho y, or r_0 = y^{1/p} past y = 1
         p = min(a, 1.0) if depth == 0 else 1.0
-        log_p = math.log(p)
+
+        def warp(x: np.ndarray, e: float) -> np.ndarray:
+            # x^e past 1, where axis 0 runs in r^p; x below 1 and elsewhere
+            return x if p == 1.0 else np.where(x > 1.0, x**e, x)
+
         log_rs = [pre[:, 0] for pre in prefix]
         log_w = prefix[-1][:, 1] if prefix else np.full(1, m * _log_omega(spec))
         log_rho = np.maximum.reduce([np.zeros_like(log_w), *log_rs])
         # y = 1 is r = rho, where a max kernel has its kink
-        pts = np.exp(p * (log_breaks[depth][None, :] - log_rho[:, None]))
+        pts = warp(np.exp(log_breaks[depth][None, :] - log_rho[:, None]), p)
         pts = np.column_stack((np.ones_like(log_rho), pts))
         hi = math.inf
         if s is not None:
             sq = prefix[-1][:, 2] if prefix else np.zeros(1)
             rho = np.exp(log_rho)
-            hi = (np.sqrt(np.maximum(s * s - sq, 0.0)) / rho) ** p
+            hi = warp(np.sqrt(np.maximum(s * s - sq, 0.0)) / rho, p)
 
         def node(y: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # r^{Q-1} dr = r^Q / (p y) dy, formed in the gathered arrays
+            # r^{Q-1} dr = r^Q / (q y) dy, q = p where y = r^p and 1 where
+            # y = r / rho, formed in the gathered arrays
             log_y = np.log(y)
             log_r = log_rho[own]
-            log_r += log_y / p
             log_jac = log_w[own]
+            if p == 1.0:
+                log_r += log_y
+            else:
+                past = log_y > 0.0
+                log_r += np.where(past, log_y / p, log_y)
+                log_jac -= np.where(past, math.log(p), 0.0)
             log_jac += Q * log_r
-            log_jac -= log_p
             log_jac -= log_y
             return log_r, log_jac
 
@@ -628,7 +642,7 @@ def _kernel_quad(
                 columns = node(y, own)
                 if s is not None:
                     # the gauges' squares so far, for the next axis' limit
-                    r = rho[own] * y ** (1.0 / p)
+                    r = rho[own] * warp(y, 1.0 / p)
                     columns += (sq[own] + r * r,)
                 return np.ones_like(y), np.column_stack(columns)
 

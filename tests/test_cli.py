@@ -146,7 +146,6 @@ class TestVerifyCommand:
         assert abs(mc["sigma_distance"]) <= 3.0 and mc["resolution"] >= 2**1 - 1
         assert doc["pass"] is False
         assert doc["findings"][0]["verdict"] == "inconclusive"
-        assert doc["findings"][0]["mc_sampler"] == "gauge-polar"
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         argv = [

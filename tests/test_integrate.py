@@ -217,10 +217,10 @@ class TestPastH1:
         n, alphas, x = args
         Q = 2 * n + 2
         for alpha in alphas:
-            log_g, log_q, _ = integrate.two_piece_gauges(x, alpha, Q, False)
+            log_g, log_q = integrate.two_piece_gauges(x, alpha, Q, False)
             assert np.isfinite(log_g).all() and np.isfinite(log_q).all()
             # the compact law's gauges are below 1 before exp rounds them
-            log_g, log_q, _ = integrate.two_piece_gauges(x, alpha, Q, True)
+            log_g, log_q = integrate.two_piece_gauges(x, alpha, Q, True)
             assert log_q is None and (log_g < 0.0).all() and np.isfinite(log_g).all()
         profile = AlphaProfile(alphas)
         for constant in (hardy_constant, hlp_constant, hilbert_constant):

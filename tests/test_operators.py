@@ -417,8 +417,8 @@ class TestHlpQuadratureSlowTails:
 
 
 class TestKernelQuadratureSlowTails:
-    """The general-kernel path gives each orthant axis's tail the same
-    treatment, u = r^{-alpha_i}."""
+    """Exponents whose sum is below 1: the general-kernel path runs axis 0 in
+    ``r^{sum alpha}`` past r = 1, and in r below it."""
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
@@ -433,6 +433,18 @@ class TestKernelQuadratureSlowTails:
         x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
         est = eval_kernel_op(ker, extremals(alpha), x, spec, QuadEngine(QuadSpec(1e-12)))
         assert math.isclose(est.value, closed_form(dim, prof).value, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_small_alpha_at_large_n(self, n):
+        # v = r^0.1 below r = 1 would make the integrand's r^{Q-1.1} a spike
+        # v^{10 Q - 2} at v = 1 that the first panel misses
+        dim = GroupDim(n)
+        spec = OperatorSpec(OperatorKind.HILBERT, dim, AlphaProfile.of(0.1))
+        x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
+        quad = verify._ORACLE_QUAD_M1
+        est = eval_hilbert(extremals(0.1), x, spec, QuadEngine(quad))
+        closed = spec.constant().value
+        assert abs(est.value - closed) <= verify._verdict_tol(quad) * closed
 
 
 class TestStepModulatedAccuracy:

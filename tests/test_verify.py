@@ -187,10 +187,7 @@ class TestVerifyExtremal:
         assert vr.passed
         assert vr.rel_err_quad <= 1e-6
 
-    @pytest.mark.parametrize(
-        "engine", [None, McEngine(1 << 14, SeededStream(0))], ids=["quad", "mc"]
-    )
-    def test_one_evaluation_per_gauge(self, monkeypatch, engine):
+    def test_one_evaluation_per_gauge(self, monkeypatch):
         # the evaluators see x only through its gauge: one point per gauge
         spec = spec_of(OperatorKind.HLP, 1.0, 1.0)
         evaluate = verify._EVALUATORS[spec.kind]
@@ -202,29 +199,21 @@ class TestVerifyExtremal:
 
         monkeypatch.setitem(verify._EVALUATORS, spec.kind, counting)
         gauges = (0.5, 1.0, 2.0, 10.0)
-        vr = verify_extremal(spec, gauges=gauges, seed=3, engine=engine)
+        vr = verify_extremal(spec, gauges=gauges, seed=3)
         assert len(seen) == len(gauges)
         assert seen == pytest.approx(gauges, rel=1e-15)
         assert "directions" not in vr.details
         assert vr.details["spread"] <= 1e-6
 
-    def test_mc_error_is_one_evaluation_error(self):
-        # all evaluations draw the same engine stream, so pooling must not
-        # shrink the error below that of a single evaluation
-        spec = spec_of(OperatorKind.HARDY, 1.0, 1.0)
-        engine = McEngine(10**5, SeededStream(0))
-        vr = verify_extremal(spec, seed=0, engine=engine)
-        fs = [TestFunction.extremal(1.0)] * 2
-        one = eval_hardy(fs, HPoint.of(1, (1.0, 0.0, 0.0)), spec, engine)
-        assert math.isclose(vr.oracle_mc.std_error, one.std_error, rel_tol=1e-12)
-        assert vr.sigma_distance_mc == (vr.oracle_mc.value - vr.closed_form) / vr.oracle_mc.std_error
-
-    def test_mc_error_of_zero_does_not_pass(self):
-        # an McEngine whose squares all underflow pools an error of 0
-        vr = verify_extremal(HLP40, gauges=(1.0,), engine=McEngine(20_000, SeededStream(0)))
-        assert vr.oracle_mc.value > 0.0 and vr.oracle_mc.std_error == 0.0
-        assert vr.sigma_distance_mc is None
-        assert not vr.passed
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", [OperatorKind.HARDY, OperatorKind.HLP, OperatorKind.HILBERT])
+    def test_attains_past_h1(self, kind, n):
+        vr = verify_extremal(OperatorSpec(kind, GroupDim(n), AlphaProfile.of(1.0, 1.0)))
+        assert vr.passed
+        assert vr.rel_err_quad <= vr.details["tol"] == 1e-8
+        # dilation invariance holds to rounding
+        assert vr.details["spread"] <= 1e-12
+        assert vr.oracle_mc is None and [o["method"] for o in vr.to_record()["oracles"]] == ["quad"]
 
 
 class TestQuadratureRule:
