@@ -34,16 +34,22 @@ Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
 Results are therefore bit-identical for any worker count.  Inside a chunk,
 the arithmetic after the draws runs in row blocks (``row_blocks``) sized for
 the cache; since every value depends only on its own row, the block size
-changes no bit.  Each worker thread keeps one set of chunk-sized arrays
-(``ChunkBuffers``) for the whole call: every chunk draws its uniforms into
-them and writes its values and their squares there, so after the first
-chunk no chunk-sized array is allocated or freed.
+changes no bit.  Each thread keeps one arena of arrays (``ChunkBuffers``)
+across calls: every chunk draws its uniforms into it and writes its values
+there, the values are then squared in place for their sum of squares, and
+each row block's temporaries live in its fixed block-sized arrays.  The
+arena keeps m + 1 chunk arrays of the widest call (the m factors' uniforms,
+twice as wide with the angle columns at n > 2, and the values) and a few
+block-sized ones, so once a thread has run its widest call, a chunk's
+float arrays all come from the arena, and a row block allocates only what
+its log integrand does.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -476,19 +482,26 @@ ChunkPartial = tuple[int, float, float, int]
 
 
 class ChunkBuffers:
-    """The arrays one worker thread reuses from one Monte Carlo chunk to the
-    next.
+    """A thread's arena of Monte Carlo arrays, kept from one chunk to the
+    next and from one call to the next.
 
-    ``mc_chunk_partials`` makes one per worker thread for the whole call and
-    rewinds it before each chunk.  The k-th array a chunk asks for is then
-    the k-th array of the chunk before, cut to its rows: every chunk makes
-    the same requests in the same order, and no chunk is larger than the
-    first, so after the first chunk no large array is allocated or freed.
+    ``mc_chunk_partials`` keeps one per thread: it checks the thread's arena
+    out for a call and puts it back at the end (a call nested in a
+    ``values_fn`` finds it checked out and makes a fresh one), and rewinds
+    it before each chunk.  Chunk part: the k-th array a chunk asks for
+    (``empty``, ``random``) is a view of the arena's k-th array, which grows
+    to the largest such request it has seen, so the arena keeps m + 1 chunk
+    arrays of the widest call (its m uniforms, twice as wide with the angle
+    columns at n > 2, and its values).  Block part: ``block_arrays`` gives
+    the same few arrays of ``_ROW_BLOCK`` rows to every chunk, for the
+    temporaries of one row block at a time.  Once the thread has run its
+    widest call, neither part allocates or frees an array.
     """
 
     def __init__(self) -> None:
         self._arrays: list[np.ndarray] = []
         self._next = 0
+        self._rows: list[np.ndarray] = []
 
     def rewind(self) -> None:
         self._next = 0
@@ -497,15 +510,27 @@ class ChunkBuffers:
         """An uninitialized C-contiguous float array of ``shape``."""
         k = self._next
         self._next += 1
+        size = math.prod(shape)
         if k == len(self._arrays):
-            self._arrays.append(np.empty(shape))
-        elif self._arrays[k].shape[1:] != shape[1:] or self._arrays[k].shape[0] < shape[0]:
-            self._arrays[k] = np.empty(shape)
-        return self._arrays[k][: shape[0]]
+            self._arrays.append(np.empty(size))
+        elif self._arrays[k].size < size:
+            self._arrays[k] = np.empty(size)
+        return self._arrays[k][:size].reshape(shape)
 
     def random(self, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         """``gen.random(shape)``, drawn into a reused array: the same bits."""
         return gen.random(out=self.empty(shape))
+
+    def block_arrays(self, count: int) -> list[np.ndarray]:
+        """``count`` distinct uninitialized float arrays of at least
+        ``_ROW_BLOCK`` rows, the same ones on every request."""
+        self._rows = [r if r.size >= _ROW_BLOCK else np.empty(_ROW_BLOCK) for r in self._rows]
+        self._rows += [np.empty(_ROW_BLOCK) for _ in range(count - len(self._rows))]
+        return self._rows[:count]
+
+
+# each thread's arena while no mc_chunk_partials call of the thread holds it
+_ARENA = threading.local()
 
 
 def mc_chunk_partials(
@@ -517,15 +542,19 @@ def mc_chunk_partials(
     """Evaluate ``values_fn`` chunk by chunk; chunk ``k`` draws from substream
     block ``k + 1``.
 
-    ``values_fn(gen, size, buffers)`` returns the chunk's ``size`` values,
-    each of which must depend only on its own row (its own draws), so that
-    the chunk may be evaluated in row blocks (``row_blocks``) without moving
-    a bit.  It takes its draws (``buffers.random``) and its value array
-    (``buffers.empty``) from ``buffers``, the ``ChunkBuffers`` of its worker
-    thread; the square of the values, for their sum of squares, goes to
-    them too.  The values must be nonnegative.  Returns ``(size, sum, sum
-    of squares, positive count)`` per chunk in chunk order, identical for
-    any worker count.
+    ``values_fn(gen, size, buffers)`` returns the chunk's ``size`` values as
+    a float array, each of which must depend only on its own row (its own
+    draws), so that the chunk may be evaluated in row blocks
+    (``row_blocks``) without moving a bit.  It takes its draws
+    (``buffers.random``), its value array (``buffers.empty``) and its row
+    block's temporaries (``buffers.block_arrays``) from ``buffers``, the arena
+    (``ChunkBuffers``) of its thread: one per thread, kept across calls, of
+    m + 1 chunk arrays of the widest call so far plus the angle columns at
+    n > 2.  The values must be nonnegative; once summed and counted, they
+    are squared in place, in the array ``values_fn`` returned, for their
+    sum of squares.  Returns ``(size, sum, sum of squares, positive
+    count)`` per chunk in chunk order, identical for any worker count.
+    With workers, each runs in a pool thread of its own for this call.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -536,14 +565,19 @@ def mc_chunk_partials(
     def one(block: int, buffers: ChunkBuffers) -> ChunkPartial:
         buffers.rewind()
         v = values_fn(stream.generator(block=block + 1), sizes[block], buffers)
-        square = np.square(v, out=buffers.empty(v.shape))
-        positive = np.count_nonzero(np.greater(v, 0.0))
-        return sizes[block], float(v.sum()), float(square.sum()), int(positive)
+        total = float(v.sum())
+        positive = int(np.count_nonzero(np.greater(v, 0.0)))
+        return sizes[block], total, float(np.square(v, out=v).sum()), positive
 
     def stripe(first: int) -> list[ChunkPartial]:
-        # chunks first, first + stripes, ...: one worker thread, one set of buffers
-        buffers = ChunkBuffers()
-        return [one(k, buffers) for k in range(first, len(sizes), stripes)]
+        # chunks first, first + stripes, ...: one thread, one arena, checked
+        # out of the thread's slot so that a nested call cannot share it
+        buffers = getattr(_ARENA, "buffers", None) or ChunkBuffers()
+        _ARENA.buffers = None
+        try:
+            return [one(k, buffers) for k in range(first, len(sizes), stripes)]
+        finally:
+            _ARENA.buffers = buffers
 
     if stripes > 1:
         with ThreadPoolExecutor(max_workers=stripes) as pool:
@@ -608,9 +642,11 @@ _TINY = 2.0**-53
 
 
 def two_piece_gauges(
-    x: np.ndarray, alpha: float, Q: float, compact: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Log gauges drawn from uniforms ``x`` by inverting a two-piece power law.
+    alpha: float, Q: float, compact: bool
+) -> tuple[float, Callable[[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray], None]]:
+    """The two-piece power law of gauges at tilt ``alpha``: its normalizer
+    ``M`` and ``draw(x, log_g, log_q, scratch)``, which inverts it at the
+    uniforms ``x``.
 
     The law has density ``g^{Q-1-alpha} / M`` on (0, 1), of mass ``a/M``
     with ``a = 1/(Q - alpha)``, and ``g^{-1-alpha} / M`` on (1, inf), of mass
@@ -618,39 +654,38 @@ def two_piece_gauges(
     piece (``b = 0``), for integrands that vanish unless ``g < 1``.  With
     ``p = a/M`` the inner share, ``v = x/p`` on the inner piece and
     ``v = (1 - x)/(1 - p)`` on the outer one, and ``g = v^e`` with ``e = a``
-    inside and ``e = -b`` outside.
+    inside and ``e = -b`` outside.  ``a``, ``M`` and ``p`` are formed here,
+    once per law.
 
-    Returns ``log g`` and the outer powers ``Q log g`` (0 on the inner
-    piece; ``None`` for the compact law, which has no outer piece): the
-    polar weight ``g^{Q-1} / density`` of a draw is ``M g^alpha`` inside and
-    ``M g^{Q+alpha}`` outside, with ``M`` from ``_two_piece_mass``.
+    ``draw`` writes ``log g`` into ``log_g`` and, on the full law, the outer
+    powers ``Q log g`` (0 on the inner piece) into ``log_q``, with
+    ``scratch`` for its temporaries: arrays of ``x``'s shape that its caller
+    gives it, so that it allocates none.  The compact law has no outer piece
+    and writes ``log_g`` alone.  The polar weight ``g^{Q-1} / density`` of a
+    draw is ``M g^alpha`` inside and ``M g^{Q+alpha}`` outside.
     """
     a = 1.0 / (Q - alpha)
-    mass = _two_piece_mass(alpha, Q, compact)
-    if compact:
-        log_g = np.maximum(x, _TINY)
-        np.log(log_g, out=log_g)
-        log_g *= a
-        return log_g, None
+    mass = a if compact else a + 1.0 / alpha
     p = a / mass
-    outer = np.greater_equal(x, p, out=np.empty(x.shape))  # 1 on the outer piece
-    log_g = x - outer
-    log_g /= p - outer  # v
-    np.maximum(log_g, _TINY, out=log_g)
-    np.log(log_g, out=log_g)
-    log_q = outer * Q
-    outer *= -mass
-    outer += a  # e
-    log_g *= outer
-    log_q *= log_g
-    return log_g, log_q
 
+    def draw(x, log_g, log_q, scratch) -> None:
+        if compact:
+            np.maximum(x, _TINY, out=log_g)
+            np.log(log_g, out=log_g)
+            log_g *= a
+            return
+        outer = np.greater_equal(x, p, out=scratch)  # 1 on the outer piece
+        np.subtract(x, outer, out=log_g)
+        log_g /= np.subtract(p, outer, out=log_q)  # v
+        np.maximum(log_g, _TINY, out=log_g)
+        np.log(log_g, out=log_g)
+        np.multiply(outer, Q, out=log_q)
+        outer *= -mass
+        outer += a  # e
+        log_g *= outer
+        log_q *= log_g
 
-def _two_piece_mass(alpha: float, Q: float, compact: bool) -> float:
-    """The normalizer ``M`` of the two-piece law: ``a``, plus ``b`` with its
-    outer piece."""
-    a = 1.0 / (Q - alpha)
-    return a if compact else a + 1.0 / alpha
+    return mass, draw
 
 
 def tilted_values(
@@ -670,7 +705,8 @@ def tilted_values(
 
     ``log_f`` receives a list of m arrays holding the log gauges ``log g_i``
     of the factors of one row block's tuples and returns their logs, ``-inf``
-    where the integrand vanishes, each depending only on its own tuple.
+    where the integrand vanishes, each depending only on its own tuple.  It
+    must not write to those arrays, which are the arena's (``block_arrays``).
 
     Each factor makes one draw, in factor order: ``(size,)`` uniforms, its
     gauge, or with ``angle`` ``e > 0``, ``(size, 2)``: its gauge, then an
@@ -682,25 +718,27 @@ def tilted_values(
     the outer pieces; and ``e log(4x_i(1 - x_i))`` for each factor.  It is
     exponentiated in place, once per tuple, so a weight beyond the float
     range that meets an integrand below it still gives their finite
-    product; a NaN or +inf value raises ``EstimationError``.
+    product; a NaN or +inf value raises ``EstimationError``.  Apart from
+    what ``log_f`` allocates, a row block writes only into the arena.
     """
-    log_const = log_scale + math.fsum(
-        log_polar + math.log(_two_piece_mass(t, Q, compact)) for t in tilts
-    )
+    laws = [two_piece_gauges(t, Q, compact) for t in tilts]
+    log_const = log_scale + math.fsum(log_polar + math.log(mass) for mass, _ in laws)
     columns = (2,) if angle else ()
+    m = len(laws)
 
     def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
-        uniforms = [buffers.random(gen, (size, *columns)) for _ in tilts]
+        uniforms = [buffers.random(gen, (size, *columns)) for _ in laws]
         values = buffers.empty((size,))
+        # per factor its log gauges and, on the full law, its outer powers;
+        # one scratch array for the law's and the angle's temporaries
+        scratch, *arrays = buffers.block_arrays((1 if compact else 2) * m + 1)
 
         def block(rows: slice) -> np.ndarray:
-            log_gauges, outer = [], []
-            for tilt, u in zip(tilts, uniforms):
-                x = u[rows, 0] if angle else u[rows]
-                log_g, log_q = two_piece_gauges(x, tilt, Q, compact)
-                log_gauges.append(log_g)
-                if log_q is not None:
-                    outer.append(log_q)
+            k = rows.stop - rows.start
+            log_gauges = [lg[:k] for lg in arrays[:m]]
+            outer = [lq[:k] for lq in arrays[m:]]
+            for (_, draw), u, log_g, log_q in zip(laws, uniforms, log_gauges, outer or [None] * m):
+                draw(u[rows, 0] if angle else u[rows], log_g, log_q, scratch[:k])
             # the rows' own slice of the output: row_blocks copies nothing
             log_w = np.add(log_f(log_gauges), log_const, out=values[rows])
             for log_q in outer:
@@ -709,7 +747,7 @@ def tilted_values(
                 for u in uniforms:
                     # 1 - x is exact where x is near 1, so 4x(1 - x) keeps
                     # its relative precision at both ends
-                    j = 1.0 - u[rows, 1]
+                    j = np.subtract(1.0, u[rows, 1], out=scratch[:k])
                     j *= u[rows, 1]
                     j *= 4.0
                     with np.errstate(divide="ignore"):

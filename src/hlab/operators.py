@@ -667,7 +667,9 @@ def hardy_kernel(
     mQ = float(m * dim.Q)
 
     def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
-        ss = sum(np.exp(2.0 * (lr - l0)) for lr in ls)
+        # both engines pass the scalar 0.0 (base gauge 1), where lr - l0 is lr
+        rel = ls if isinstance(l0, float) and l0 == 0.0 else [lr - l0 for lr in ls]
+        ss = sum(np.exp(2.0 * lr) for lr in rel)
         return np.where(ss < 1.0, log_norm - mQ * l0, -np.inf)
 
     return KernelSpec(None, -mQ, simplex_support=1.0, log_profile=log_profile)

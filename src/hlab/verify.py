@@ -374,11 +374,17 @@ def verify_extremal(
     ``rel_tol`` (1e-8).  The report carries the mean as its one quadrature
     oracle.  ``seed`` draws nothing: it is the seed the report records.
 
-    A gauge ``g`` raises ``GaugeRangeError`` before anything is evaluated
-    when ``g^alpha`` is outside the square root of the floating-point range
-    (about 1e-154 to 1e154), or the value there, ``closed * g^-alpha``, is
-    not a normal float.
+    An arity m > 3, beyond the quadrature engine, raises ``ValueError``
+    first.  A gauge ``g`` raises ``GaugeRangeError`` before anything is
+    evaluated when ``g^alpha`` is outside the square root of the
+    floating-point range (about 1e-154 to 1e154), or the value there,
+    ``closed * g^-alpha``, is not a normal float.
     """
+    if spec.m > 3:
+        raise ValueError(
+            "verify_extremal runs on the quadrature engine, which supports m <= 3; "
+            f"got m = {spec.m}"
+        )
     closed = spec.constant().value
     alpha = spec.profile.total
     # an evaluation's nodes carry g^-alpha, so g^alpha keeps within the

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlab import integrate, verify
-from hlab.hgroup import GroupDim, unit_ball_volume
+from hlab.hgroup import GroupDim, HPoint, unit_ball_volume
 from hlab.integrate import (
     Estimate,
     EstimationError,
@@ -22,7 +24,7 @@ from hlab.integrate import (
     reduce_partials,
     rejection_volume_estimate,
 )
-from hlab.operators import OperatorKind, OperatorSpec
+from hlab.operators import McEngine, OperatorKind, OperatorSpec, TestFunction, eval_hilbert
 from hlab.specfun import AlphaProfile, hardy_constant, hilbert_constant, hlp_constant
 
 DIM1 = GroupDim(1)
@@ -199,6 +201,15 @@ class TestSamplers:
         assert abs(rate - expected) <= 3 * sigma
 
 
+def law_gauges(x, alpha, Q, compact):
+    """``log g`` and the outer powers (``None`` on the compact law) that
+    ``two_piece_gauges`` draws at the uniforms ``x``."""
+    _, draw = integrate.two_piece_gauges(alpha, Q, compact)
+    log_g, log_q = np.empty_like(x), np.empty_like(x)
+    draw(x, log_g, None if compact else log_q, np.empty_like(x))
+    return log_g, None if compact else log_q
+
+
 @st.composite
 def profiles_past_h1(draw):
     """n in 1..4, m in 1..3, exponents alpha_i = f_i Q with f_i in [0.01, 0.99],
@@ -217,10 +228,10 @@ class TestPastH1:
         n, alphas, x = args
         Q = 2 * n + 2
         for alpha in alphas:
-            log_g, log_q = integrate.two_piece_gauges(x, alpha, Q, False)
+            log_g, log_q = law_gauges(x, alpha, Q, False)
             assert np.isfinite(log_g).all() and np.isfinite(log_q).all()
             # the compact law's gauges are below 1 before exp rounds them
-            log_g, log_q = integrate.two_piece_gauges(x, alpha, Q, True)
+            log_g, log_q = law_gauges(x, alpha, Q, True)
             assert log_q is None and (log_g < 0.0).all() and np.isfinite(log_g).all()
         profile = AlphaProfile(alphas)
         for constant in (hardy_constant, hlp_constant, hilbert_constant):
@@ -279,7 +290,7 @@ class TestMcIntegrate:
         # a = 1/(Q - alpha), b = 1/alpha, p = a / (a + b)
         size, alpha, Q = 100_000, 1.5, 6
         x = SeededStream(33).generator().random(size)
-        g = np.sort(np.exp(integrate.two_piece_gauges(x, alpha, Q, False)[0]))
+        g = np.sort(np.exp(law_gauges(x, alpha, Q, False)[0]))
         a, b = 1.0 / (Q - alpha), 1.0 / alpha
         p = a / (a + b)
         cdf = np.where(g < 1.0, p * g ** (Q - alpha), 1.0 - (1.0 - p) * g**-alpha)
@@ -486,6 +497,96 @@ class TestOperatorSamplerDraws:
         for workers in (1, 2):
             verify._cartesian_mc(b, ROW_BLOCK_SAMPLES, SeededStream(5), workers)
             assert verify._cartesian_mc(a, ROW_BLOCK_SAMPLES, SeededStream(5), workers) == first
+        # the next call on this thread draws into the same arrays: the
+        # thread's arena outlives the call
+        again = RecordingStream(SeededStream(5))
+        assert verify._cartesian_mc(a, ROW_BLOCK_SAMPLES, again) == first
+        for k, calls in again.calls.items():
+            assert [args[0].ctypes.data for _, args in calls] == [x.ctypes.data for x in outs[1]]
+
+
+def arena_estimate(m, workers=1):
+    """``mc_integrate_tilted`` on the full law at ``m`` factors: the call
+    the arena tests repeat."""
+
+    def log_f(log_gauges):
+        # 1 / (1 + sum_i g_i^4) times the law's tilts g_i
+        return sum(log_gauges) - np.log1p(sum(np.exp(4.0 * lg) for lg in log_gauges))
+
+    return mc_integrate_tilted(log_f, DIM1, (1.0,) * m, ROW_BLOCK_SAMPLES, SeededStream(m), workers)
+
+
+class TestArena:
+    """Each thread keeps one ``ChunkBuffers`` across calls; no two calls
+    running at once may share one."""
+
+    def test_nested_call_gets_its_own_arena(self):
+        inner = (integrate.tilted_values(lambda lgs: -sum(lgs), 4.0, (1.0, 2.0)), 70_000)
+
+        def outer(gen, size, buffers, nested=None):
+            # draws, then (nested) a whole call, then values from the draws:
+            # a shared arena would overwrite the draws or the values
+            u = buffers.random(gen, (size,))
+            if nested is not None:
+                nested.append(mc_chunk_partials(*inner, SeededStream(2)))
+            return np.multiply(u, 2.0, out=buffers.empty((size,)))
+
+        apart_outer = mc_chunk_partials(outer, ROW_BLOCK_SAMPLES, SeededStream(1))
+        apart_inner = mc_chunk_partials(*inner, SeededStream(2))
+        nested = []
+
+        def nesting(gen, size, buffers):
+            return outer(gen, size, buffers, nested)
+
+        assert mc_chunk_partials(nesting, ROW_BLOCK_SAMPLES, SeededStream(1)) == apart_outer
+        assert nested == [apart_inner] * 3
+        # and the thread's arena is back for the next call
+        assert mc_chunk_partials(*inner, SeededStream(2)) == apart_inner
+
+    def test_threads_keep_their_own_arenas(self):
+        # more threads than cores, switching every microsecond: each thread
+        # runs m = 1, 2, 3 in its own order and must get the sequential bits
+        sequential = {m: arena_estimate(m) for m in (1, 2, 3)}
+        results = {}
+
+        def run(i):
+            order = [1 + (i + j) % 3 for j in range(3)]
+            results[i] = [(m, arena_estimate(m, workers=1 + i % 2)) for m in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == list(range(8))
+        for got in results.values():
+            assert got == [(m, sequential[m]) for m, _ in got]
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="minor faults as Linux counts them"
+    )
+    def test_repeat_call_faults_in_no_pages(self):
+        # a repeated call finds its chunk arrays in the thread's arena, and
+        # its row blocks' in the arena's block part: no page is handed back
+        # to the system and faulted in again
+        import resource
+
+        spec = OperatorSpec(OperatorKind.HILBERT, DIM1, AlphaProfile((1.0, 1.0)))
+        fs = [TestFunction.extremal(1.0)] * 2
+        e1 = HPoint.of(DIM1, [1.0, 0.0, 0.0])
+        args = (fs, e1, spec, McEngine(2**18, SeededStream(0)))
+        first = eval_hilbert(*args)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        second = eval_hilbert(*args)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert second == first
+        assert faults <= 64
 
 
 class TestEstimateInvariants:

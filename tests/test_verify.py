@@ -278,6 +278,13 @@ class TestExtremalGauges:
         with pytest.raises(verify.GaugeRangeError, match=re.escape(f"at gauge {g!r},")):
             verify_extremal(spec, gauges=(1.0, g))
 
+    def test_arity_past_quadrature_raises_first(self):
+        # m = 4 is past the quadrature engine, named before any gauge check
+        spec = spec_of(OperatorKind.HARDY, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"verify_extremal .* m <= 3; got m = 4$") as info:
+            verify_extremal(spec, gauges=(1.0, 0.0))
+        assert not isinstance(info.value, verify.GaugeRangeError)
+
 
 class TestUpperBoundSearch:
     def test_no_violations_and_attainment(self):
