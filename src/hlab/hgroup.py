@@ -98,9 +98,6 @@ class HPoint:
     def of(n: int | GroupDim, coords: Iterable[float]) -> "HPoint":
         return HPoint(as_dim(n), tuple(float(c) for c in coords))
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
 
 def origin(dim: GroupDim | int) -> HPoint:
     dim = as_dim(dim)

@@ -3,7 +3,7 @@
 Three layers:
 
 * adaptive 1-D quadrature (15-point Gauss-Kronrod panels with bisection
-  refinement, infinite upper limits mapped through ``t -> t/(1-t)``), run
+  refinement, the tail of an infinite range mapped to a finite one), run
   by one refiner that advances a batch of independent integrals in
   vectorized rounds,
 * one nested-quadrature driver (``quad_nested``) behind every
@@ -31,18 +31,19 @@ Monte Carlo log integrand its ``-inf``.
 Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
 ``k`` draws from the SFC64 substream keyed by ``(seed, stream_id, block=k)``
 (see ``SeededStream``), and partial sums are reduced in chunk-index order.
-Results are therefore bit-identical for any worker count.  Inside a chunk,
-the arithmetic after the draws runs in row blocks (``row_blocks``) sized for
+Each chunk is one task, so with workers a pool thread takes the chunks in
+turn, and a failing call raises its first failing chunk's error.  Results
+are therefore bit-identical for any worker count.  Inside a chunk, the
+arithmetic after the draws runs in row blocks (``row_blocks``) sized for
 the cache; since every value depends only on its own row, the block size
 changes no bit.  Each thread keeps one arena of arrays (``ChunkBuffers``)
-across calls: every chunk draws its uniforms into it and writes its values
-there, the values are then squared in place for their sum of squares, and
-each row block's temporaries live in its fixed block-sized arrays.  The
-arena keeps m + 1 chunk arrays of the widest call (the m factors' uniforms,
-twice as wide with the angle columns at n > 2, and the values) and a few
-block-sized ones, so once a thread has run its widest call, a chunk's
-float arrays all come from the arena, and a row block allocates only what
-its log integrand does.
+across calls, and every array a chunk writes comes from it: its uniforms,
+its values (squared in place, at the end, for their sum of squares) and its
+row blocks' temporaries.  The arena keeps m + 1 chunk arrays of the widest
+call (the m factors' uniforms, twice as wide with the angle columns at
+n > 2, and the values) and a few block-sized ones, so once a thread has run
+its widest call, a chunk's float arrays all come from the arena, and a row
+block allocates only what its log integrand does.
 """
 
 from __future__ import annotations
@@ -241,24 +242,37 @@ def _finite_axis(
     hi: np.ndarray,
     points: np.ndarray,
 ) -> tuple[Callable, np.ndarray, np.ndarray, np.ndarray]:
-    """Map the owners whose upper limit is infinite to ``(0, 1)`` through
-    ``x = lo + t/(1-t)``, with their breakpoints."""
+    """Map the tail of each owner whose upper limit is infinite to a finite
+    range, with its breakpoints.
+
+    Such an owner splits at ``s``, its last breakpoint in ``(lo, lo + 1]``,
+    or ``lo`` when there is none.  It integrates ``[lo, s]`` as it is and
+    ``[s, inf)`` as ``x = s + u/(1-u)`` at ``u = t - s`` in ``(0, 1)``, so
+    its range becomes ``(lo, s + 1)``, with ``s`` and the mapped breakpoints
+    past it as breakpoints.  Mapping the whole axis would turn the pieces
+    below ``s``, polynomial in ``x``, into rational ones.  The ``lo + 1``
+    bound keeps a far breakpoint, such as a step function's edge, from
+    leaving a long stretch unmapped and the mass past it squeezed into the
+    end of the map."""
     inf = np.isinf(hi)
     if not inf.any():
         return f, lo, hi, points
-    base = lo
-    shift = points - lo[:, None]
+    near = (points > lo[:, None]) & (points <= lo[:, None] + 1.0)
+    last = np.max(np.where(near, points, -np.inf), axis=1, initial=-np.inf)
+    # an owner with a finite range keeps s = inf, which leaves it unmapped
+    s = np.where(inf, np.maximum(lo, last), np.inf)
+    shift = points - s[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        mapped = np.where(shift > 0.0, shift / (1.0 + shift), np.nan)
-    points = np.where(inf[:, None], mapped, points)
+        points = np.where(shift > 0.0, s[:, None] + shift / (1.0 + shift), points)
 
     def g(t: np.ndarray, own: np.ndarray) -> np.ndarray:
-        mask = inf[own]
-        with np.errstate(divide="ignore"):
-            x = np.where(mask, base[own] + t / (1.0 - t), t)
-        return np.asarray(f(x, own), dtype=float) / np.where(mask, (1.0 - t) ** 2, 1.0)
+        u = t - s[own]
+        tail = u > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(tail, s[own] + u / (1.0 - u), t)
+        return np.asarray(f(x, own), dtype=float) / np.where(tail, (1.0 - u) ** 2, 1.0)
 
-    return g, np.where(inf, 0.0, lo), np.where(inf, 1.0, hi), points
+    return g, lo, np.where(inf, s + 1.0, hi), np.column_stack((points, s))
 
 
 def _refine(
@@ -485,23 +499,21 @@ class ChunkBuffers:
     """A thread's arena of Monte Carlo arrays, kept from one chunk to the
     next and from one call to the next.
 
-    ``mc_chunk_partials`` keeps one per thread: it checks the thread's arena
-    out for a call and puts it back at the end (a call nested in a
-    ``values_fn`` finds it checked out and makes a fresh one), and rewinds
-    it before each chunk.  Chunk part: the k-th array a chunk asks for
-    (``empty``, ``random``) is a view of the arena's k-th array, which grows
-    to the largest such request it has seen, so the arena keeps m + 1 chunk
-    arrays of the widest call (its m uniforms, twice as wide with the angle
-    columns at n > 2, and its values).  Block part: ``block_arrays`` gives
-    the same few arrays of ``_ROW_BLOCK`` rows to every chunk, for the
-    temporaries of one row block at a time.  Once the thread has run its
-    widest call, neither part allocates or frees an array.
+    ``mc_chunk_partials`` keeps one per thread and checks it out for each
+    chunk (a call nested in a ``values_fn`` finds it checked out and makes
+    a fresh one), rewinding it first.  Every array a chunk writes is an
+    ``empty`` request: its uniforms, its values and its row blocks'
+    temporaries, in the order the chunk asks for them.  The k-th request is
+    a view of the arena's k-th array, which grows to the largest such
+    request it has seen, so the arena keeps m + 1 chunk arrays of the
+    widest call (its m uniforms, twice as wide with the angle columns at
+    n > 2, and its values) and a few of ``_ROW_BLOCK`` rows.  Once the
+    thread has run its widest call, it allocates and frees no array.
     """
 
     def __init__(self) -> None:
         self._arrays: list[np.ndarray] = []
         self._next = 0
-        self._rows: list[np.ndarray] = []
 
     def rewind(self) -> None:
         self._next = 0
@@ -517,19 +529,8 @@ class ChunkBuffers:
             self._arrays[k] = np.empty(size)
         return self._arrays[k][:size].reshape(shape)
 
-    def random(self, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-        """``gen.random(shape)``, drawn into a reused array: the same bits."""
-        return gen.random(out=self.empty(shape))
 
-    def block_arrays(self, count: int) -> list[np.ndarray]:
-        """``count`` distinct uninitialized float arrays of at least
-        ``_ROW_BLOCK`` rows, the same ones on every request."""
-        self._rows = [r if r.size >= _ROW_BLOCK else np.empty(_ROW_BLOCK) for r in self._rows]
-        self._rows += [np.empty(_ROW_BLOCK) for _ in range(count - len(self._rows))]
-        return self._rows[:count]
-
-
-# each thread's arena while no mc_chunk_partials call of the thread holds it
+# each thread's arena while no chunk of the thread holds it
 _ARENA = threading.local()
 
 
@@ -545,45 +546,44 @@ def mc_chunk_partials(
     ``values_fn(gen, size, buffers)`` returns the chunk's ``size`` values as
     a float array, each of which must depend only on its own row (its own
     draws), so that the chunk may be evaluated in row blocks
-    (``row_blocks``) without moving a bit.  It takes its draws
-    (``buffers.random``), its value array (``buffers.empty``) and its row
-    block's temporaries (``buffers.block_arrays``) from ``buffers``, the arena
+    (``row_blocks``) without moving a bit.  It takes every array it writes,
+    its draws (``gen.random(out=buffers.empty(shape))``), its value array
+    and its row blocks' temporaries, from ``buffers``, the arena
     (``ChunkBuffers``) of its thread: one per thread, kept across calls, of
     m + 1 chunk arrays of the widest call so far plus the angle columns at
     n > 2.  The values must be nonnegative; once summed and counted, they
     are squared in place, in the array ``values_fn`` returned, for their
     sum of squares.  Returns ``(size, sum, sum of squares, positive
     count)`` per chunk in chunk order, identical for any worker count.
-    With workers, each runs in a pool thread of its own for this call.
+
+    Each chunk is one task: with workers, a pool of threads that lives for
+    this call takes the chunks in turn.  A call whose chunks fail raises
+    the error of its first failing chunk, whatever the worker count.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     full, rem = divmod(n_samples, _CHUNK)
     sizes = [_CHUNK] * full + ([rem] if rem else [])
-    stripes = min(max(workers, 1), len(sizes))
 
-    def one(block: int, buffers: ChunkBuffers) -> ChunkPartial:
-        buffers.rewind()
-        v = values_fn(stream.generator(block=block + 1), sizes[block], buffers)
-        total = float(v.sum())
-        positive = int(np.count_nonzero(np.greater(v, 0.0)))
-        return sizes[block], total, float(np.square(v, out=v).sum()), positive
-
-    def stripe(first: int) -> list[ChunkPartial]:
-        # chunks first, first + stripes, ...: one thread, one arena, checked
-        # out of the thread's slot so that a nested call cannot share it
+    def one(k: int) -> ChunkPartial:
+        # the thread's arena, checked out of its slot so that a call nested
+        # in values_fn cannot share it
         buffers = getattr(_ARENA, "buffers", None) or ChunkBuffers()
         _ARENA.buffers = None
         try:
-            return [one(k, buffers) for k in range(first, len(sizes), stripes)]
+            buffers.rewind()
+            v = values_fn(stream.generator(block=k + 1), sizes[k], buffers)
+            total = float(v.sum())
+            positive = int(np.count_nonzero(np.greater(v, 0.0)))
+            return sizes[k], total, float(np.square(v, out=v).sum()), positive
         finally:
             _ARENA.buffers = buffers
 
-    if stripes > 1:
-        with ThreadPoolExecutor(max_workers=stripes) as pool:
-            done = list(pool.map(stripe, range(stripes)))
-        return [done[k % stripes][k // stripes] for k in range(len(sizes))]
-    return stripe(0)
+    threads = min(workers, len(sizes))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, range(len(sizes))))
+    return [one(k) for k in range(len(sizes))]
 
 
 def row_blocks(out: np.ndarray, block_values: Callable[[slice], np.ndarray]) -> np.ndarray:
@@ -706,7 +706,7 @@ def tilted_values(
     ``log_f`` receives a list of m arrays holding the log gauges ``log g_i``
     of the factors of one row block's tuples and returns their logs, ``-inf``
     where the integrand vanishes, each depending only on its own tuple.  It
-    must not write to those arrays, which are the arena's (``block_arrays``).
+    must not write to those arrays, which are the arena's.
 
     Each factor makes one draw, in factor order: ``(size,)`` uniforms, its
     gauge, or with ``angle`` ``e > 0``, ``(size, 2)``: its gauge, then an
@@ -727,11 +727,12 @@ def tilted_values(
     m = len(laws)
 
     def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
-        uniforms = [buffers.random(gen, (size, *columns)) for _ in laws]
+        uniforms = [gen.random(out=buffers.empty((size, *columns))) for _ in laws]
         values = buffers.empty((size,))
         # per factor its log gauges and, on the full law, its outer powers;
         # one scratch array for the law's and the angle's temporaries
-        scratch, *arrays = buffers.block_arrays((1 if compact else 2) * m + 1)
+        blocks = (1 if compact else 2) * m + 1
+        scratch, *arrays = [buffers.empty((_ROW_BLOCK,)) for _ in range(blocks)]
 
         def block(rows: slice) -> np.ndarray:
             k = rows.stop - rows.start
@@ -827,7 +828,7 @@ def rejection_volume_estimate(
 
     def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
         # 2r - 1 has the bits of gen.uniform(-1, 1), -1 + 2r
-        uniforms = buffers.random(gen, (size, dim.ambient))
+        uniforms = gen.random(out=buffers.empty((size, dim.ambient)))
 
         def block(rows: slice) -> np.ndarray:
             props = uniforms[rows] * 2.0

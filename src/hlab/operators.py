@@ -7,8 +7,8 @@ operator, and the sum-kernel (Hilbert-type) operator.
 
 Each kind has one record in ``OPERATORS``: its kernel profile, its closed
 form and, for the max-kernel kind only, a radial quadrature fast path.  One
-evaluator serves them all through the dilation identity: the value at
-``x`` is an integral over tuples at base gauge 1 against
+evaluator, ``evaluate``, serves them all through the dilation identity: the
+value at ``x`` is an integral over tuples at base gauge 1 against
 ``f_i(delta_{|x|_h} .)``, and the general-kernel quadrature path and the
 Monte Carlo engine integrate it as one log integrand, each kernel's
 ``log_profile`` plus the factors' log profiles at the log gauges,
@@ -75,6 +75,7 @@ __all__ = [
     "eval_hilbert",
     "eval_hlp",
     "eval_kernel_op",
+    "evaluate",
     "hardy_kernel",
     "hilbert_kernel",
     "hlp_kernel",
@@ -338,21 +339,21 @@ def eval_hardy(
     Convention-independent because the normalizer and the polar constant
     shift together.
     """
-    return _evaluate(_of_kind(spec, OperatorKind.HARDY), fs, x, engine)
+    return evaluate(_of_kind(spec, OperatorKind.HARDY), fs, x, engine)
 
 
 def eval_hlp(
     fs: Sequence[TestFunction], x: HPoint, spec: OperatorSpec, engine: Engine = QuadEngine()
 ) -> Estimate:
     """Max-kernel operator ``int prod f_i(y_i) / max(|x|^Q, |y_i|^Q...)^m``."""
-    return _evaluate(_of_kind(spec, OperatorKind.HLP), fs, x, engine)
+    return evaluate(_of_kind(spec, OperatorKind.HLP), fs, x, engine)
 
 
 def eval_hilbert(
     fs: Sequence[TestFunction], x: HPoint, spec: OperatorSpec, engine: Engine = QuadEngine()
 ) -> Estimate:
     """Sum-kernel operator ``int prod f_i(y_i) / (|x|^Q + sum |y_i|^Q)^m``."""
-    return _evaluate(_of_kind(spec, OperatorKind.HILBERT), fs, x, engine)
+    return evaluate(_of_kind(spec, OperatorKind.HILBERT), fs, x, engine)
 
 
 def eval_kernel_op(
@@ -367,7 +368,7 @@ def eval_kernel_op(
     ``T(x) = int K(e_1, y_1..y_m) prod f_i(delta_{|x|_h} y_i) dy``; the kernel
     is probed for homogeneity -mQ before any evaluation.
     """
-    return _evaluate(replace(spec, kind=OperatorKind.KERNEL, kernel=kernel), fs, x, engine)
+    return evaluate(replace(spec, kind=OperatorKind.KERNEL, kernel=kernel), fs, x, engine)
 
 
 def kernel_constant(
@@ -388,11 +389,12 @@ def kernel_constant(
     return eval_kernel_op(kernel, fs, e1, spec, engine)
 
 
-def _evaluate(
+def evaluate(
     spec: OperatorSpec, fs: Sequence[TestFunction], x: HPoint, engine: Engine
 ) -> Estimate:
-    """Every operator kind through the dilation identity: the value at ``x``
-    integrates the kernel at base gauge 1 against ``f_i(delta_{|x|_h} .)``.
+    """The operator of ``spec``, of any kind, at ``x``, through the dilation
+    identity: the value at ``x`` integrates the kernel at base gauge 1
+    against ``f_i(delta_{|x|_h} .)``.
 
     Both engines integrate in log space, so that a power too large for a
     float meets a kernel too small for one before the one ``exp`` per node
@@ -723,16 +725,15 @@ class Operator:
 
     ``kernel(spec)`` gives its kernel profile, which the general-kernel
     quadrature path and the Monte Carlo engine integrate.  The named kinds
-    also carry ``closed_form(spec)``, their sharp constant, and
-    ``evaluator``, their public ``eval_*`` function.  ``quad(spec, fs, c,
-    qspec)``, held by hlp alone, is a radial quadrature fast path at an
-    evaluation point of gauge ``c``: its m + 1 cells beat the general-kernel
-    path on the max kernel.  Every other kind runs the general-kernel path.
+    also carry ``closed_form(spec)``, their sharp constant.  ``quad(spec,
+    fs, c, qspec)``, held by hlp alone, is a radial quadrature fast path at
+    an evaluation point of gauge ``c``: its m + 1 cells beat the
+    general-kernel path on the max kernel.  Every other kind runs the
+    general-kernel path.
     """
 
     kernel: Callable[[OperatorSpec], KernelSpec]
     closed_form: Callable[[OperatorSpec], ConstantResult] | None = None
-    evaluator: Callable[..., Estimate] | None = None
     quad: Callable[[OperatorSpec, Sequence[TestFunction], float, QuadSpec], Estimate] | None = None
 
 
@@ -741,17 +742,14 @@ OPERATORS: dict[OperatorKind, Operator] = {
     OperatorKind.HARDY: Operator(
         lambda spec: hardy_kernel(spec.dim, spec.m, spec.convention),
         lambda spec: hardy_constant(spec.dim, spec.profile, spec.convention),
-        eval_hardy,
     ),
     OperatorKind.HLP: Operator(
         lambda spec: hlp_kernel(spec.dim, spec.m),
         lambda spec: hlp_constant(spec.dim, spec.profile, spec.convention),
-        eval_hlp,
         _hlp_quad,
     ),
     OperatorKind.HILBERT: Operator(
         lambda spec: hilbert_kernel(spec.dim, spec.m),
         lambda spec: hilbert_constant(spec.dim, spec.profile, spec.convention),
-        eval_hilbert,
     ),
 }

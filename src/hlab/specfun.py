@@ -109,7 +109,6 @@ class FormulaId(enum.Enum):
     HARDY_A = "hardy"
     HLP_B = "hlp"
     HILBERT_BSTAR = "hilbert"
-    KERNEL_HM = "kernel"
 
 
 @dataclass(frozen=True)

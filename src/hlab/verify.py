@@ -67,6 +67,7 @@ from .operators import (
     OperatorSpec,
     QuadEngine,
     TestFunction,
+    evaluate,
     hardy_kernel,
     hilbert_kernel,
     kernel_constant,
@@ -87,9 +88,6 @@ __all__ = [
     "verify_constant",
     "verify_extremal",
 ]
-
-_EVALUATORS = {kind: op.evaluator for kind, op in OPERATORS.items() if op.evaluator is not None}
-
 
 class GaugeRangeError(ValueError):
     """An extremal-attainment gauge outside the floating-point range of the
@@ -327,7 +325,7 @@ def verify_constant(
     if spec.m <= 3:
         engine = QuadEngine(quad)
         fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
-        oracle_quad = _EVALUATORS[spec.kind](fs, _e1(spec.dim), spec, engine)
+        oracle_quad = evaluate(spec, fs, _e1(spec.dim), engine)
         rel_err = abs(oracle_quad.value - closed) / abs(closed)
 
     mc_chunks = _cartesian_mc(spec, n_samples, SeededStream(seed), workers)
@@ -402,13 +400,12 @@ def verify_extremal(
     fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
     engine = QuadEngine(_ORACLE_QUAD)
     tol = _verdict_tol(_ORACLE_QUAD) if tol is None else tol
-    evaluator = _EVALUATORS[spec.kind]
 
     e1 = _e1(spec.dim)
     values = []
     n_total = 0
     for g in map(float, gauges):
-        est = evaluator(fs, dilate(g, e1), spec, engine)
+        est = evaluate(spec, fs, dilate(g, e1), engine)
         values.append(g**alpha * est.value)
         n_total += est.n_samples
     values = np.asarray(values)
@@ -462,7 +459,6 @@ def upper_bound_search(
     bound = spec.constant().value
     alpha = spec.profile.total
     engine = QuadEngine(_SEARCH_QUAD)
-    evaluator = _EVALUATORS[spec.kind]
     gen = SeededStream(seed).generator()
 
     max_ratio = -math.inf
@@ -475,7 +471,7 @@ def upper_bound_search(
         else:
             fs = [_random_step_function(gen, a) for a in spec.profile.alphas]
             g = float(gen.choice([0.5, 1.0, 2.0]))
-        value = evaluator(fs, dilate(g, _e1(spec.dim)), spec, engine).value
+        value = evaluate(spec, fs, dilate(g, _e1(spec.dim)), engine).value
         norms = math.prod(weighted_norm(f, a, spec.dim) for f, a in zip(fs, spec.profile.alphas))
         ratio = g**alpha * value / norms
         if ratio > max_ratio:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -480,7 +481,7 @@ class TestOperatorSamplerDraws:
         }
         assert drawn == {k: [("random", [(size,)])] * m for k, size in self.SIZES.items()}
 
-    def test_chunks_reuse_their_buffers(self):
+    def test_chunks_reuse_their_buffers(self, monkeypatch):
         # hilbert n = 3, m = 2 draws (size, 2) per factor; hardy n = 1, m = 3
         # draws (size, 1) per factor, one factor more
         a = OperatorSpec(OperatorKind.HILBERT, GroupDim(3), AlphaProfile((1.0, 2.0)))
@@ -503,6 +504,22 @@ class TestOperatorSamplerDraws:
         assert verify._cartesian_mc(a, ROW_BLOCK_SAMPLES, again) == first
         for k, calls in again.calls.items():
             assert [args[0].ctypes.data for _, args in calls] == [x.ctypes.data for x in outs[1]]
+        # and so does every other array a chunk asks for, its row blocks'
+        # temporaries among them
+        requests = []
+        empty = integrate.ChunkBuffers.empty
+
+        def recorded(buffers, shape):
+            out = empty(buffers, shape)
+            requests.append((shape, out.ctypes.data))
+            return out
+
+        monkeypatch.setattr(integrate.ChunkBuffers, "empty", recorded)
+        for _ in range(2):
+            verify._cartesian_mc(a, ROW_BLOCK_SAMPLES, SeededStream(5))
+        half = len(requests) // 2
+        assert requests[:half] == requests[half:]
+        assert requests[-1][0] == (integrate._ROW_BLOCK,)
 
 
 def arena_estimate(m, workers=1):
@@ -526,7 +543,7 @@ class TestArena:
         def outer(gen, size, buffers, nested=None):
             # draws, then (nested) a whole call, then values from the draws:
             # a shared arena would overwrite the draws or the values
-            u = buffers.random(gen, (size,))
+            u = gen.random(out=buffers.empty((size,)))
             if nested is not None:
                 nested.append(mc_chunk_partials(*inner, SeededStream(2)))
             return np.multiply(u, 2.0, out=buffers.empty((size,)))
@@ -587,6 +604,63 @@ class TestArena:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert second == first
         assert faults <= 64
+
+
+def log_two_factors(log_gauges):
+    # 1 / (1 + g_1^4 + g_2^4) times the law's tilts g_1 g_2
+    lg1, lg2 = log_gauges
+    return lg1 + lg2 - np.log1p(np.exp(4.0 * lg1) + np.exp(4.0 * lg2))
+
+
+class TestChunkTasks:
+    """Each chunk is one task: neither a call's partials nor the error of a
+    failing call depend on the worker count."""
+
+    # seven chunks, which no worker count below divides
+    SAMPLES = 6 * 65536 + 100
+    WORKERS = (1, 2, 3, 8)
+
+    @pytest.mark.parametrize(
+        "values_fn",
+        [
+            integrate.tilted_values(log_two_factors, 4.0, (1.0, 1.0), compact=True),
+            integrate.tilted_values(log_two_factors, 4.0, (1.0, 1.0)),
+            integrate.tilted_values(log_two_factors, 4.0, (1.0, 1.0), angle=1.5),
+        ],
+        ids=["compact", "full", "angle"],
+    )
+    def test_partials_for_any_worker_count(self, values_fn):
+        partials = [
+            mc_chunk_partials(values_fn, self.SAMPLES, SeededStream(3), w) for w in self.WORKERS
+        ]
+        assert len(partials[0]) == 7 and partials[0][-1][0] == 100
+        assert all(p == partials[0] for p in partials[1:])
+
+    def test_box_rejection_for_any_worker_count(self):
+        estimates = [
+            rejection_volume_estimate(GroupDim(2), self.SAMPLES, SeededStream(3), w)
+            for w in self.WORKERS
+        ]
+        assert all(e == estimates[0] for e in estimates[1:])
+
+    def test_first_failing_chunk_raises(self):
+        class Blocks:
+            # hands values_fn its chunk's substream block for a generator
+            def generator(self, block=0):
+                return block
+
+        def values_fn(block, size, buffers):
+            chunk = block - 1
+            if chunk == 1:
+                # fail after chunk 2 has failed, if they run at once
+                time.sleep(0.05)
+            if chunk in (1, 2):
+                raise EstimationError(f"chunk {chunk} failed")
+            return np.ones(size)
+
+        for workers in self.WORKERS:
+            with pytest.raises(EstimationError, match="chunk 1 failed"):
+                mc_chunk_partials(values_fn, self.SAMPLES, Blocks(), workers)
 
 
 class TestEstimateInvariants:
