@@ -137,16 +137,8 @@ def dilate(r: float, p: HPoint) -> HPoint:
 def gauge(p: HPoint) -> float:
     """Koranyi gauge ``((sum_i x_i^2)^2 + x_{2n+1}^2)^{1/4}``; zero iff p = 0.
 
-    A point whose plain form overflows, or falls below the normal range
-    (gauge below about 1e-77) away from the origin, takes the scaled form
-    of ``_scaled_gauge``."""
-    n = p.dim.n
-    s = sum(c * c for c in p.coords[: 2 * n])
-    t = p.coords[2 * n]
-    q = s * s + t * t
-    if math.isinf(q) or (q < sys.float_info.min and any(p.coords)):
-        return float(_scaled_gauge(np.asarray(p.coords[: 2 * n]), np.asarray(t)))
-    return q**0.25
+    ``gauge_array`` on the point's one row of coordinates."""
+    return float(gauge_array(p.coords, p.dim.n))
 
 
 def gauge_array(coords: np.ndarray, n: int) -> np.ndarray:
@@ -154,8 +146,8 @@ def gauge_array(coords: np.ndarray, n: int) -> np.ndarray:
 
     Rows whose plain form overflows (``|z|`` above about 1e77 or ``|t|``
     above about 1e154), or falls below the normal range away from the
-    origin, are recomputed in the scaled form of ``_scaled_gauge``, as in
-    ``gauge``; every other row keeps the plain form's bits.
+    origin, are recomputed in the scaled form of ``_scaled_gauge``; every
+    other row keeps the plain form's bits.
     """
     c = np.asarray(coords, dtype=float)
     horiz = c[..., : 2 * n]

@@ -10,9 +10,9 @@ form and, for the max-kernel kind only, a radial quadrature fast path.  One
 evaluator, ``evaluate``, serves them all through the dilation identity: the
 value at ``x`` is an integral over tuples at base gauge 1 against
 ``f_i(delta_{|x|_h} .)``, and the general-kernel quadrature path and the
-Monte Carlo engine integrate it as one log integrand, each kernel's
-``log_profile`` plus the factors' log profiles at the log gauges,
-exponentiated once per node or sample.  The quadrature
+Monte Carlo engine take one log integrand, built once: the kernel's
+``log_profile`` plus, per factor, the test function's power past its tilt
+and its log modulation, exponentiated once per node or sample.  The quadrature
 engine performs the polar radial reduction (one radial variable per
 factor): every kind but the max kernel runs the general-kernel path on its
 kernel, over one geometry, the positive orthant in axes relative to the
@@ -24,7 +24,7 @@ every path.  The Monte Carlo engine samples the gauges of tuples
 verifier's Cartesian oracle also uses, with importance tilts taken from the
 operator's exponent profile.  The law keeps to the tuple ball
 (``KernelSpec.compact``) when the kernel's support lies there.  The named
-kernels are written once, in log form; their ``radial_profile`` follows.
+kernels are written once, in log form, and are read in no other form.
 
 Convention handling: the volume convention applies jointly to the
 normalizing ball volume and to every polar surface constant, so the
@@ -103,21 +103,21 @@ class KernelSpec:
 
     ``log_profile(l0, l1, ..., lm)`` gives the log of the kernel as a
     function of the log gauges of its m + 1 arguments, ``-inf`` where the
-    kernel vanishes; ``radial_profile(r0, r1, ..., rm)`` gives the kernel
-    itself at the gauges.  Both must be numpy-vectorized.  Give either one:
-    the other is derived from it, ``radial_profile`` as ``exp . log_profile
-    . log`` and ``log_profile`` as ``log . radial_profile . exp``.  The
-    named kernels are written in log form; the general-kernel quadrature
-    path and the Monte Carlo paths add their log weights to ``log_profile``
-    and exponentiate once per node or sample.
+    kernel vanishes, numpy-vectorized.  It is the one form every reader
+    takes: the general-kernel quadrature path and the Monte Carlo paths add
+    their log weights to it and exponentiate once per node or sample, and
+    the homogeneity probes compare it across a dilation.  The named kernels
+    are written in log form and have no ``radial_profile``.  A user kernel
+    may be given instead as ``radial_profile(r0, r1, ..., rm)``, the kernel
+    itself at the gauges (vectorized), from which ``log_profile`` is
+    derived as ``log . radial_profile . exp``.
 
     ``simplex_support`` ``s`` declares that the kernel vanishes outside the
     tuple ball ``sum r_i^2 < s^2 r0^2``: its log profile must be ``-inf``
-    (its radial profile 0) there, since no engine tests a tuple against the
-    ball.  The quadrature path gives each radial axis a finite upper limit
-    where the gauges before it fill the ball, instead of chasing the jump
-    out to infinity; for a ``compact`` kernel the Monte Carlo engine draws
-    its gauges below 1.
+    there, since no engine tests a tuple against the ball.  The quadrature
+    path gives each radial axis a finite upper limit where the gauges before
+    it fill the ball, instead of chasing the jump out to infinity; for a
+    ``compact`` kernel the Monte Carlo engine draws its gauges below 1.
     """
 
     radial_profile: Callable[..., np.ndarray] | None
@@ -130,21 +130,12 @@ class KernelSpec:
             if self.radial_profile is None:
                 raise ValueError("a kernel needs a radial_profile or a log_profile")
             object.__setattr__(self, "log_profile", partial(_log_of_radial, self.radial_profile))
-        elif self.radial_profile is None:
-            object.__setattr__(self, "radial_profile", partial(_radial_of_log, self.log_profile))
 
     @property
     def compact(self) -> bool:
         """Whether the support lies in the tuple ball ``sum r_i^2 < r0^2``,
         where the Monte Carlo gauge law drops its outer piece."""
         return self.simplex_support is not None and self.simplex_support <= 1.0
-
-
-def _radial_of_log(log_profile: Callable[..., np.ndarray], *gauges: np.ndarray) -> np.ndarray:
-    # a zero gauge has log -inf, which the log profiles take
-    with np.errstate(divide="ignore"):
-        logs = [np.log(np.asarray(g, dtype=float)) for g in gauges]
-    return np.exp(log_profile(*logs))
 
 
 def _log_of_radial(
@@ -205,6 +196,9 @@ class TestFunction:
             raise ValueError("need len(values) == len(edges) + 1")
         if not ((v > 0.0) & (v <= 1.0)).all():
             raise ValueError("step values must lie in (0, 1]")
+        # searchsorted reads the edges as sorted
+        if not (np.isfinite(e).all() and (e > 0.0).all() and (np.diff(e) > 0.0).all()):
+            raise ValueError(f"step edges must be finite, positive and increasing: {e.tolist()}")
 
         def modulation(s: np.ndarray) -> np.ndarray:
             return v[np.searchsorted(e, s, side="left")]
@@ -398,24 +392,27 @@ def evaluate(
 
     Both engines integrate in log space, so that a power too large for a
     float meets a kernel too small for one before the one ``exp`` per node
-    or sample.  The general-kernel quadrature path integrates ``log K +
-    sum_i log f_i(c g_i)`` at the log gauges ``g_i`` of a tuple.  Quadrature
-    runs the max kernel's cells (hlp) or the general-kernel path on the
-    kind's kernel (every other kind), each with its polar constants in its
-    log integrand, so that no constant underflows before it is used and the
-    relative error control of ``QuadSpec`` applies to the returned value.
+    or sample.  Quadrature runs the max kernel's cells (hlp) or the
+    general-kernel path on the kind's kernel (every other kind), each with
+    its polar constants in its log integrand, so that no constant
+    underflows before it is used and the relative error control of
+    ``QuadSpec`` applies to the returned value.
 
-    Monte Carlo samples tuples with tilts ``t_i`` from the exponent profile,
-    inside the tuple ball when the kernel's support lies there and over all
-    of H^{nm} otherwise.  Its log integrand (``mc_integrate_tilted``) carries
-    the law's ``sum_i t_i log g_i``, which cancels each test function's power
-    ``-a_i (log c + log g_i)`` down to ``-a_i log c``: per sample it is the
-    kernel's log profile plus, per factor, ``(t_i - a_i) log g_i`` only
-    where the test function's exponent ``a_i`` differs from its tilt, and the
-    log modulation at ``c g_i`` only for a modulated one.  ``-sum_i a_i log
-    c``, with the convention's scaling, is one scalar per call.  Nothing but
-    the kernel bounds the tuple ball: its log profile is ``-inf`` outside
-    its support.
+    The general-kernel quadrature path and Monte Carlo take one log
+    integrand at the log gauges ``g_i`` of a tuple.  Each factor carries a
+    weight ``g_i^{t_i}``, with tilts ``t_i`` from the exponent profile: the
+    Monte Carlo law's density, quadrature's node Jacobian.  It cancels each
+    test function's power ``-a_i (log c + log g_i)`` down to ``-a_i log c``,
+    so the integrand is the kernel's log profile plus, per factor, ``(t_i -
+    a_i) log g_i`` only where the test function's exponent ``a_i`` differs
+    from its tilt, and the log modulation at ``c g_i`` only for a modulated
+    one.  ``log_scale = -sum_i a_i log c`` is one scalar per call, which
+    each engine adds to its own polar constants.
+
+    Monte Carlo samples tuples inside the tuple ball when the kernel's
+    support lies there and over all of H^{nm} otherwise.  Nothing but the
+    kernel bounds the tuple ball: its log profile is ``-inf`` outside its
+    support.
     """
     if len(fs) != spec.m:
         raise ValueError(f"need {spec.m} test functions, got {len(fs)}")
@@ -429,29 +426,11 @@ def evaluate(
     if spec.kind is OperatorKind.KERNEL:
         _probe_homogeneity(kernel, spec.dim, spec.m)
     log_c = math.log(c)
+    tilts = spec.profile.alphas
+    steps = [(tilt - tf.alpha_j, tf) for tilt, tf in zip(tilts, fs)]
+    log_scale = -log_c * math.fsum(tf.alpha_j for tf in fs)
 
     def log_f(log_gauges: list[np.ndarray]) -> np.ndarray:
-        out = kernel.log_profile(0.0, *log_gauges)
-        for tf, lg in zip(fs, log_gauges):
-            out = out + tf.log_radial(log_c + lg)
-        return out
-
-    if isinstance(engine, QuadEngine):
-        if spec.m > 3:
-            raise ValueError("quadrature engine supports m <= 3; use the MC engine")
-        if op.quad:
-            return op.quad(spec, fs, c, engine.quad)
-        return _kernel_quad(log_f, kernel, spec, fs, c, engine.quad)
-
-    # each factor's weight g_i^{t_i} meets its test function's power
-    # (c g_i)^{-a_i}: per sample only (t_i - a_i) log g_i and the modulation
-    tilts = spec.profile.alphas
-    # mc_integrate_tilted's polar constants are geometric: the convention
-    # scales each factor's by Omega_convention / Omega_geometric
-    log_conv = log_unit_ball_volume(spec.dim, spec.convention) - log_unit_ball_volume(spec.dim)
-    steps = [(tilt - tf.alpha_j, tf) for tilt, tf in zip(tilts, fs)]
-
-    def log_tilted(log_gauges: list[np.ndarray]) -> np.ndarray:
         out = kernel.log_profile(0.0, *log_gauges)
         for (step, tf), lg in zip(steps, log_gauges):
             if step != 0.0:
@@ -460,15 +439,25 @@ def evaluate(
                 out = out + tf._log_modulation(log_c + lg)
         return out
 
+    if isinstance(engine, QuadEngine):
+        if spec.m > 3:
+            raise ValueError("quadrature engine supports m <= 3; use the MC engine")
+        if op.quad:
+            return op.quad(spec, fs, c, engine.quad)
+        return _kernel_quad(log_f, log_scale, kernel, spec, fs, c, engine.quad)
+
+    # mc_integrate_tilted's polar constants are geometric: the convention
+    # scales each factor's by Omega_convention / Omega_geometric
+    log_conv = log_unit_ball_volume(spec.dim, spec.convention) - log_unit_ball_volume(spec.dim)
     return mc_integrate_tilted(
-        log_tilted,
+        log_f,
         spec.dim,
         tilts,
         engine.n_samples,
         engine.stream,
         engine.workers,
         compact=kernel.compact,
-        log_scale=spec.m * log_conv - log_c * math.fsum(tf.alpha_j for tf in fs),
+        log_scale=spec.m * log_conv + log_scale,
     )
 
 
@@ -476,30 +465,35 @@ _PROBE_SEED = 0x9E3779B97F4A7C15
 
 
 def _probe_homogeneity(kernel: KernelSpec, dim: GroupDim, m: int) -> None:
-    """Check degree -mQ on 10 random probes; report the worst ratio."""
+    """Check degree -mQ on 10 random probes, in one call of the log profile
+    at the probes and one at their dilations, so that no power of a
+    dilation leaves the float range; report the worst ratio."""
     expected = -float(m * dim.Q)
     if kernel.homogeneity_degree != expected:
         raise KernelHomogeneityError(
             f"kernel declares degree {kernel.homogeneity_degree}, "
             f"but -mQ = {expected} is required"
         )
-    gen = SeededStream(_PROBE_SEED).generator()
-    worst = 0.0
-    for _ in range(10):
-        r0 = float(gen.uniform(0.5, 2.0))
-        rs = gen.uniform(0.5, 2.0, m)
-        t = float(gen.uniform(0.5, 2.0))
-        base = float(np.asarray(kernel.radial_profile(r0, *rs)))
-        scaled = float(np.asarray(kernel.radial_profile(t * r0, *(t * rs))))
-        if base == 0.0 and scaled == 0.0:
-            continue
-        if base == 0.0 or scaled == 0.0:
-            raise KernelHomogeneityError(
-                "kernel support is not dilation-invariant "
-                f"(probe r0={r0}, rs={rs.tolist()}, t={t})"
-            )
-        worst = max(worst, abs(scaled / (t**expected * base) - 1.0))
-    if worst > 1e-10:
+    # row k is probe k's (r0, r_1, ..., r_m, t)
+    probes = SeededStream(_PROBE_SEED).generator().uniform(0.5, 2.0, (10, m + 2))
+    logs = np.log(probes)
+    log_t = logs[:, -1]
+    base = kernel.log_profile(*logs[:, :-1].T)
+    scaled = kernel.log_profile(*(logs[:, :-1] + log_t[:, None]).T)
+    vanishes = np.isneginf(base)
+    odd = vanishes != np.isneginf(scaled)
+    if odd.any():
+        r0, *rs, t = probes[np.argmax(odd)].tolist()
+        raise KernelHomogeneityError(
+            f"kernel support is not dilation-invariant (probe r0={r0}, rs={rs}, t={t})"
+        )
+    live = ~vanishes
+    with np.errstate(invalid="ignore", over="ignore"):
+        # scaled / (t^expected base) - 1: nan or inf, which fail, where a
+        # profile is nan or +inf or the ratio overflows
+        deviation = np.expm1(scaled[live] - base[live] - expected * log_t[live])
+    worst = float(np.abs(deviation).max(initial=0.0))
+    if not worst <= 1e-10:
         raise KernelHomogeneityError(
             f"kernel is not homogeneous of degree {expected}: worst probe ratio "
             f"deviates by {worst:.3e}"
@@ -562,6 +556,7 @@ def _hlp_quad(
 
 def _kernel_quad(
     log_f: Callable[[list[np.ndarray]], np.ndarray],
+    log_scale: float,
     kernel: KernelSpec,
     spec: OperatorSpec,
     fs: Sequence[TestFunction],
@@ -569,9 +564,11 @@ def _kernel_quad(
     qspec: QuadSpec,
 ) -> Estimate:
     """General-kernel quadrature of the log integrand ``log_f`` at the log
-    gauges over the positive orthant, plus the polar constants ``m log
-    omega_Q``, ``(Q-1) log r_i`` and the Jacobians of the axis maps,
-    exponentiated once per node.
+    gauges over the positive orthant, exponentiated once per node.  The
+    node's weight carries the rest: ``log_scale`` and the polar constants
+    ``m log omega_Q`` from the start, and per axis ``d`` the Jacobian of
+    its map and ``(Q - 1 - t_d) log r_d``, where ``t_d`` is the tilt
+    ``evaluate`` folded into ``log_f``.
 
     The outer gauge decays as ``r^{-1-a}``, ``a = sum alpha``, whatever the
     kernel (by its homogeneity), and the ``t/(1-t)`` map of an infinite
@@ -611,7 +608,9 @@ def _kernel_quad(
             return x if p == 1.0 else np.where(x > 1.0, x**e, x)
 
         log_rs = [pre[:, 0] for pre in prefix]
-        log_w = prefix[-1][:, 1] if prefix else np.full(1, m * _log_omega(spec))
+        log_w = prefix[-1][:, 1] if prefix else np.full(1, m * _log_omega(spec) + log_scale)
+        # log_f carries r^{t_d} of the node's r^{Q-1}
+        power = Q - spec.profile.alphas[depth]
         log_rho = np.maximum.reduce([np.zeros_like(log_w), *log_rs])
         # y = 1 is r = rho, where a max kernel has its kink
         pts = warp(np.exp(log_breaks[depth][None, :] - log_rho[:, None]), p)
@@ -624,7 +623,7 @@ def _kernel_quad(
 
         def node(y: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # r^{Q-1} dr = r^Q / (q y) dy, q = p where y = r^p and 1 where
-            # y = r / rho, formed in the gathered arrays
+            # y = r / rho, formed in the gathered arrays, less r^{t_d}
             log_y = np.log(y)
             log_r = log_rho[own]
             log_jac = log_w[own]
@@ -634,7 +633,7 @@ def _kernel_quad(
                 past = log_y > 0.0
                 log_r += np.where(past, log_y / p, log_y)
                 log_jac -= np.where(past, math.log(p), 0.0)
-            log_jac += Q * log_r
+            log_jac += power * log_r
             log_jac -= log_y
             return log_r, log_jac
 

@@ -590,13 +590,15 @@ def discrepancy_report(
         r0 = float(gen.uniform(0.8, 1.6))
         rs = gen.uniform(0.1, 0.5, m)
         t = float(gen.uniform(0.5, 2.0))
-        base = float(np.asarray(kern.radial_profile(r0, *rs)))
-        scaled = float(np.asarray(kern.radial_profile(t * r0, *(t * rs))))
+        logs = np.log([r0, *rs])
+        log_t = math.log(t)
+        # log K(t r) - log K(r), from which each degree's ratio is one exp
+        log_ratio = float(kern.log_profile(*(logs + log_t)) - kern.log_profile(*logs))
         probes.append(
             {
                 "t": t,
-                "ratio_under_mQ": scaled * t ** (m * dim.Q) / base,
-                "ratio_under_mn": scaled * t ** (m * dim.n) / base,
+                "ratio_under_mQ": math.exp(log_ratio + m * dim.Q * log_t),
+                "ratio_under_mn": math.exp(log_ratio + m * dim.n * log_t),
             }
         )
     ok = all(abs(p["ratio_under_mQ"] - 1.0) <= 1e-10 for p in probes)

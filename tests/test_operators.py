@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -68,6 +69,11 @@ class TestTestFunction:
             TestFunction.step(1.0, [1.0], [0.5, 1.5])  # value above 1
         with pytest.raises(ValueError):
             TestFunction.step(1.0, [1.0], [0.5])  # wrong arity
+        # unsorted, repeated, NaN, infinite, zero and negative edges
+        bad = ([2.0, 1.0], [1.0, 1.0], [1.0, math.nan], [1.0, math.inf], [0.0, 1.0], [-1.0, 1.0])
+        for edges in bad:
+            with pytest.raises(ValueError, match="edges"):
+                TestFunction.step(1.0, edges, [0.5, 0.7, 0.9])
 
     def test_positive_exponent_required(self):
         with pytest.raises(ValueError):
@@ -740,7 +746,7 @@ class TestKernelOperator:
     def test_linearity_in_kernel(self):
         base = hilbert_kernel(DIM1, 1)
         scaled = KernelSpec(
-            lambda r0, r1: 3.0 * base.radial_profile(r0, r1),
+            lambda r0, r1: 3.0 * np.exp(base.log_profile(np.log(r0), np.log(r1))),
             base.homogeneity_degree,
         )
         spec = spec_of(OperatorKind.KERNEL, 2.0, kernel=scaled)
@@ -759,6 +765,37 @@ class TestKernelOperator:
         spec = spec_of(OperatorKind.KERNEL, 2.0, kernel=hilbert_kernel(DIM1, 1))
         with pytest.raises(KernelHomogeneityError, match="worst probe"):
             eval_kernel_op(bad, extremals(2.0), E1, spec)
+
+    def test_probe_passes_a_kernel_whose_radial_form_underflows(self):
+        # at mQ = 576 a probe's t^-mQ and kernel values leave the float range;
+        # the probe compares log profiles, where they do not
+        dim = GroupDim(95)
+        operators._probe_homogeneity(hilbert_kernel(dim, 3), dim, 3)
+
+    def test_probe_rejects_an_inhomogeneous_log_profile_at_large_mq(self):
+        dim = GroupDim(95)
+        base = hilbert_kernel(dim, 3)
+        tilted = KernelSpec(
+            None,
+            base.homogeneity_degree,
+            log_profile=lambda l0, l1, l2, l3: base.log_profile(l0, l1, l2, l3) + 0.01 * l1,
+        )
+        with pytest.raises(KernelHomogeneityError, match="not homogeneous .* worst probe"):
+            operators._probe_homogeneity(tilted, dim, 3)
+
+    def test_probe_names_a_probe_off_the_support(self):
+        # the kernel vanishes past r1 = 1 whatever r0: no dilation keeps that
+        base = hilbert_kernel(DIM1, 1)
+        cut = KernelSpec(
+            None,
+            base.homogeneity_degree,
+            log_profile=lambda l0, l1: np.where(l1 < 0.0, base.log_profile(l0, l1), -np.inf),
+        )
+        with pytest.raises(KernelHomogeneityError, match="not dilation-invariant") as err:
+            operators._probe_homogeneity(cut, DIM1, 1)
+        # the probe named has r1 and t r1 on opposite sides of 1
+        r1, t = map(float, re.search(r"rs=\[(\S+)\], t=(\S+)\)", str(err.value)).groups())
+        assert (r1 < 1.0) != (t * r1 < 1.0)
 
     def test_radial_profile_alone_serves_the_mc_engine(self):
         # a user kernel gets log . radial_profile . exp as its log form

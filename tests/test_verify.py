@@ -434,7 +434,7 @@ def direct_oracle_values(spec, uniforms, angle_gen, omega_gen):
         q = density / (span * sphere * g ** (Q - 1) * cos_at_point**power)
         weight = weight * g**-a / q
         gauges.append(g)
-    return weight * kernel.radial_profile(1.0, *gauges)
+    return weight * np.exp(kernel.log_profile(0.0, *(np.log(g) for g in gauges)))
 
 
 def is_constant_weight(spec):
