@@ -26,8 +26,8 @@ import time
 from datetime import datetime, timezone
 
 from .hgroup import Convention, GroupDim, unit_ball_volume
-from .integrate import EstimationError, QuadratureError, SeededStream
-from .operators import OPERATORS, OperatorKind, OperatorSpec
+from .integrate import MAX_BOX_N, EstimationError, QuadratureError, SeededStream
+from .operators import OPERATORS, OperatorKind, OperatorSpec, QuadEngine
 from .specfun import AlphaProfile, DivergentConstantError
 from .verify import (
     GaugeRangeError,
@@ -46,6 +46,8 @@ __all__ = ["Format", "main", "run"]
 # the largest --samples: 10^9 samples already keep the Cartesian oracle busy
 # for minutes, and a mistyped count should fail at once, not after hours
 _MAX_SAMPLES = 10**9
+# the largest --workers: each worker is a thread with its own chunk arrays
+_MAX_WORKERS = 32
 
 # the operator kinds that have a closed form to compute and verify
 _OPERATORS = sorted(kind.value for kind, op in OPERATORS.items() if op.closed_form is not None)
@@ -85,6 +87,10 @@ def _choice(default: enum.Enum) -> dict:
     return {"type": parse, "default": default, "metavar": "{" + ",".join(values) + "}"}
 
 
+def _int_range(lo: int, hi: int, why: str = ""):
+    return _checked(int, f"from {lo:,} to {hi:,}{why}", lambda k: lo <= k <= hi)
+
+
 _POSITIVE = _checked(int, "a positive integer", lambda k: k >= 1)
 
 # each flag once, with its check; a default of SUPPRESS leaves it to the library function
@@ -99,7 +105,7 @@ _FLAGS = {
     "--convention": _choice(Convention.GEOMETRIC),
     "--seed": {"type": int, "help": "default from HLAB_SEED, else 0"},
     "--samples": {
-        "type": _checked(int, f"from 2 to {_MAX_SAMPLES:,}", lambda k: 2 <= k <= _MAX_SAMPLES),
+        "type": _int_range(2, _MAX_SAMPLES),
         "default": 1_000_000,
         "help": f"Monte Carlo samples, from 2 to {_MAX_SAMPLES:,} (default %(default)s)",
     },
@@ -108,7 +114,7 @@ _FLAGS = {
         "type": _checked(float, "finite and at least 0", lambda t: math.isfinite(t) and t >= 0.0),
         "default": argparse.SUPPRESS,
     },
-    "--workers": {"type": _POSITIVE, "default": 1},
+    "--workers": {"type": _int_range(1, _MAX_WORKERS), "default": 1},
     "--convergence": {
         "dest": "convergence_path",
         "help": "write a CSV convergence curve (n_samples,estimate,std_error,closed_form)",
@@ -126,8 +132,8 @@ _FLAGS = {
         "dest": "n_values",
         "type": _checked(
             lambda text: tuple(int(n) for n in text.split(",")),
-            "a comma-separated list of positive integers",
-            lambda ns: all(n >= 1 for n in ns),
+            f"a comma-separated list of integers from 1 to {MAX_BOX_N}",
+            lambda ns: all(1 <= n <= MAX_BOX_N for n in ns),
         ),
         "default": (1, 2),
     },
@@ -138,9 +144,11 @@ _FLAGS = {
 _QUAD_M = {
     "--m": {
         **_FLAGS["--m"],
-        "type": _checked(int, "from 1 to 3 (the quadrature engine's limit)", lambda m: 1 <= m <= 3),
+        "type": _int_range(1, QuadEngine.MAX_M, " (the quadrature engine's limit)"),
     }
 }
+# geometry's box sampler, like discrepancies', takes n up to MAX_BOX_N
+_BOX_N = {"--n": {**_FLAGS["--n"], "type": _int_range(1, MAX_BOX_N, " (the box sampler's limit)")}}
 
 
 def _reads(*flags: str) -> dict[str, dict]:
@@ -165,7 +173,7 @@ _COMMANDS = {
     ),
     "geometry": (
         "ball volume and sphere measure with an MC check",
-        _reads("--n", "--convention", "--samples", "--workers"),
+        _reads("--n", "--convention", "--samples", "--workers") | _BOX_N,
     ),
     "discrepancies": (
         "convention/typo findings report",

@@ -65,6 +65,7 @@ __all__ = [
     "ChunkBuffers",
     "Estimate",
     "EstimationError",
+    "MAX_BOX_N",
     "Method",
     "QuadSpec",
     "QuadratureError",
@@ -85,6 +86,9 @@ _MASK32 = (1 << 32) - 1
 # the unit of randomness: chunk k draws from substream block k + 1, so
 # changing the chunk size changes every Monte Carlo number
 _CHUNK = 1 << 16
+# the largest n of rejection_volume_estimate: a chunk's 2n + 1 coordinates
+# then take 31.5 MiB, and past n = 10 even 10^9 proposals expect no hit
+MAX_BOX_N = 31
 # the unit of a chunk's arithmetic after its draws, sized so that each
 # block's temporaries stay in a core's L2 cache; it changes no bit
 _ROW_BLOCK = 1 << 13
@@ -823,7 +827,9 @@ def rejection_volume_estimate(
 ) -> Estimate:
     """Monte Carlo volume of the unit gauge ball, normalized by the exact
     bounding-box volume 2^{2n+1}.  Shares no closed-form ball constant with
-    anything it is used to check."""
+    anything it is used to check.  Takes n up to ``MAX_BOX_N``."""
+    if dim.n > MAX_BOX_N:
+        raise ValueError(f"rejection_volume_estimate takes n up to {MAX_BOX_N}, got n = {dim.n}")
     box = 2.0**dim.ambient
 
     def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:

@@ -9,13 +9,14 @@ Each kind has one record in ``OPERATORS``: its kernel profile, its closed
 form and, for the max-kernel kind only, a radial quadrature fast path.  One
 evaluator, ``evaluate``, serves them all through the dilation identity: the
 value at ``x`` is an integral over tuples at base gauge 1 against
-``f_i(delta_{|x|_h} .)``, and the general-kernel quadrature path and the
-Monte Carlo engine take one log integrand, built once: the kernel's
-``log_profile`` plus, per factor, the test function's power past its tilt
-and its log modulation, exponentiated once per node or sample.  The quadrature
-engine performs the polar radial reduction (one radial variable per
-factor): every kind but the max kernel runs the general-kernel path on its
-kernel, over one geometry, the positive orthant in axes relative to the
+``f_i(delta_{|x|_h} .)``, read per factor through the test function's one
+formula, ``TestFunction.log_weight``, at its tilt.  The general-kernel
+quadrature path and the Monte Carlo engine take one log integrand, built
+once: the kernel's ``log_profile`` plus those terms, exponentiated once per
+node or sample; the max kernel's cells take the terms themselves.  The
+quadrature engine performs the polar radial reduction (one radial variable
+per factor): every kind but the max kernel runs the general-kernel path on
+its kernel, over one geometry, the positive orthant in axes relative to the
 gauges before them, which a kernel's ``simplex_support`` only cuts short.
 Each quadrature path carries its polar constants in its log integrand, so
 ``QuadSpec.rel_tol`` bounds the relative error of the returned value on
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -83,7 +84,7 @@ __all__ = [
     "weighted_norm",
 ]
 
-_NORM_GRID = np.logspace(-6.0, 6.0, 10_000)
+_LOG_NORM_GRID = np.linspace(-6.0, 6.0, 10_000) * math.log(10.0)
 
 
 class OperatorKind(Enum):
@@ -156,7 +157,7 @@ class TestFunction:
     ``modulation`` is a bounded function of the gauge into (0, 1]; ``None``
     means the extremal power itself.  ``breakpoints`` lists gauges where the
     modulation is non-smooth so quadrature can split there.  The value at the
-    origin is 0 by convention.
+    origin is 0 by convention.  ``log_weight`` is its one formula.
     """
 
     alpha_j: float
@@ -207,29 +208,21 @@ class TestFunction:
             alpha_j, modulation, tuple(float(x) for x in e), f"step modulation ({e.size} edges)"
         )
 
+    def log_weight(self, tilt: float, log_s: np.ndarray) -> np.ndarray:
+        """``log(s^tilt f(s)) = (tilt - alpha_j) log s + log modulation(s)``
+        at log gauges (vectorized), ``-inf`` where the modulation vanishes:
+        ``radial``, the weighted norm and both engines read only this."""
+        out = (tilt - self.alpha_j) * np.asarray(log_s, dtype=float)
+        if self.modulation is not None:
+            with np.errstate(over="ignore"):
+                s = np.exp(log_s)
+            with np.errstate(divide="ignore"):
+                out = out + np.log(self.modulation(s))
+        return out
+
     def radial(self, s: np.ndarray) -> np.ndarray:
-        """Radial profile at positive gauges (vectorized)."""
-        s = np.asarray(s, dtype=float)
-        out = s ** (-self.alpha_j)
-        if self.modulation is not None:
-            out = out * self.modulation(s)
-        return out
-
-    def log_radial(self, log_s: np.ndarray) -> np.ndarray:
-        """Log of the radial profile at log gauges (vectorized), ``-inf``
-        where the modulation vanishes."""
-        out = log_s * -self.alpha_j
-        if self.modulation is not None:
-            out = out + self._log_modulation(log_s)
-        return out
-
-    def _log_modulation(self, log_s: np.ndarray) -> np.ndarray:
-        """Log of the modulation at log gauges (vectorized), ``-inf`` where
-        it vanishes."""
-        with np.errstate(over="ignore"):
-            s = np.exp(log_s)
-        with np.errstate(divide="ignore"):
-            return np.log(self.modulation(s))
+        """``exp`` of ``log_weight`` at tilt 0, at positive gauges (vectorized)."""
+        return np.exp(self.log_weight(0.0, np.log(s)))
 
     def __call__(self, point: HPoint | np.ndarray, n: int | None = None) -> float | np.ndarray:
         if isinstance(point, HPoint):
@@ -273,8 +266,9 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class QuadEngine:
-    """Deterministic engine; requires gauge-radial inputs and m <= 3."""
+    """Deterministic engine; requires gauge-radial inputs and m <= ``MAX_M``."""
 
+    MAX_M: ClassVar[int] = 3
     quad: QuadSpec = field(default_factory=QuadSpec)
 
 
@@ -293,20 +287,14 @@ Engine = QuadEngine | McEngine
 def weighted_norm(f: TestFunction, alpha: float, dim: GroupDim) -> float:
     """Weighted-type norm ``ess sup |x|_h^alpha |f(x)|``.
 
-    Exact (= 1) for an extremal power measured at its own exponent.  For
-    modulated powers the supremum is taken over a deterministic log-spaced
-    gauge grid of 10^4 points between 1e-6 and 1e6; for step modulations with
-    plateaus wider than the grid spacing this is exact, otherwise it is a
-    lower bound.
+    The ``exp`` of the largest ``f.log_weight(alpha, .)`` on a log-spaced
+    gauge grid of 10^4 points from 1e-6 to 1e6: exact for an extremal power
+    at its own exponent (= 1) and for step modulations with plateaus wider
+    than the grid spacing, otherwise a lower bound.
     """
     if not alpha > 0.0:
         raise ValueError(f"norm exponent must be positive, got {alpha!r}")
-    if f.is_extremal and alpha == f.alpha_j:
-        return 1.0
-    vals = _NORM_GRID ** (alpha - f.alpha_j)
-    if f.modulation is not None:
-        vals = vals * f.modulation(_NORM_GRID)
-    return float(vals.max())
+    return float(np.exp(f.log_weight(alpha, _LOG_NORM_GRID).max()))
 
 
 def _of_kind(spec: OperatorSpec, kind: OperatorKind) -> OperatorSpec:
@@ -315,13 +303,13 @@ def _of_kind(spec: OperatorSpec, kind: OperatorKind) -> OperatorSpec:
     return spec
 
 
+def _term(tf: TestFunction, tilt: float, log_c: float, log_g: np.ndarray) -> np.ndarray:
+    return tf.log_weight(tilt, log_c + log_g)
+
+
 def _log_omega(spec: OperatorSpec) -> float:
     """``log omega_Q``, one factor's polar constant, at the spec's convention."""
     return math.log(spec.dim.Q) + log_unit_ball_volume(spec.dim, spec.convention)
-
-
-def _radial_breaks(f: TestFunction, c: float, lo: float, hi: float) -> list[float]:
-    return [b / c for b in f.breakpoints if lo < b / c < hi]
 
 
 def eval_hardy(
@@ -398,16 +386,13 @@ def evaluate(
     underflows before it is used and the relative error control of
     ``QuadSpec`` applies to the returned value.
 
-    The general-kernel quadrature path and Monte Carlo take one log
-    integrand at the log gauges ``g_i`` of a tuple.  Each factor carries a
-    weight ``g_i^{t_i}``, with tilts ``t_i`` from the exponent profile: the
-    Monte Carlo law's density, quadrature's node Jacobian.  It cancels each
-    test function's power ``-a_i (log c + log g_i)`` down to ``-a_i log c``,
-    so the integrand is the kernel's log profile plus, per factor, ``(t_i -
-    a_i) log g_i`` only where the test function's exponent ``a_i`` differs
-    from its tilt, and the log modulation at ``c g_i`` only for a modulated
-    one.  ``log_scale = -sum_i a_i log c`` is one scalar per call, which
-    each engine adds to its own polar constants.
+    At the log gauges ``g_i`` of a tuple at base gauge 1, factor ``i``
+    carries a weight ``g_i^{t_i}`` (tilts from the exponent profile: the
+    Monte Carlo law's density, quadrature's node weight) and a term
+    ``f_i.log_weight(t_i, log c + g_i)``, skipped where it is 0.  One
+    scalar, ``log_scale = -sum_i t_i log c``, takes back the terms'
+    ``c^{t_i}``.  Quadrature splits at each factor's edges, computed once as
+    log gauges at base gauge 1.
 
     Monte Carlo samples tuples inside the tuple ball when the kernel's
     support lies there and over all of H^{nm} otherwise.  Nothing but the
@@ -427,24 +412,26 @@ def evaluate(
         _probe_homogeneity(kernel, spec.dim, spec.m)
     log_c = math.log(c)
     tilts = spec.profile.alphas
-    steps = [(tilt - tf.alpha_j, tf) for tilt, tf in zip(tilts, fs)]
-    log_scale = -log_c * math.fsum(tf.alpha_j for tf in fs)
+    terms = [
+        None if tf.is_extremal and t == tf.alpha_j else partial(_term, tf, t, log_c)
+        for t, tf in zip(tilts, fs)
+    ]
+    log_scale = -log_c * spec.profile.total
 
     def log_f(log_gauges: list[np.ndarray]) -> np.ndarray:
         out = kernel.log_profile(0.0, *log_gauges)
-        for (step, tf), lg in zip(steps, log_gauges):
-            if step != 0.0:
-                out = out + step * lg
-            if tf.modulation is not None:
-                out = out + tf._log_modulation(log_c + lg)
+        for term, lg in zip(terms, log_gauges):
+            if term is not None:
+                out = out + term(lg)
         return out
 
     if isinstance(engine, QuadEngine):
-        if spec.m > 3:
-            raise ValueError("quadrature engine supports m <= 3; use the MC engine")
+        if spec.m > engine.MAX_M:
+            raise ValueError(f"quadrature engine supports m <= {engine.MAX_M}; use the MC engine")
+        log_edges = [np.log([b / c for b in tf.breakpoints if b > 0.0]) for tf in fs]
         if op.quad:
-            return op.quad(spec, fs, c, engine.quad)
-        return _kernel_quad(log_f, log_scale, kernel, spec, fs, c, engine.quad)
+            return op.quad(spec, terms, log_edges, log_scale, engine.quad)
+        return _kernel_quad(log_f, kernel.simplex_support, spec, log_edges, log_scale, engine.quad)
 
     # mc_integrate_tilted's polar constants are geometric: the convention
     # scales each factor's by Omega_convention / Omega_geometric
@@ -501,66 +488,68 @@ def _probe_homogeneity(kernel: KernelSpec, dim: GroupDim, m: int) -> None:
 
 
 def _hlp_quad(
-    spec: OperatorSpec, fs: Sequence[TestFunction], c: float, qspec: QuadSpec
+    spec: OperatorSpec, terms: list, log_edges: list, log_scale: float, qspec: QuadSpec
 ) -> Estimate:
-    """Max-kernel quadrature: the radial orthant splits into the m + 1 cells
-    induced by which argument realizes the max; each cell collapses to an
-    outer 1-D integral times inner 1-D factors.
+    """Max-kernel quadrature of ``evaluate``'s terms: the radial orthant
+    splits into the m + 1 cells induced by which argument realizes the max;
+    each cell collapses to an outer 1-D integral times inner 1-D factors.
 
-    A cell's outer integrand over ``r in (1, inf)`` decays as ``r^{-1-a}``
-    with ``a = sum alpha``, which the ``t/(1-t)`` map of an infinite range
-    turns into an endpoint power no rule resolves when ``a < 1``.  So the
-    outer variable is ``u = r^{-a}`` on (0, 1), which makes the extremal
-    integrand constant.  Each factor is read through its log profile, one
-    ``exp`` per node, and the cells pass ``log r`` to their inner levels.
-    Each factor's integrand carries its polar constant."""
-    Q, a = spec.dim.Q, spec.profile.total
-    log_c, log_omega = math.log(c), _log_omega(spec)
-    # the outer factor's polar constant and the 1/a of its map
-    log_outer = log_omega - math.log(a)
+    Factor ``i`` carries ``g^{Q-1-t_i}`` at gauge ``g``, as in
+    ``_kernel_quad``, and ``log omega_Q + log_scale / m``.  In cell ``j``
+    the max ``r = r_j`` runs over (1, inf) and factor ``i != j`` over ``g =
+    r v``, ``v`` in (0, 1), which leaves ``r^{-1-a}`` (``a = sum t``) times
+    its term outside.  The ``t/(1-t)`` map would make that an endpoint power
+    no rule resolves when ``a < 1``, so the outer variable is ``u = r^{-a}``
+    on (0, 1), where an extremal integrand is constant.  One ``exp`` per
+    node; the cells pass ``log r`` to their inner levels."""
+    Q, m, a = spec.dim.Q, spec.m, spec.profile.total
+    log_each = _log_omega(spec) + log_scale / m
 
-    def unit_factor(tf: TestFunction, log_scale: np.ndarray) -> Axis:
-        # omega_Q int_0^1 g(scale * v) v^{Q-1} dv, one scale per owner
-        pts = np.asarray(tf.breakpoints, dtype=float) * np.exp(-log_scale)[:, None]
+    def unit_factor(i: int, log_r: np.ndarray) -> Axis:
+        # int_0^1 omega_Q v^{Q-1-t_i} exp(term_i(log r + log v)) dv per owner
+        term, power = terms[i], Q - 1 - spec.profile.alphas[i]
+        pts = np.exp(log_edges[i][None, :] - log_r[:, None])
 
         def f(v: np.ndarray, own: np.ndarray) -> np.ndarray:
             log_v = np.log(v)
-            return np.exp(tf.log_radial(log_scale[own] + log_v) + (Q - 1) * log_v + log_omega)
+            out = power * log_v + log_each
+            if term is not None:
+                out += term(log_r[own] + log_v)
+            return np.exp(out, out=out)
 
         return (f, 0.0, 1.0, pts)
 
-    def cell(tfj: TestFunction, others: list[TestFunction]) -> Callable[[int, tuple], list[Axis]]:
-        def outer(u: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # r = u^{-1/a}, dr = r du / (a u)
-            log_u = np.log(u)
-            log_r = log_u / -a
-            return np.exp(tfj.log_radial(log_c + log_r) + log_outer - log_u), log_r
+    # factor j jumps at its own edges past r = 1; a factor inside has a
+    # kink in r where one of its edges meets the end of its range
+    edges = np.concatenate(log_edges)
+    pts = np.exp(-a * edges[edges > 0.0])
 
-        # tfj jumps at its own edges; a factor inside has a kink in r where
-        # one of its edges b meets the end of its range, r = b / c
-        pts = [r ** -a for tf in fs for r in _radial_breaks(tf, c, 1.0, math.inf)]
+    def cell(j: int) -> Callable[[int, tuple], list[Axis]]:
+        term, log_outer = terms[j], log_each - math.log(a)
+
+        def outer(u: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # r = u^{-1/a}, r^{-1-a} dr = du / a
+            log_r = np.log(u) / -a
+            out = np.full_like(u, log_outer) if term is None else term(log_r) + log_outer
+            return np.exp(out, out=out), log_r
+
         axis = (outer, 0.0, 1.0, pts)
         return lambda depth, prefix: (
-            [axis] if depth == 0 else [unit_factor(tf, log_c + prefix[0]) for tf in others]
+            [axis] if depth == 0 else [unit_factor(i, prefix[0]) for i in range(m) if i != j]
         )
 
     # the cell where |x| realizes the max is the inner factors at r = 1
-    at_x = lambda depth, prefix: [unit_factor(tf, np.array([log_c])) for tf in fs]  # noqa: E731
-    ests = [quad_nested(at_x, 1, qspec)]
-    for j, tfj in enumerate(fs):
-        others = [tf for i, tf in enumerate(fs) if i != j]
-        ests.append(quad_nested(cell(tfj, others), 2, qspec))
-    value = sum(e.value for e in ests)
-    return Estimate(value, 0.0, sum(e.n_samples for e in ests), Method.QUAD)
+    at_x = lambda depth, prefix: [unit_factor(i, np.zeros(1)) for i in range(m)]  # noqa: E731
+    ests = [quad_nested(at_x, 1, qspec)] + [quad_nested(cell(j), 2, qspec) for j in range(m)]
+    return Estimate(sum(e.value for e in ests), 0.0, sum(e.n_samples for e in ests), Method.QUAD)
 
 
 def _kernel_quad(
     log_f: Callable[[list[np.ndarray]], np.ndarray],
-    log_scale: float,
-    kernel: KernelSpec,
+    s: float | None,
     spec: OperatorSpec,
-    fs: Sequence[TestFunction],
-    c: float,
+    log_edges: Sequence[np.ndarray],
+    log_scale: float,
     qspec: QuadSpec,
 ) -> Estimate:
     """General-kernel quadrature of the log integrand ``log_f`` at the log
@@ -568,9 +557,10 @@ def _kernel_quad(
     node's weight carries the rest: ``log_scale`` and the polar constants
     ``m log omega_Q`` from the start, and per axis ``d`` the Jacobian of
     its map and ``(Q - 1 - t_d) log r_d``, where ``t_d`` is the tilt
-    ``evaluate`` folded into ``log_f``.
+    ``evaluate``'s term for factor ``d`` holds.  Axis ``d`` splits at
+    ``r = 1`` and at its factor's edges ``log_edges[d]``.
 
-    The outer gauge decays as ``r^{-1-a}``, ``a = sum alpha``, whatever the
+    The outer gauge decays as ``r^{-1-a}``, ``a = sum t``, whatever the
     kernel (by its homogeneity), and the ``t/(1-t)`` map of an infinite
     range turns that into ``(1-t)^{a-1}``, an endpoint power no rule
     resolves when ``a < 1``.  There axis 0 is ``v = r^a`` past ``r = 1``
@@ -591,11 +581,9 @@ def _kernel_quad(
     (0 once they fill the ball), not at infinity; the kernel's ``-inf`` does
     the rest.  On the ball with ``s <= 1``, ``rho_d = 1`` and the axes are
     the gauges themselves."""
-    Q, m, s = spec.dim.Q, spec.m, kernel.simplex_support
-    a = math.fsum(tf.alpha_j for tf in fs)
-    # the breakpoints of each axis as log gauges: r = 1, and the edges
-    # of its factor read at gauge c r
-    log_breaks = [np.log([1.0] + [b / c for b in tf.breakpoints if b > 0.0]) for tf in fs]
+    Q, m, a = spec.dim.Q, spec.m, spec.profile.total
+    # the breakpoints of each axis as log gauges: r = 1, and its factor's edges
+    log_breaks = [np.concatenate(([0.0], edges)) for edges in log_edges]
 
     def level(depth: int, prefix: tuple) -> list[Axis]:
         # row k of prefix[j] holds (log r_j, log of the polar constants,
@@ -609,7 +597,7 @@ def _kernel_quad(
 
         log_rs = [pre[:, 0] for pre in prefix]
         log_w = prefix[-1][:, 1] if prefix else np.full(1, m * _log_omega(spec) + log_scale)
-        # log_f carries r^{t_d} of the node's r^{Q-1}
+        # the term of factor d carries r^{t_d} of the node's r^{Q-1}
         power = Q - spec.profile.alphas[depth]
         log_rho = np.maximum.reduce([np.zeros_like(log_w), *log_rs])
         # y = 1 is r = rho, where a max kernel has its kink
@@ -724,16 +712,14 @@ class Operator:
 
     ``kernel(spec)`` gives its kernel profile, which the general-kernel
     quadrature path and the Monte Carlo engine integrate.  The named kinds
-    also carry ``closed_form(spec)``, their sharp constant.  ``quad(spec,
-    fs, c, qspec)``, held by hlp alone, is a radial quadrature fast path at
-    an evaluation point of gauge ``c``: its m + 1 cells beat the
-    general-kernel path on the max kernel.  Every other kind runs the
-    general-kernel path.
+    also carry ``closed_form(spec)``, their sharp constant.  ``quad``, held by
+    hlp alone, is a radial quadrature fast path on ``evaluate``'s terms:
+    its m + 1 cells beat the general-kernel path on the max kernel.
     """
 
     kernel: Callable[[OperatorSpec], KernelSpec]
     closed_form: Callable[[OperatorSpec], ConstantResult] | None = None
-    quad: Callable[[OperatorSpec, Sequence[TestFunction], float, QuadSpec], Estimate] | None = None
+    quad: Callable[..., Estimate] | None = None
 
 
 OPERATORS: dict[OperatorKind, Operator] = {

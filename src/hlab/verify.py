@@ -282,9 +282,9 @@ _SEARCH_QUAD = QuadSpec(1e-7)
 
 def _verdict_tol(quad: QuadSpec) -> float:
     """The relative error a quadrature verdict allows: every operator
-    integrand is nonnegative, so m <= 3 levels that each meet ``rel_tol``
-    leave the value within about 3 ``rel_tol``, and 10 ``rel_tol`` is that
-    bound with a margin."""
+    integrand is nonnegative, so m <= 3 (``QuadEngine.MAX_M``) levels that
+    each meet ``rel_tol`` leave the value within about 3 ``rel_tol``, and 10
+    ``rel_tol`` is that bound with a margin."""
     return 10.0 * quad.rel_tol
 
 
@@ -297,11 +297,11 @@ def verify_constant(
 ) -> VerificationReport:
     """Compare the closed-form constant against both numeric oracles.
 
-    Quadrature (radial reduction, m <= 3) must match within ``tol``, by
-    default 10 times its ``rel_tol`` (1e-11 at m = 1, 1e-8 above);
-    Cartesian Monte Carlo must land within 3 standard errors.  Both oracles
-    and the closed form are taken under the GEOMETRIC convention, since the
-    Monte Carlo oracle measures true Lebesgue integrals.
+    Quadrature (radial reduction, m <= ``QuadEngine.MAX_M``) must match
+    within ``tol``, by default 10 times its ``rel_tol`` (1e-11 at m = 1, 1e-8
+    above); Cartesian Monte Carlo must land within 3 standard errors.  Both
+    oracles and the closed form are taken under the GEOMETRIC convention,
+    since the Monte Carlo oracle measures true Lebesgue integrals.
 
     ``details["verdict"]`` is ``"pass"``, ``"fail"`` or, when the oracles
     agree but 3 Monte Carlo standard errors span the gap between the
@@ -322,7 +322,7 @@ def verify_constant(
     oracle_quad = None
     rel_err = None
     # wherever the quadrature engine runs
-    if spec.m <= 3:
+    if spec.m <= QuadEngine.MAX_M:
         engine = QuadEngine(quad)
         fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
         oracle_quad = evaluate(spec, fs, _e1(spec.dim), engine)
@@ -363,8 +363,8 @@ def verify_extremal(
     """Check that the extremal powers attain the closed-form constant.
 
     Evaluates ``gauge(x)^alpha * T(extremals)(x)`` by the quadrature
-    oracle's engine (m <= 3) once per gauge ``g``, at ``x = delta_g(e_1)``,
-    whose gauge is exactly ``g``.  The evaluators see ``x`` only through its
+    oracle's engine (m <= ``QuadEngine.MAX_M``) once per gauge ``g``, at
+    ``x = delta_g(e_1)``, whose gauge is exactly ``g``.  The evaluators see ``x`` only through its
     gauge (the dilation identity), so other points of the same gauge would
     repeat the same integral; ``spread`` measures dilation invariance.
     Passes when the spread and the relative error of the mean from the
@@ -372,16 +372,16 @@ def verify_extremal(
     ``rel_tol`` (1e-8).  The report carries the mean as its one quadrature
     oracle.  ``seed`` draws nothing: it is the seed the report records.
 
-    An arity m > 3, beyond the quadrature engine, raises ``ValueError``
-    first.  A gauge ``g`` raises ``GaugeRangeError`` before anything is
+    An arity m > ``QuadEngine.MAX_M``, beyond the quadrature engine, raises
+    ``ValueError`` first.  A gauge ``g`` raises ``GaugeRangeError`` before anything is
     evaluated when ``g^alpha`` is outside the square root of the
     floating-point range (about 1e-154 to 1e154), or the value there,
     ``closed * g^-alpha``, is not a normal float.
     """
-    if spec.m > 3:
+    if spec.m > QuadEngine.MAX_M:
         raise ValueError(
-            "verify_extremal runs on the quadrature engine, which supports m <= 3; "
-            f"got m = {spec.m}"
+            "verify_extremal runs on the quadrature engine, which supports "
+            f"m <= {QuadEngine.MAX_M}; got m = {spec.m}"
         )
     closed = spec.constant().value
     alpha = spec.profile.total

@@ -333,6 +333,27 @@ class TestInputErrors:
         assert code == 2
         assert "--workers" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["verify", "--workers", "33"], "--workers"),
+            (["geometry", "--n", "32"], "--n"),
+            (["geometry", "--n", "512"], "--n"),
+            (["discrepancies", "--n-values", "1,512"], "--n-values"),
+        ],
+    )
+    def test_bounded_work_flags(self, capsys, monkeypatch, argv, flag):
+        # 33 worker threads, or box coordinates past n = 31 (2^{2n+1}
+        # overflows a float at n = 512), fail at parse time: no command runs
+        def not_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("verify_constant", "unit_ball_check", "discrepancy_report"):
+            monkeypatch.setattr(hlab.cli, name, not_run)
+        code, _, err = run_capture(argv + ["--samples", "2"], capsys)
+        assert code == 2
+        assert f"argument {flag}: must be" in err and argv[-1] in err
+
     def test_samples_out_of_range(self, capsys):
         for samples in ("1", "1000000000000"):
             start = time.perf_counter()

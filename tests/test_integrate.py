@@ -201,6 +201,14 @@ class TestSamplers:
         sigma = est.std_error / 2.0**3
         assert abs(rate - expected) <= 3 * sigma
 
+    def test_box_rejection_stops_at_its_largest_n(self):
+        # a chunk holds 2n + 1 coordinates a sample; at n = 512 the box
+        # volume 2^{2n+1} overflows a float
+        assert integrate.MAX_BOX_N == 31
+        for n in (32, 512):
+            with pytest.raises(ValueError, match=f"takes n up to 31, got n = {n}$"):
+                rejection_volume_estimate(GroupDim(n), 2, SeededStream(0))
+
 
 def law_gauges(x, alpha, Q, compact):
     """``log g`` and the outer powers (``None`` on the compact law) that

@@ -79,6 +79,26 @@ class TestTestFunction:
         with pytest.raises(ValueError):
             TestFunction.extremal(0.0)
 
+    @pytest.mark.parametrize("tilt", [0.0, 1.0, 1.5, 3.2])
+    def test_log_weight_is_the_log_of_the_tilted_function(self, tilt):
+        # log(s^tilt f(s)) = (tilt - alpha) log s + log m(s); no s on an edge
+        s = np.array([0.05, 0.7, 1.0, 1.7, 40.0])
+        for f in (
+            TestFunction.extremal(1.5),
+            TestFunction.step(1.5, [0.5, 2.0], [1.0, 0.3, 0.8]),
+            TestFunction.modulated(1.5, lambda s: s / (1.0 + s)),
+        ):
+            mod = 1.0 if f.is_extremal else f.modulation(s)
+            expected = np.log(s ** (tilt - 1.5) * mod)
+            assert np.allclose(f.log_weight(tilt, np.log(s)), expected, rtol=1e-14, atol=1e-14)
+            assert np.allclose(f.radial(s), s**-1.5 * mod, rtol=1e-14, atol=0.0)
+
+    def test_log_weight_is_minus_inf_where_the_modulation_vanishes(self):
+        f = TestFunction.modulated(1.0, lambda s: np.where(s < 1.0, 0.0, 1.0))
+        out = f.log_weight(2.0, np.log([0.5, 2.0]))
+        assert out[0] == -np.inf
+        assert math.isclose(out[1], math.log(2.0), rel_tol=1e-15)
+
 
 class TestWeightedNorm:
     def test_extremal_at_own_exponent(self):

@@ -205,6 +205,15 @@ class TestVerifyExtremal:
         assert "directions" not in vr.details
         assert vr.details["spread"] <= 1e-6
 
+    def test_hlp_cells_attain_within_their_budget(self):
+        # the max kernel's m + 1 cells take 150,840 evaluations over the four
+        # gauges; the general-kernel path on hlp_kernel takes 295,532,340,
+        # which is why hlp keeps its own quadrature path
+        spec = OperatorSpec(OperatorKind.HLP, GroupDim(1), AlphaProfile.of(2.5, 2.5, 2.5))
+        vr = verify_extremal(spec)
+        assert vr.passed
+        assert vr.oracle_quad.n_samples <= 160_000
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kind", [OperatorKind.HARDY, OperatorKind.HLP, OperatorKind.HILBERT])
     def test_attains_past_h1(self, kind, n):
