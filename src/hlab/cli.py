@@ -48,6 +48,9 @@ __all__ = ["Format", "main", "run"]
 _MAX_SAMPLES = 10**9
 # the largest --workers: each worker is a thread with its own chunk arrays
 _MAX_WORKERS = 32
+# the largest --m (a worker keeps a chunk of uniforms per factor) and
+# --trials (a trial of hilbert at m = 3 takes about 0.5 s)
+_MAX_M, _MAX_TRIALS = 32, 10_000
 
 # the operator kinds that have a closed form to compute and verify
 _OPERATORS = sorted(kind.value for kind, op in OPERATORS.items() if op.closed_form is not None)
@@ -97,7 +100,7 @@ _POSITIVE = _checked(int, "a positive integer", lambda k: k >= 1)
 _FLAGS = {
     "--operator": {"choices": _OPERATORS, "default": "hardy"},
     "--n": {"type": _POSITIVE, "default": 1, "help": "group index n (Q = 2n + 2)"},
-    "--m": {"type": _POSITIVE, "default": 1, "help": "operator arity"},
+    "--m": {"type": _int_range(1, _MAX_M), "default": 1, "help": f"operator arity, 1 to {_MAX_M}"},
     "--alphas": {
         "type": _checked(_floats, "a comma-separated list of numbers"),
         "help": "comma-separated exponents alpha_1..alpha_m (default all 1)",
@@ -127,7 +130,7 @@ _FLAGS = {
         ),
         "default": argparse.SUPPRESS,
     },
-    "--trials": {"type": _POSITIVE, "default": argparse.SUPPRESS},
+    "--trials": {"type": _int_range(1, _MAX_TRIALS), "default": argparse.SUPPRESS},
     "--n-values": {
         "dest": "n_values",
         "type": _checked(
@@ -145,6 +148,7 @@ _QUAD_M = {
     "--m": {
         **_FLAGS["--m"],
         "type": _int_range(1, QuadEngine.MAX_M, " (the quadrature engine's limit)"),
+        "help": f"operator arity, 1 to {QuadEngine.MAX_M}",
     }
 }
 # geometry's box sampler, like discrepancies', takes n up to MAX_BOX_N

@@ -12,17 +12,17 @@ Three layers:
 * seeded Monte Carlo adapted to the Koranyi geometry: one block
   (``tilted_values``) serves both the radial tuple engine
   ``mc_integrate_tilted`` and the verifier's Cartesian oracle, which differ
-  only in a factor's polar constant and the oracle's angle.  It draws each
-  factor's gauge from one law (``two_piece_gauges``, a two-piece power law
-  at an importance tilt that neutralizes a power-law singularity), forms
-  each sample's weight and integrand in log space and exponentiates once
-  per sample.  The log integrand carries the tilt ``prod_i g_i^tilt_i``
-  itself, so that a test function's power at its own tilt cancels before
-  any sample is drawn, and it bounds the tuple ball itself (``-inf``
-  outside): the block forms no tilt power and tests no tuple against the
-  ball.  No Monte Carlo path draws a point or a direction, since every
-  integrand is gauge-radial; only ``rejection_volume_estimate`` draws
-  coordinates.
+  only in a factor's polar constant and the oracle's angle.  It draws all
+  m factors' gauges as one (m, k) stack from one law, a two-piece power
+  law with an importance tilt per factor that neutralizes a power-law
+  singularity, forms each sample's weight and integrand in log space and
+  exponentiates once per sample.  The log integrand carries the tilt
+  ``prod_i g_i^tilt_i`` itself, so that a test function's power at its own
+  tilt cancels before any sample is drawn, and it bounds the tuple ball
+  itself (``-inf`` outside): the block forms no tilt power and tests no
+  tuple against the ball.  No Monte Carlo path draws a point or a
+  direction, since every integrand is gauge-radial; only
+  ``rejection_volume_estimate`` draws coordinates.
 
 This module knows no tuple ball: where an integrand vanishes outside one,
 its caller gives the quadrature levels their finite upper limits and the
@@ -39,11 +39,11 @@ the cache; since every value depends only on its own row, the block size
 changes no bit.  Each thread keeps one arena of arrays (``ChunkBuffers``)
 across calls, and every array a chunk writes comes from it: its uniforms,
 its values (squared in place, at the end, for their sum of squares) and its
-row blocks' temporaries.  The arena keeps m + 1 chunk arrays of the widest
-call (the m factors' uniforms, twice as wide with the angle columns at
-n > 2, and the values) and a few block-sized ones, so once a thread has run
-its widest call, a chunk's float arrays all come from the arena, and a row
-block allocates only what its log integrand does.
+row blocks' temporaries.  The arena keeps two chunk arrays of the widest
+call (the (m, size) stack of uniforms, twice as wide with the angle columns
+at n > 2, and the values) and up to three block-sized stacks, so once a
+thread has run its widest call, a chunk's float arrays all come from the
+arena, and a row block allocates only what its log integrand does.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ __all__ = [
     "rejection_volume_estimate",
     "row_blocks",
     "tilted_values",
-    "two_piece_gauges",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -509,10 +508,11 @@ class ChunkBuffers:
     ``empty`` request: its uniforms, its values and its row blocks'
     temporaries, in the order the chunk asks for them.  The k-th request is
     a view of the arena's k-th array, which grows to the largest such
-    request it has seen, so the arena keeps m + 1 chunk arrays of the
-    widest call (its m uniforms, twice as wide with the angle columns at
-    n > 2, and its values) and a few of ``_ROW_BLOCK`` rows.  Once the
-    thread has run its widest call, it allocates and frees no array.
+    request it has seen.  For ``tilted_values`` it keeps up to five: the
+    (m, size) uniforms of the widest call (twice as wide with the angle
+    columns at n > 2), its values, and up to three stacks of
+    ``_ROW_BLOCK`` columns.  Once the thread has run its widest call, it
+    allocates and frees no array.
     """
 
     def __init__(self) -> None:
@@ -553,12 +553,12 @@ def mc_chunk_partials(
     (``row_blocks``) without moving a bit.  It takes every array it writes,
     its draws (``gen.random(out=buffers.empty(shape))``), its value array
     and its row blocks' temporaries, from ``buffers``, the arena
-    (``ChunkBuffers``) of its thread: one per thread, kept across calls, of
-    m + 1 chunk arrays of the widest call so far plus the angle columns at
-    n > 2.  The values must be nonnegative; once summed and counted, they
-    are squared in place, in the array ``values_fn`` returned, for their
-    sum of squares.  Returns ``(size, sum, sum of squares, positive
-    count)`` per chunk in chunk order, identical for any worker count.
+    (``ChunkBuffers``) of its thread: one per thread, kept across calls,
+    whose arrays grow to the widest call so far.  The values must be
+    nonnegative; once summed and counted, they are squared in place, in the
+    array ``values_fn`` returned, for their sum of squares.  Returns
+    ``(size, sum, sum of squares, positive count)`` per chunk in chunk
+    order, identical for any worker count.
 
     Each chunk is one task: with workers, a pool of threads that lives for
     this call takes the chunks in turn.  A call whose chunks fail raises
@@ -630,70 +630,12 @@ def reduce_partials(partials: Sequence[ChunkPartial]) -> tuple[Estimate, int]:
     return Estimate(mean, math.sqrt(var / n), n, Method.MC), positive
 
 
-def _check_finite(values: np.ndarray, log_gauges: list[np.ndarray]) -> None:
-    """Raise on a non-finite value, naming the log gauges of its row.
-
-    The values are exponentials, never -inf, so one ``max`` tells: NaN and
-    +inf both propagate through it.  Only then is the row looked for."""
-    if not math.isfinite(values.max()):
-        idx = int(np.argmax(~np.isfinite(values)))
-        where = [lg[idx].tolist() for lg in log_gauges]
-        raise EstimationError(f"non-finite integrand value at log gauge(s) {where}")
-
-
 # the floor of v, so that an exact zero uniform still gives a finite log
 _TINY = 2.0**-53
 
 
-def two_piece_gauges(
-    alpha: float, Q: float, compact: bool
-) -> tuple[float, Callable[[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray], None]]:
-    """The two-piece power law of gauges at tilt ``alpha``: its normalizer
-    ``M`` and ``draw(x, log_g, log_q, scratch)``, which inverts it at the
-    uniforms ``x``.
-
-    The law has density ``g^{Q-1-alpha} / M`` on (0, 1), of mass ``a/M``
-    with ``a = 1/(Q - alpha)``, and ``g^{-1-alpha} / M`` on (1, inf), of mass
-    ``b/M`` with ``b = 1/alpha``; ``M = a + b``.  ``compact`` drops the outer
-    piece (``b = 0``), for integrands that vanish unless ``g < 1``.  With
-    ``p = a/M`` the inner share, ``v = x/p`` on the inner piece and
-    ``v = (1 - x)/(1 - p)`` on the outer one, and ``g = v^e`` with ``e = a``
-    inside and ``e = -b`` outside.  ``a``, ``M`` and ``p`` are formed here,
-    once per law.
-
-    ``draw`` writes ``log g`` into ``log_g`` and, on the full law, the outer
-    powers ``Q log g`` (0 on the inner piece) into ``log_q``, with
-    ``scratch`` for its temporaries: arrays of ``x``'s shape that its caller
-    gives it, so that it allocates none.  The compact law has no outer piece
-    and writes ``log_g`` alone.  The polar weight ``g^{Q-1} / density`` of a
-    draw is ``M g^alpha`` inside and ``M g^{Q+alpha}`` outside.
-    """
-    a = 1.0 / (Q - alpha)
-    mass = a if compact else a + 1.0 / alpha
-    p = a / mass
-
-    def draw(x, log_g, log_q, scratch) -> None:
-        if compact:
-            np.maximum(x, _TINY, out=log_g)
-            np.log(log_g, out=log_g)
-            log_g *= a
-            return
-        outer = np.greater_equal(x, p, out=scratch)  # 1 on the outer piece
-        np.subtract(x, outer, out=log_g)
-        log_g /= np.subtract(p, outer, out=log_q)  # v
-        np.maximum(log_g, _TINY, out=log_g)
-        np.log(log_g, out=log_g)
-        np.multiply(outer, Q, out=log_q)
-        outer *= -mass
-        outer += a  # e
-        log_g *= outer
-        log_q *= log_g
-
-    return mass, draw
-
-
 def tilted_values(
-    log_f: Callable[[list[np.ndarray]], np.ndarray],
+    log_f: Callable[[np.ndarray], np.ndarray],
     Q: float,
     tilts: Sequence[float],
     *,
@@ -703,67 +645,102 @@ def tilted_values(
     angle: float = 0.0,
 ) -> Callable[[np.random.Generator, int, ChunkBuffers], np.ndarray]:
     """The ``values_fn`` (``mc_chunk_partials``) of a gauge-radial integral
-    over m-tuples, drawn from ``two_piece_gauges`` at one tilt per factor
-    (``compact``: without the law's outer piece) and given by its log
-    ``log_f`` with the law's tilt folded in.
+    over m-tuples, each factor's gauge drawn from a two-piece power law at
+    its own tilt, and given by its log ``log_f`` with the law's tilt folded
+    in.
 
-    ``log_f`` receives a list of m arrays holding the log gauges ``log g_i``
-    of the factors of one row block's tuples and returns their logs, ``-inf``
-    where the integrand vanishes, each depending only on its own tuple.  It
-    must not write to those arrays, which are the arena's.
+    The law at tilt ``t`` has density ``g^{Q-1-t} / M`` on (0, 1), of mass
+    ``a/M`` with ``a = 1/(Q - t)``, and ``g^{-1-t} / M`` on (1, inf), of
+    mass ``b/M`` with ``b = 1/t``; ``M = a + b``.  ``compact`` drops the
+    outer piece (``b = 0``), for integrands that vanish unless every
+    ``g < 1``.  With ``p = a/M`` the inner share, a uniform ``x`` maps to
+    ``v = x/p`` on the inner piece and ``v = (1 - x)/(1 - p)`` on the outer
+    one, and ``g = v^c`` with ``c = a`` inside and ``c = -b`` outside.  The
+    polar weight ``g^{Q-1} / density`` of a draw is ``M g^t`` inside and
+    ``M g^{Q+t}`` outside.  The m laws are one: ``a``, ``M`` and ``p`` are
+    (m, 1) columns, formed once, and each row block maps all m factors'
+    uniforms with one set of (m, k) array operations.
 
-    Each factor makes one draw, in factor order: ``(size,)`` uniforms, its
-    gauge, or with ``angle`` ``e > 0``, ``(size, 2)``: its gauge, then an
+    ``log_f`` receives the (m, k) stack of the log gauges ``log g_i`` of one
+    row block's tuples, one row per factor, and returns their logs,
+    ``-inf`` where the integrand vanishes, each depending only on its own
+    tuple.  It must not write to the stack, which is the arena's.
+
+    Each chunk makes one draw: ``(m, size)`` uniforms, or with ``angle``
+    ``e > 0``, ``(m, size, 2)``: per factor and row its gauge, then an
     angle ``s = 2x - 1`` uniform on (-1, 1) of angular factor
-    ``(1 - s^2)^e = (4x(1 - x))^e``.  A tuple's log value is the sum, formed
-    in the block's output, of ``log_f``; the one scalar ``log_scale`` plus
-    ``log_polar + log M_i`` for each factor (``log_polar`` the log of a
-    factor's polar constant, ``M_i`` the mass of its law); ``Q log g_i`` on
-    the outer pieces; and ``e log(4x_i(1 - x_i))`` for each factor.  It is
-    exponentiated in place, once per tuple, so a weight beyond the float
-    range that meets an integrand below it still gives their finite
-    product; a NaN or +inf value raises ``EstimationError``.  Apart from
-    what ``log_f`` allocates, a row block writes only into the arena.
+    ``(1 - s^2)^e = (4x(1 - x))^e``.  Factor after factor, it takes the
+    stream positions that one draw per factor would.  A tuple's log value
+    is the sum, formed in the block's output, of ``log_f``; the scalar
+    ``log_scale`` plus ``log_polar + log M_i`` for each factor
+    (``log_polar`` the log of a factor's polar constant); then, factor by
+    factor, the outer powers ``Q log g_i`` (0 on the inner piece) and
+    ``e log(4x_i(1 - x_i))``.  It is exponentiated in place, once per
+    tuple, so a weight beyond the float range that meets an integrand below
+    it still gives their finite product; a NaN or +inf value raises
+    ``EstimationError``.  Apart from what ``log_f`` allocates, a row block
+    writes only into the arena: stacks of ``_ROW_BLOCK`` columns, the log
+    gauges, the full law's scratch and the terms it adds.
     """
-    laws = [two_piece_gauges(t, Q, compact) for t in tilts]
-    log_const = log_scale + math.fsum(log_polar + math.log(mass) for mass, _ in laws)
+    m = len(tilts)
+    t = np.asarray(tilts, dtype=float)[:, None]
+    a = 1.0 / (Q - t)
+    mass = a if compact else a + 1.0 / t
+    p = a / mass
+    log_const = log_scale + math.fsum(log_polar + math.log(M) for M in mass[:, 0].tolist())
     columns = (2,) if angle else ()
-    m = len(laws)
+    # the rows added to log_f: the outer powers, then the angle's logs
+    n_terms = (0 if compact else m) + (m if angle else 0)
 
     def values_fn(gen: np.random.Generator, size: int, buffers: ChunkBuffers) -> np.ndarray:
-        uniforms = [gen.random(out=buffers.empty((size, *columns))) for _ in laws]
+        uniforms = gen.random(out=buffers.empty((m, size, *columns)))
         values = buffers.empty((size,))
-        # per factor its log gauges and, on the full law, its outer powers;
-        # one scratch array for the law's and the angle's temporaries
-        blocks = (1 if compact else 2) * m + 1
-        scratch, *arrays = [buffers.empty((_ROW_BLOCK,)) for _ in range(blocks)]
+        stack = buffers.empty((m, _ROW_BLOCK))
+        scratch = None if compact else buffers.empty((m, _ROW_BLOCK))
+        terms = buffers.empty((n_terms, _ROW_BLOCK))
 
         def block(rows: slice) -> np.ndarray:
             k = rows.stop - rows.start
-            log_gauges = [lg[:k] for lg in arrays[:m]]
-            outer = [lq[:k] for lq in arrays[m:]]
-            for (_, draw), u, log_g, log_q in zip(laws, uniforms, log_gauges, outer or [None] * m):
-                draw(u[rows, 0] if angle else u[rows], log_g, log_q, scratch[:k])
-            # the rows' own slice of the output: row_blocks copies nothing
-            log_w = np.add(log_f(log_gauges), log_const, out=values[rows])
-            for log_q in outer:
-                log_w += log_q
+            x = uniforms[:, rows, 0] if angle else uniforms[:, rows]
+            log_g, added = stack[:, :k], terms[:, :k]
+            if compact:
+                np.maximum(x, _TINY, out=log_g)
+                np.log(log_g, out=log_g)
+                log_g *= a
+            else:
+                log_q = added[:m]
+                outer = np.greater_equal(x, p, out=scratch[:, :k])  # 1 on the outer piece
+                np.subtract(x, outer, out=log_g)
+                log_g /= np.subtract(p, outer, out=log_q)  # v
+                np.maximum(log_g, _TINY, out=log_g)
+                np.log(log_g, out=log_g)
+                np.multiply(outer, Q, out=log_q)
+                outer *= mass
+                np.subtract(a, outer, out=outer)  # c
+                log_g *= outer
+                log_q *= log_g
             if angle:
-                for u in uniforms:
-                    # 1 - x is exact where x is near 1, so 4x(1 - x) keeps
-                    # its relative precision at both ends
-                    j = np.subtract(1.0, u[rows, 1], out=scratch[:k])
-                    j *= u[rows, 1]
-                    j *= 4.0
-                    with np.errstate(divide="ignore"):
-                        np.log(j, out=j)
-                    j *= angle
-                    log_w += j
-            # an integrand of +inf, or NaN, leaves a non-finite value that
-            # is reported below
+                # 1 - x is exact where x is near 1, so 4x(1 - x) keeps its
+                # relative precision at both ends
+                j = np.subtract(1.0, uniforms[:, rows, 1], out=added[n_terms - m :])
+                j *= uniforms[:, rows, 1]
+                j *= 4.0
+                with np.errstate(divide="ignore"):
+                    np.log(j, out=j)
+                j *= angle
+            # the rows' own slice of the output: row_blocks copies nothing;
+            # the terms are added one row at a time, in order, so that a
+            # value does not depend on the block size
+            log_w = np.add(log_f(log_g), log_const, out=values[rows])
+            for term in added:
+                log_w += term
             with np.errstate(over="ignore"):
                 np.exp(log_w, out=log_w)
-            _check_finite(log_w, log_gauges)
+            # an integrand of +inf, or NaN, leaves a non-finite value; the
+            # values are never -inf, so one max tells
+            if not math.isfinite(log_w.max()):
+                where = log_g[:, np.argmax(~np.isfinite(log_w))].tolist()
+                raise EstimationError(f"non-finite integrand value at log gauge(s) {where}")
             return log_w
 
         return row_blocks(values, block)

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .hgroup import Convention, GroupDim, as_dim, sphere_measure, unit_ball_volume
+from .hgroup import Convention, GroupDim, as_dim, log_unit_ball_volume
 
 __all__ = [
     "AlphaProfile",
@@ -133,6 +133,15 @@ class ConstantResult:
             )
 
 
+def _exp_of_sum(logs: Iterable[float]) -> float:
+    """``exp`` of the exact sum of ``logs``, the one rounding of a closed
+    form: ``inf`` past the float range, which ``ConstantResult`` rejects."""
+    try:
+        return math.exp(math.fsum(logs))
+    except OverflowError:
+        return math.inf
+
+
 def hardy_constant(
     dim: GroupDim | int,
     profile: AlphaProfile,
@@ -147,9 +156,10 @@ def hardy_constant(
     dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
-    log_ratio = math.fsum(log_gamma((Q - a) / 2.0) for a in profile.alphas)
-    log_ratio -= log_gamma((m * Q - alpha) / 2.0)
-    value = 2.0 * Q**m / (2.0**m * (m * Q - alpha)) * math.exp(log_ratio)
+    value = _exp_of_sum(
+        [(1 - m) * math.log(2.0), m * math.log(Q), -math.log(m * Q - alpha)]
+        + [-log_gamma((m * Q - alpha) / 2.0)] + [log_gamma((Q - a) / 2.0) for a in profile.alphas]
+    )
     return ConstantResult(value, FormulaId.HARDY_A, dim, profile, convention)
 
 
@@ -163,9 +173,11 @@ def hlp_constant(
     dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
-    omega = sphere_measure(dim, convention)
-    denom = alpha * math.prod(Q - a for a in profile.alphas)
-    value = m * Q * omega**m / denom
+    log_omega = math.log(Q) + log_unit_ball_volume(dim, convention)
+    value = _exp_of_sum(
+        [math.log(m * Q), m * log_omega, -math.log(alpha)]
+        + [-math.log(Q - a) for a in profile.alphas]
+    )
     return ConstantResult(value, FormulaId.HLP_B, dim, profile, convention)
 
 
@@ -183,13 +195,12 @@ def hlp_region_values(
     dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
-    omega_m = sphere_measure(dim, convention) ** m
-    k0 = omega_m / math.prod(Q - a for a in profile.alphas)
-    ks = [k0]
-    for j in range(m):
-        denom = alpha * math.prod(Q - a for i, a in enumerate(profile.alphas) if i != j)
-        ks.append(omega_m / denom)
-    return tuple(ks)
+    log_omega = math.log(Q) + log_unit_ball_volume(dim, convention)
+    logs = [m * log_omega] + [-math.log(Q - a) for a in profile.alphas]
+    # K_j replaces the factor 1/(Q - alpha_j) of K_0 by 1/alpha
+    return (_exp_of_sum(logs),) + tuple(
+        _exp_of_sum(logs[: j + 1] + [-math.log(alpha)] + logs[j + 2 :]) for j in range(m)
+    )
 
 
 def hilbert_constant(
@@ -204,9 +215,10 @@ def hilbert_constant(
     Q, m, alpha = dim.Q, profile.m, profile.total
     if alpha >= m * Q:
         raise DivergentConstantError(f"total exponent {alpha} must be < mQ = {m * Q}")
-    log_val = math.fsum(log_gamma(1.0 - a / Q) for a in profile.alphas)
-    log_val += log_gamma(alpha / Q) - log_gamma(float(m))
-    value = unit_ball_volume(dim, convention) ** m * math.exp(log_val)
+    value = _exp_of_sum(
+        [m * log_unit_ball_volume(dim, convention), log_gamma(alpha / Q), -log_gamma(float(m))]
+        + [log_gamma(1.0 - a / Q) for a in profile.alphas]
+    )
     return ConstantResult(value, FormulaId.HILBERT_BSTAR, dim, profile, convention)
 
 

@@ -14,11 +14,12 @@ closed forms it checks, which is what arbitrates the volume-convention
 question.
 
 The oracle runs on ``integrate.tilted_values``, the block of the
-operators' Monte Carlo engine, which draws each factor's gauge g and, at
-n > 2, an angle.  A unit vector omega would complete the point
-(g cos^{1/2}(theta) omega, g^2 sin theta), whose gauge is g whatever omega
-is; every integrand the oracle sees depends on a point only through its
-gauge, so no omega is drawn.  The coordinate density follows from
+operators' Monte Carlo engine, which draws every factor's gauge g and, at
+n > 2, its angle, all m factors of a chunk in one draw, and maps them by
+one two-piece law over the (m, size) stack.  A unit vector omega would
+complete the point (g cos^{1/2}(theta) omega, g^2 sin theta), whose gauge
+is g whatever omega is; every integrand the oracle sees depends on a point
+only through its gauge, so no omega is drawn.  The coordinate density follows from
 rho^{2n-1} d rho dt = g^{Q-1} cos^{n-1}(theta) dg dtheta.  At n = 1,
 cos^0(theta) = 1 and theta, uniform on (-pi/2, pi/2), is not drawn.  At
 n >= 2 the angle is s = sin theta, uniform on (-1, 1), and the factor is

@@ -29,6 +29,8 @@ def load_schema():
 
 
 SCHEMA = load_schema()
+# 32 exponents 3.9999999999999996, the last float below Q = 4 at n = 1
+NEAR_Q_32 = ",".join(["3.9999999999999996"] * 32)
 
 
 class TestConstantsCommand:
@@ -340,19 +342,46 @@ class TestInputErrors:
             (["geometry", "--n", "32"], "--n"),
             (["geometry", "--n", "512"], "--n"),
             (["discrepancies", "--n-values", "1,512"], "--n-values"),
+            (["constants", "--m", "33"], "--m"),
+            (["verify", "--m", "1000"], "--m"),
+            (["search", "--trials", "10001"], "--trials"),
         ],
     )
     def test_bounded_work_flags(self, capsys, monkeypatch, argv, flag):
-        # 33 worker threads, or box coordinates past n = 31 (2^{2n+1}
-        # overflows a float at n = 512), fail at parse time: no command runs
+        # 33 worker threads, box coordinates past n = 31 (2^{2n+1}
+        # overflows a float at n = 512), more than 32 factors or more than
+        # 10^4 trials of about 0.5 s each fail at parse time: no spec is
+        # built and no command runs
         def not_run(*args, **kwargs):
             raise AssertionError("the command ran")
 
-        for name in ("verify_constant", "unit_ball_check", "discrepancy_report"):
+        commands = ("verify_constant", "unit_ball_check", "discrepancy_report", "upper_bound_search")
+        for name in (*commands, "AlphaProfile"):
             monkeypatch.setattr(hlab.cli, name, not_run)
         code, _, err = run_capture(argv + ["--samples", "2"], capsys)
         assert code == 2
         assert f"argument {flag}: must be" in err and argv[-1] in err
+
+    def test_count_flags_take_their_bounds(self):
+        parse = hlab.cli._parser().parse_args
+        assert parse(["verify", "--m", "32"]).m == 32
+        assert parse(["search", "--trials", "10000"]).trials == 10_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "--operator", "hilbert", "--n", "1", "--m", "32", "--alphas", NEAR_Q_32],
+            ["constants", "--operator", "hardy", "--n", "2500000000", "--m", "32"],
+            ["verify", "--operator", "hardy", "--n", "2500000000", "--m", "32", "--samples", "2"],
+        ],
+    )
+    def test_closed_form_past_the_float_range_exits_2(self, capsys, argv):
+        # the closed form leaves the float range on the way (Gamma(1e-16)^32,
+        # or Q^32 at Q = 5e9): a one-line error, no traceback
+        code, out, err = run_capture(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "outside the normal floating-point range" in err
 
     def test_samples_out_of_range(self, capsys):
         for samples in ("1", "1000000000000"):

@@ -40,6 +40,6 @@ def test_one_monte_carlo_block():
         if isinstance(top, ast.FunctionDef)
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "two_piece_gauges"
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "tilted_values"
     ]
-    assert callers == ["integrate.py:tilted_values"]
+    assert callers == ["integrate.py:mc_integrate_tilted", "verify.py:_cartesian_values_fn"]

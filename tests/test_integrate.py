@@ -210,13 +210,64 @@ class TestSamplers:
                 rejection_volume_estimate(GroupDim(n), 2, SeededStream(0))
 
 
-def law_gauges(x, alpha, Q, compact):
-    """``log g`` and the outer powers (``None`` on the compact law) that
-    ``two_piece_gauges`` draws at the uniforms ``x``."""
-    _, draw = integrate.two_piece_gauges(alpha, Q, compact)
-    log_g, log_q = np.empty_like(x), np.empty_like(x)
-    draw(x, log_g, None if compact else log_q, np.empty_like(x))
-    return log_g, None if compact else log_q
+class RecordingBuffers(integrate.ChunkBuffers):
+    """An arena that keeps each array it hands out, in request order."""
+
+    def __init__(self):
+        super().__init__()
+        self.handed = []
+
+    def empty(self, shape):
+        out = super().empty(shape)
+        self.handed.append(out)
+        return out
+
+
+class GivenUniforms:
+    """A generator whose one draw is the given uniforms."""
+
+    def __init__(self, x):
+        self._x = x
+
+    def random(self, out):
+        out[...] = self._x
+        return out
+
+
+def law_draw(x, alphas, Q, compact):
+    """The (m, size) log gauges and outer powers (``None`` on the compact
+    law) that ``tilted_values`` draws at the (m, size) uniforms ``x``, one
+    tilt per factor.  Its ``log_f`` records, per row block, the stack of log
+    gauges it receives and the outer powers, the first m rows of the arena's
+    last request, and returns ``-inf``: each value is then 0, and a
+    non-finite outer power raises."""
+    buffers = RecordingBuffers()
+    log_gauges, outer = [], []
+
+    def log_f(stack):
+        k = stack.shape[1]
+        log_gauges.append(stack.copy())
+        outer.append(buffers.handed[-1][: len(alphas), :k].copy())
+        return np.full(k, -np.inf)
+
+    values_fn = integrate.tilted_values(log_f, Q, alphas, compact=compact)
+    assert not values_fn(GivenUniforms(x), x.shape[1], buffers).any()
+    return np.hstack(log_gauges), None if compact else np.hstack(outer)
+
+
+def one_factor_law(x, alpha, Q, compact):
+    """A reference for one factor: the log gauges and outer powers (``None``
+    on the compact law) of the two-piece law at tilt ``alpha``, formed on
+    its own in the operations and order the stacked law must keep."""
+    a = 1.0 / (Q - alpha)
+    mass = a if compact else a + 1.0 / alpha
+    p = a / mass
+    if compact:
+        return np.log(np.maximum(x, 2.0**-53)) * a, None
+    outer = (x >= p).astype(float)
+    log_g = np.log(np.maximum((x - outer) / (p - outer), 2.0**-53))
+    log_g *= outer * -mass + a
+    return log_g, outer * Q * log_g
 
 
 @st.composite
@@ -236,16 +287,30 @@ class TestPastH1:
     def test_gauge_law_and_constants(self, args):
         n, alphas, x = args
         Q = 2 * n + 2
-        for alpha in alphas:
-            log_g, log_q = law_gauges(x, alpha, Q, False)
-            assert np.isfinite(log_g).all() and np.isfinite(log_q).all()
-            # the compact law's gauges are below 1 before exp rounds them
-            log_g, log_q = law_gauges(x, alpha, Q, True)
-            assert log_q is None and (log_g < 0.0).all() and np.isfinite(log_g).all()
+        xs = np.tile(x, (len(alphas), 1))
+        log_g, log_q = law_draw(xs, alphas, Q, False)
+        assert np.isfinite(log_g).all() and np.isfinite(log_q).all()
+        # the compact law's gauges are below 1 before exp rounds them
+        log_g, log_q = law_draw(xs, alphas, Q, True)
+        assert log_q is None and (log_g < 0.0).all() and np.isfinite(log_g).all()
         profile = AlphaProfile(alphas)
         for constant in (hardy_constant, hlp_constant, hilbert_constant):
             value = constant(n, profile).value
             assert math.isfinite(value) and value > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(args=profiles_past_h1(), compact=st.booleans())
+    def test_stack_is_the_law_of_each_factor(self, args, compact):
+        # the (m, k) stack maps each factor's uniforms to the bits one
+        # factor at a time gives; each factor sees the uniforms in its own order
+        n, alphas, x = args
+        Q = 2 * n + 2
+        xs = np.stack([np.roll(x, i) for i in range(len(alphas))])
+        log_g, log_q = law_draw(xs, alphas, Q, compact)
+        for i, alpha in enumerate(alphas):
+            ref_g, ref_q = one_factor_law(xs[i], alpha, Q, compact)
+            assert log_g[i].tobytes() == ref_g.tobytes()
+            assert log_q is None if compact else log_q[i].tobytes() == ref_q.tobytes()
 
 
 def log_one(log_gauges):
@@ -299,7 +364,7 @@ class TestMcIntegrate:
         # a = 1/(Q - alpha), b = 1/alpha, p = a / (a + b)
         size, alpha, Q = 100_000, 1.5, 6
         x = SeededStream(33).generator().random(size)
-        g = np.sort(np.exp(law_gauges(x, alpha, Q, False)[0]))
+        g = np.sort(np.exp(law_draw(x[None, :], (alpha,), Q, False)[0][0]))
         a, b = 1.0 / (Q - alpha), 1.0 / alpha
         p = a / (a + b)
         cdf = np.where(g < 1.0, p * g ** (Q - alpha), 1.0 - (1.0 - p) * g**-alpha)
@@ -477,7 +542,7 @@ class TestOperatorSamplerDraws:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("compact", [True, False])
-    def test_radial_draws_one_uniform_per_factor(self, compact, m):
+    def test_radial_draws_one_stack_per_chunk(self, compact, m):
         stream = RecordingStream(SeededStream(5))
         mc_integrate_tilted(
             lambda lgs: lgs[0], GroupDim(2), (1.0,) * m, ROW_BLOCK_SAMPLES, stream, compact=compact
@@ -487,33 +552,34 @@ class TestOperatorSamplerDraws:
             k: [(name, [np.shape(a) for a in args]) for name, args in calls]
             for k, calls in stream.calls.items()
         }
-        assert drawn == {k: [("random", [(size,)])] * m for k, size in self.SIZES.items()}
+        assert drawn == {k: [("random", [(m, size)])] for k, size in self.SIZES.items()}
 
     def test_chunks_reuse_their_buffers(self, monkeypatch):
-        # hilbert n = 3, m = 2 draws (size, 2) per factor; hardy n = 1, m = 3
-        # draws (size, 1) per factor, one factor more
+        # hilbert n = 3, m = 2 draws (2, size, 2) a chunk; hardy n = 1, m = 3
+        # draws (3, size), one factor more
         a = OperatorSpec(OperatorKind.HILBERT, GroupDim(3), AlphaProfile((1.0, 2.0)))
         b = OperatorSpec(OperatorKind.HARDY, GroupDim(1), AlphaProfile((0.5, 0.5, 0.5)))
         stream = RecordingStream(SeededStream(5))
         first = verify._cartesian_mc(a, ROW_BLOCK_SAMPLES, stream)
         outs = {k: [args[0] for _, args in calls] for k, calls in stream.calls.items()}
-        # each factor draws into its own array, the same one in every chunk
+        # one draw a chunk, into the same array in every chunk
         for k in (2, 3):
             assert [x.ctypes.data for x in outs[k]] == [x.ctypes.data for x in outs[1]]
-        assert outs[1][0].shape == outs[2][0].shape == (65536, 2)
-        assert not np.shares_memory(outs[1][0], outs[1][1])
+        assert outs[1][0].shape == outs[2][0].shape == (2, 65536, 2)
+        assert outs[3][0].shape == (2, 100, 2)
         # and a call leaves nothing behind for the next
         for workers in (1, 2):
             verify._cartesian_mc(b, ROW_BLOCK_SAMPLES, SeededStream(5), workers)
             assert verify._cartesian_mc(a, ROW_BLOCK_SAMPLES, SeededStream(5), workers) == first
-        # the next call on this thread draws into the same arrays: the
+        # the next call on this thread draws into the same array: the
         # thread's arena outlives the call
         again = RecordingStream(SeededStream(5))
         assert verify._cartesian_mc(a, ROW_BLOCK_SAMPLES, again) == first
         for k, calls in again.calls.items():
             assert [args[0].ctypes.data for _, args in calls] == [x.ctypes.data for x in outs[1]]
-        # and so does every other array a chunk asks for, its row blocks'
-        # temporaries among them
+        # and so does every other array a chunk asks for: the uniforms, the
+        # values and three stacks of row-block columns (the log gauges, the
+        # law's scratch, and the outer powers and angle logs it adds)
         requests = []
         empty = integrate.ChunkBuffers.empty
 
@@ -527,7 +593,11 @@ class TestOperatorSamplerDraws:
             verify._cartesian_mc(a, ROW_BLOCK_SAMPLES, SeededStream(5))
         half = len(requests) // 2
         assert requests[:half] == requests[half:]
-        assert requests[-1][0] == (integrate._ROW_BLOCK,)
+        block = integrate._ROW_BLOCK
+        chunk = [(2, block), (2, block), (4, block)]
+        assert [shape for shape, _ in requests[:half]] == (
+            [(2, 65536, 2), (65536,), *chunk] * 2 + [(2, 100, 2), (100,), *chunk]
+        )
 
 
 def arena_estimate(m, workers=1):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hlab.hgroup import Convention, GroupDim
+from hlab.hgroup import Convention, GroupDim, sphere_measure
 from hlab.integrate import QuadSpec, quad_1d, quad_nested
 from hlab.specfun import (
     AlphaProfile,
@@ -175,6 +175,43 @@ class TestHilbertConstant:
             assert math.isclose(
                 value * math.sin(math.pi * alpha / dim.Q), expected, rel_tol=1e-12
             )
+
+
+class TestClosedFormsFromLogs:
+    """Each closed form is one ``exp`` of a sum of logs: a product that
+    would leave the float range on the way gives the value, and a value
+    outside it the range check's ``ValueError``, never an ``OverflowError``."""
+
+    @pytest.mark.parametrize("n,m", [(1, 238), (3, 183)])
+    def test_hlp_past_the_range_of_omega_to_the_m(self, n, m):
+        # at alpha_i = 1 the constant is Q (omega / (Q - 1))^m, while
+        # omega^m alone overflows
+        Q = 2 * n + 2
+        profile = AlphaProfile((1.0,) * m)
+        value = hlp_constant(n, profile).value
+        assert math.isclose(value, Q * (sphere_measure(n) / (Q - 1)) ** m, rel_tol=1e-12)
+        assert math.isclose(math.fsum(hlp_region_values(n, profile)), value, rel_tol=1e-13)
+
+    @pytest.mark.parametrize(
+        "constant,n,m",
+        [
+            (hilbert_constant, 1, 445),
+            (hilbert_constant, 3, 393),
+            (hardy_constant, 1, 512),
+            (hardy_constant, 3, 342),
+            (hardy_constant, 10, 230),
+        ],
+    )
+    def test_underflow_past_an_overflowing_product(self, constant, n, m):
+        with pytest.raises(ValueError, match=r" is 0\.0, outside the normal floating-point range"):
+            constant(n, AlphaProfile((1.0,) * m))
+
+    def test_overflow_and_huge_q(self):
+        with pytest.raises(ValueError, match=r" is inf, outside the normal floating-point range"):
+            hilbert_constant(1, AlphaProfile((3.9999999999999996,) * 32))
+        # Q^m is an integer beyond the float range
+        with pytest.raises(ValueError, match=r" is 0\.0, outside the normal floating-point range"):
+            hardy_constant(2_500_000_000, AlphaProfile((1.0,) * 32))
 
 
 class TestBetaIntegral:

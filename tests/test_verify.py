@@ -509,17 +509,18 @@ class TestCartesianOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_one_draw_of_two_uniforms_per_factor(self, n, m):
-        # at n <= 2 the angle does not enter the weight, and one uniform is
-        # drawn: (size,), the draw of the operators' engine
+    def test_one_draw_of_every_factor_per_chunk(self, n, m):
+        # a chunk draws all m factors at once, two uniforms a factor and row
+        # (its gauge and its angle); at n <= 2 the angle does not enter the
+        # weight, and the draw is (m, size), the draw of the operators' engine
         spec = OperatorSpec(OperatorKind.HILBERT, GroupDim(n), AlphaProfile((1.0,) * m))
         stream = RecordingStream(SeededStream(5))
         verify._cartesian_mc(spec, 2 * 65536 + 100, stream)
         columns = (2,) if n > 2 else ()
         assert stream.calls == {
-            1: [(65536, *columns)] * m,
-            2: [(65536, *columns)] * m,
-            3: [(100, *columns)] * m,
+            1: [(m, 65536, *columns)],
+            2: [(m, 65536, *columns)],
+            3: [(m, 100, *columns)],
         }
 
     # at small alpha the outer piece reaches gauges whose kernel value is
