@@ -10,9 +10,9 @@ Three layers:
   multivariate integral, the operators' radial integrals among them: the
   nodes of one level's new panels are the batch of the level below,
 * seeded Monte Carlo adapted to the Koranyi geometry: one block
-  (``tilted_values``) serves both the radial tuple engine
-  ``mc_integrate_tilted`` and the verifier's Cartesian oracle, which differ
-  only in a factor's polar constant and the oracle's angle.  It draws all
+  (``tilted_values``) serves both the operators' radial tuple engine and
+  the verifier's Cartesian oracle, which differ only in a factor's polar
+  constant and the oracle's angle.  It draws all
   m factors' gauges as one (m, k) stack from one law, a two-piece power
   law with an importance tilt per factor that neutralizes a power-law
   singularity, forms each sample's weight and integrand in log space and
@@ -24,9 +24,10 @@ Three layers:
   direction, since every integrand is gauge-radial; only
   ``rejection_volume_estimate`` draws coordinates.
 
-This module knows no tuple ball: where an integrand vanishes outside one,
-its caller gives the quadrature levels their finite upper limits and the
-Monte Carlo log integrand its ``-inf``.
+This module knows no group constant (a Monte Carlo caller passes each
+factor's polar constant as ``log_polar``) and no tuple ball: where an
+integrand vanishes outside one, its caller gives the quadrature levels
+their finite upper limits and the Monte Carlo log integrand its ``-inf``.
 
 Monte Carlo determinism contract: work is cut into fixed-size chunks, chunk
 ``k`` draws from the SFC64 substream keyed by ``(seed, stream_id, block=k)``
@@ -58,7 +59,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hgroup import GroupDim, gauge_array, log_unit_ball_volume
+from .hgroup import GroupDim, gauge_array
 
 __all__ = [
     "Axis",
@@ -71,7 +72,6 @@ __all__ = [
     "QuadratureError",
     "SeededStream",
     "mc_chunk_partials",
-    "mc_integrate_tilted",
     "quad_1d",
     "quad_nested",
     "reduce_partials",
@@ -664,7 +664,8 @@ def tilted_values(
     ``log_f`` receives the (m, k) stack of the log gauges ``log g_i`` of one
     row block's tuples, one row per factor, and returns their logs,
     ``-inf`` where the integrand vanishes, each depending only on its own
-    tuple.  It must not write to the stack, which is the arena's.
+    tuple.  It must not write to the stack, which is the arena's.  A tilt
+    outside (0, Q), or [0, Q) with ``compact``, raises ``ValueError``.
 
     Each chunk makes one draw: ``(m, size)`` uniforms, or with ``angle``
     ``e > 0``, ``(m, size, 2)``: per factor and row its gauge, then an
@@ -682,6 +683,12 @@ def tilted_values(
     writes only into the arena: stacks of ``_ROW_BLOCK`` columns, the log
     gauges, the full law's scratch and the terms it adds.
     """
+    if not tilts:
+        raise ValueError("need at least one tilt")
+    for i, tilt in enumerate(tilts):
+        if not (0.0 <= tilt < Q if compact else 0.0 < tilt < Q):
+            bounds = f"[0, {Q})" if compact else f"(0, {Q})"
+            raise ValueError(f"tilt {i + 1} = {tilt!r} must lie in {bounds}")
     m = len(tilts)
     t = np.asarray(tilts, dtype=float)[:, None]
     a = 1.0 / (Q - t)
@@ -746,57 +753,6 @@ def tilted_values(
         return row_blocks(values, block)
 
     return values_fn
-
-
-def mc_integrate_tilted(
-    log_f: Callable[[list[np.ndarray]], np.ndarray],
-    dim: GroupDim,
-    tilts: Sequence[float],
-    n_samples: int,
-    stream: SeededStream,
-    workers: int = 1,
-    *,
-    compact: bool = False,
-    log_scale: float = 0.0,
-) -> Estimate:
-    """Importance-sampled Lebesgue integral of a gauge-radial function over
-    m-tuples of points of H^n, one tilt per factor, given by its log with
-    the law's tilt folded in: ``tilted_values`` at the polar constant
-    ``Omega`` of H^n and no angle.
-
-    ``log_f`` must return the logs of the integrand times ``prod_i
-    g_i^tilt_i``.  No direction is drawn: the integral of a radial function
-    over each factor is its polar integral.  Tilts equal to the integrand's
-    power-law exponents make the weighted evaluations bounded.  Since the
-    tilt is in ``log_f``, the draw's own ``tilt_i log g_i`` is never formed:
-    a caller whose integrand carries the powers ``g_i^-tilt_i`` (the
-    operators' test functions at the exponents of their profile) forms
-    neither.
-
-    With ``compact`` the gauges are drawn below 1 and no tuple is tested
-    against the tuple ball ``sum g_i^2 < 1``: ``log_f`` must be ``-inf``
-    outside it, as a ``KernelSpec`` whose support lies in the ball is by its
-    contract.
-    """
-    Q = dim.Q
-    if not tilts:
-        raise ValueError("need at least one tilt")
-    for i, t in enumerate(tilts):
-        if not (0.0 <= t < Q if compact else 0.0 < t < Q):
-            bounds = f"[0, {Q})" if compact else f"(0, {Q})"
-            raise ValueError(f"tilt {i + 1} = {t!r} must lie in {bounds}")
-    values_fn = tilted_values(
-        log_f,
-        Q,
-        tilts,
-        compact=compact,
-        log_scale=log_scale,
-        log_polar=math.log(Q) + log_unit_ball_volume(dim),
-    )
-    estimate, positive = reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))
-    if positive == 0:
-        raise EstimationError("zero accepted samples; cannot form an estimate")
-    return estimate
 
 
 def rejection_volume_estimate(

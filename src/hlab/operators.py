@@ -20,10 +20,10 @@ its kernel, over one geometry, the positive orthant in axes relative to the
 gauges before them, which a kernel's ``simplex_support`` only cuts short.
 Each quadrature path carries its polar constants in its log integrand, so
 ``QuadSpec.rel_tol`` bounds the relative error of the returned value on
-every path.  The Monte Carlo engine samples the gauges of tuples
-(``mc_integrate_tilted``, which draws no directions) from the gauge law the
-verifier's Cartesian oracle also uses, with importance tilts taken from the
-operator's exponent profile.  The law keeps to the tuple ball
+every path.  The Monte Carlo engine runs ``integrate.tilted_values``, the
+block of the verifier's Cartesian oracle, on the gauges of tuples (no
+directions) at the polar constant of both quadrature paths, with tilts
+from the operator's exponent profile.  The law keeps to the tuple ball
 (``KernelSpec.compact``) when the kernel's support lies there.  The named
 kernels are written once, in log form, and are read in no other form.
 
@@ -54,11 +54,14 @@ from .hgroup import (
 from .integrate import (
     Axis,
     Estimate,
+    EstimationError,
     Method,
     QuadSpec,
     SeededStream,
-    mc_integrate_tilted,
+    mc_chunk_partials,
     quad_nested,
+    reduce_partials,
+    tilted_values,
 )
 from .specfun import AlphaProfile, ConstantResult, hardy_constant, hilbert_constant, hlp_constant
 
@@ -394,8 +397,9 @@ def evaluate(
     ``c^{t_i}``.  Quadrature splits at each factor's edges, computed once as
     log gauges at base gauge 1.
 
-    Monte Carlo samples tuples inside the tuple ball when the kernel's
-    support lies there and over all of H^{nm} otherwise.  Nothing but the
+    Monte Carlo runs ``tilted_values`` at ``_log_omega``, as quadrature does,
+    and samples tuples inside the tuple ball when the kernel's support lies
+    there and over all of H^{nm} otherwise.  Nothing but the
     kernel bounds the tuple ball: its log profile is ``-inf`` outside its
     support.
     """
@@ -418,7 +422,7 @@ def evaluate(
     ]
     log_scale = -log_c * spec.profile.total
 
-    def log_f(log_gauges: list[np.ndarray]) -> np.ndarray:
+    def log_f(log_gauges: np.ndarray | list[np.ndarray]) -> np.ndarray:
         out = kernel.log_profile(0.0, *log_gauges)
         for term, lg in zip(terms, log_gauges):
             if term is not None:
@@ -433,19 +437,15 @@ def evaluate(
             return op.quad(spec, terms, log_edges, log_scale, engine.quad)
         return _kernel_quad(log_f, kernel.simplex_support, spec, log_edges, log_scale, engine.quad)
 
-    # mc_integrate_tilted's polar constants are geometric: the convention
-    # scales each factor's by Omega_convention / Omega_geometric
-    log_conv = log_unit_ball_volume(spec.dim, spec.convention) - log_unit_ball_volume(spec.dim)
-    return mc_integrate_tilted(
-        log_f,
-        spec.dim,
-        tilts,
-        engine.n_samples,
-        engine.stream,
-        engine.workers,
-        compact=kernel.compact,
-        log_scale=spec.m * log_conv + log_scale,
+    log_polar = _log_omega(spec)
+    values_fn = tilted_values(
+        log_f, spec.dim.Q, tilts, compact=kernel.compact, log_scale=log_scale, log_polar=log_polar
     )
+    partials = mc_chunk_partials(values_fn, engine.n_samples, engine.stream, engine.workers)
+    estimate, positive = reduce_partials(partials)
+    if positive == 0:
+        raise EstimationError("zero accepted samples; cannot form an estimate")
+    return estimate
 
 
 _PROBE_SEED = 0x9E3779B97F4A7C15
@@ -545,7 +545,7 @@ def _hlp_quad(
 
 
 def _kernel_quad(
-    log_f: Callable[[list[np.ndarray]], np.ndarray],
+    log_f: Callable[[np.ndarray | list[np.ndarray]], np.ndarray],
     s: float | None,
     spec: OperatorSpec,
     log_edges: Sequence[np.ndarray],

@@ -122,15 +122,20 @@ class ConstantResult:
     convention: Convention
 
     def __post_init__(self) -> None:
-        # a subnormal constant has lost its digits, and one that underflows
-        # to 0 would make every oracle agree with it
-        if not (math.isfinite(self.value) and self.value >= sys.float_info.min):
-            raise ValueError(
-                f"the {self.formula_id.value} constant at n={self.dim.n}, m={self.profile.m}, "
-                f"alphas={','.join(map(str, self.profile.alphas))} is {self.value!r}, outside "
-                f"the normal floating-point range [{sys.float_info.min!r}, "
-                f"{sys.float_info.max!r}]"
-            )
+        _require_normal(self.value, f"{self.formula_id.value} constant", self.dim, self.profile)
+
+
+def _require_normal(value: float, what: str, dim: GroupDim, profile: AlphaProfile) -> float:
+    # a subnormal constant has lost its digits, and one that underflows
+    # to 0 would make every oracle agree with it
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise ValueError(
+            f"the {what} at n={dim.n}, m={profile.m}, "
+            f"alphas={','.join(map(str, profile.alphas))} is {value!r}, outside "
+            f"the normal floating-point range [{sys.float_info.min!r}, "
+            f"{sys.float_info.max!r}]"
+        )
+    return value
 
 
 def _exp_of_sum(logs: Iterable[float]) -> float:
@@ -190,7 +195,8 @@ def hlp_region_values(
     max-kernel constant.
 
     ``K_0 = omega^m / prod (Q - alpha_j)`` and, for j >= 1,
-    ``K_j = omega^m / (alpha prod_{i != j} (Q - alpha_i))``.
+    ``K_j = omega^m / (alpha prod_{i != j} (Q - alpha_i))``.  A value outside
+    the normal float range raises ``ValueError``, as ``ConstantResult`` does.
     """
     dim = as_dim(dim)
     profile.validate_for(dim)
@@ -198,8 +204,10 @@ def hlp_region_values(
     log_omega = math.log(Q) + log_unit_ball_volume(dim, convention)
     logs = [m * log_omega] + [-math.log(Q - a) for a in profile.alphas]
     # K_j replaces the factor 1/(Q - alpha_j) of K_0 by 1/alpha
-    return (_exp_of_sum(logs),) + tuple(
-        _exp_of_sum(logs[: j + 1] + [-math.log(alpha)] + logs[j + 2 :]) for j in range(m)
+    regions = [logs] + [logs[: j + 1] + [-math.log(alpha)] + logs[j + 2 :] for j in range(m)]
+    return tuple(
+        _require_normal(_exp_of_sum(r), f"hlp region K_{j}", dim, profile)
+        for j, r in enumerate(regions)
     )
 
 

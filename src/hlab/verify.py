@@ -373,12 +373,14 @@ def verify_extremal(
     ``rel_tol`` (1e-8).  The report carries the mean as its one quadrature
     oracle.  ``seed`` draws nothing: it is the seed the report records.
 
-    An arity m > ``QuadEngine.MAX_M``, beyond the quadrature engine, raises
-    ``ValueError`` first.  A gauge ``g`` raises ``GaugeRangeError`` before anything is
-    evaluated when ``g^alpha`` is outside the square root of the
-    floating-point range (about 1e-154 to 1e154), or the value there,
-    ``closed * g^-alpha``, is not a normal float.
+    No gauge at all, then an arity m > ``QuadEngine.MAX_M``, beyond the
+    quadrature engine, raise ``ValueError`` first.  A gauge ``g`` raises
+    ``GaugeRangeError`` before anything is evaluated when ``g^alpha`` is
+    outside the square root of the floating-point range (about 1e-154 to
+    1e154), or the value there, ``closed * g^-alpha``, is not a normal float.
     """
+    if len(gauges) == 0:
+        raise ValueError("gauges must hold at least one gauge, got none")
     if spec.m > QuadEngine.MAX_M:
         raise ValueError(
             "verify_extremal runs on the quadrature engine, which supports "
@@ -455,8 +457,10 @@ def upper_bound_search(
     Trial 0 is always the constant-1 modulation (the attainment case); the
     remaining trials draw random step-function modulations with plateau
     edges on a coarse lattice, so their weighted norms are exact maxima of
-    finitely many plateau values.
+    finitely many plateau values.  ``trials`` below 1 raises ``ValueError``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     bound = spec.constant().value
     alpha = spec.profile.total
     engine = QuadEngine(_SEARCH_QUAD)

@@ -16,6 +16,7 @@ from hlab.hgroup import (
     distance,
     group_inv,
     group_mul,
+    log_unit_ball_volume,
     origin,
     unit_ball_volume,
 )
@@ -23,10 +24,12 @@ from hlab.integrate import (
     Axis,
     QuadSpec,
     SeededStream,
-    mc_integrate_tilted,
+    mc_chunk_partials,
     quad_1d,
     quad_nested,
+    reduce_partials,
     rejection_volume_estimate,
+    tilted_values,
 )
 from hlab.operators import (
     McEngine,
@@ -416,9 +419,14 @@ def test_criterion_10_mc_statistics():
         inside = sum(np.exp(2.0 * lg) for lg in log_gauges) < 1.0
         return np.where(inside, 0.0, -np.inf)
 
+    # the tuple-ball volume of H^1 x H^1 at each factor's polar constant
+    log_polar = math.log(DIM1.Q) + log_unit_ball_volume(DIM1)
+    values_fn = tilted_values(log_ball, DIM1.Q, (0.0, 0.0), compact=True, log_polar=log_polar)
     base = 250_000
-    small = mc_integrate_tilted(log_ball, DIM1, (0.0, 0.0), base, SeededStream(10), compact=True)
-    big = mc_integrate_tilted(log_ball, DIM1, (0.0, 0.0), 4 * base, SeededStream(10), compact=True)
+    small, big = (
+        reduce_partials(mc_chunk_partials(values_fn, n, SeededStream(10)))[0]
+        for n in (base, 4 * base)
+    )
     ratio = big.std_error / small.std_error
     ok = 0.4 <= ratio <= 0.6
     criterion(

@@ -42,4 +42,17 @@ def test_one_monte_carlo_block():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "tilted_values"
     ]
-    assert callers == ["integrate.py:mc_integrate_tilted", "verify.py:_cartesian_values_fn"]
+    assert callers == ["operators.py:evaluate", "verify.py:_cartesian_values_fn"]
+
+
+def test_integrate_holds_no_group_constant():
+    # a Monte Carlo caller passes each factor's polar constant: the engines
+    # take from hgroup no ball volume and no sphere area
+    tree = ast.parse((PACKAGE / "integrate.py").read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("hgroup")
+        for alias in node.names
+    ]
+    assert names and not [n for n in names if "ball" in n or "sphere" in n]

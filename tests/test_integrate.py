@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlab import integrate, verify
-from hlab.hgroup import GroupDim, HPoint, unit_ball_volume
+from hlab.hgroup import GroupDim, HPoint, log_unit_ball_volume, unit_ball_volume
 from hlab.integrate import (
     Estimate,
     EstimationError,
@@ -19,13 +19,20 @@ from hlab.integrate import (
     QuadratureError,
     SeededStream,
     mc_chunk_partials,
-    mc_integrate_tilted,
     quad_1d,
     quad_nested,
     reduce_partials,
     rejection_volume_estimate,
+    tilted_values,
 )
-from hlab.operators import McEngine, OperatorKind, OperatorSpec, TestFunction, eval_hilbert
+from hlab.operators import (
+    McEngine,
+    OperatorKind,
+    OperatorSpec,
+    TestFunction,
+    eval_hardy,
+    eval_hilbert,
+)
 from hlab.specfun import AlphaProfile, hardy_constant, hilbert_constant, hlp_constant
 
 DIM1 = GroupDim(1)
@@ -313,9 +320,16 @@ class TestPastH1:
             assert log_q is None if compact else log_q[i].tobytes() == ref_q.tobytes()
 
 
+def tilted_estimate(log_f, dim, tilts, n_samples, stream, workers=1, *, compact=False):
+    """``tilted_values`` at the polar constant of H^n, reduced over its chunks."""
+    log_polar = math.log(dim.Q) + log_unit_ball_volume(dim)
+    values_fn = tilted_values(log_f, dim.Q, tilts, compact=compact, log_polar=log_polar)
+    return reduce_partials(mc_chunk_partials(values_fn, n_samples, stream, workers))[0]
+
+
 def log_one(log_gauges):
-    """The log of the integrand 1 at tilt 0: ``mc_integrate_tilted`` takes
-    log integrands with the law's tilt folded in."""
+    """The log of the integrand 1 at tilt 0: ``tilted_values`` takes log
+    integrands with the law's tilt folded in."""
     return np.zeros(log_gauges[0].shape[0])
 
 
@@ -328,21 +342,21 @@ def log_ball(log_gauges):
 
 class TestMcIntegrate:
     def test_ball_volume_m1(self):
-        est = mc_integrate_tilted(log_one, DIM1, (0.0,), 10_000, SeededStream(21), compact=True)
+        est = tilted_estimate(log_one, DIM1, (0.0,), 10_000, SeededStream(21), compact=True)
         assert math.isclose(est.value, unit_ball_volume(DIM1), rel_tol=1e-12)
 
     def test_tilt_cancels_singularity(self):
         def log_f(log_gauges):
             return -log_gauges[0] + log_gauges[0]  # g^-1 times the law's tilt g
 
-        est = mc_integrate_tilted(log_f, DIM1, (1.0,), 10_000, SeededStream(22), compact=True)
+        est = tilted_estimate(log_f, DIM1, (1.0,), 10_000, SeededStream(22), compact=True)
         # weighted integrand is constant, so the variance collapses to the
         # rounding floor of the accumulator
         assert est.std_error <= 1e-6 * abs(est.value)
         assert math.isclose(est.value, 2 * math.pi**2 / 3, rel_tol=1e-12)
 
     def test_tuple_ball_matches_quadrature(self):
-        est = mc_integrate_tilted(
+        est = tilted_estimate(
             log_ball, DIM1, (0.0, 0.0), 400_000, SeededStream(23), compact=True
         )
         level = tensor_level(lambda a, b: a**3 * b**3, 2, ball=True)
@@ -355,7 +369,7 @@ class TestMcIntegrate:
             # g^-1 / max(1, g)^8 times the law's tilt g
             return -lg - 8.0 * np.maximum(0.0, lg) + lg
 
-        est = mc_integrate_tilted(log_f, DIM1, (1.0,), 400_000, SeededStream(24))
+        est = tilted_estimate(log_f, DIM1, (1.0,), 400_000, SeededStream(24))
         truth = 2 * math.pi**2 * (1.0 / 3.0 + 1.0 / 5.0)
         assert abs(est.value - truth) <= 3 * est.std_error
 
@@ -376,14 +390,14 @@ class TestMcIntegrate:
             return -np.log1p(np.exp(4.0 * log_gauges[0]))  # 1 / (1 + g^4)
 
         kwargs = dict(dim=DIM1, tilts=(0.0,), n_samples=300_000, compact=True)
-        a = mc_integrate_tilted(log_f, stream=SeededStream(25), workers=1, **kwargs)
-        b = mc_integrate_tilted(log_f, stream=SeededStream(25), workers=8, **kwargs)
+        a = tilted_estimate(log_f, stream=SeededStream(25), workers=1, **kwargs)
+        b = tilted_estimate(log_f, stream=SeededStream(25), workers=8, **kwargs)
         assert a == b
 
     def test_std_error_scaling(self):
         vals = {}
         for n in (100_000, 400_000):
-            vals[n] = mc_integrate_tilted(
+            vals[n] = tilted_estimate(
                 log_ball, DIM1, (0.0, 0.0), n, SeededStream(26), compact=True
             )
         ratio = vals[400_000].std_error / vals[100_000].std_error
@@ -394,20 +408,16 @@ class TestMcIntegrate:
             return np.full(log_gauges[0].shape[0], np.inf)
 
         with pytest.raises(EstimationError, match="non-finite"):
-            mc_integrate_tilted(log_f, DIM1, (0.0,), 1_000, SeededStream(27), compact=True)
+            tilted_estimate(log_f, DIM1, (0.0,), 1_000, SeededStream(27), compact=True)
 
     def test_zero_accepted_samples(self):
-        # with two gauges near 1 the tuple constraint usually fails; find a
-        # seed whose first draws are all rejected
-        for seed in range(200):
-            est_or_err = None
-            try:
-                est_or_err = mc_integrate_tilted(
-                    log_ball, DIM1, (0.0, 0.0), 2, SeededStream(seed), compact=True
-                )
-            except EstimationError:
-                return
-        pytest.fail(f"no rejecting seed found; last estimate {est_or_err}")
+        # two samples of the averaging operator's tuples, both outside the
+        # tuple ball at this seed: no positive value, no estimate
+        spec = OperatorSpec(OperatorKind.HARDY, DIM1, AlphaProfile((1.0, 1.0)))
+        fs = [TestFunction.extremal(1.0)] * 2
+        e1 = HPoint.of(DIM1, [1.0, 0.0, 0.0])
+        with pytest.raises(EstimationError, match="zero accepted samples"):
+            eval_hardy(fs, e1, spec, McEngine(2, SeededStream(1)))
 
     @pytest.mark.parametrize(
         "tilts,compact,offender",
@@ -423,7 +433,7 @@ class TestMcIntegrate:
     )
     def test_tilt_validation(self, tilts, compact, offender):
         with pytest.raises(ValueError, match=offender):
-            mc_integrate_tilted(log_one, DIM1, tilts, 100, SeededStream(0), compact=compact)
+            tilted_values(log_one, DIM1.Q, tilts, compact=compact)
 
     def test_radial_worker_count_does_not_change_bits(self):
         def log_f(log_gauges):
@@ -432,8 +442,8 @@ class TestMcIntegrate:
             return 0.5 * lg1 + lg2 - np.log1p(np.exp(4.0 * lg1) + np.exp(2.0 * lg2))
 
         kwargs = dict(dim=GroupDim(3), tilts=(0.5, 1.0), n_samples=300_000)
-        a = mc_integrate_tilted(log_f, stream=SeededStream(32), workers=1, **kwargs)
-        b = mc_integrate_tilted(log_f, stream=SeededStream(32), workers=8, **kwargs)
+        a = tilted_estimate(log_f, stream=SeededStream(32), workers=1, **kwargs)
+        b = tilted_estimate(log_f, stream=SeededStream(32), workers=8, **kwargs)
         assert a == b
 
 
@@ -450,7 +460,7 @@ ROW_BLOCK_ORACLE_SPECS = [
 
 def every_mc_partials(monkeypatch, workers):
     """The chunk partials of every Monte Carlo user: the Cartesian oracle,
-    the operators' engine with and without its outer piece and the box
+    the operators' block with and without its outer piece and the box
     rejection volume."""
     stream = SeededStream(7)
     seen = [
@@ -474,9 +484,8 @@ def every_mc_partials(monkeypatch, workers):
         return log_radial(log_gauges) + log_ball(log_gauges)
 
     for log_f, compact in ((log_radial_on_ball, True), (log_radial, False)):
-        mc_integrate_tilted(
-            log_f, dim, (1.0, 0.5), ROW_BLOCK_SAMPLES, stream, workers, compact=compact
-        )
+        values_fn = tilted_values(log_f, dim.Q, (1.0, 0.5), compact=compact)
+        seen.append(mc_chunk_partials(values_fn, ROW_BLOCK_SAMPLES, stream, workers))
     rejection_volume_estimate(dim, ROW_BLOCK_SAMPLES, stream, workers)
     return seen
 
@@ -544,7 +553,7 @@ class TestOperatorSamplerDraws:
     @pytest.mark.parametrize("compact", [True, False])
     def test_radial_draws_one_stack_per_chunk(self, compact, m):
         stream = RecordingStream(SeededStream(5))
-        mc_integrate_tilted(
+        tilted_estimate(
             lambda lgs: lgs[0], GroupDim(2), (1.0,) * m, ROW_BLOCK_SAMPLES, stream, compact=compact
         )
         # each draw fills a reused array: recorded as the shape of its out
@@ -601,14 +610,14 @@ class TestOperatorSamplerDraws:
 
 
 def arena_estimate(m, workers=1):
-    """``mc_integrate_tilted`` on the full law at ``m`` factors: the call
-    the arena tests repeat."""
+    """``tilted_estimate`` on the full law at ``m`` factors: the call the
+    arena tests repeat."""
 
     def log_f(log_gauges):
         # 1 / (1 + sum_i g_i^4) times the law's tilts g_i
         return sum(log_gauges) - np.log1p(sum(np.exp(4.0 * lg) for lg in log_gauges))
 
-    return mc_integrate_tilted(log_f, DIM1, (1.0,) * m, ROW_BLOCK_SAMPLES, SeededStream(m), workers)
+    return tilted_estimate(log_f, DIM1, (1.0,) * m, ROW_BLOCK_SAMPLES, SeededStream(m), workers)
 
 
 class TestArena:
@@ -747,7 +756,7 @@ class TestEstimateInvariants:
             Estimate(1.0, 0.1, 10, Method.QUAD)
 
     def test_mc_estimates_carry_positive_std_error(self):
-        est = mc_integrate_tilted(
+        est = tilted_estimate(
             lambda lgs: lgs[0], DIM1, (0.0,), 5_000, SeededStream(30), compact=True
         )
         assert est.method is Method.MC and est.std_error > 0.0

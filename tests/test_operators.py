@@ -602,6 +602,29 @@ class TestMonteCarloBeyondH1:
         closed = spec.constant().value
         assert abs(est.value - closed) <= 4 * est.std_error
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kind", ["hardy", "hlp", "hilbert", "kernel"])
+    def test_tabulated_convention_of_the_engine(self, kind, n, m):
+        # the convention scales each factor's polar constant by 2; the
+        # averaging kernel's normalizer takes the 2^m back
+        dim = GroupDim(n)
+        e1 = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
+        engine = McEngine(1 << 14, SeededStream(m))
+        kernel = hlp_kernel(dim, m) if kind == "kernel" else None
+        value = {
+            convention: operators.evaluate(
+                OperatorSpec(OperatorKind(kind), dim, AlphaProfile((1.0,) * m), convention, kernel),
+                extremals(*(1.0,) * m),
+                e1,
+                engine,
+            ).value
+            for convention in Convention
+        }
+        scale = 1.0 if kind == "hardy" else 2.0**m
+        paper, geometric = value[Convention.PAPER_FORMULA], value[Convention.GEOMETRIC]
+        assert math.isclose(paper, scale * geometric, rel_tol=1e-14)
+
     def test_mc_draws_no_directions(self, monkeypatch):
         def no_directions(*args, **kwargs):
             raise AssertionError("the operators' Monte Carlo drew a direction")

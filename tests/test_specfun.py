@@ -206,6 +206,15 @@ class TestClosedFormsFromLogs:
         with pytest.raises(ValueError, match=r" is 0\.0, outside the normal floating-point range"):
             constant(n, AlphaProfile((1.0,) * m))
 
+    def test_hlp_regions_take_the_range_check(self):
+        # at n = 1, m = 445 every region value overflows, as the constant does
+        profile = AlphaProfile((1.0,) * 445)
+        outside = r" is inf, outside the normal floating-point range"
+        with pytest.raises(ValueError, match="the hlp constant at n=1, m=445,.*" + outside):
+            hlp_constant(1, profile)
+        with pytest.raises(ValueError, match="the hlp region K_0 at n=1, m=445,.*" + outside):
+            hlp_region_values(1, profile)
+
     def test_overflow_and_huge_q(self):
         with pytest.raises(ValueError, match=r" is inf, outside the normal floating-point range"):
             hilbert_constant(1, AlphaProfile((3.9999999999999996,) * 32))

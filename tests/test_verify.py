@@ -302,8 +302,21 @@ class TestExtremalGauges:
             verify_extremal(spec, gauges=(1.0, 0.0))
         assert not isinstance(info.value, verify.GaugeRangeError)
 
+    def test_no_gauges_raises_before_any_work(self, monkeypatch):
+        # with no gauge the spread and the mean would be of an empty array
+        monkeypatch.setattr(verify, "evaluate", None)
+        with pytest.raises(ValueError, match="^gauges must hold at least one gauge, got none$"):
+            verify_extremal(spec_of(OperatorKind.HARDY, 1.0), gauges=())
+
 
 class TestUpperBoundSearch:
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_raises_before_any_work(self, trials, monkeypatch):
+        # no trial would leave max_ratio at -inf and the search a pass
+        monkeypatch.setattr(verify, "evaluate", None)
+        with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
+            upper_bound_search(spec_of(OperatorKind.HARDY, 1.0), trials=trials)
+
     def test_no_violations_and_attainment(self):
         sr = upper_bound_search(spec_of(OperatorKind.HARDY, 1.0), trials=20, seed=11)
         assert sr.violations == 0
