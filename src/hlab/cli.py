@@ -24,17 +24,15 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from typing import Sequence
 
 from .hgroup import Convention, GroupDim, unit_ball_volume
-from .integrate import MAX_BOX_N, EstimationError, QuadratureError, SeededStream
+from .integrate import MAX_BOX_N, Estimate, EstimationError, QuadratureError, SeededStream
 from .operators import OPERATORS, OperatorKind, OperatorSpec, QuadEngine
 from .specfun import AlphaProfile, DivergentConstantError
 from .verify import (
     GaugeRangeError,
-    VerificationReport,
     discrepancy_report,
-    oracle_record,
-    spec_record,
     unit_ball_check,
     upper_bound_search,
     verify_constant,
@@ -238,85 +236,112 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
     return {name: getattr(args, name) for name in names if name in args}
 
 
-def _base_report(args: argparse.Namespace, spec_rec: dict, convention: Convention) -> dict:
+def _report(
+    args: argparse.Namespace,
+    spec: OperatorSpec | int,
+    convention: Convention | None = None,
+    *,
+    passed: bool,
+    closed_form: float | None = None,
+    oracles: Sequence[tuple[Estimate | None, dict]] = (),
+    findings: Sequence[dict] = (),
+    **extra,
+) -> dict:
+    """Every command's report: the fields ``report.schema.json`` requires but
+    ``metadata``, which ``_render`` adds, then ``extra``.
+
+    ``spec`` is the operator spec, whose convention the report names;
+    geometry and discrepancies evaluate no operator and pass the n of their
+    header and a ``convention``.  Each oracle is an estimate, or None where
+    that oracle did not run, and the comparison figures its record adds.
+    """
+    if isinstance(spec, OperatorSpec):
+        convention, alphas = spec.convention, list(spec.profile.alphas)
+        record = {"operator": spec.kind.value, "n": spec.dim.n, "m": spec.m, "alphas": alphas}
+    else:
+        record = {"operator": args.command, "n": spec, "m": 0, "alphas": []}
     return {
         "command": args.command,
-        "spec": spec_rec,
+        "spec": record,
         "convention": convention.value,
-        "closed_form": None,
-        "oracles": [],
-        "pass": None,
+        "closed_form": closed_form,
+        "oracles": [
+            {**vars(est), "method": est.method.value, **figures}
+            for est, figures in oracles
+            if est is not None
+        ],
+        "pass": passed,
         "seed": args.seed,
-        "findings": [],
+        "findings": list(findings),
+        **extra,
     }
 
 
-def _verification_report(args: argparse.Namespace, vr: VerificationReport, finding: str) -> dict:
-    rec = vr.to_record()
-    details = rec.pop("details")
-    return {"command": args.command, **rec, "findings": [{"id": finding, **details}]}
-
-
 def _dispatch(args: argparse.Namespace) -> dict:
-    if args.command == "constants":
-        spec = _make_spec(args)
-        report = _base_report(args, spec_record(spec), spec.convention)
-        report["closed_form"] = spec.constant().value
-        report["pass"] = True
-        return report
-
-    if args.command == "verify":
-        spec = _make_spec(args)
-        vr = verify_constant(
-            spec, args.samples, seed=args.seed, workers=args.workers, **_given(args, "tol")
-        )
-        if args.convergence_path:
-            with open(args.convergence_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["n_samples", "estimate", "std_error", "closed_form"])
-                writer.writerows([n, *map(repr, rest)] for n, *rest in vr.convergence)
-        return _verification_report(args, vr, "tolerances")
-
-    if args.command == "extremal":
-        vr = verify_extremal(_make_spec(args), seed=args.seed, **_given(args, "gauges", "tol"))
-        return _verification_report(args, vr, "attainment")
-
-    if args.command == "search":
-        spec = _make_spec(args)
-        rec = upper_bound_search(spec, seed=args.seed, **_given(args, "trials", "tol")).to_record()
-        report = _base_report(args, spec_record(spec), spec.convention)
-        report["closed_form"] = rec["bound"]
-        report["pass"] = rec["pass"]
-        keys = ("trials", "max_ratio", "violations", "attaining_description")
-        report["findings"] = [{"id": "upper-bound-search", **{key: rec[key] for key in keys}}]
-        return report
-
     if args.command == "geometry":
         dim = GroupDim(args.n)
         est, sigma, ok = unit_ball_check(dim, args.samples, SeededStream(args.seed), args.workers)
         geom = unit_ball_volume(dim, Convention.GEOMETRIC)
         tab = unit_ball_volume(dim, Convention.PAPER_FORMULA)
-        spec_rec = {"operator": "geometry", "n": args.n, "m": 0, "alphas": []}
-        report = _base_report(args, spec_rec, args.convention)
-        report["closed_form"] = geom if args.convention is Convention.GEOMETRIC else tab
-        report["oracles"] = [oracle_record(est, sigma_distance=sigma)]
-        report["pass"] = ok
         finding = {"id": "geometry", "Q": dim.Q, "geometric_volume": geom, "tabulated_volume": tab}
         finding["sphere_measure_geometric"] = dim.Q * geom
         finding["sphere_measure_tabulated"] = dim.Q * tab
-        report["findings"] = [finding]
-        return report
+        return _report(
+            args,
+            args.n,
+            args.convention,
+            passed=ok,
+            closed_form=geom if args.convention is Convention.GEOMETRIC else tab,
+            oracles=[(est, {"sigma_distance": sigma})],
+            findings=[finding],
+        )
 
-    # discrepancies: the report weighs both conventions; its header names the geometric one
-    rep = discrepancy_report(
-        args.n_values, n_samples=args.samples, seed=args.seed, workers=args.workers
-    )
-    spec_rec = {"operator": "discrepancies", "n": args.n_values[0], "m": 0, "alphas": []}
-    report = _base_report(args, spec_rec, Convention.GEOMETRIC)
-    report["pass"] = all(f.get("pass", True) for f in rep.findings)
-    report["findings"] = rep.findings
-    report["details_text"] = rep.text
-    return report
+    if args.command == "discrepancies":
+        rep = discrepancy_report(
+            args.n_values, n_samples=args.samples, seed=args.seed, workers=args.workers
+        )
+        # the report weighs both conventions; its header names the geometric one
+        return _report(
+            args,
+            args.n_values[0],
+            Convention.GEOMETRIC,
+            passed=all(f.get("pass", True) for f in rep.findings),
+            findings=rep.findings,
+            details_text=rep.text,
+        )
+
+    spec = _make_spec(args)
+    if args.command == "constants":
+        return _report(args, spec, passed=True, closed_form=spec.constant().value)
+
+    if args.command in ("verify", "extremal"):
+        if args.command == "verify":
+            vr = verify_constant(
+                spec, args.samples, seed=args.seed, workers=args.workers, **_given(args, "tol")
+            )
+            if args.convergence_path:
+                with open(args.convergence_path, "w", newline="") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(["n_samples", "estimate", "std_error", "closed_form"])
+                    writer.writerows([n, *map(repr, rest)] for n, *rest in vr.convergence)
+            finding = "tolerances"
+        else:
+            vr = verify_extremal(spec, seed=args.seed, **_given(args, "gauges", "tol"))
+            finding = "attainment"
+        mc = {"sigma_distance": vr.sigma_distance_mc, "resolution": vr.resolution}
+        return _report(
+            args,
+            vr.spec,
+            passed=vr.passed,
+            closed_form=vr.closed_form,
+            oracles=[(vr.oracle_quad, {"rel_err": vr.rel_err_quad}), (vr.oracle_mc, mc)],
+            findings=[{"id": finding, **vr.details}],
+        )
+
+    sr = upper_bound_search(spec, seed=args.seed, **_given(args, "trials", "tol"))
+    keys = ("trials", "max_ratio", "violations", "attaining_description")
+    finding = {"id": "upper-bound-search", **{key: getattr(sr, key) for key in keys}, **sr.details}
+    return _report(args, spec, passed=sr.violations == 0, closed_form=sr.bound, findings=[finding])
 
 
 def _render(report: dict, fmt: Format, runtime_ms: int) -> str:

@@ -29,6 +29,7 @@ __all__ = [
     "gauge_array",
     "group_inv",
     "group_mul",
+    "log_sphere_measure",
     "log_unit_ball_volume",
     "origin",
     "sphere_measure",
@@ -214,6 +215,13 @@ def ball_volume(
         raise ValueError(f"ball radius must be positive and finite, got {r!r}")
     dim = as_dim(dim)
     return unit_ball_volume(dim, convention) * r**dim.Q
+
+
+def log_sphere_measure(dim: GroupDim | int, convention: Convention = Convention.GEOMETRIC) -> float:
+    """Log of the surface constant omega_Q = Q * |B(0,1)|, finite at every n:
+    the polar constant of one factor of an operator integral."""
+    dim = as_dim(dim)
+    return math.log(dim.Q) + log_unit_ball_volume(dim, convention)
 
 
 def sphere_measure(dim: GroupDim | int, convention: Convention = Convention.GEOMETRIC) -> float:

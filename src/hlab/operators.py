@@ -49,6 +49,7 @@ from .hgroup import (
     HPoint,
     gauge,
     gauge_array,
+    log_sphere_measure,
     log_unit_ball_volume,
 )
 from .integrate import (
@@ -310,11 +311,6 @@ def _term(tf: TestFunction, tilt: float, log_c: float, log_g: np.ndarray) -> np.
     return tf.log_weight(tilt, log_c + log_g)
 
 
-def _log_omega(spec: OperatorSpec) -> float:
-    """``log omega_Q``, one factor's polar constant, at the spec's convention."""
-    return math.log(spec.dim.Q) + log_unit_ball_volume(spec.dim, spec.convention)
-
-
 def eval_hardy(
     fs: Sequence[TestFunction], x: HPoint, spec: OperatorSpec, engine: Engine = QuadEngine()
 ) -> Estimate:
@@ -397,11 +393,11 @@ def evaluate(
     ``c^{t_i}``.  Quadrature splits at each factor's edges, computed once as
     log gauges at base gauge 1.
 
-    Monte Carlo runs ``tilted_values`` at ``_log_omega``, as quadrature does,
-    and samples tuples inside the tuple ball when the kernel's support lies
-    there and over all of H^{nm} otherwise.  Nothing but the
-    kernel bounds the tuple ball: its log profile is ``-inf`` outside its
-    support.
+    Monte Carlo runs ``tilted_values`` at ``log_sphere_measure``, as
+    quadrature does, and samples tuples inside the tuple ball when the
+    kernel's support lies there and over all of H^{nm} otherwise.  Nothing
+    but the kernel bounds the tuple ball: its log profile is ``-inf``
+    outside its support.
     """
     if len(fs) != spec.m:
         raise ValueError(f"need {spec.m} test functions, got {len(fs)}")
@@ -437,7 +433,7 @@ def evaluate(
             return op.quad(spec, terms, log_edges, log_scale, engine.quad)
         return _kernel_quad(log_f, kernel.simplex_support, spec, log_edges, log_scale, engine.quad)
 
-    log_polar = _log_omega(spec)
+    log_polar = log_sphere_measure(spec.dim, spec.convention)
     values_fn = tilted_values(
         log_f, spec.dim.Q, tilts, compact=kernel.compact, log_scale=log_scale, log_polar=log_polar
     )
@@ -503,7 +499,7 @@ def _hlp_quad(
     on (0, 1), where an extremal integrand is constant.  One ``exp`` per
     node; the cells pass ``log r`` to their inner levels."""
     Q, m, a = spec.dim.Q, spec.m, spec.profile.total
-    log_each = _log_omega(spec) + log_scale / m
+    log_each = log_sphere_measure(spec.dim, spec.convention) + log_scale / m
 
     def unit_factor(i: int, log_r: np.ndarray) -> Axis:
         # int_0^1 omega_Q v^{Q-1-t_i} exp(term_i(log r + log v)) dv per owner
@@ -582,6 +578,7 @@ def _kernel_quad(
     the rest.  On the ball with ``s <= 1``, ``rho_d = 1`` and the axes are
     the gauges themselves."""
     Q, m, a = spec.dim.Q, spec.m, spec.profile.total
+    log_omega = log_sphere_measure(spec.dim, spec.convention)
     # the breakpoints of each axis as log gauges: r = 1, and its factor's edges
     log_breaks = [np.concatenate(([0.0], edges)) for edges in log_edges]
 
@@ -596,7 +593,7 @@ def _kernel_quad(
             return x if p == 1.0 else np.where(x > 1.0, x**e, x)
 
         log_rs = [pre[:, 0] for pre in prefix]
-        log_w = prefix[-1][:, 1] if prefix else np.full(1, m * _log_omega(spec) + log_scale)
+        log_w = prefix[-1][:, 1] if prefix else np.full(1, m * log_omega + log_scale)
         # the term of factor d carries r^{t_d} of the node's r^{Q-1}
         power = Q - spec.profile.alphas[depth]
         log_rho = np.maximum.reduce([np.zeros_like(log_w), *log_rs])

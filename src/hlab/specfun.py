@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .hgroup import Convention, GroupDim, as_dim, log_unit_ball_volume
+from .hgroup import Convention, GroupDim, as_dim, log_sphere_measure, log_unit_ball_volume
 
 __all__ = [
     "AlphaProfile",
@@ -178,9 +178,8 @@ def hlp_constant(
     dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
-    log_omega = math.log(Q) + log_unit_ball_volume(dim, convention)
     value = _exp_of_sum(
-        [math.log(m * Q), m * log_omega, -math.log(alpha)]
+        [math.log(m * Q), m * log_sphere_measure(dim, convention), -math.log(alpha)]
         + [-math.log(Q - a) for a in profile.alphas]
     )
     return ConstantResult(value, FormulaId.HLP_B, dim, profile, convention)
@@ -201,8 +200,7 @@ def hlp_region_values(
     dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
-    log_omega = math.log(Q) + log_unit_ball_volume(dim, convention)
-    logs = [m * log_omega] + [-math.log(Q - a) for a in profile.alphas]
+    logs = [m * log_sphere_measure(dim, convention)] + [-math.log(Q - a) for a in profile.alphas]
     # K_j replaces the factor 1/(Q - alpha_j) of K_0 by 1/alpha
     regions = [logs] + [logs[: j + 1] + [-math.log(alpha)] + logs[j + 2 :] for j in range(m)]
     return tuple(

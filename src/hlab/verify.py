@@ -82,8 +82,6 @@ __all__ = [
     "SearchReport",
     "VerificationReport",
     "discrepancy_report",
-    "oracle_record",
-    "spec_record",
     "unit_ball_check",
     "upper_bound_search",
     "verify_constant",
@@ -111,30 +109,14 @@ class VerificationReport:
     # verify_constant's Monte Carlo oracle reduced over its first 1, 2, 4, ... chunks
     convergence: list[tuple[int, float, float, float]] = field(default_factory=list, repr=False)
 
-    def to_record(self) -> dict:
-        oracles = []
-        if self.oracle_quad is not None:
-            oracles.append(oracle_record(self.oracle_quad, rel_err=self.rel_err_quad))
-        if self.oracle_mc is not None:
-            # 3 sigma relative to the closed form: the smallest relative
-            # error this oracle can detect; none without a sigma distance
-            resolution = None
-            if self.sigma_distance_mc is not None:
-                resolution = 3.0 * self.oracle_mc.std_error / abs(self.closed_form)
-            oracles.append(
-                oracle_record(
-                    self.oracle_mc, sigma_distance=self.sigma_distance_mc, resolution=resolution
-                )
-            )
-        return {
-            "spec": spec_record(self.spec),
-            "convention": self.spec.convention.value,
-            "closed_form": self.closed_form,
-            "oracles": oracles,
-            "pass": self.passed,
-            "seed": self.seed,
-            "details": self.details,
-        }
+    @property
+    def resolution(self) -> float | None:
+        """3 Monte Carlo standard errors relative to the closed form: the
+        smallest relative error the oracle can detect; None without a sigma
+        distance."""
+        if self.sigma_distance_mc is None:
+            return None
+        return 3.0 * self.oracle_mc.std_error / abs(self.closed_form)
 
 
 @dataclass(frozen=True)
@@ -150,45 +132,11 @@ class SearchReport:
     seed: int
     details: dict = field(default_factory=dict)
 
-    def to_record(self) -> dict:
-        return {
-            "spec": spec_record(self.spec),
-            "convention": self.spec.convention.value,
-            "bound": self.bound,
-            "trials": self.trials,
-            "max_ratio": self.max_ratio,
-            "attaining_description": self.attaining_description,
-            "violations": self.violations,
-            "pass": self.violations == 0,
-            "seed": self.seed,
-            "details": self.details,
-        }
-
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
     text: str
     findings: list[dict]
-
-
-def oracle_record(est: Estimate, **extra: float | None) -> dict:
-    """Report record of one oracle estimate, with its comparison figures."""
-    return {
-        "method": est.method.value,
-        "value": est.value,
-        "std_error": est.std_error,
-        "n_samples": est.n_samples,
-        **extra,
-    }
-
-
-def spec_record(spec: OperatorSpec) -> dict:
-    return {
-        "operator": spec.kind.value,
-        "n": spec.dim.n,
-        "m": spec.m,
-        "alphas": list(spec.profile.alphas),
-    }
 
 
 # ----------------------------------------------------------------------------

@@ -527,6 +527,14 @@ class TestOtherCommands:
         assert doc["findings"][0]["violations"] == 0
         jsonschema.validate(doc, SCHEMA)
 
+    @pytest.mark.parametrize("tol_args,tol", [(["--tol", "0.01"], 0.01), ([], 1e-3)])
+    def test_search_reports_its_tolerance(self, capsys, tol_args, tol):
+        # as the verify and extremal findings do, given or the library's default
+        argv = ["search", "--trials", "2", "--format", "json", *tol_args]
+        code, out, _ = run_capture(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["findings"][0]["tol"] == tol
+
     def test_geometry(self, capsys):
         code, out, _ = run_capture(
             ["geometry", "--n", "1", "--samples", "100000", "--seed", "5", "--format", "json"],
@@ -637,6 +645,29 @@ class TestOtherCommands:
         )
         assert code == 0
         assert out.splitlines()[0] == "key,value"
+
+
+class TestReportEnvelope:
+    # one cheap invocation of each command
+    FLAGS = {
+        "constants": [],
+        "verify": ["--samples", "1000"],
+        "extremal": ["--gauges", "1"],
+        "search": ["--trials", "1"],
+        "geometry": ["--samples", "1000"],
+        "discrepancies": ["--n-values", "1", "--samples", "1000"],
+    }
+
+    @pytest.mark.parametrize("command", SCHEMA["properties"]["command"]["enum"])
+    def test_top_level_keys_are_the_schema_envelope(self, capsys, command):
+        # one builder writes every report: a field written outside it shows here
+        code, out, _ = run_capture([command, *self.FLAGS[command], "--format", "json"], capsys)
+        assert code in (0, 1)
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        extra = ["details_text"] if command == "discrepancies" else []
+        assert sorted(doc) == sorted(SCHEMA["required"] + extra)
+        assert doc["command"] == command
 
 
 class TestFlagTable:

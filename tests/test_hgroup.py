@@ -18,6 +18,7 @@ from hlab.hgroup import (
     gauge_array,
     group_inv,
     group_mul,
+    log_sphere_measure,
     log_unit_ball_volume,
     origin,
     sphere_measure,
@@ -220,6 +221,15 @@ class TestMeasure:
         # finite where the volume itself underflows
         assert unit_ball_volume(335) == 0.0
         assert math.isfinite(log_unit_ball_volume(335))
+
+    def test_log_sphere_measure(self):
+        # omega_Q = Q |B(0,1)|, whose log the closed forms and both engines read
+        for n in (1, 2, 5, 200):
+            for conv in Convention:
+                log_s = log_sphere_measure(GroupDim(n), conv)
+                assert math.isclose(math.exp(log_s), sphere_measure(n, conv), rel_tol=1e-13)
+        assert sphere_measure(335) == 0.0
+        assert log_sphere_measure(335) == math.log(672) + log_unit_ball_volume(335)
 
     def test_convention_ratio_is_two(self):
         for n in (1, 2, 3, 5):

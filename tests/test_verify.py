@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -17,6 +18,7 @@ from hlab.hgroup import (
 from hlab.integrate import (
     ChunkBuffers,
     EstimationError,
+    Method,
     QuadSpec,
     SeededStream,
     mc_chunk_partials,
@@ -95,7 +97,7 @@ class TestVerifyConstant:
         a = verify_constant(spec, n_samples=80_000, seed=7)
         b = verify_constant(spec, n_samples=80_000, seed=7)
         assert a.oracle_mc == b.oracle_mc
-        assert a.to_record() == b.to_record()
+        assert a == b
         c = verify_constant(spec, n_samples=80_000, seed=8)
         assert c.oracle_mc != a.oracle_mc
 
@@ -105,10 +107,12 @@ class TestVerifyConstant:
         b = verify_constant(spec, n_samples=150_000, seed=9, workers=8)
         assert a.oracle_mc == b.oracle_mc
 
-    def test_record_shape(self):
-        rec = verify_constant(
-            spec_of(OperatorKind.HARDY, 1.0), n_samples=50_000, seed=0
-        ).to_record()
+    def test_record_shape(self, tmp_path):
+        # the command line builds the report of verify_constant
+        path = tmp_path / "report.json"
+        argv = ["verify", "--operator", "hardy", "--samples", "50000", "--seed", "0"]
+        assert cli.run(argv + ["--format", "json", "--output", str(path)]) == 0
+        rec = json.loads(path.read_text())
         assert rec["spec"]["operator"] == "hardy"
         assert {o["method"] for o in rec["oracles"]} == {"quad", "mc"}
         assert rec["pass"] is True
@@ -124,18 +128,16 @@ class TestPowerGate:
         # two samples at n = 4 leave a resolution of 1.53 against a gap of 1
         spec = OperatorSpec(OperatorKind.HLP, GroupDim(4), AlphaProfile.of(1.0))
         vr = verify_constant(spec, n_samples=2, seed=0)
-        mc = next(o for o in vr.to_record()["oracles"] if o["method"] == "mc")
         assert abs(vr.sigma_distance_mc) <= 3.0
-        assert mc["resolution"] == 3.0 * vr.oracle_mc.std_error / vr.closed_form
-        assert mc["resolution"] >= 2**1 - 1
+        assert vr.resolution == 3.0 * vr.oracle_mc.std_error / vr.closed_form
+        assert vr.resolution >= 2**1 - 1
         assert vr.details["verdict"] == "inconclusive"
         assert not vr.passed
 
     def test_hlp_n3_resolves_the_convention(self):
         vr = verify_constant(self.HLP3, n_samples=1_000_000, seed=0)
-        mc = next(o for o in vr.to_record()["oracles"] if o["method"] == "mc")
         assert vr.passed and vr.details["verdict"] == "pass"
-        assert mc["resolution"] < 0.01
+        assert vr.resolution < 0.01
 
     def test_hardy_has_no_convention_gap(self):
         spec = OperatorSpec(OperatorKind.HARDY, GroupDim(3), AlphaProfile.of(1.0))
@@ -149,9 +151,7 @@ class TestPowerGate:
         vr = verify_constant(spec, n_samples=200_000, seed=0)
         assert vr.oracle_mc.value == 0.0 and vr.oracle_mc.std_error == 0.0
         assert vr.rel_err_quad <= vr.details["tol"]
-        assert vr.sigma_distance_mc is None
-        mc = next(o for o in vr.to_record()["oracles"] if o["method"] == "mc")
-        assert mc["sigma_distance"] is None and mc["resolution"] is None
+        assert vr.sigma_distance_mc is None and vr.resolution is None
         assert vr.details["verdict"] == "inconclusive"
         assert not vr.passed
 
@@ -160,9 +160,7 @@ class TestPowerGate:
         # every square underflows to 0, and a std error of 0 measures nothing
         vr = verify_constant(HLP40, n_samples=20_000, seed=0)
         assert vr.oracle_mc.value > 0.0 and vr.oracle_mc.std_error == 0.0
-        assert vr.sigma_distance_mc is None
-        mc = next(o for o in vr.to_record()["oracles"] if o["method"] == "mc")
-        assert mc["sigma_distance"] is None and mc["resolution"] is None
+        assert vr.sigma_distance_mc is None and vr.resolution is None
         assert vr.details["verdict"] == "inconclusive"
         assert not vr.passed
 
@@ -222,7 +220,7 @@ class TestVerifyExtremal:
         assert vr.rel_err_quad <= vr.details["tol"] == 1e-8
         # dilation invariance holds to rounding
         assert vr.details["spread"] <= 1e-12
-        assert vr.oracle_mc is None and [o["method"] for o in vr.to_record()["oracles"]] == ["quad"]
+        assert vr.oracle_mc is None and vr.oracle_quad.method is Method.QUAD
 
 
 class TestQuadratureRule:
