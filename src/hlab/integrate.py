@@ -230,7 +230,7 @@ def _new_panels(
             raise TypeError("integrand must be vectorized: f(ndarray) -> ndarray of same shape")
         fv[rows] = out
     if not np.isfinite(fv).all():
-        raise QuadratureError(f"non-finite integrand value at x={xs[~np.isfinite(fv)][0]!r}")
+        raise QuadratureError(f"non-finite integrand value at x={float(xs[~np.isfinite(fv)][0])!r}")
     fv = fv.reshape(-1, _ABSC.size)
     # per-row sums, so that a panel's value does not depend on its batch
     val = half * (fv * _WK15).sum(axis=1)

@@ -24,8 +24,8 @@ every path.  The Monte Carlo engine runs ``integrate.tilted_values``, the
 block of the verifier's Cartesian oracle, on the gauges of tuples (no
 directions) at the polar constant of both quadrature paths, with tilts
 from the operator's exponent profile.  The law keeps to the tuple ball
-(``KernelSpec.compact``) when the kernel's support lies there.  The named
-kernels are written once, in log form, and are read in no other form.
+(``KernelSpec.compact``) when the kernel's support lies there.  A kernel is
+its log profile and a test function its log weight, read in no other form.
 
 Convention handling: the volume convention applies jointly to the
 normalizing ball volume and to every polar surface constant, so the
@@ -48,7 +48,6 @@ from .hgroup import (
     GroupDim,
     HPoint,
     gauge,
-    gauge_array,
     log_sphere_measure,
     log_unit_ball_volume,
 )
@@ -108,33 +107,29 @@ class KernelSpec:
 
     ``log_profile(l0, l1, ..., lm)`` gives the log of the kernel as a
     function of the log gauges of its m + 1 arguments, ``-inf`` where the
-    kernel vanishes, numpy-vectorized.  It is the one form every reader
-    takes: the general-kernel quadrature path and the Monte Carlo paths add
-    their log weights to it and exponentiate once per node or sample, and
-    the homogeneity probes compare it across a dilation.  The named kernels
-    are written in log form and have no ``radial_profile``.  A user kernel
-    may be given instead as ``radial_profile(r0, r1, ..., rm)``, the kernel
-    itself at the gauges (vectorized), from which ``log_profile`` is
-    derived as ``log . radial_profile . exp``.
+    kernel vanishes, numpy-vectorized.  It is the kernel's one form: the
+    general-kernel quadrature path and the Monte Carlo paths add their log
+    weights to it and exponentiate once per node or sample, and the
+    homogeneity probe compares it across a dilation, which also measures its
+    degree.  A kernel known at gauges, ``K(r0, r1, ..., rm)``, is written at
+    log gauges as ``log K(exp(l0), ..., exp(lm))``, best with the powers
+    taken in logs, as ``hlp_kernel`` and ``hilbert_kernel`` do.
 
-    ``simplex_support`` ``s`` declares that the kernel vanishes outside the
-    tuple ball ``sum r_i^2 < s^2 r0^2``: its log profile must be ``-inf``
-    there, since no engine tests a tuple against the ball.  The quadrature
-    path gives each radial axis a finite upper limit where the gauges before
-    it fill the ball, instead of chasing the jump out to infinity; for a
-    ``compact`` kernel the Monte Carlo engine draws its gauges below 1.
+    ``simplex_support`` ``s`` (positive and finite) declares that the kernel
+    vanishes outside the tuple ball ``sum r_i^2 < s^2 r0^2``: its log profile
+    must be ``-inf`` there, since no engine tests a tuple against the ball.
+    The quadrature path gives each radial axis a finite upper limit where the
+    gauges before it fill the ball; for a ``compact`` kernel the Monte Carlo
+    engine draws its gauges below 1.
     """
 
-    radial_profile: Callable[..., np.ndarray] | None
-    homogeneity_degree: float
+    log_profile: Callable[..., np.ndarray]
     simplex_support: float | None = None
-    log_profile: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.log_profile is None:
-            if self.radial_profile is None:
-                raise ValueError("a kernel needs a radial_profile or a log_profile")
-            object.__setattr__(self, "log_profile", partial(_log_of_radial, self.radial_profile))
+        s = self.simplex_support
+        if s is not None and not (math.isfinite(s) and s > 0.0):
+            raise ValueError(f"simplex_support must be positive and finite, got {s!r}")
 
     @property
     def compact(self) -> bool:
@@ -143,25 +138,14 @@ class KernelSpec:
         return self.simplex_support is not None and self.simplex_support <= 1.0
 
 
-def _log_of_radial(
-    radial_profile: Callable[..., np.ndarray], *log_gauges: np.ndarray
-) -> np.ndarray:
-    # far in a tail a gauge overflows to inf and a kernel value can vanish
-    with np.errstate(over="ignore"):
-        gauges = [np.exp(np.asarray(lg, dtype=float)) for lg in log_gauges]
-    values = radial_profile(*gauges)
-    with np.errstate(divide="ignore"):
-        return np.log(values)
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Gauge-radial test function ``|x|_h^{-alpha_j} * modulation(|x|_h)``.
 
     ``modulation`` is a bounded function of the gauge into (0, 1]; ``None``
     means the extremal power itself.  ``breakpoints`` lists gauges where the
-    modulation is non-smooth so quadrature can split there.  The value at the
-    origin is 0 by convention.  ``log_weight`` is its one formula.
+    modulation is non-smooth so quadrature can split there.  ``log_weight``
+    is its one formula, at log gauges: no engine evaluates it at a point.
     """
 
     alpha_j: float
@@ -215,29 +199,13 @@ class TestFunction:
     def log_weight(self, tilt: float, log_s: np.ndarray) -> np.ndarray:
         """``log(s^tilt f(s)) = (tilt - alpha_j) log s + log modulation(s)``
         at log gauges (vectorized), ``-inf`` where the modulation vanishes:
-        ``radial``, the weighted norm and both engines read only this."""
+        the weighted norm and both engines read only this."""
         out = (tilt - self.alpha_j) * np.asarray(log_s, dtype=float)
         if self.modulation is not None:
             with np.errstate(over="ignore"):
                 s = np.exp(log_s)
             with np.errstate(divide="ignore"):
                 out = out + np.log(self.modulation(s))
-        return out
-
-    def radial(self, s: np.ndarray) -> np.ndarray:
-        """``exp`` of ``log_weight`` at tilt 0, at positive gauges (vectorized)."""
-        return np.exp(self.log_weight(0.0, np.log(s)))
-
-    def __call__(self, point: HPoint | np.ndarray, n: int | None = None) -> float | np.ndarray:
-        if isinstance(point, HPoint):
-            g = gauge(point)
-            return 0.0 if g == 0.0 else float(self.radial(np.asarray(g)))
-        if n is None:
-            raise ValueError("coordinate-array evaluation needs the group index n")
-        g = gauge_array(point, n)
-        out = np.zeros_like(g)
-        pos = g > 0.0
-        out[pos] = self.radial(g[pos])
         return out
 
 
@@ -429,9 +397,13 @@ def evaluate(
         if spec.m > engine.MAX_M:
             raise ValueError(f"quadrature engine supports m <= {engine.MAX_M}; use the MC engine")
         log_edges = [np.log([b / c for b in tf.breakpoints if b > 0.0]) for tf in fs]
-        if op.quad:
-            return op.quad(spec, terms, log_edges, log_scale, engine.quad)
-        return _kernel_quad(log_f, kernel.simplex_support, spec, log_edges, log_scale, engine.quad)
+        # an integrand past the float range is a QuadratureError, not a warning
+        with np.errstate(over="ignore"):
+            if op.quad:
+                return op.quad(spec, terms, log_edges, log_scale, engine.quad)
+            return _kernel_quad(
+                log_f, kernel.simplex_support, spec, log_edges, log_scale, engine.quad
+            )
 
     log_polar = log_sphere_measure(spec.dim, spec.convention)
     values_fn = tilted_values(
@@ -450,13 +422,9 @@ _PROBE_SEED = 0x9E3779B97F4A7C15
 def _probe_homogeneity(kernel: KernelSpec, dim: GroupDim, m: int) -> None:
     """Check degree -mQ on 10 random probes, in one call of the log profile
     at the probes and one at their dilations, so that no power of a
-    dilation leaves the float range; report the worst ratio."""
+    dilation leaves the float range; report the worst ratio.  A kernel
+    declares no degree: one built for another m fails here."""
     expected = -float(m * dim.Q)
-    if kernel.homogeneity_degree != expected:
-        raise KernelHomogeneityError(
-            f"kernel declares degree {kernel.homogeneity_degree}, "
-            f"but -mQ = {expected} is required"
-        )
     # row k is probe k's (r0, r_1, ..., r_m, t)
     probes = SeededStream(_PROBE_SEED).generator().uniform(0.5, 2.0, (10, m + 2))
     logs = np.log(probes)
@@ -561,7 +529,11 @@ def _kernel_quad(
     range turns that into ``(1-t)^{a-1}``, an endpoint power no rule
     resolves when ``a < 1``.  There axis 0 is ``v = r^a`` past ``r = 1``
     instead, whose integrand decays as ``v^{-2}``, as ``_hlp_quad``
-    integrates its outer gauge in a power of ``r``.  Below ``r = 1`` it stays
+    integrates its outer gauge in a power of ``r``.  It also splits at
+    ``r = 2^(2^k)``, k = 0..5: ``v`` squeezes the kernel's approach to its
+    power tail, over ``r`` from 1 to about 2^32, into ``v < 2^(32 a)``
+    (1.023 at ``a`` = 0.001), where the first panels' sums agree on a curve
+    they both miss.  Below ``r = 1`` it stays
     ``v = r``: there ``r^a`` would turn the integrand's ``r^{Q-1-a}`` into
     ``v^{Q/a-2}`` (``v^{3018}`` for hilbert at n = 150, ``a`` = 0.1), a
     spike at ``v = 1`` that the first panel's Kronrod and Gauss sums both
@@ -581,6 +553,8 @@ def _kernel_quad(
     log_omega = log_sphere_measure(spec.dim, spec.convention)
     # the breakpoints of each axis as log gauges: r = 1, and its factor's edges
     log_breaks = [np.concatenate(([0.0], edges)) for edges in log_edges]
+    if a < 1.0:
+        log_breaks[0] = np.concatenate((log_breaks[0], math.log(2.0) * 2.0 ** np.arange(6)))
 
     def level(depth: int, prefix: tuple) -> list[Axis]:
         # row k of prefix[j] holds (log r_j, log of the polar constants,
@@ -658,7 +632,7 @@ def hardy_kernel(
         ss = sum(np.exp(2.0 * lr) for lr in rel)
         return np.where(ss < 1.0, log_norm - mQ * l0, -np.inf)
 
-    return KernelSpec(None, -mQ, simplex_support=1.0, log_profile=log_profile)
+    return KernelSpec(log_profile, simplex_support=1.0)
 
 
 def hlp_kernel(dim: GroupDim, m: int) -> KernelSpec:
@@ -671,7 +645,7 @@ def hlp_kernel(dim: GroupDim, m: int) -> KernelSpec:
             top = np.maximum(top, lr)
         return top * -mQ
 
-    return KernelSpec(None, -mQ, log_profile=log_profile)
+    return KernelSpec(log_profile)
 
 
 def hilbert_kernel(dim: GroupDim, m: int) -> KernelSpec:
@@ -700,7 +674,7 @@ def hilbert_kernel(dim: GroupDim, m: int) -> KernelSpec:
         total *= -float(m)
         return total
 
-    return KernelSpec(None, -float(m * Q), log_profile=log_profile)
+    return KernelSpec(log_profile)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -455,6 +456,25 @@ class TestInputErrors:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("hlab search:") and "1.714e-08" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--operator", "hilbert", "--n", "1", "--m", "1", "--alphas", "3.999999"],
+            ["verify", "--operator", "hlp", "--n", "1", "--m", "1", "--alphas", "3.999999"],
+            ["extremal", "--operator", "hardy", "--n", "1", "--m", "2", "--alphas", "3.99,3.99"],
+        ],
+    )
+    def test_integrand_past_the_float_range_exits_2_without_a_warning(self, capsys, argv):
+        # the quadrature's exp overflows at the end of the range: that is the
+        # QuadratureError, with its node as a plain float, and not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "numerical failure: non-finite integrand value at x=" in err
+        assert "Warning" not in err and "np.float64" not in err
 
     @pytest.mark.parametrize("command", ["verify", "constants"])
     @pytest.mark.parametrize("n", [60, 100])

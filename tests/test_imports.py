@@ -56,3 +56,16 @@ def test_integrate_holds_no_group_constant():
         for alias in node.names
     ]
     assert names and not [n for n in names if "ball" in n or "sphere" in n]
+
+
+def test_operators_draw_no_point():
+    # the operators read a test function only through its log weight, and
+    # the one gauge they take is the evaluation point's, through gauge
+    tree = ast.parse((PACKAGE / "operators.py").read_text())
+    names = [
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    ]
+    assert "gauge" in names
+    assert "gauge_array" not in names
