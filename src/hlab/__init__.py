@@ -41,7 +41,6 @@ from .operators import (
 )
 from .specfun import (
     AlphaProfile,
-    ConstantResult,
     DivergentConstantError,
     beta,
     beta_integral,

@@ -48,7 +48,7 @@ _MAX_SAMPLES = 10**9
 _MAX_WORKERS = 32
 # the largest --m (a worker keeps a chunk of uniforms per factor) and
 # --trials (a trial of hilbert at m = 3 takes about 0.5 s)
-_MAX_M, _MAX_TRIALS = 32, 10_000
+_MAX_ARITY, _MAX_TRIALS = 32, 10_000
 
 # the operator kinds that have a closed form to compute and verify
 _OPERATORS = sorted(kind.value for kind, op in OPERATORS.items() if op.closed_form is not None)
@@ -98,7 +98,12 @@ _POSITIVE = _checked(int, "a positive integer", lambda k: k >= 1)
 _FLAGS = {
     "--operator": {"choices": _OPERATORS, "default": "hardy"},
     "--n": {"type": _POSITIVE, "default": 1, "help": "group index n (Q = 2n + 2)"},
-    "--m": {"type": _int_range(1, _MAX_M), "default": 1, "help": f"operator arity, 1 to {_MAX_M}"},
+    "--m": {
+        "type": _int_range(1, _MAX_ARITY),
+        "default": 1,
+        "help": f"operator arity, 1 to {_MAX_ARITY} (extremal and search: hlp only past "
+        f"{QuadEngine.GENERAL_M})",
+    },
     "--alphas": {
         "type": _checked(_floats, "a comma-separated list of numbers"),
         "help": "comma-separated exponents alpha_1..alpha_m (default all 1)",
@@ -141,14 +146,6 @@ _FLAGS = {
     "--format": _choice(Format.TEXT),
     "--output": {"dest": "output_path"},
 }
-# extremal and search evaluate on the quadrature engine alone
-_QUAD_M = {
-    "--m": {
-        **_FLAGS["--m"],
-        "type": _int_range(1, QuadEngine.MAX_M, " (the quadrature engine's limit)"),
-        "help": f"operator arity, 1 to {QuadEngine.MAX_M}",
-    }
-}
 # geometry's box sampler, like discrepancies', takes n up to MAX_BOX_N
 _BOX_N = {"--n": {**_FLAGS["--n"], "type": _int_range(1, MAX_BOX_N, " (the box sampler's limit)")}}
 
@@ -167,11 +164,11 @@ _COMMANDS = {
     ),
     "extremal": (
         "extremal attainment across gauges",
-        _reads(*_SPEC, "--convention", "--tol", "--gauges") | _QUAD_M,
+        _reads(*_SPEC, "--convention", "--tol", "--gauges"),
     ),
     "search": (
         "random modulated tuples vs. the norm upper bound",
-        _reads(*_SPEC, "--convention", "--tol", "--trials") | _QUAD_M,
+        _reads(*_SPEC, "--convention", "--tol", "--trials"),
     ),
     "geometry": (
         "ball volume and sphere measure with an MC check",
@@ -312,7 +309,11 @@ def _dispatch(args: argparse.Namespace) -> dict:
 
     spec = _make_spec(args)
     if args.command == "constants":
-        return _report(args, spec, passed=True, closed_form=spec.constant().value)
+        return _report(args, spec, passed=True, closed_form=spec.constant())
+    # extremal and search evaluate on the quadrature engine alone
+    if args.command in ("extremal", "search") and not QuadEngine.reaches(spec):
+        limit = f"m <= {QuadEngine.GENERAL_M}, got {spec.m}"
+        raise ValueError(f"--m: the {spec.kind.value} quadrature takes {limit}")
 
     if args.command in ("verify", "extremal"):
         if args.command == "verify":

@@ -6,7 +6,7 @@ operator over the tuple ball, the max-kernel (Hardy-Littlewood-Polya type)
 operator, and the sum-kernel (Hilbert-type) operator.
 
 Each kind has one record in ``OPERATORS``: its kernel profile, its closed
-form and, for the max-kernel kind only, a radial quadrature fast path.  One
+form and, for hlp only, a radial quadrature path that takes any m.  One
 evaluator, ``evaluate``, serves them all through the dilation identity: the
 value at ``x`` is an integral over tuples at base gauge 1 against
 ``f_i(delta_{|x|_h} .)``, read per factor through the test function's one
@@ -63,7 +63,7 @@ from .integrate import (
     reduce_partials,
     tilted_values,
 )
-from .specfun import AlphaProfile, ConstantResult, hardy_constant, hilbert_constant, hlp_constant
+from .specfun import AlphaProfile, hardy_constant, hilbert_constant, hlp_constant
 
 __all__ = [
     "KernelHomogeneityError",
@@ -228,7 +228,7 @@ class OperatorSpec:
     def m(self) -> int:
         return self.profile.m
 
-    def constant(self) -> ConstantResult:
+    def constant(self) -> float:
         """Closed-form sharp constant for the named operator kinds."""
         closed_form = OPERATORS[self.kind].closed_form
         if closed_form is None:
@@ -238,10 +238,17 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class QuadEngine:
-    """Deterministic engine; requires gauge-radial inputs and m <= ``MAX_M``."""
+    """Deterministic engine on gauge-radial inputs, for the specs it ``reaches``."""
 
-    MAX_M: ClassVar[int] = 3
+    GENERAL_M: ClassVar[int] = 3
     quad: QuadSpec = field(default_factory=QuadSpec)
+
+    @staticmethod
+    def reaches(spec: OperatorSpec) -> bool:
+        """Whether quadrature takes ``spec``: at every m on a kind's own radial
+        path (hlp's cells, linear in m), else at m <= ``GENERAL_M``, since the
+        general-kernel path's m nested levels cost a power of m."""
+        return OPERATORS[spec.kind].quad is not None or spec.m <= QuadEngine.GENERAL_M
 
 
 @dataclass(frozen=True)
@@ -256,8 +263,8 @@ class McEngine:
 Engine = QuadEngine | McEngine
 
 
-def weighted_norm(f: TestFunction, alpha: float, dim: GroupDim) -> float:
-    """Weighted-type norm ``ess sup |x|_h^alpha |f(x)|``.
+def weighted_norm(f: TestFunction, alpha: float) -> float:
+    """Weighted-type norm ``ess sup |x|_h^alpha |f(x)|``, on any H^n.
 
     The ``exp`` of the largest ``f.log_weight(alpha, .)`` on a log-spaced
     gauge grid of 10^4 points from 1e-6 to 1e6: exact for an extremal power
@@ -394,8 +401,9 @@ def evaluate(
         return out
 
     if isinstance(engine, QuadEngine):
-        if spec.m > engine.MAX_M:
-            raise ValueError(f"quadrature engine supports m <= {engine.MAX_M}; use the MC engine")
+        if not engine.reaches(spec):
+            limit = f"m <= {engine.GENERAL_M}, got {spec.m}"
+            raise ValueError(f"the {spec.kind.value} quadrature takes {limit}; use the MC engine")
         log_edges = [np.log([b / c for b in tf.breakpoints if b > 0.0]) for tf in fs]
         # an integrand past the float range is a QuadratureError, not a warning
         with np.errstate(over="ignore"):
@@ -684,12 +692,12 @@ class Operator:
     ``kernel(spec)`` gives its kernel profile, which the general-kernel
     quadrature path and the Monte Carlo engine integrate.  The named kinds
     also carry ``closed_form(spec)``, their sharp constant.  ``quad``, held by
-    hlp alone, is a radial quadrature fast path on ``evaluate``'s terms:
-    its m + 1 cells beat the general-kernel path on the max kernel.
+    hlp alone, is a radial quadrature path on ``evaluate``'s terms: its m + 1
+    cells beat the general-kernel path on the max kernel, at every m.
     """
 
     kernel: Callable[[OperatorSpec], KernelSpec]
-    closed_form: Callable[[OperatorSpec], ConstantResult] | None = None
+    closed_form: Callable[[OperatorSpec], float] | None = None
     quad: Callable[..., Estimate] | None = None
 
 

@@ -7,7 +7,6 @@ interval (0, Q) before any evaluation; violations are reported all at once.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -17,9 +16,7 @@ from .hgroup import Convention, GroupDim, as_dim, log_sphere_measure, log_unit_b
 
 __all__ = [
     "AlphaProfile",
-    "ConstantResult",
     "DivergentConstantError",
-    "FormulaId",
     "beta",
     "beta_integral",
     "gamma",
@@ -105,29 +102,14 @@ class AlphaProfile:
             )
 
 
-class FormulaId(enum.Enum):
-    HARDY_A = "hardy"
-    HLP_B = "hlp"
-    HILBERT_BSTAR = "hilbert"
-
-
-@dataclass(frozen=True)
-class ConstantResult:
-    """A closed-form sharp constant together with its evaluation context."""
-
-    value: float
-    formula_id: FormulaId
-    dim: GroupDim
-    profile: AlphaProfile
-    convention: Convention
-
-    def __post_init__(self) -> None:
-        _require_normal(self.value, f"{self.formula_id.value} constant", self.dim, self.profile)
-
-
-def _require_normal(value: float, what: str, dim: GroupDim, profile: AlphaProfile) -> float:
-    # a subnormal constant has lost its digits, and one that underflows
-    # to 0 would make every oracle agree with it
+def _normal_exp(logs: Iterable[float], what: str, dim: GroupDim, profile: AlphaProfile) -> float:
+    """``exp`` of the exact sum of ``logs``, the one rounding of a closed form,
+    which must be a normal float: a subnormal constant has lost its digits,
+    and one that underflows to 0 would make every oracle agree with it."""
+    try:
+        value = math.exp(math.fsum(logs))
+    except OverflowError:
+        value = math.inf
     if not (math.isfinite(value) and value >= sys.float_info.min):
         raise ValueError(
             f"the {what} at n={dim.n}, m={profile.m}, "
@@ -138,20 +120,11 @@ def _require_normal(value: float, what: str, dim: GroupDim, profile: AlphaProfil
     return value
 
 
-def _exp_of_sum(logs: Iterable[float]) -> float:
-    """``exp`` of the exact sum of ``logs``, the one rounding of a closed
-    form: ``inf`` past the float range, which ``ConstantResult`` rejects."""
-    try:
-        return math.exp(math.fsum(logs))
-    except OverflowError:
-        return math.inf
-
-
 def hardy_constant(
     dim: GroupDim | int,
     profile: AlphaProfile,
     convention: Convention = Convention.GEOMETRIC,
-) -> ConstantResult:
+) -> float:
     """Sharp constant of the m-linear averaging (Hardy-type) operator.
 
     ``2 Q^m / (2^m (mQ - alpha)) * prod Gamma((Q - alpha_i)/2) /
@@ -161,28 +134,24 @@ def hardy_constant(
     dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
-    value = _exp_of_sum(
-        [(1 - m) * math.log(2.0), m * math.log(Q), -math.log(m * Q - alpha)]
-        + [-log_gamma((m * Q - alpha) / 2.0)] + [log_gamma((Q - a) / 2.0) for a in profile.alphas]
-    )
-    return ConstantResult(value, FormulaId.HARDY_A, dim, profile, convention)
+    logs = [(1 - m) * math.log(2.0), m * math.log(Q), -math.log(m * Q - alpha)]
+    logs += [-log_gamma((m * Q - alpha) / 2.0)] + [log_gamma((Q - a) / 2.0) for a in profile.alphas]
+    return _normal_exp(logs, "hardy constant", dim, profile)
 
 
 def hlp_constant(
     dim: GroupDim | int,
     profile: AlphaProfile,
     convention: Convention = Convention.GEOMETRIC,
-) -> ConstantResult:
+) -> float:
     """Sharp constant ``m Q omega_Q^m / (alpha prod_j (Q - alpha_j))`` of the
     max-kernel (Hardy-Littlewood-Polya type) operator."""
     dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
-    value = _exp_of_sum(
-        [math.log(m * Q), m * log_sphere_measure(dim, convention), -math.log(alpha)]
-        + [-math.log(Q - a) for a in profile.alphas]
-    )
-    return ConstantResult(value, FormulaId.HLP_B, dim, profile, convention)
+    logs = [math.log(m * Q), m * log_sphere_measure(dim, convention), -math.log(alpha)]
+    logs += [-math.log(Q - a) for a in profile.alphas]
+    return _normal_exp(logs, "hlp constant", dim, profile)
 
 
 def hlp_region_values(
@@ -195,7 +164,7 @@ def hlp_region_values(
 
     ``K_0 = omega^m / prod (Q - alpha_j)`` and, for j >= 1,
     ``K_j = omega^m / (alpha prod_{i != j} (Q - alpha_i))``.  A value outside
-    the normal float range raises ``ValueError``, as ``ConstantResult`` does.
+    the normal float range raises ``ValueError``, as a closed form does.
     """
     dim = as_dim(dim)
     profile.validate_for(dim)
@@ -204,8 +173,7 @@ def hlp_region_values(
     # K_j replaces the factor 1/(Q - alpha_j) of K_0 by 1/alpha
     regions = [logs] + [logs[: j + 1] + [-math.log(alpha)] + logs[j + 2 :] for j in range(m)]
     return tuple(
-        _require_normal(_exp_of_sum(r), f"hlp region K_{j}", dim, profile)
-        for j, r in enumerate(regions)
+        _normal_exp(r, f"hlp region K_{j}", dim, profile) for j, r in enumerate(regions)
     )
 
 
@@ -213,19 +181,15 @@ def hilbert_constant(
     dim: GroupDim | int,
     profile: AlphaProfile,
     convention: Convention = Convention.GEOMETRIC,
-) -> ConstantResult:
+) -> float:
     """Sharp constant ``Omega_Q^m prod_i Gamma(1 - alpha_i/Q) Gamma(alpha/Q)
     / Gamma(m)`` of the sum-kernel (Hilbert-type) operator."""
     dim = as_dim(dim)
     profile.validate_for(dim)
     Q, m, alpha = dim.Q, profile.m, profile.total
-    if alpha >= m * Q:
-        raise DivergentConstantError(f"total exponent {alpha} must be < mQ = {m * Q}")
-    value = _exp_of_sum(
-        [m * log_unit_ball_volume(dim, convention), log_gamma(alpha / Q), -log_gamma(float(m))]
-        + [log_gamma(1.0 - a / Q) for a in profile.alphas]
-    )
-    return ConstantResult(value, FormulaId.HILBERT_BSTAR, dim, profile, convention)
+    logs = [m * log_unit_ball_volume(dim, convention), log_gamma(alpha / Q), -log_gamma(float(m))]
+    logs += [log_gamma(1.0 - a / Q) for a in profile.alphas]
+    return _normal_exp(logs, "hilbert constant", dim, profile)
 
 
 def beta_integral(alpha_exp: float, beta_exp: float) -> float:

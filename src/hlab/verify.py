@@ -224,17 +224,22 @@ def _e1(dim: GroupDim) -> HPoint:
 
 # The quadrature oracle's error control at m = 1 and above, and the
 # search's: a relative tolerance on every level (``QuadSpec``).
-_ORACLE_QUAD_M1 = QuadSpec(1e-12)
+_UNARY_ORACLE_QUAD = QuadSpec(1e-12)
 _ORACLE_QUAD = QuadSpec(1e-9)
 _SEARCH_QUAD = QuadSpec(1e-7)
 
 
 def _verdict_tol(quad: QuadSpec) -> float:
     """The relative error a quadrature verdict allows: every operator
-    integrand is nonnegative, so m <= 3 (``QuadEngine.MAX_M``) levels that
-    each meet ``rel_tol`` leave the value within about 3 ``rel_tol``, and 10
-    ``rel_tol`` is that bound with a margin."""
+    integrand is nonnegative, so m levels or factors that each meet
+    ``_oracle_quad(quad, m)`` leave the value within about 3 ``rel_tol``,
+    and 10 ``rel_tol`` is that bound with a margin."""
     return 10.0 * quad.rel_tol
+
+
+def _oracle_quad(quad: QuadSpec, m: int) -> QuadSpec:
+    """``quad`` with ``rel_tol`` times ``min(1, 3/m)``: m such errors make 3 of ``quad``'s."""
+    return replace(quad, rel_tol=quad.rel_tol * min(1.0, 3.0 / m))
 
 
 def verify_constant(
@@ -246,11 +251,11 @@ def verify_constant(
 ) -> VerificationReport:
     """Compare the closed-form constant against both numeric oracles.
 
-    Quadrature (radial reduction, m <= ``QuadEngine.MAX_M``) must match
-    within ``tol``, by default 10 times its ``rel_tol`` (1e-11 at m = 1, 1e-8
-    above); Cartesian Monte Carlo must land within 3 standard errors.  Both
-    oracles and the closed form are taken under the GEOMETRIC convention,
-    since the Monte Carlo oracle measures true Lebesgue integrals.
+    Quadrature (radial reduction, wherever ``QuadEngine.reaches`` the spec)
+    must match within ``tol``, by default 10 times its ``rel_tol`` (1e-11 at
+    m = 1, 1e-8 above); Cartesian Monte Carlo must land within 3 standard
+    errors.  Both oracles and the closed form are taken under the GEOMETRIC
+    convention, since the Monte Carlo oracle measures true Lebesgue integrals.
 
     ``details["verdict"]`` is ``"pass"``, ``"fail"`` or, when the oracles
     agree but 3 Monte Carlo standard errors span the gap between the
@@ -264,15 +269,14 @@ def verify_constant(
     fails, the verdict is ``"inconclusive"``.
     """
     spec = replace(spec, convention=Convention.GEOMETRIC)
-    quad = _ORACLE_QUAD_M1 if spec.m == 1 else _ORACLE_QUAD
+    quad = _UNARY_ORACLE_QUAD if spec.m == 1 else _ORACLE_QUAD
     tol = _verdict_tol(quad) if tol is None else tol
-    closed = spec.constant().value
+    closed = spec.constant()
 
     oracle_quad = None
     rel_err = None
-    # wherever the quadrature engine runs
-    if spec.m <= QuadEngine.MAX_M:
-        engine = QuadEngine(quad)
+    if QuadEngine.reaches(spec):
+        engine = QuadEngine(_oracle_quad(quad, spec.m))
         fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
         oracle_quad = evaluate(spec, fs, _e1(spec.dim), engine)
         rel_err = abs(oracle_quad.value - closed) / abs(closed)
@@ -281,7 +285,7 @@ def verify_constant(
     oracle_mc = reduce_partials(mc_chunks)[0]
     sigma = _sigma_distance(oracle_mc, closed)
 
-    paper = replace(spec, convention=Convention.PAPER_FORMULA).constant().value
+    paper = replace(spec, convention=Convention.PAPER_FORMULA).constant()
     gap = abs(paper - closed)
     if not ((rel_err is None or rel_err <= tol) and (sigma is None or abs(sigma) <= 3.0)):
         verdict = "fail"
@@ -312,29 +316,29 @@ def verify_extremal(
     """Check that the extremal powers attain the closed-form constant.
 
     Evaluates ``gauge(x)^alpha * T(extremals)(x)`` by the quadrature
-    oracle's engine (m <= ``QuadEngine.MAX_M``) once per gauge ``g``, at
-    ``x = delta_g(e_1)``, whose gauge is exactly ``g``.  The evaluators see ``x`` only through its
-    gauge (the dilation identity), so other points of the same gauge would
-    repeat the same integral; ``spread`` measures dilation invariance.
+    oracle's engine once per gauge ``g``, at ``x = delta_g(e_1)``, whose
+    gauge is exactly ``g``.  The evaluators see ``x`` only through its gauge
+    (the dilation identity), so other points of the same gauge would repeat
+    the same integral; ``spread`` measures dilation invariance.
     Passes when the spread and the relative error of the mean from the
     constant are both at most ``tol``, by default 10 times the engine's
     ``rel_tol`` (1e-8).  The report carries the mean as its one quadrature
     oracle.  ``seed`` draws nothing: it is the seed the report records.
 
-    No gauge at all, then an arity m > ``QuadEngine.MAX_M``, beyond the
-    quadrature engine, raise ``ValueError`` first.  A gauge ``g`` raises
+    No gauge at all, then a spec beyond the quadrature engine's reach
+    (``QuadEngine.reaches``), raise ``ValueError`` first.  A gauge ``g`` raises
     ``GaugeRangeError`` before anything is evaluated when ``g^alpha`` is
     outside the square root of the floating-point range (about 1e-154 to
     1e154), or the value there, ``closed * g^-alpha``, is not a normal float.
     """
     if len(gauges) == 0:
         raise ValueError("gauges must hold at least one gauge, got none")
-    if spec.m > QuadEngine.MAX_M:
+    if not QuadEngine.reaches(spec):
         raise ValueError(
             "verify_extremal runs on the quadrature engine, which supports "
-            f"m <= {QuadEngine.MAX_M}; got m = {spec.m}"
+            f"m <= {QuadEngine.GENERAL_M}; got m = {spec.m}"
         )
-    closed = spec.constant().value
+    closed = spec.constant()
     alpha = spec.profile.total
     # an evaluation's nodes carry g^-alpha, so g^alpha keeps within the
     # square root of the float range, and the value there is a normal float
@@ -349,7 +353,7 @@ def verify_extremal(
                 "is not a normal float"
             )
     fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
-    engine = QuadEngine(_ORACLE_QUAD)
+    engine = QuadEngine(_oracle_quad(_ORACLE_QUAD, spec.m))
     tol = _verdict_tol(_ORACLE_QUAD) if tol is None else tol
 
     e1 = _e1(spec.dim)
@@ -409,7 +413,7 @@ def upper_bound_search(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    bound = spec.constant().value
+    bound = spec.constant()
     alpha = spec.profile.total
     engine = QuadEngine(_SEARCH_QUAD)
     gen = SeededStream(seed).generator()
@@ -425,7 +429,7 @@ def upper_bound_search(
             fs = [_random_step_function(gen, a) for a in spec.profile.alphas]
             g = float(gen.choice([0.5, 1.0, 2.0]))
         value = evaluate(spec, fs, dilate(g, _e1(spec.dim)), engine).value
-        norms = math.prod(weighted_norm(f, a, spec.dim) for f, a in zip(fs, spec.profile.alphas))
+        norms = math.prod(weighted_norm(f, a) for f, a in zip(fs, spec.profile.alphas))
         ratio = g**alpha * value / norms
         if ratio > max_ratio:
             max_ratio = ratio

@@ -131,7 +131,7 @@ def test_criterion_3_hardy_constants():
     quad = QuadEngine(QuadSpec(rel_tol=1e-12))
     checks = []
 
-    closed1 = hardy_constant(1, AlphaProfile.of(1.0)).value
+    closed1 = hardy_constant(1, AlphaProfile.of(1.0))
     est1 = eval_hardy(
         [TestFunction.extremal(1.0)], E1, OperatorSpec(OperatorKind.HARDY, DIM1, AlphaProfile.of(1.0)), quad
     )
@@ -140,7 +140,7 @@ def test_criterion_3_hardy_constants():
     checks.append(("m=1 value", math.isclose(closed1, 4.0 / 3.0, rel_tol=1e-14), "4/3"))
 
     prof2 = AlphaProfile.of(1.0, 1.0)
-    closed2 = hardy_constant(1, prof2).value
+    closed2 = hardy_constant(1, prof2)
     est2 = eval_hardy(
         [TestFunction.extremal(1.0)] * 2, E1, OperatorSpec(OperatorKind.HARDY, DIM1, prof2), quad
     )
@@ -149,7 +149,7 @@ def test_criterion_3_hardy_constants():
     checks.append(("m=2 value", math.isclose(closed2, math.pi / 6, rel_tol=1e-14), "pi/6"))
 
     prof3 = AlphaProfile.of(0.5, 0.5, 0.5)
-    closed3 = hardy_constant(1, prof3).value
+    closed3 = hardy_constant(1, prof3)
     mc3 = eval_hardy(
         [TestFunction.extremal(0.5)] * 3,
         E1,
@@ -160,8 +160,8 @@ def test_criterion_3_hardy_constants():
     checks.append(("m=3 MC", sigma3 <= 3.0, f"{sigma3:.2f} sigma"))
 
     bit_equal = all(
-        hardy_constant(1, p, Convention.GEOMETRIC).value
-        == hardy_constant(1, p, Convention.PAPER_FORMULA).value
+        hardy_constant(1, p, Convention.GEOMETRIC)
+        == hardy_constant(1, p, Convention.PAPER_FORMULA)
         for p in (AlphaProfile.of(1.0), prof2, prof3)
     )
     checks.append(("convention bit-equal", bit_equal, "geometric == tabulated"))
@@ -179,12 +179,12 @@ def test_criterion_4_hlp_constants():
         Q = 2 * n + 2
         prof = AlphaProfile.of(*(rng.uniform(0.05, 0.95, m) * Q))
         total = math.fsum(hlp_region_values(n, prof))
-        closed = hlp_constant(n, prof).value
+        closed = hlp_constant(n, prof)
         worst_identity = max(worst_identity, abs(total - closed) / closed)
 
     quad = QuadEngine(QuadSpec(rel_tol=1e-11))
     prof1 = AlphaProfile.of(1.0)
-    closed1 = hlp_constant(1, prof1).value
+    closed1 = hlp_constant(1, prof1)
     est1 = eval_hlp(
         [TestFunction.extremal(1.0)], E1, OperatorSpec(OperatorKind.HLP, DIM1, prof1), quad
     )
@@ -195,7 +195,7 @@ def test_criterion_4_hlp_constants():
     sigma1 = abs(vr.sigma_distance_mc)
 
     prof2 = AlphaProfile.of(1.0, 1.0)
-    closed2 = hlp_constant(1, prof2).value
+    closed2 = hlp_constant(1, prof2)
     est2 = eval_hlp(
         [TestFunction.extremal(1.0)] * 2, E1, OperatorSpec(OperatorKind.HLP, DIM1, prof2), quad
     )
@@ -280,7 +280,7 @@ def _product_integral_quad(alpha: float, betas: tuple[float, ...], rel: float = 
 def test_criterion_5_hilbert_constants():
     quad = QuadEngine(QuadSpec(rel_tol=1e-11))
     prof = AlphaProfile.of(2.0)
-    closed = hilbert_constant(1, prof).value
+    closed = hilbert_constant(1, prof)
     est = eval_hilbert(
         [TestFunction.extremal(2.0)], E1, OperatorSpec(OperatorKind.HILBERT, DIM1, prof), quad
     )

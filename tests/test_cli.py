@@ -427,9 +427,11 @@ class TestInputErrors:
             (["constants", "--n", "0"], "--n"),
             (["constants", "--m", "0"], "--m"),
             (["discrepancies", "--n-values", "1,x"], "--n-values"),
-            # extremal and search run on the quadrature engine, which stops at m = 3
+            # extremal and search run on the quadrature engine, which stops at
+            # m = 3 on every kind but hlp
             (["extremal", "--m", "4", "--alphas", "1,1,1,1"], "--m"),
             (["search", "--m", "4", "--alphas", "1,1,1,1"], "--m"),
+            (["search", "--operator", "hilbert", "--m", "4", "--alphas", "1,1,1,1"], "--m"),
         ],
     )
     def test_vacuous_or_non_json_inputs_exit_2(self, capsys, argv, flag):
@@ -514,6 +516,15 @@ class TestOtherCommands:
         # one point per gauge: the report records the gauges and no directions
         assert doc["findings"][0]["gauges"] == [0.5, 1.0, 2.0, 10.0]
         assert "directions" not in doc["findings"][0]
+        jsonschema.validate(doc, SCHEMA)
+
+    def test_extremal_past_three_on_hlp(self, capsys):
+        # extremal takes m > 3 where the quadrature engine reaches it
+        argv = ["extremal", "--operator", "hlp", "--n", "10", "--m", "6", "--format", "json"]
+        code, out, _ = run_capture(argv, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True and doc["oracles"][0]["n_samples"] <= 140_000
         jsonschema.validate(doc, SCHEMA)
 
     def test_extremal_takes_no_directions(self, capsys):

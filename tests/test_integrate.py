@@ -302,7 +302,7 @@ class TestPastH1:
         assert log_q is None and (log_g < 0.0).all() and np.isfinite(log_g).all()
         profile = AlphaProfile(alphas)
         for constant in (hardy_constant, hlp_constant, hilbert_constant):
-            value = constant(n, profile).value
+            value = constant(n, profile)
             assert math.isfinite(value) and value > 0.0
 
     @settings(max_examples=200, deadline=None)

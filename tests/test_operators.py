@@ -100,19 +100,19 @@ class TestTestFunction:
 
 class TestWeightedNorm:
     def test_extremal_at_own_exponent(self):
-        assert weighted_norm(TestFunction.extremal(1.3), 1.3, DIM1) == 1.0
+        assert weighted_norm(TestFunction.extremal(1.3), 1.3) == 1.0
 
     def test_constant_modulation(self):
         f = TestFunction.modulated(1.0, lambda s: np.full_like(np.asarray(s, float), 0.5))
-        assert math.isclose(weighted_norm(f, 1.0, DIM1), 0.5, rel_tol=1e-15)
+        assert math.isclose(weighted_norm(f, 1.0), 0.5, rel_tol=1e-15)
 
     def test_monotone_modulation_approaches_sup(self):
         f = TestFunction.modulated(1.0, lambda s: s / (1.0 + s))
-        assert weighted_norm(f, 1.0, DIM1) >= 0.9999
+        assert weighted_norm(f, 1.0) >= 0.9999
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            weighted_norm(TestFunction.extremal(1.0), 0.0, DIM1)
+            weighted_norm(TestFunction.extremal(1.0), 0.0)
 
 
 class TestHardyEvaluator:
@@ -167,7 +167,7 @@ class TestHlpEvaluator:
     def test_extremal_m2(self):
         spec = spec_of(OperatorKind.HLP, 1.0, 1.0)
         est = eval_hlp(extremals(1.0, 1.0), E1, spec, TIGHT)
-        closed = hlp_constant(1, AlphaProfile.of(1.0, 1.0)).value
+        closed = hlp_constant(1, AlphaProfile.of(1.0, 1.0))
         assert abs(est.value - closed) / closed <= 1e-8
         assert math.isclose(closed, 16 * math.pi**4 / 9, rel_tol=1e-13)
 
@@ -208,7 +208,7 @@ class TestHilbertEvaluator:
         expected = (OMEGA / 4) ** 2 * i_m_closed(2.0, (0.25, 0.25))
         assert abs(est.value - expected) / expected <= 1e-8
         assert math.isclose(
-            expected, hilbert_constant(1, AlphaProfile.of(1.0, 1.0)).value, rel_tol=1e-13
+            expected, hilbert_constant(1, AlphaProfile.of(1.0, 1.0)), rel_tol=1e-13
         )
 
     def test_step_modulation_against_closed_form(self):
@@ -232,7 +232,7 @@ class TestHilbertEvaluator:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             est = eval_hilbert(extremals(*(alpha,) * m), e1, spec, TIGHT)
-        closed = hilbert_constant(dim, spec.profile).value
+        closed = hilbert_constant(dim, spec.profile)
         assert abs(est.value - closed) <= 1e-8 * closed
 
     def test_mc_engine_matches(self):
@@ -245,7 +245,7 @@ class TestNormBound:
     def test_modulated_tuples_respect_bound_mc(self):
         rng = np.random.default_rng(55)
         spec = spec_of(OperatorKind.HARDY, 1.0, 1.0)
-        bound = spec.constant().value
+        bound = spec.constant()
         lattice = np.logspace(-2, 2, 41)
         for trial in range(10):
             fs = []
@@ -255,7 +255,7 @@ class TestNormBound:
                 fs.append(TestFunction.step(a, edges, rng.uniform(0.1, 1.0, k + 1)))
             est = eval_hardy(fs, E1, spec, McEngine(100_000, SeededStream(600 + trial)))
             norms = math.prod(
-                weighted_norm(f, a, DIM1) for f, a in zip(fs, spec.profile.alphas)
+                weighted_norm(f, a) for f, a in zip(fs, spec.profile.alphas)
             )
             ratio = est.value / norms
             rel_se = est.std_error / max(est.value, 1e-300)
@@ -366,7 +366,7 @@ class TestOneGeometry:
         prof = AlphaProfile((1.0,) * m)
         engine = QuadEngine(QuadSpec(1e-9))
         est = kernel_constant(scaled_hardy_kernel(dim, m, s), dim, prof, engine)
-        want = s**-prof.total * hardy_constant(dim, prof).value
+        want = s**-prof.total * hardy_constant(dim, prof)
         assert abs(est.value - want) <= 1e-8 * want
 
     @pytest.mark.parametrize("alphas", [(0.5,), (0.2, 0.2)])
@@ -377,9 +377,9 @@ class TestOneGeometry:
         spec = OperatorSpec(OperatorKind.HARDY, dim, AlphaProfile(alphas))
         x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
         # the quadrature oracle's error control and verdict: 1e-11 at m = 1, 1e-8 at m = 2
-        quad = verify._ORACLE_QUAD_M1 if len(alphas) == 1 else verify._ORACLE_QUAD
+        quad = verify._UNARY_ORACLE_QUAD if len(alphas) == 1 else verify._ORACLE_QUAD
         est = eval_hardy(extremals(*alphas), x, spec, QuadEngine(quad))
-        closed = spec.constant().value
+        closed = spec.constant()
         assert abs(est.value - closed) <= verify._verdict_tol(quad) * closed
 
 
@@ -419,7 +419,7 @@ class TestQuadratureBeyondH1:
         x = HPoint.of(dim, [0.6, -0.3] + [0.2] * (dim.ambient - 3) + [0.5])
         g = gauge(x)
         est = evaluator(extremals(*alphas), x, spec, QuadEngine(QuadSpec(1e-9)))
-        assert math.isclose(g ** sum(alphas) * est.value, spec.constant().value, rel_tol=1e-8)
+        assert math.isclose(g ** sum(alphas) * est.value, spec.constant(), rel_tol=1e-8)
 
 
 class TestHlpQuadratureSlowTails:
@@ -437,7 +437,20 @@ class TestHlpQuadratureSlowTails:
         x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
         qspec = QuadSpec(1e-12) if len(alphas) == 1 else QuadSpec(1e-9)
         est = eval_hlp(extremals(*alphas), x, spec, QuadEngine(qspec))
-        assert math.isclose(est.value, spec.constant().value, rel_tol=rel_tol)
+        assert math.isclose(est.value, spec.constant(), rel_tol=rel_tol)
+
+
+class TestHlpCellsPastThree:
+    # the cells' cost is linear in m, so quadrature reaches hlp at every m
+    @pytest.mark.parametrize("n,m", [(1, 4), (3, 12), (1, 32)])
+    def test_extremal_value_is_closed_form(self, n, m):
+        dim = GroupDim(n)
+        spec = OperatorSpec(OperatorKind.HLP, dim, AlphaProfile((1.0,) * m))
+        e1 = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
+        quad = QuadSpec(1e-9)
+        est = eval_hlp(extremals(*[1.0] * m), e1, spec, QuadEngine(quad))
+        closed = spec.constant()
+        assert abs(est.value - closed) <= 10 * quad.rel_tol * closed
 
 
 class TestKernelQuadratureSlowTails:
@@ -456,7 +469,7 @@ class TestKernelQuadratureSlowTails:
         spec = OperatorSpec(OperatorKind.KERNEL, dim, prof, kernel=ker)
         x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
         est = eval_kernel_op(ker, extremals(alpha), x, spec, QuadEngine(QuadSpec(1e-12)))
-        assert math.isclose(est.value, closed_form(dim, prof).value, rel_tol=1e-10)
+        assert math.isclose(est.value, closed_form(dim, prof), rel_tol=1e-10)
 
     @pytest.mark.parametrize("n", [150, 200])
     def test_small_alpha_at_large_n(self, n):
@@ -465,9 +478,9 @@ class TestKernelQuadratureSlowTails:
         dim = GroupDim(n)
         spec = OperatorSpec(OperatorKind.HILBERT, dim, AlphaProfile.of(0.1))
         x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
-        quad = verify._ORACLE_QUAD_M1
+        quad = verify._UNARY_ORACLE_QUAD
         est = eval_hilbert(extremals(0.1), x, spec, QuadEngine(quad))
-        closed = spec.constant().value
+        closed = spec.constant()
         assert abs(est.value - closed) <= verify._verdict_tol(quad) * closed
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -481,7 +494,7 @@ class TestKernelQuadratureSlowTails:
         x = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
         quad = QuadSpec(1e-9)
         est = eval_hilbert(extremals(0.001), x, spec, QuadEngine(quad))
-        closed = spec.constant().value
+        closed = spec.constant()
         assert abs(est.value - closed) <= 10 * quad.rel_tol * closed
 
 
@@ -604,7 +617,7 @@ class TestMonteCarloBeyondH1:
             for workers in (1, 2)
         ]
         assert ests[0] == ests[1]
-        closed = spec.constant().value
+        closed = spec.constant()
         # hardy m = 1 weights every sample equally, so its error is rounding
         assert abs(scale * ests[0].value - closed) <= 4 * scale * ests[0].std_error + 1e-12 * closed
 
@@ -619,7 +632,7 @@ class TestMonteCarloBeyondH1:
         spec = OperatorSpec(kind, dim, AlphaProfile((alpha,)))
         e1 = HPoint.of(dim, [1.0] + [0.0] * (dim.ambient - 1))
         est = evaluator(extremals(alpha), e1, spec, McEngine(1 << 18, SeededStream(0)))
-        closed = spec.constant().value
+        closed = spec.constant()
         assert abs(est.value - closed) <= 4 * est.std_error
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -870,7 +883,7 @@ class TestKernelConstant:
 class TestOperatorSpec:
     def test_constant_dispatch(self):
         assert math.isclose(
-            spec_of(OperatorKind.HARDY, 1.0).constant().value, 4.0 / 3.0, rel_tol=1e-14
+            spec_of(OperatorKind.HARDY, 1.0).constant(), 4.0 / 3.0, rel_tol=1e-14
         )
         with pytest.raises(ValueError):
             spec_of(OperatorKind.KERNEL, 1.0, kernel=hardy_kernel(DIM1, 1)).constant()
@@ -887,3 +900,19 @@ class TestOperatorSpec:
         spec = spec_of(OperatorKind.HARDY, *([0.5] * 4))
         with pytest.raises(ValueError, match="m <= 3"):
             eval_hardy(extremals(*[0.5] * 4), E1, spec, TIGHT)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("path", ["hardy", "hlp", "hilbert", "kernel-hlp"])
+    def test_quad_engine_reaches_what_it_evaluates(self, path, m):
+        # the predicate reads the kind's record: the max kernel given as a
+        # general kernel takes the general path, and its limit
+        kernel = hlp_kernel(DIM1, m) if path == "kernel-hlp" else None
+        kind = OperatorKind.KERNEL if kernel else OperatorKind(path)
+        spec = OperatorSpec(kind, DIM1, AlphaProfile((1.0,) * m), kernel=kernel)
+        engine = QuadEngine(QuadSpec(1e-4))
+        if QuadEngine.reaches(spec):
+            assert operators.evaluate(spec, extremals(*[1.0] * m), E1, engine).value > 0.0
+        else:
+            with pytest.raises(ValueError, match=f"quadrature takes m <= 3, got {m};"):
+                operators.evaluate(spec, extremals(*[1.0] * m), E1, engine)
+        assert QuadEngine.reaches(spec) == (path == "hlp" or m <= 3)

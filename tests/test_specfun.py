@@ -51,12 +51,12 @@ class TestHardyConstant:
     def test_m1_against_radial_quadrature(self):
         # A = Q * int_0^1 r^{Q-1-alpha} dr with Q=4, alpha=1
         oracle = 4.0 * quad_1d(lambda r: r**2, 0.0, 1.0, TIGHT).value
-        value = hardy_constant(1, AlphaProfile.of(1.0)).value
+        value = hardy_constant(1, AlphaProfile.of(1.0))
         assert math.isclose(value, oracle, rel_tol=1e-12)
         assert math.isclose(value, 4.0 / 3.0, rel_tol=1e-15)
 
     def test_alpha_to_zero_limit(self):
-        value = hardy_constant(1, AlphaProfile.of(1e-12)).value
+        value = hardy_constant(1, AlphaProfile.of(1e-12))
         assert math.isclose(value, 1.0, rel_tol=1e-9)
 
     def test_m2_against_simplex_quadrature(self):
@@ -68,25 +68,25 @@ class TestHardyConstant:
             return [(lambda b, own: a[own] ** 2 * b**2, 0.0, np.sqrt(1.0 - a * a), ())]
 
         oracle = 16.0 * quad_nested(level, 2, TIGHT).value
-        value = hardy_constant(1, AlphaProfile.of(1.0, 1.0)).value
+        value = hardy_constant(1, AlphaProfile.of(1.0, 1.0))
         assert math.isclose(value, oracle, rel_tol=1e-10)
         assert math.isclose(value, math.pi / 6.0, rel_tol=1e-14)
 
     def test_convention_independence_bit_exact(self):
         prof = AlphaProfile.of(0.7, 1.3)
-        a = hardy_constant(1, prof, Convention.GEOMETRIC).value
-        b = hardy_constant(1, prof, Convention.PAPER_FORMULA).value
+        a = hardy_constant(1, prof, Convention.GEOMETRIC)
+        b = hardy_constant(1, prof, Convention.PAPER_FORMULA)
         assert a == b
 
     def test_monotone_in_each_exponent(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             alphas = rng.uniform(0.2, 3.5, 2)
-            base = hardy_constant(1, AlphaProfile.of(*alphas)).value
+            base = hardy_constant(1, AlphaProfile.of(*alphas))
             for i in range(2):
                 bumped = alphas.copy()
                 bumped[i] += 1e-6
-                up = hardy_constant(1, AlphaProfile.of(*bumped)).value
+                up = hardy_constant(1, AlphaProfile.of(*bumped))
                 assert up > base
 
     def test_reports_every_violation(self):
@@ -101,17 +101,17 @@ class TestHlpConstant:
         inner = quad_1d(lambda r: r**2, 0.0, 1.0, TIGHT).value
         outer = quad_1d(lambda r: r ** (2.0 - 4.0), 1.0, math.inf, TIGHT).value
         oracle = OMEGA_GEOM * (inner + outer)
-        value = hlp_constant(1, AlphaProfile.of(1.0)).value
+        value = hlp_constant(1, AlphaProfile.of(1.0))
         assert math.isclose(value, oracle, rel_tol=1e-11)
         assert math.isclose(value, 8 * math.pi**2 / 3, rel_tol=1e-14)
 
     def test_tabulated_convention(self):
-        value = hlp_constant(1, AlphaProfile.of(1.0), Convention.PAPER_FORMULA).value
+        value = hlp_constant(1, AlphaProfile.of(1.0), Convention.PAPER_FORMULA)
         assert math.isclose(value, 16 * math.pi**2 / 3, rel_tol=1e-14)
 
     def test_symmetry_under_exponent_swap(self):
-        a = hlp_constant(1, AlphaProfile.of(0.8, 2.1)).value
-        b = hlp_constant(1, AlphaProfile.of(2.1, 0.8)).value
+        a = hlp_constant(1, AlphaProfile.of(0.8, 2.1))
+        b = hlp_constant(1, AlphaProfile.of(2.1, 0.8))
         assert math.isclose(a, b, rel_tol=1e-15)
 
 
@@ -133,7 +133,7 @@ class TestHlpRegions:
             Q = 2 * n + 2
             prof = AlphaProfile.of(*rng.uniform(0.05, 0.95, m) * Q)
             total = math.fsum(hlp_region_values(n, prof))
-            closed = hlp_constant(n, prof).value
+            closed = hlp_constant(n, prof)
             assert abs(total - closed) / closed <= 1e-13
 
     def test_m2_against_three_region_quadrature(self):
@@ -156,14 +156,14 @@ class TestHlpRegions:
 class TestHilbertConstant:
     def test_m1_against_radial_quadrature(self):
         oracle = OMEGA_GEOM * quad_1d(lambda r: r / (1 + r**4), 0.0, math.inf, TIGHT).value
-        value = hilbert_constant(1, AlphaProfile.of(2.0)).value
+        value = hilbert_constant(1, AlphaProfile.of(2.0))
         assert math.isclose(value, oracle, rel_tol=1e-11)
         assert math.isclose(value, math.pi**3 / 2, rel_tol=1e-14)
 
     def test_tabulated_convention(self):
         value = hilbert_constant(
             1, AlphaProfile.of(2.0), Convention.PAPER_FORMULA
-        ).value
+        )
         assert math.isclose(value, math.pi**3, rel_tol=1e-14)
 
     def test_reflection_identity(self):
@@ -171,7 +171,7 @@ class TestHilbertConstant:
         dim = GroupDim(1)
         expected = math.pi**2 / 2 * math.pi
         for alpha in np.arange(0.5, 4.0, 0.5):
-            value = hilbert_constant(1, AlphaProfile.of(float(alpha))).value
+            value = hilbert_constant(1, AlphaProfile.of(float(alpha)))
             assert math.isclose(
                 value * math.sin(math.pi * alpha / dim.Q), expected, rel_tol=1e-12
             )
@@ -188,7 +188,7 @@ class TestClosedFormsFromLogs:
         # omega^m alone overflows
         Q = 2 * n + 2
         profile = AlphaProfile((1.0,) * m)
-        value = hlp_constant(n, profile).value
+        value = hlp_constant(n, profile)
         assert math.isclose(value, Q * (sphere_measure(n) / (Q - 1)) ** m, rel_tol=1e-12)
         assert math.isclose(math.fsum(hlp_region_values(n, profile)), value, rel_tol=1e-13)
 
@@ -214,6 +214,19 @@ class TestClosedFormsFromLogs:
             hlp_constant(1, profile)
         with pytest.raises(ValueError, match="the hlp region K_0 at n=1, m=445,.*" + outside):
             hlp_region_values(1, profile)
+
+    @pytest.mark.parametrize(
+        "constant,name,m_out",
+        [
+            (hardy_constant, "hardy", 512),
+            (hlp_constant, "hlp", 445),
+            (hilbert_constant, "hilbert", 445),
+        ],
+    )
+    def test_a_closed_form_is_a_checked_float(self, constant, name, m_out):
+        assert type(constant(2, AlphaProfile.of(1.0, 2.0))) is float
+        with pytest.raises(ValueError, match=f"^the {name} constant at n=1, m={m_out}, "):
+            constant(1, AlphaProfile((1.0,) * m_out))
 
     def test_overflow_and_huge_q(self):
         with pytest.raises(ValueError, match=r" is inf, outside the normal floating-point range"):

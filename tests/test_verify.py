@@ -75,12 +75,27 @@ class TestVerifyConstant:
         assert vr.passed
 
     def test_m4_skips_quadrature(self):
-        # past the quadrature engine's m <= 3 only the Monte Carlo oracle runs
+        # past m = 3 the quadrature engine reaches hlp only: on hardy only
+        # the Monte Carlo oracle runs
         vr = verify_constant(
             spec_of(OperatorKind.HARDY, 0.5, 0.5, 0.5, 0.5), n_samples=100_000, seed=2
         )
         assert vr.oracle_quad is None and vr.rel_err_quad is None
         assert vr.oracle_mc is not None
+
+    def test_hlp_past_three_runs_quadrature(self):
+        # at 10^6 samples the Monte Carlo oracle fails this correct constant
+        # at -9.88 sigma; the max kernel's cells show that it is right
+        spec = OperatorSpec(OperatorKind.HLP, GroupDim(10), AlphaProfile((1.0,) * 6))
+        vr = verify_constant(spec, n_samples=20_000, seed=2)
+        assert vr.details["tol"] == 1e-8
+        assert vr.oracle_quad is not None and vr.rel_err_quad <= vr.details["tol"]
+
+    def test_oracle_tightens_past_three_levels(self):
+        # m levels or factors of rel_tol 3/m each leave 3 rel_tol, as 3 do
+        quad = verify._ORACLE_QUAD
+        assert all(verify._oracle_quad(quad, m) == quad for m in (1, 2, 3))
+        assert verify._oracle_quad(quad, 6) == QuadSpec(quad.rel_tol / 2.0)
 
     def test_forces_geometric_convention(self):
         spec = OperatorSpec(
@@ -160,6 +175,8 @@ class TestPowerGate:
         # every square underflows to 0, and a std error of 0 measures nothing
         vr = verify_constant(HLP40, n_samples=20_000, seed=0)
         assert vr.oracle_mc.value > 0.0 and vr.oracle_mc.std_error == 0.0
+        # the quadrature oracle agrees, but alone it does not pass
+        assert vr.rel_err_quad <= vr.details["tol"]
         assert vr.sigma_distance_mc is None and vr.resolution is None
         assert vr.details["verdict"] == "inconclusive"
         assert not vr.passed
@@ -184,6 +201,12 @@ class TestVerifyExtremal:
         vr = verify_extremal(spec_of(OperatorKind.HLP, 1.0, 1.0), seed=6, tol=1e-6)
         assert vr.passed
         assert vr.rel_err_quad <= 1e-6
+
+    def test_hlp_m6(self):
+        # the cells serve every m, at a cost linear in m
+        vr = verify_extremal(OperatorSpec(OperatorKind.HLP, GroupDim(10), AlphaProfile((1.0,) * 6)))
+        assert vr.passed
+        assert vr.oracle_quad.n_samples <= 140_000
 
     def test_one_evaluation_per_gauge(self, monkeypatch):
         # the evaluators see x only through its gauge: one point per gauge
@@ -260,7 +283,7 @@ class TestQuadratureRule:
     def test_oracle_specs_control_relative_error_only(self):
         # a QuadSpec holds no absolute tolerance: its rel_tol is all it sets
         for quad, rel_tol in (
-            (verify._ORACLE_QUAD_M1, 1e-12),
+            (verify._UNARY_ORACLE_QUAD, 1e-12),
             (verify._ORACLE_QUAD, 1e-9),
             (verify._SEARCH_QUAD, 1e-7),
         ):
@@ -340,9 +363,9 @@ class TestUpperBoundSearch:
         )
         e1 = HPoint.of(1, (1.0, 0.0, 0.0))
         est = eval_hardy([half, half], e1, spec, QuadEngine())
-        norms = weighted_norm(half, 1.0, DIM1) ** 2
+        norms = weighted_norm(half, 1.0) ** 2
         ratio = est.value / norms
-        assert math.isclose(ratio, spec.constant().value, rel_tol=1e-8)
+        assert math.isclose(ratio, spec.constant(), rel_tol=1e-8)
 
 
 class TestDiscrepancyReport:
@@ -543,7 +566,7 @@ class TestCartesianOracle:
     def test_small_alpha_lands_within_3_sigma(self, kind, n, alpha):
         spec = OperatorSpec(kind, GroupDim(n), AlphaProfile((alpha,)))
         est = reduce_partials(verify._cartesian_mc(spec, 1_000_000, SeededStream(0)))[0]
-        closed = spec.constant().value
+        closed = spec.constant()
         assert abs(est.value - closed) <= 3.0 * est.std_error
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -595,7 +618,7 @@ class TestCartesianOracle:
     def test_calibrated(self):
         pooled = []
         for stream_id, spec in enumerate(CALIBRATION_SPECS):
-            closed = spec.constant().value
+            closed = spec.constant()
             ests = [
                 reduce_partials(
                     verify._cartesian_mc(spec, CALIBRATION_SAMPLES, SeededStream(s, stream_id))
