@@ -50,6 +50,13 @@ _MAX_WORKERS = 32
 # --trials (a trial of hilbert at m = 3 takes about 0.5 s)
 _MAX_ARITY, _MAX_TRIALS = 32, 10_000
 
+
+def _max_trials(m: int) -> int:
+    """The largest --trials at arity m: ``_MAX_TRIALS`` up to m = 3, then
+    ``_MAX_TRIALS * 3/m``, since a trial of hlp at m = 32 takes about 3 s."""
+    return _MAX_TRIALS if m <= 3 else _MAX_TRIALS * 3 // m
+
+
 # the operator kinds that have a closed form to compute and verify
 _OPERATORS = sorted(kind.value for kind, op in OPERATORS.items() if op.closed_form is not None)
 
@@ -133,7 +140,11 @@ _FLAGS = {
         ),
         "default": argparse.SUPPRESS,
     },
-    "--trials": {"type": _int_range(1, _MAX_TRIALS), "default": argparse.SUPPRESS},
+    "--trials": {
+        "type": _int_range(1, _MAX_TRIALS),
+        "default": argparse.SUPPRESS,
+        "help": f"trials, from 1 to {_MAX_TRIALS:,}; past m = 3, to {_MAX_TRIALS:,} x 3/m",
+    },
     "--n-values": {
         "dest": "n_values",
         "type": _checked(
@@ -190,6 +201,12 @@ class _CommandParser(argparse.ArgumentParser):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error("unrecognized arguments: " + " ".join(extras))
+        # --trials' bound falls with --m
+        if "trials" in namespace and namespace.trials > _max_trials(namespace.m):
+            self.error(
+                f"argument --trials: must be from 1 to {_max_trials(namespace.m):,} "
+                f"at --m {namespace.m}, got {namespace.trials!r}"
+            )
         return namespace, extras
 
 

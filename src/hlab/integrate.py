@@ -44,7 +44,8 @@ row blocks' temporaries.  The arena keeps two chunk arrays of the widest
 call (the (m, size) stack of uniforms, twice as wide with the angle columns
 at n > 2, and the values) and up to three block-sized stacks, so once a
 thread has run its widest call, a chunk's float arrays all come from the
-arena, and a row block allocates only what its log integrand does.
+arena, and a row block allocates only what its log integrand does, its
+live-row mask and, where most rows are dead, the live rows it gathers.
 """
 
 from __future__ import annotations
@@ -679,9 +680,24 @@ def tilted_values(
     ``e log(4x_i(1 - x_i))``.  It is exponentiated in place, once per
     tuple, so a weight beyond the float range that meets an integrand below
     it still gives their finite product; a NaN or +inf value raises
-    ``EstimationError``.  Apart from what ``log_f`` allocates, a row block
-    writes only into the arena: stacks of ``_ROW_BLOCK`` columns, the log
-    gauges, the full law's scratch and the terms it adds.
+    ``EstimationError``.  Apart from what ``log_f`` allocates and the
+    live-row ``exp`` below, a row block writes only into the arena: stacks
+    of ``_ROW_BLOCK`` columns, the log gauges, the full law's scratch and
+    the terms it adds.
+
+    Two rules keep a row block on numpy's array-array loops, with the same
+    bits (times on 2 vCPUs, numpy 2.4.6):
+
+    * no ``maximum`` takes a scalar operand, whose loop took 6.6 us per
+      (2, 8192) stack against 2.3 us with an array: the law floors its
+      uniforms against a row of ``_TINY``, built once per call at the
+      ``_ROW_BLOCK`` in force;
+    * ``exp`` runs over the live rows only (``log_w != -inf``, so a NaN row
+      is live and still raises) when fewer than half the block's rows live,
+      as a compact kernel leaves them: they are gathered, exponentiated and
+      scattered into the zeroed block.  The plain ``exp`` slows on ``-inf``
+      rows and loses to this from about 45% dead rows (12.8 against 10.0 us
+      per 8,192 rows at 70%, 16.9 against 6.8 us at 90%).
     """
     if not tilts:
         raise ValueError("need at least one tilt")
@@ -696,6 +712,9 @@ def tilted_values(
     p = a / mass
     log_const = log_scale + math.fsum(log_polar + math.log(M) for M in mass[:, 0].tolist())
     columns = (2,) if angle else ()
+    # the floor as a row, so that no maximum takes a scalar operand; not an
+    # arena request, which would move the requests after it
+    tiny = np.full(_ROW_BLOCK, _TINY)
     # the rows added to log_f: the outer powers, then the angle's logs
     n_terms = (0 if compact else m) + (m if angle else 0)
 
@@ -711,7 +730,7 @@ def tilted_values(
             x = uniforms[:, rows, 0] if angle else uniforms[:, rows]
             log_g, added = stack[:, :k], terms[:, :k]
             if compact:
-                np.maximum(x, _TINY, out=log_g)
+                np.maximum(x, tiny[:k], out=log_g)
                 np.log(log_g, out=log_g)
                 log_g *= a
             else:
@@ -719,7 +738,7 @@ def tilted_values(
                 outer = np.greater_equal(x, p, out=scratch[:, :k])  # 1 on the outer piece
                 np.subtract(x, outer, out=log_g)
                 log_g /= np.subtract(p, outer, out=log_q)  # v
-                np.maximum(log_g, _TINY, out=log_g)
+                np.maximum(log_g, tiny[:k], out=log_g)
                 np.log(log_g, out=log_g)
                 np.multiply(outer, Q, out=log_q)
                 outer *= mass
@@ -741,8 +760,17 @@ def tilted_values(
             log_w = np.add(log_f(log_g), log_const, out=values[rows])
             for term in added:
                 log_w += term
+            # exp over the live rows alone where most are dead; NaN is live
+            live = np.not_equal(log_w, -np.inf)
             with np.errstate(over="ignore"):
-                np.exp(log_w, out=log_w)
+                if 2 * np.count_nonzero(live) < k:
+                    rows_live = np.flatnonzero(live)
+                    w = log_w[rows_live]
+                    np.exp(w, out=w)
+                    log_w.fill(0.0)
+                    log_w[rows_live] = w
+                else:
+                    np.exp(log_w, out=log_w)
             # an integrand of +inf, or NaN, leaves a non-finite value; the
             # values are never -inf, so one max tells
             if not math.isfinite(log_w.max()):

@@ -626,6 +626,15 @@ def _kernel_quad(
     return quad_nested(level, m, qspec)
 
 
+def _base_gauge_shape(l0, ls: tuple) -> tuple[int, ...] | None:
+    """The one shape of the log gauges ``ls`` when ``l0`` is the scalar 0.0
+    that both engines pass (base gauge 1), else None: the general path."""
+    if not (isinstance(l0, float) and l0 == 0.0):
+        return None
+    shape = np.shape(ls[0])
+    return shape if all(np.shape(lr) == shape for lr in ls) else None
+
+
 def hardy_kernel(
     dim: GroupDim, m: int, convention: Convention = Convention.GEOMETRIC
 ) -> KernelSpec:
@@ -648,7 +657,10 @@ def hlp_kernel(dim: GroupDim, m: int) -> KernelSpec:
     mQ = float(m * dim.Q)
 
     def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
-        top = l0
+        shape = _base_gauge_shape(l0, ls)
+        # at base gauge 1, both engines' call, the max starts from a
+        # full-shape 0 array, so that no maximum takes a 0-d operand
+        top = l0 if shape is None else np.zeros(shape)
         for lr in ls:
             top = np.maximum(top, lr)
         return top * -mQ
@@ -666,12 +678,24 @@ def hilbert_kernel(dim: GroupDim, m: int) -> KernelSpec:
     Q = dim.Q
 
     def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
-        shape = np.broadcast_shapes(*(np.shape(lr) for lr in (l0, *ls)))
-        terms = [np.multiply(lr, Q, out=np.empty(np.shape(lr))) for lr in (l0, *ls)]
-        top = np.maximum(terms[0], terms[1], out=np.empty(shape))
-        for t in terms[2:]:
-            np.maximum(top, t, out=top)
-        total = None
+        shape = _base_gauge_shape(l0, ls)
+        if shape is None:
+            shape = np.broadcast_shapes(*(np.shape(lr) for lr in (l0, *ls)))
+            terms = [np.multiply(lr, Q, out=np.empty(np.shape(lr))) for lr in (l0, *ls)]
+            top = np.maximum(terms[0], terms[1], out=np.empty(shape))
+            for t in terms[2:]:
+                np.maximum(top, t, out=top)
+            total = None
+        else:
+            # base gauge 1, both engines' call: the max starts from a
+            # full-shape 0 array, and the l0 term exp(0 - top) is exp(-top),
+            # so that no operation takes a 0-d operand
+            terms = [np.multiply(lr, Q, out=np.empty(shape)) for lr in ls]
+            top = np.zeros(shape)
+            for t in terms:
+                np.maximum(top, t, out=top)
+            total = np.negative(top, out=np.empty(shape))
+            np.exp(total, out=total)
         for t in terms:
             # exp(t - top), in t's own array where it has the full shape
             e = np.subtract(t, top, out=t if t.shape == shape else np.empty(shape))

@@ -56,6 +56,7 @@ from .integrate import (
     ChunkPartial,
     Estimate,
     Method,
+    QuadratureError,
     QuadSpec,
     SeededStream,
     mc_chunk_partials,
@@ -242,6 +243,23 @@ def _oracle_quad(quad: QuadSpec, m: int) -> QuadSpec:
     return replace(quad, rel_tol=quad.rel_tol * min(1.0, 3.0 / m))
 
 
+def _extremal_quadrature(spec: OperatorSpec, x: HPoint, engine: QuadEngine) -> Estimate:
+    """The operator of ``spec`` on its extremal tuple at ``x``, by quadrature.
+
+    An operator integrand is positive, so a value of exactly 0 means that
+    every node underflowed, as the averaging oracle's first panel does from
+    n of about 88,000 at m = 1: ``QuadratureError``, not a converged 0."""
+    fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
+    est = evaluate(spec, fs, x, engine)
+    if est.value == 0.0:
+        raise QuadratureError(
+            f"the {spec.kind.value} quadrature oracle underflowed to 0 at n = {spec.dim.n} "
+            f"after {est.n_samples} evaluations",
+            est,
+        )
+    return est
+
+
 def verify_constant(
     spec: OperatorSpec,
     n_samples: int = 1_000_000,
@@ -266,7 +284,8 @@ def verify_constant(
     averaging oracle draws falls in the tuple ball), or whose std error is
     0 (every square below the float range, as for hlp at n = 40, m = 6),
     has no sigma distance and no resolution; unless the quadrature oracle
-    fails, the verdict is ``"inconclusive"``.
+    fails, the verdict is ``"inconclusive"``.  A quadrature oracle that
+    underflows to 0 raises ``QuadratureError`` (``_extremal_quadrature``).
     """
     spec = replace(spec, convention=Convention.GEOMETRIC)
     quad = _UNARY_ORACLE_QUAD if spec.m == 1 else _ORACLE_QUAD
@@ -277,8 +296,7 @@ def verify_constant(
     rel_err = None
     if QuadEngine.reaches(spec):
         engine = QuadEngine(_oracle_quad(quad, spec.m))
-        fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
-        oracle_quad = evaluate(spec, fs, _e1(spec.dim), engine)
+        oracle_quad = _extremal_quadrature(spec, _e1(spec.dim), engine)
         rel_err = abs(oracle_quad.value - closed) / abs(closed)
 
     mc_chunks = _cartesian_mc(spec, n_samples, SeededStream(seed), workers)
@@ -330,6 +348,7 @@ def verify_extremal(
     ``GaugeRangeError`` before anything is evaluated when ``g^alpha`` is
     outside the square root of the floating-point range (about 1e-154 to
     1e154), or the value there, ``closed * g^-alpha``, is not a normal float.
+    An evaluation that underflows to 0 raises ``QuadratureError``.
     """
     if len(gauges) == 0:
         raise ValueError("gauges must hold at least one gauge, got none")
@@ -352,7 +371,6 @@ def verify_extremal(
                 f"floating-point range, or the value there, {closed:.6g} g^-{alpha:g}, "
                 "is not a normal float"
             )
-    fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
     engine = QuadEngine(_oracle_quad(_ORACLE_QUAD, spec.m))
     tol = _verdict_tol(_ORACLE_QUAD) if tol is None else tol
 
@@ -360,7 +378,7 @@ def verify_extremal(
     values = []
     n_total = 0
     for g in map(float, gauges):
-        est = evaluate(spec, fs, dilate(g, e1), engine)
+        est = _extremal_quadrature(spec, dilate(g, e1), engine)
         values.append(g**alpha * est.value)
         n_total += est.n_samples
     values = np.asarray(values)

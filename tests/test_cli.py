@@ -368,6 +368,30 @@ class TestInputErrors:
         assert parse(["verify", "--m", "32"]).m == 32
         assert parse(["search", "--trials", "10000"]).trials == 10_000
 
+    @pytest.mark.parametrize("m,limit", [(4, 7_500), (6, 5_000), (32, 937)])
+    def test_trials_bound_falls_past_m_3(self, capsys, monkeypatch, m, limit):
+        # a trial of hlp at m = 32 takes about 3 s: 10^4 of them fail at
+        # parse time, before any trial runs
+        def not_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("upper_bound_search", "AlphaProfile"):
+            monkeypatch.setattr(hlab.cli, name, not_run)
+        for trials in (limit + 1, 10_000):
+            argv = ["search", "--operator", "hlp", "--m", str(m), "--trials", str(trials)]
+            code, out, err = run_capture(argv, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("usage: hlab search [-h]")
+            assert f"argument --trials: must be from 1 to {limit:,} at --m {m}, got {trials}" in err
+        parse = hlab.cli._parser().parse_args
+        argv = ["search", "--operator", "hlp", "--m", str(m), "--trials", str(limit)]
+        assert parse(argv).trials == limit
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_trials_bound_holds_to_m_3(self, m):
+        parse = hlab.cli._parser().parse_args
+        assert parse(["search", "--m", str(m), "--trials", "10000"]).trials == 10_000
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -444,6 +468,18 @@ class TestInputErrors:
         if err.startswith("usage:"):
             assert err.startswith(f"usage: hlab {argv[0]} [-h]")
             assert f"\nhlab {argv[0]}: error: " in err
+
+    def test_quadrature_underflow_exits_2(self, capsys):
+        # hardy at n = 100,000: the quadrature oracle's nodes all underflow,
+        # which is a numerical failure, not a fail of the correct constant
+        argv = ["verify", "--operator", "hardy", "--n", "100000", "--m", "1", "--alphas", "1"]
+        code, out, err = run_capture(argv + ["--samples", "100000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "hlab verify: numerical failure: the hardy quadrature oracle underflowed "
+            "to 0 at n = 100000 after 15 evaluations\n"
+        )
 
     def test_numerical_failure_exits_2(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

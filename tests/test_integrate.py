@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlab import integrate, verify
+from hlab import integrate, operators, verify
 from hlab.hgroup import GroupDim, HPoint, log_unit_ball_volume, unit_ball_volume
 from hlab.integrate import (
     Estimate,
@@ -515,6 +515,65 @@ class TestRowBlocks:
             integrate.row_blocks(np.empty(2500), block), np.arange(2500.0)
         )
         assert spans == [(0, 1000), (1000, 2000), (2000, 2500)]
+
+
+def block_values(log_f, tilts, size):
+    """One chunk of ``tilted_values`` on H^1's compact law, copied out of
+    the arena."""
+    values_fn = tilted_values(log_f, DIM1.Q, tilts, compact=True)
+    gen = SeededStream(3).generator(block=1)
+    return values_fn(gen, size, integrate.ChunkBuffers()).copy()
+
+
+class TestLiveRowExp:
+    """A block where fewer than half the rows live exponentiates those rows
+    alone; its values are the plain ``exp``'s, bit for bit."""
+
+    def test_mostly_dead_hardy_block_has_the_plain_bits(self):
+        # hardy at n = 1, m = 2 leaves about 70% of its rows outside the
+        # tuple ball; -1e300 in place of -inf keeps every row live, so the
+        # block takes the plain exp, which gives those rows exactly 0
+        log_profile = operators.hardy_kernel(DIM1, 2).log_profile
+
+        def dead(log_gauges):
+            return log_profile(0.0, *log_gauges)
+
+        def live(log_gauges):
+            out = dead(log_gauges)
+            out[np.isneginf(out)] = -1e300
+            return out
+
+        size = 3 * integrate._ROW_BLOCK + 100
+        got = block_values(dead, (1.0, 1.0), size)
+        want = block_values(live, (1.0, 1.0), size)
+        assert 0.6 < np.mean(got == 0.0) < 0.8
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("share", [0.0, 0.3, 0.49, 0.51, 0.9, 1.0])
+    def test_any_live_share_has_the_plain_bits(self, share):
+        rng = np.random.default_rng(11)
+        logs = rng.normal(0.0, 3.0, integrate._ROW_BLOCK)
+        logs[rng.random(logs.size) >= share] = -np.inf
+
+        def log_f(log_gauges):
+            return logs[: log_gauges.shape[1]].copy()
+
+        # fewer than half live takes the live rows alone; -1e300 takes all
+        got = block_values(log_f, (1.0,), logs.size)
+        want = block_values(lambda lg: np.maximum(log_f(lg), -1e300), (1.0,), logs.size)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("row", [0, 4000, integrate._ROW_BLOCK - 1])
+    def test_nan_row_among_dead_rows_raises(self, row):
+        # a NaN row is live: it is exponentiated, and the block raises
+        def log_f(log_gauges):
+            out = np.full(log_gauges.shape[1], -np.inf)
+            out[row] = np.nan
+            return out
+
+        values_fn = tilted_values(log_f, DIM1.Q, (1.0, 1.0), compact=True)
+        with pytest.raises(EstimationError, match="non-finite"):
+            mc_chunk_partials(values_fn, 10_000, SeededStream(4))
 
 
 class RecordingGenerator:

@@ -784,6 +784,37 @@ class TestSumKernelLogProfile:
             assert math.isclose(out[-1], want, rel_tol=1e-15)
 
 
+class TestBaseGaugeProfiles:
+    """Both engines pass the scalar l0 = 0.0 (base gauge 1), which the max and
+    sum kernels take on a path of their own: its bits are those of l0 as an
+    array of zeros."""
+
+    @pytest.mark.parametrize("factory", [hlp_kernel, hilbert_kernel], ids=["hlp", "hilbert"])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scalar_zero_has_the_bits_of_zeros(self, factory, n, m):
+        rng = np.random.default_rng(80 + 10 * n + m)
+        k = 2000
+        ls = [rng.normal(0.0, 5.0, k) for _ in range(m)]
+        ls[0][:5] = [-np.inf, 0.0, -300.0, 300.0, 1e-300]
+        before = [lr.copy() for lr in ls]
+        profile = factory(GroupDim(n), m).log_profile
+        got = profile(0.0, *ls)
+        assert got.shape == (k,)
+        assert got.tobytes() == profile(np.zeros(k), *ls).tobytes()
+        # the arguments are left as they were
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ls, before))
+
+    @pytest.mark.parametrize("factory", [hlp_kernel, hilbert_kernel], ids=["hlp", "hilbert"])
+    def test_log_gauges_of_several_shapes_broadcast(self, factory):
+        # the base-gauge path takes log gauges of one shape; others broadcast
+        ls = [np.linspace(-2.0, 2.0, 7), np.array([0.5]), -0.25]
+        profile = factory(DIM1, 3).log_profile
+        got = profile(0.0, *ls)
+        want = profile(np.zeros(7), *ls)
+        assert got.shape == (7,) and got.tobytes() == want.tobytes()
+
+
 class TestKernelOperator:
     def test_hardy_specialization(self):
         kern = hardy_kernel(DIM1, 1)

@@ -19,6 +19,7 @@ from hlab.integrate import (
     ChunkBuffers,
     EstimationError,
     Method,
+    QuadratureError,
     QuadSpec,
     SeededStream,
     mc_chunk_partials,
@@ -302,6 +303,22 @@ class TestQuadratureRule:
         fs = [TestFunction.extremal(1.0)] * 2
         with pytest.raises(EstimationError, match="zero accepted samples"):
             eval_hardy(fs, e1, spec, McEngine(1000, SeededStream(0)))
+
+    def test_quadrature_that_underflows_to_zero_raises(self, monkeypatch):
+        # at n = 100,000 every node of the averaging oracle's first panel
+        # underflows; an operator integrand is positive, so 0 is no answer,
+        # and the Monte Carlo oracle is not run
+        def not_run(*args, **kwargs):
+            raise AssertionError("the Monte Carlo oracle ran")
+
+        monkeypatch.setattr(verify, "_cartesian_mc", not_run)
+        spec = OperatorSpec(OperatorKind.HARDY, GroupDim(100_000), AlphaProfile.of(1.0))
+        assert spec.constant() == pytest.approx(1.000005, rel=1e-6)
+        with pytest.raises(QuadratureError, match="underflowed to 0 at n = 100000") as err:
+            verify_constant(spec, n_samples=1000, seed=0)
+        assert err.value.estimate.value == 0.0 and err.value.estimate.n_samples == 15
+        with pytest.raises(QuadratureError, match="underflowed to 0 at n = 100000"):
+            verify_extremal(spec)
 
 
 class TestExtremalGauges:
