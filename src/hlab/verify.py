@@ -243,17 +243,19 @@ def _oracle_quad(quad: QuadSpec, m: int) -> QuadSpec:
     return replace(quad, rel_tol=quad.rel_tol * min(1.0, 3.0 / m))
 
 
-def _extremal_quadrature(spec: OperatorSpec, x: HPoint, engine: QuadEngine) -> Estimate:
-    """The operator of ``spec`` on its extremal tuple at ``x``, by quadrature.
+def _positive_quadrature(
+    spec: OperatorSpec, fs: list[TestFunction], x: HPoint, engine: QuadEngine
+) -> Estimate:
+    """The operator of ``spec`` on the positive test functions ``fs`` at
+    ``x``, by quadrature.
 
-    An operator integrand is positive, so a value of exactly 0 means that
-    every node underflowed, as the averaging oracle's first panel does from
-    n of about 88,000 at m = 1: ``QuadratureError``, not a converged 0."""
-    fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
+    Its integrand is positive, so a value of exactly 0 means that every
+    node underflowed, as the averaging oracle's first panel does from n of
+    about 88,000 at m = 1: ``QuadratureError``, not a converged 0."""
     est = evaluate(spec, fs, x, engine)
     if est.value == 0.0:
         raise QuadratureError(
-            f"the {spec.kind.value} quadrature oracle underflowed to 0 at n = {spec.dim.n} "
+            f"the {spec.kind.value} quadrature underflowed to 0 at n = {spec.dim.n} "
             f"after {est.n_samples} evaluations",
             est,
         )
@@ -285,7 +287,7 @@ def verify_constant(
     0 (every square below the float range, as for hlp at n = 40, m = 6),
     has no sigma distance and no resolution; unless the quadrature oracle
     fails, the verdict is ``"inconclusive"``.  A quadrature oracle that
-    underflows to 0 raises ``QuadratureError`` (``_extremal_quadrature``).
+    underflows to 0 raises ``QuadratureError`` (``_positive_quadrature``).
     """
     spec = replace(spec, convention=Convention.GEOMETRIC)
     quad = _UNARY_ORACLE_QUAD if spec.m == 1 else _ORACLE_QUAD
@@ -296,7 +298,8 @@ def verify_constant(
     rel_err = None
     if QuadEngine.reaches(spec):
         engine = QuadEngine(_oracle_quad(quad, spec.m))
-        oracle_quad = _extremal_quadrature(spec, _e1(spec.dim), engine)
+        fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
+        oracle_quad = _positive_quadrature(spec, fs, _e1(spec.dim), engine)
         rel_err = abs(oracle_quad.value - closed) / abs(closed)
 
     mc_chunks = _cartesian_mc(spec, n_samples, SeededStream(seed), workers)
@@ -371,6 +374,7 @@ def verify_extremal(
                 f"floating-point range, or the value there, {closed:.6g} g^-{alpha:g}, "
                 "is not a normal float"
             )
+    fs = [TestFunction.extremal(a) for a in spec.profile.alphas]
     engine = QuadEngine(_oracle_quad(_ORACLE_QUAD, spec.m))
     tol = _verdict_tol(_ORACLE_QUAD) if tol is None else tol
 
@@ -378,7 +382,7 @@ def verify_extremal(
     values = []
     n_total = 0
     for g in map(float, gauges):
-        est = _extremal_quadrature(spec, dilate(g, e1), engine)
+        est = _positive_quadrature(spec, fs, dilate(g, e1), engine)
         values.append(g**alpha * est.value)
         n_total += est.n_samples
     values = np.asarray(values)
@@ -427,7 +431,9 @@ def upper_bound_search(
     Trial 0 is always the constant-1 modulation (the attainment case); the
     remaining trials draw random step-function modulations with plateau
     edges on a coarse lattice, so their weighted norms are exact maxima of
-    finitely many plateau values.  ``trials`` below 1 raises ``ValueError``.
+    finitely many plateau values, each positive, so an evaluation that
+    underflows to 0 raises ``QuadratureError``.  ``trials`` below 1 raises
+    ``ValueError``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
@@ -446,7 +452,7 @@ def upper_bound_search(
         else:
             fs = [_random_step_function(gen, a) for a in spec.profile.alphas]
             g = float(gen.choice([0.5, 1.0, 2.0]))
-        value = evaluate(spec, fs, dilate(g, _e1(spec.dim)), engine).value
+        value = _positive_quadrature(spec, fs, dilate(g, _e1(spec.dim)), engine).value
         norms = math.prod(weighted_norm(f, a) for f, a in zip(fs, spec.profile.alphas))
         ratio = g**alpha * value / norms
         if ratio > max_ratio:

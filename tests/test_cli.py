@@ -469,15 +469,19 @@ class TestInputErrors:
             assert err.startswith(f"usage: hlab {argv[0]} [-h]")
             assert f"\nhlab {argv[0]}: error: " in err
 
-    def test_quadrature_underflow_exits_2(self, capsys):
-        # hardy at n = 100,000: the quadrature oracle's nodes all underflow,
-        # which is a numerical failure, not a fail of the correct constant
-        argv = ["verify", "--operator", "hardy", "--n", "100000", "--m", "1", "--alphas", "1"]
-        code, out, err = run_capture(argv + ["--samples", "100000"], capsys)
+    @pytest.mark.parametrize(
+        "command", [["verify", "--samples", "100000"], ["extremal"], ["search", "--trials", "2"]]
+    )
+    def test_quadrature_underflow_exits_2(self, capsys, command):
+        # hardy at n = 100,000: the quadrature's nodes all underflow, which
+        # is a numerical failure, not a fail of the correct constant, nor a
+        # search whose extremal tuple reads 0
+        argv = command + ["--operator", "hardy", "--n", "100000", "--m", "1", "--alphas", "1"]
+        code, out, err = run_capture(argv, capsys)
         assert code == 2
         assert out == ""
         assert err == (
-            "hlab verify: numerical failure: the hardy quadrature oracle underflowed "
+            f"hlab {command[0]}: numerical failure: the hardy quadrature underflowed "
             "to 0 at n = 100000 after 15 evaluations\n"
         )
 

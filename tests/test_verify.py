@@ -319,6 +319,9 @@ class TestQuadratureRule:
         assert err.value.estimate.value == 0.0 and err.value.estimate.n_samples == 15
         with pytest.raises(QuadratureError, match="underflowed to 0 at n = 100000"):
             verify_extremal(spec)
+        # nor is a search whose extremal tuple, trial 0, reads 0
+        with pytest.raises(QuadratureError, match="underflowed to 0 at n = 100000"):
+            upper_bound_search(spec, trials=1)
 
 
 class TestExtremalGauges:
