@@ -338,10 +338,11 @@ def _dispatch(args: argparse.Namespace) -> dict:
                 spec, args.samples, seed=args.seed, workers=args.workers, **_given(args, "tol")
             )
             if args.convergence_path:
-                with open(args.convergence_path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["n_samples", "estimate", "std_error", "closed_form"])
-                    writer.writerows([n, *map(repr, rest)] for n, *rest in vr.convergence)
+                buf = io.StringIO()
+                writer = csv.writer(buf)
+                writer.writerow(["n_samples", "estimate", "std_error", "closed_form"])
+                writer.writerows([n, *map(repr, rest)] for n, *rest in vr.convergence)
+                _write("--convergence", args.convergence_path, buf.getvalue())
             finding = "tolerances"
         else:
             vr = verify_extremal(spec, seed=args.seed, **_given(args, "gauges", "tol"))
@@ -360,6 +361,16 @@ def _dispatch(args: argparse.Namespace) -> dict:
     keys = ("trials", "max_ratio", "violations", "attaining_description")
     finding = {"id": "upper-bound-search", **{key: getattr(sr, key) for key in keys}, **sr.details}
     return _report(args, spec, passed=sr.violations == 0, closed_form=sr.bound, findings=[finding])
+
+
+def _write(flag: str, path: str, text: str) -> None:
+    """Write ``text`` to the file ``path`` given by ``flag``; a path that
+    cannot be written is a ``ValueError`` naming the flag."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
 def _render(report: dict, fmt: Format, runtime_ms: int) -> str:
@@ -418,25 +429,22 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args.seed = _resolve_seed(args.seed)
         report = _dispatch(args)
+        text = _render(report, args.format, int((time.perf_counter() - start) * 1000))
+        if args.output_path:
+            _write("--output", args.output_path, text)
     except DivergentConstantError as exc:
         print(f"hlab {args.command}: --alphas: {exc}", file=sys.stderr)
         return 2
     except GaugeRangeError as exc:
         print(f"hlab {args.command}: --gauges: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"hlab {args.command}: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, EstimationError) as exc:
         print(f"hlab {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2
-    runtime_ms = int((time.perf_counter() - start) * 1000)
-
-    text = _render(report, args.format, runtime_ms)
-    if args.output_path:
-        with open(args.output_path, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.output_path:
         sys.stdout.write(text)
     return 0 if (report["pass"] is None or report["pass"]) else 1
 

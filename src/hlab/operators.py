@@ -113,7 +113,9 @@ class KernelSpec:
     homogeneity probe compares it across a dilation, which also measures its
     degree.  A kernel known at gauges, ``K(r0, r1, ..., rm)``, is written at
     log gauges as ``log K(exp(l0), ..., exp(lm))``, best with the powers
-    taken in logs, as ``hlp_kernel`` and ``hilbert_kernel`` do.
+    taken in logs.  The named kernels are each one such formula at base
+    gauge 1 (``l0 = 0``), the engines' call; every other base gauge follows
+    from homogeneity, ``log K(l0, l) = log K(0, l - l0) - mQ l0``.
 
     ``simplex_support`` ``s`` (positive and finite) declares that the kernel
     vanishes outside the tuple ball ``sum r_i^2 < s^2 r0^2``: its log profile
@@ -626,87 +628,79 @@ def _kernel_quad(
     return quad_nested(level, m, qspec)
 
 
-def _base_gauge_shape(l0, ls: tuple) -> tuple[int, ...] | None:
-    """The one shape of the log gauges ``ls`` when ``l0`` is the scalar 0.0
-    that both engines pass (base gauge 1), else None: the general path."""
-    if not (isinstance(l0, float) and l0 == 0.0):
-        return None
-    shape = np.shape(ls[0])
-    return shape if all(np.shape(lr) == shape for lr in ls) else None
+def _from_base_gauge(mQ: float, at_base: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """The log profile ``(l0, l1, ..., lm)`` of a kernel of degree ``-mQ``
+    from its one formula at base gauge 1, ``at_base(l1, ..., lm)``, which
+    takes log gauges of one shape: ``log K(l0, l) = at_base(l - l0) - mQ l0``
+    by homogeneity.  The engines' call, the scalar ``l0 = 0.0`` with log
+    gauges of one shape, goes to ``at_base`` as it is."""
+
+    def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
+        shape = np.shape(ls[0])
+        if isinstance(l0, float) and l0 == 0.0 and all(np.shape(lr) == shape for lr in ls):
+            return at_base(*ls)
+        return at_base(*np.broadcast_arrays(*(np.subtract(lr, l0) for lr in ls))) - mQ * l0
+
+    return log_profile
 
 
 def hardy_kernel(
     dim: GroupDim, m: int, convention: Convention = Convention.GEOMETRIC
 ) -> KernelSpec:
     """Kernel profile of the averaging operator:
-    ``chi(sum r_i^2 < r0^2) / (Omega^m r0^{mQ})``."""
+    ``chi(sum r_i^2 < r0^2) / (Omega^m r0^{mQ})``, at base gauge 1 the log
+    of ``chi(sum r_i^2 < 1) / Omega^m``."""
     log_norm = -m * log_unit_ball_volume(dim, convention)
-    mQ = float(m * dim.Q)
 
-    def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
-        # both engines pass the scalar 0.0 (base gauge 1), where lr - l0 is lr
-        rel = ls if isinstance(l0, float) and l0 == 0.0 else [lr - l0 for lr in ls]
-        ss = sum(np.exp(2.0 * lr) for lr in rel)
-        return np.where(ss < 1.0, log_norm - mQ * l0, -np.inf)
+    def at_base(*ls: np.ndarray) -> np.ndarray:
+        ss = sum(np.exp(2.0 * lr) for lr in ls)
+        return np.where(ss < 1.0, log_norm, -np.inf)
 
-    return KernelSpec(log_profile, simplex_support=1.0)
+    return KernelSpec(_from_base_gauge(float(m * dim.Q), at_base), simplex_support=1.0)
 
 
 def hlp_kernel(dim: GroupDim, m: int) -> KernelSpec:
-    """Max-kernel profile ``max(r0, r_1, ..., r_m)^{-mQ}``."""
+    """Max-kernel profile ``max(r0, r_1, ..., r_m)^{-mQ}``, at base gauge 1
+    ``-mQ max(0, l_1, ..., l_m)`` in log form."""
     mQ = float(m * dim.Q)
 
-    def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
-        shape = _base_gauge_shape(l0, ls)
-        # at base gauge 1, both engines' call, the max starts from a
-        # full-shape 0 array, so that no maximum takes a 0-d operand
-        top = l0 if shape is None else np.zeros(shape)
+    def at_base(*ls: np.ndarray) -> np.ndarray:
+        # the max starts from a full-shape 0 array, so that no maximum takes
+        # a 0-d operand
+        top = np.zeros(np.shape(ls[0]))
         for lr in ls:
             top = np.maximum(top, lr)
         return top * -mQ
 
-    return KernelSpec(log_profile)
+    return KernelSpec(_from_base_gauge(mQ, at_base))
 
 
 def hilbert_kernel(dim: GroupDim, m: int) -> KernelSpec:
-    """Sum-kernel profile ``(r0^Q + sum r_i^Q)^{-m}``, in log form
-    ``-m logsumexp(Q l0, Q l1, ...)`` shifted by its largest term so that no
-    power overflows.
-
-    The log profile runs in place on arrays of its own, never on its
-    arguments, which may be Python floats or 0-d arrays."""
+    """Sum-kernel profile ``(r0^Q + sum r_i^Q)^{-m}``, at base gauge 1
+    ``-m logsumexp(0, Q l_1, ..., Q l_m)`` in log form, shifted by its
+    largest term so that no power overflows, and worked in place on arrays
+    of its own, never on its arguments, which may be floats or 0-d arrays."""
     Q = dim.Q
 
-    def log_profile(l0: np.ndarray, *ls: np.ndarray) -> np.ndarray:
-        shape = _base_gauge_shape(l0, ls)
-        if shape is None:
-            shape = np.broadcast_shapes(*(np.shape(lr) for lr in (l0, *ls)))
-            terms = [np.multiply(lr, Q, out=np.empty(np.shape(lr))) for lr in (l0, *ls)]
-            top = np.maximum(terms[0], terms[1], out=np.empty(shape))
-            for t in terms[2:]:
-                np.maximum(top, t, out=top)
-            total = None
-        else:
-            # base gauge 1, both engines' call: the max starts from a
-            # full-shape 0 array, and the l0 term exp(0 - top) is exp(-top),
-            # so that no operation takes a 0-d operand
-            terms = [np.multiply(lr, Q, out=np.empty(shape)) for lr in ls]
-            top = np.zeros(shape)
-            for t in terms:
-                np.maximum(top, t, out=top)
-            total = np.negative(top, out=np.empty(shape))
-            np.exp(total, out=total)
+    def at_base(*ls: np.ndarray) -> np.ndarray:
+        # the max starts from a full-shape 0 array, and the term of r0 = 1,
+        # exp(0 - top), is exp(-top), so that no operation takes a 0-d operand
+        shape = np.shape(ls[0])
+        terms = [np.multiply(lr, Q, out=np.empty(shape)) for lr in ls]
+        top = np.zeros(shape)
         for t in terms:
-            # exp(t - top), in t's own array where it has the full shape
-            e = np.subtract(t, top, out=t if t.shape == shape else np.empty(shape))
-            np.exp(e, out=e)
-            total = e if total is None else np.add(total, e, out=total)
+            np.maximum(top, t, out=top)
+        total = np.negative(top, out=np.empty(shape))
+        np.exp(total, out=total)
+        for t in terms:
+            np.subtract(t, top, out=t)
+            total += np.exp(t, out=t)
         np.log(total, out=total)
         total += top
         total *= -float(m)
         return total
 
-    return KernelSpec(log_profile)
+    return KernelSpec(_from_base_gauge(float(m * Q), at_base))
 
 
 @dataclass(frozen=True)

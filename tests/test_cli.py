@@ -469,6 +469,23 @@ class TestInputErrors:
             assert err.startswith(f"usage: hlab {argv[0]} [-h]")
             assert f"\nhlab {argv[0]}: error: " in err
 
+    @pytest.mark.parametrize("command", [["constants"], ["verify", "--samples", "100"]])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run_capture(command + ["--output", str(path)], capsys)
+        assert code == 2
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"hlab {command[0]}: --output: ") and str(path) in err
+        assert not path.exists()
+
+    def test_unwritable_convergence_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "conv.csv"
+        argv = ["verify", "--samples", "100", "--convergence", str(path)]
+        code, out, err = run_capture(argv, capsys)
+        assert code == 2
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("hlab verify: --convergence: ") and str(path) in err
+
     @pytest.mark.parametrize(
         "command", [["verify", "--samples", "100000"], ["extremal"], ["search", "--trials", "2"]]
     )

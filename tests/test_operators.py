@@ -748,10 +748,14 @@ class TestSumKernelLogProfile:
         ls = [rng.normal(0.0, 20.0, 1000) for _ in range(m)]
         ls[0][:4] = [-np.inf, 0.0, 300.0, -300.0]
         profile = hilbert_kernel(GroupDim(n), m).log_profile
-        for l0 in (0.0, rng.normal(0.0, 2.0, 1000)):
-            got = profile(l0, *ls)
-            want = sum_kernel_by_formula(GroupDim(n).Q, m, l0, *ls)
-            assert got.tobytes() == np.asarray(want).tobytes()
+        Q = GroupDim(n).Q
+        got = profile(0.0, *ls)
+        assert got.tobytes() == np.asarray(sum_kernel_by_formula(Q, m, 0.0, *ls)).tobytes()
+        # another base gauge follows from base gauge 1 by homogeneity
+        l0 = rng.normal(0.0, 2.0, 1000)
+        got = profile(l0, *ls)
+        want = sum_kernel_by_formula(Q, m, 0.0, *(lr - l0 for lr in ls)) - m * Q * l0
+        assert got.tobytes() == np.asarray(want).tobytes()
 
     def test_arguments_unchanged(self):
         rng = np.random.default_rng(75)
@@ -785,9 +789,26 @@ class TestSumKernelLogProfile:
 
 
 class TestBaseGaugeProfiles:
-    """Both engines pass the scalar l0 = 0.0 (base gauge 1), which the max and
-    sum kernels take on a path of their own: its bits are those of l0 as an
-    array of zeros."""
+    """Each named kernel is one formula at base gauge 1, which both engines'
+    scalar l0 = 0.0 reaches directly: its bits are those of l0 as an array of
+    zeros, and every other base gauge follows from it by homogeneity."""
+
+    @pytest.mark.parametrize("kind", list(NAMED_KERNELS), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_formula_at_base_gauge_1(self, kind, n, m):
+        rng = np.random.default_rng(90 + 10 * n + m)
+        k = 2000
+        ls = [rng.normal(-0.5, 2.0, k) for _ in range(m)]
+        ls[0][:4] = [-np.inf, 0.0, -300.0, 300.0]
+        profile = NAMED_KERNELS[kind](GroupDim(n), m).log_profile
+        mQ = m * GroupDim(n).Q
+        for l0 in (rng.normal(0.0, 2.0, k), float(rng.normal(0.0, 2.0))):
+            got = profile(l0, *ls)
+            # the formula at base gauge 1 is the engines' call
+            want = profile(0.0, *(lr - l0 for lr in ls)) - mQ * l0
+            assert got.shape == (k,)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("factory", [hlp_kernel, hilbert_kernel], ids=["hlp", "hilbert"])
     @pytest.mark.parametrize("n", [1, 3])
